@@ -152,7 +152,7 @@ let emit_json ~scale ~path rows =
 
 (* ---- entry points ---- *)
 
-let run_matrix ~scale_name ~keys ~txs ~fences =
+let run_matrix ~scale_name ~keys ~txs ~fences ~path =
   Common.section
     "commit-path write-set ablation (RomulusLog, remove/reinsert pair per tx)";
   let rows =
@@ -167,7 +167,7 @@ let run_matrix ~scale_name ~keys ~txs ~fences =
       [ `Sorted_list; `Hash_map ]
   in
   print_matrix rows;
-  emit_json ~scale:scale_name ~path:"BENCH_commit_path.json" rows
+  emit_json ~scale:scale_name ~path rows
 
 let run scale =
   let keys, txs =
@@ -178,9 +178,13 @@ let run scale =
   in
   run_matrix ~scale_name ~keys ~txs
     ~fences:Pmem.Fence.[ dram; clwb; clflush; stt ]
+    ~path:"BENCH_commit_path.json"
 
 (* Tiny parameters: exercises every config and the JSON emission in well
    under a second, so CI catches bench bitrot cheaply. *)
 let smoke () =
-  run_matrix ~scale_name:"smoke" ~keys:32 ~txs:40
-    ~fences:[ Pmem.Fence.dram ]
+  Common.smoke_json ~name:"commit_path"
+    ~keys:[ "bench"; "scale"; "ptm"; "results" ]
+    (fun path ->
+      run_matrix ~scale_name:"smoke" ~keys:32 ~txs:40
+        ~fences:[ Pmem.Fence.dram ] ~path)

@@ -29,6 +29,27 @@ let sim_duration_ns = function Quick -> 2e7 | Full -> 2e8
 
 (* ---- output ---- *)
 
+(* Smoke runs write their JSON to a temporary file, never over a
+   committed BENCH_*.json row, and check only that it has [keys]. *)
+let smoke_json ~name ~keys emit =
+  let path = Filename.temp_file name ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      emit path;
+      let got =
+        match E2e_bench.Json.of_file path with
+        | Obj fields -> List.map fst fields
+        | _ -> failwith (name ^ ": not a JSON object")
+        | exception E2e_bench.Json.Parse_error e ->
+          failwith (Printf.sprintf "%s: malformed (%s)" name e)
+      in
+      if got <> keys then
+        failwith
+          (Printf.sprintf "%s: top-level keys [%s], expected [%s]" name
+             (String.concat "; " got) (String.concat "; " keys));
+      Printf.printf "%s: JSON shape ok\n%!" name)
+
 let section title = Printf.printf "\n== %s ==\n%!" title
 
 let subsection title = Printf.printf "\n-- %s --\n%!" title

@@ -20,8 +20,8 @@ let experiments : (string * string * (Common.scale -> unit)) list =
     ("micro", "bechamel microbenchmarks", Micro.run) ]
 
 (* Runnable by name (and via the @bench-smoke alias) but excluded from the
-   default "all" set so a full run's BENCH_commit_path.json is not
-   overwritten by the tiny smoke parameters. *)
+   default "all" set.  The smoke runs write their JSON to a temporary
+   file and check its shape, so they never overwrite a BENCH_*.json. *)
 let hidden : (string * string * (Common.scale -> unit)) list =
   [ ("commit_path_smoke", "commit-path ablation, tiny parameters (CI smoke)",
      fun _ -> Commit_path.smoke ());

@@ -790,7 +790,8 @@ let emit_json ~scale ~calib ~scaling ~cross ~large_real ~large_des
     (fun () -> Buffer.output_buffer oc b);
   Printf.printf "wrote %s\n%!" path
 
-let run_at ~scale_name ~scale ~ops ~recovery_keys ~shard_axis ~writer_axis =
+let run_at ~scale_name ~scale ~ops ~recovery_keys ~shard_axis ~writer_axis
+    ~path =
   Common.section
     "shard scaling: hash-partitioned Sharded_db (romL per shard)";
   let calib = calibrate ~ops in
@@ -1021,7 +1022,7 @@ let run_at ~scale_name ~scale ~ops ~recovery_keys ~shard_axis ~writer_axis =
   in
   emit_json ~scale:scale_name ~calib ~scaling:(List.rev !scaling) ~cross
     ~large_real ~large_des ~elastic_r ~elastic_d ~avail ~group_des
-    ~group_window ~group_real ~recovery "BENCH_shards.json"
+    ~group_window ~group_real ~recovery path
 
 let run scale =
   let ops, recovery_keys =
@@ -1034,12 +1035,18 @@ let run scale =
   in
   run_at ~scale_name ~scale ~ops ~recovery_keys
     ~shard_axis:[ 1; 2; 4; 8 ] ~writer_axis:[ 1; 2; 4; 8; 16; 32 ]
+    ~path:"BENCH_shards.json"
 
 (* Tiny parameters so CI catches bitrot (including the JSON emission)
    without paying benchmark cost. *)
 let smoke () =
-  run_at ~scale_name:"smoke" ~scale:Common.Quick ~ops:60 ~recovery_keys:256
-    ~shard_axis:[ 1; 2 ] ~writer_axis:[ 1; 4 ]
+  Common.smoke_json ~name:"shards"
+    ~keys:
+      [ "bench"; "scale"; "ptm"; "calibration"; "scaling"; "cross_batch";
+        "large_batch"; "elastic"; "availability"; "group_commit"; "recovery" ]
+    (fun path ->
+      run_at ~scale_name:"smoke" ~scale:Common.Quick ~ops:60
+        ~recovery_keys:256 ~shard_axis:[ 1; 2 ] ~writer_axis:[ 1; 4 ] ~path)
 
 (* Quick regression check of the cross-batch curve for @bench-smoke: the
    real store must show protocol activity through the Stats counters

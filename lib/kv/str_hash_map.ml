@@ -1,6 +1,7 @@
 (* Persistent hash map with string keys and string values — the backing
    structure of RomulusDB (§6.4).  Keys and values are stored as
-   length-prefixed blobs; values are reallocated on overwrite.
+   length-prefixed blobs.  An overwrite with a value of the old length
+   rewrites the blob in place; any other length reallocates it.
 
    Layout:
 
@@ -125,8 +126,14 @@ module Make (P : Romulus.Ptm_intf.S) = struct
         let slot = slot_for t ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
         let _, node = find_in_bucket t slot k in
         if node <> 0 then begin
-          P.free t.p (P.load t.p (node + n_value));
-          P.store t.p (node + n_value) (alloc_blob t v);
+          let b = P.load t.p (node + n_value) in
+          if P.load t.p b = String.length v then begin
+            if v <> "" then P.store_bytes t.p (b + 8) v
+          end
+          else begin
+            P.free t.p b;
+            P.store t.p (node + n_value) (alloc_blob t v)
+          end;
           false
         end
         else begin

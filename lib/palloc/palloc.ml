@@ -14,7 +14,15 @@
      base+16  limit        end of the arena
      base+24  frontier_prev_inuse   in-use bit of the chunk just below top
      base+32  bins[NBINS]  heads of segregated free lists (0 = empty)
+     base+meta_bytes
+              chunk-start bitmap: one bit per 16-byte granule of the chunk
+              area, 32 granules per word (bit [g land 31] of word
+              [g lsr 5]), so indexing stays a shift on 63-bit ints
      ...      data chunks, 16-byte aligned
+
+   The bitmap sits below the first chunk, hence below [top]: every copy a
+   PTM makes of the used span (redo ranges, twin replication, abort
+   restore, recovery, scrub) covers it with no special case.
 
    Chunk layout: a chunk of [size] bytes (size includes the 8-byte header,
    and is a multiple of 16) starts at [c - 8] where [c] is the payload
@@ -34,7 +42,11 @@
      adjacent to top (merged into top);
    - next chunk's prev_inuse bit mirrors this chunk's inuse bit;
    - the free chunks found by walking the heap are exactly the members of
-     the bins, each in the bin its size maps to. *)
+     the bins, each in the bin its size maps to;
+   - a bitmap bit is set iff a chunk (free or in use) starts at that
+     granule below top.  Maintained by [alloc_from_top] and [split] (set),
+     and by coalescing and the top merge (clear), so [free] validates its
+     argument in O(1). *)
 
 module type MEM = sig
   type t
@@ -57,7 +69,10 @@ exception Invalid_free of { offset : int; reason : string }
 let fp_alloc_split = Fault.site ~can_raise:true "palloc.alloc.split"
 let fp_free_unlinked = Fault.site ~can_raise:true "palloc.free.unlinked"
 
-let magic_value = 0x50414C4C (* "PALL" *)
+(* "PALB".  The format before the chunk-start bitmap ("PALL") kept its
+   first chunks where this one keeps the bitmap: [attach] refuses it as a
+   bad magic rather than misread it. *)
+let magic = 0x50414C42
 
 let nbins = 64
 let min_chunk = 32
@@ -86,14 +101,24 @@ let bin_index size =
     min (nbins - 1) (small_bins + j)
   end
 
+(* Bitmap words covering an arena of [size] bytes: one bit per 16-byte
+   granule, 32 granules per word (a slight over-count: the metadata and
+   the bitmap itself hold no chunks). *)
+let bitmap_words ~size = ((size lsr 4) + 31) lsr 5
+
+(* payload offset of the first chunk; its header sits 8 bytes below, at
+   the initial bump frontier *)
+let data_start_of ~base ~size =
+  round16 (base + meta_bytes + (8 * bitmap_words ~size)) + 8
+
 module Make (M : MEM) = struct
-  type t = { mem : M.t; base : int }
+  (* [limit] and the two layout offsets are fixed at format time *)
+  type t = { mem : M.t; base : int; limit : int; bitmap : int; ds : int }
 
   (* ---- field helpers ---- *)
 
   let top t = M.load t.mem (t.base + o_top)
   let set_top t v = M.store t.mem (t.base + o_top) v
-  let limit t = M.load t.mem (t.base + o_limit)
   let frontier_prev t = M.load t.mem (t.base + o_frontier_prev)
   let set_frontier_prev t v = M.store t.mem (t.base + o_frontier_prev) v
   let bin_addr t i = t.base + o_bins + (8 * i)
@@ -139,31 +164,64 @@ module Make (M : MEM) = struct
     M.store t.mem bk fd;
     if fd <> 0 then M.store t.mem (fd + 8) bk
 
+  (* ---- chunk-start bitmap ---- *)
+
+  (* (word address, bit mask) of the granule chunk [c] starts at *)
+  let bit_of t c =
+    let g = (c - t.ds) lsr 4 in
+    (t.bitmap + ((g lsr 5) lsl 3), 1 lsl (g land 31))
+
+  let is_chunk_start t c =
+    let a, m = bit_of t c in
+    M.load t.mem a land m <> 0
+
+  (* Both store only when the word changes: under an interposing PTM a
+     redundant store would still cost a redo range and a write-back.  At
+     every call site the invariant says the bit flips, so each call is
+     one load and one store. *)
+  let mark_start t c =
+    let a, m = bit_of t c in
+    let w = M.load t.mem a in
+    if w land m = 0 then M.store t.mem a (w lor m)
+
+  let unmark_start t c =
+    let a, m = bit_of t c in
+    let w = M.load t.mem a in
+    if w land m <> 0 then M.store t.mem a (w land lnot m)
+
   (* ---- initialization ---- *)
 
-  (* payload offset of the first chunk; its header sits 8 bytes below, at
-     the initial bump frontier *)
-  let data_start_of ~base = round16 (base + meta_bytes) + 8
+  let make mem ~base ~size =
+    { mem; base; limit = base + size; bitmap = base + meta_bytes;
+      ds = data_start_of ~base ~size }
 
   let init mem ~base ~size =
     if base <= 0 then invalid_arg "Palloc.init: base must be positive";
-    let t = { mem; base } in
-    let start = data_start_of ~base in
-    if start + min_chunk > base + size then
+    let t = make mem ~base ~size in
+    if t.ds + min_chunk > t.limit then
       invalid_arg "Palloc.init: arena too small";
-    M.store mem (base + o_magic) magic_value;
-    set_top t (start - 8);
-    M.store mem (base + o_limit) (base + size);
+    M.store mem (base + o_magic) magic;
+    set_top t (t.ds - 8);
+    M.store mem (base + o_limit) t.limit;
     set_frontier_prev t 1;
     for i = 0 to nbins - 1 do
       M.store mem (bin_addr t i) 0
     done;
+    (* the bitmap must start clear; fresh media already is, so only a
+       re-format over an old arena stores anything *)
+    for i = 0 to bitmap_words ~size - 1 do
+      let a = t.bitmap + (8 * i) in
+      if M.load mem a <> 0 then M.store mem a 0
+    done;
     t
 
   let attach mem ~base =
-    let t = { mem; base } in
-    if M.load mem (base + o_magic) <> magic_value then
+    if M.load mem (base + o_magic) <> magic then
       raise (Corrupt "Palloc.attach: bad magic");
+    let size = M.load mem (base + o_limit) - base in
+    let t = make mem ~base ~size in
+    if size <= 0 || t.ds + min_chunk > t.limit then
+      raise (Corrupt (Printf.sprintf "Palloc.attach: bad limit %d" t.limit));
     t
 
   (* ---- allocation ---- *)
@@ -178,6 +236,7 @@ module Make (M : MEM) = struct
       let rest_size = size - need in
       write_header t rest ~size:rest_size ~inuse:false ~prev_inuse:true;
       write_footer t rest ~size:rest_size;
+      mark_start t rest;
       insert_into_bin t rest ~size:rest_size;
       write_header t c ~size:need ~inuse:true ~prev_inuse;
       need
@@ -213,13 +272,15 @@ module Make (M : MEM) = struct
 
   let alloc_from_top t ~need =
     let tp = top t in
-    if tp + need > limit t then
-      raise (Out_of_memory { requested = need; available = limit t - tp });
+    if tp + need > t.limit then
+      raise (Out_of_memory { requested = need; available = t.limit - tp });
     let c = tp + 8 in
-    write_header t c ~size:need ~inuse:true
-      ~prev_inuse:(frontier_prev t <> 0);
+    let fp = frontier_prev t in
+    write_header t c ~size:need ~inuse:true ~prev_inuse:(fp <> 0);
+    mark_start t c;
     set_top t (tp + need);
-    set_frontier_prev t 1;
+    (* already 1 after almost every top allocation: skip the store *)
+    if fp <> 1 then set_frontier_prev t 1;
     c
 
   let alloc t nbytes =
@@ -236,38 +297,29 @@ module Make (M : MEM) = struct
 
   (* ---- free ---- *)
 
-  (* Walk the chunk lattice from the bottom of the heap to decide whether
-     [c] is the payload offset of a live chunk.  Freeing anything else
-     (a stale pointer, an interior offset, a chunk whose header was
-     absorbed by an earlier coalescing free) would silently corrupt the
-     free lists, so [free] refuses with a typed {!Invalid_free} instead.
-     The walk is linear in the number of chunks below [c]; arenas here
-     are simulation-sized, and detecting the corruption beats speed. *)
+  (* Decide whether [c] is the payload offset of a live chunk.  Freeing
+     anything else (a stale pointer, an interior offset, a chunk whose
+     header was absorbed by an earlier coalescing free) would silently
+     corrupt the free lists, so [free] refuses with a typed
+     {!Invalid_free} instead.  The chunk-start bitmap makes the check
+     exact in O(1): a bit is set iff a chunk starts at that granule.
+     Returns the chunk's header. *)
   let validate_free t c =
     let invalid reason = raise (Invalid_free { offset = c; reason }) in
-    let ds = data_start_of ~base:t.base in
     let tp = top t in
-    if c < ds || header c >= tp then invalid "offset outside the heap";
-    if (c - ds) mod 16 <> 0 then invalid "misaligned chunk offset";
-    let rec seek p =
-      if p = c then ()
-      else if p > c then invalid "interior offset, not a chunk start"
-      else begin
-        let size = hdr_size (read_header t p) in
-        if size < min_chunk || size mod 16 <> 0 then
-          raise
-            (Corrupt
-               (Printf.sprintf "Palloc.free: heap walk hit bad header at %d"
-                  p));
-        seek (p + size)
-      end
-    in
-    seek ds;
-    if not (hdr_inuse (read_header t c)) then invalid "double free"
+    if c < t.ds || header c >= tp then invalid "offset outside the heap";
+    if (c - t.ds) land 15 <> 0 then invalid "misaligned chunk offset";
+    if not (is_chunk_start t c) then
+      invalid "interior offset, not a chunk start";
+    let h = read_header t c in
+    if hdr_size h < min_chunk || header c + hdr_size h > tp then
+      raise
+        (Corrupt (Printf.sprintf "Palloc.free: chunk %d has bad header" c));
+    if not (hdr_inuse h) then invalid "double free";
+    h
 
   let free t c =
-    validate_free t c;
-    let h = read_header t c in
+    let h = validate_free t c in
     let size = hdr_size h in
     let c, size, prev_inuse =
       (* backward coalescing via the previous chunk's footer *)
@@ -276,6 +328,7 @@ module Make (M : MEM) = struct
         let prev_size = M.load t.mem (header c - 8) in
         let p = c - prev_size in
         unlink t p;
+        unmark_start t c;
         let ph = read_header t p in
         (p, size + prev_size, hdr_prev_inuse ph)
       end
@@ -286,12 +339,14 @@ module Make (M : MEM) = struct
       | Some n when not (hdr_inuse (read_header t n)) ->
         let nsize = hdr_size (read_header t n) in
         unlink t n;
+        unmark_start t n;
         (c, size + nsize)
       | Some _ | None -> (c, size)
     in
     Fault.hit fp_free_unlinked;
     if header c + size = top t then begin
       (* give the space back to the bump frontier *)
+      unmark_start t c;
       set_top t (header c);
       set_frontier_prev t (if prev_inuse then 1 else 0)
     end
@@ -308,7 +363,7 @@ module Make (M : MEM) = struct
 
   let used_bytes t = top t - t.base
 
-  let data_start t = data_start_of ~base:t.base
+  let data_start t = t.ds
 
   let usable_size t c = hdr_size (read_header t c) - 8
 
@@ -316,6 +371,8 @@ module Make (M : MEM) = struct
     let errors = ref [] in
     let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
     let free_by_walk = Hashtbl.create 16 in
+    let words = bitmap_words ~size:(t.limit - t.base) in
+    let starts = Array.make words 0 in (* the bitmap the walk implies *)
     (* 1. walk the heap *)
     let tp = top t in
     let rec walk c prev_inuse_expected =
@@ -324,7 +381,10 @@ module Make (M : MEM) = struct
         let size = hdr_size h in
         if size < min_chunk || size mod 16 <> 0 then
           err "chunk %d has bad size %d" c size
+        else if c - 8 + size > t.limit then err "chunk %d overruns the arena" c
         else begin
+          let g = (c - t.ds) lsr 4 in
+          starts.(g lsr 5) <- starts.(g lsr 5) lor (1 lsl (g land 31));
           if hdr_prev_inuse h <> prev_inuse_expected then
             err "chunk %d prev_inuse=%b, expected %b" c (hdr_prev_inuse h)
               prev_inuse_expected;
@@ -353,7 +413,24 @@ module Make (M : MEM) = struct
     let last = last_inuse (data_start t) true in
     if (frontier_prev t <> 0) <> last then
       err "frontier_prev=%d but last chunk inuse=%b" (frontier_prev t) last;
-    (* 2. walk the bins *)
+    if M.load t.mem (t.base + o_limit) <> t.limit then
+      err "limit word %d, arena opened with limit %d"
+        (M.load t.mem (t.base + o_limit)) t.limit;
+    (* 2. the chunk-start bitmap holds exactly the walked chunk starts *)
+    for i = 0 to words - 1 do
+      let diff = M.load t.mem (t.bitmap + (8 * i)) lxor starts.(i) in
+      if diff <> 0 then
+        for b = 0 to Sys.int_size - 1 do
+          if diff land (1 lsl b) <> 0 then
+            if b >= 32 then err "bitmap word %d has stray bit %d" i b
+            else
+              let c = t.ds + (16 * ((i lsl 5) + b)) in
+              err "bitmap bit for %d is %b, heap walk says %b" c
+                (starts.(i) land (1 lsl b) = 0)
+                (starts.(i) land (1 lsl b) <> 0)
+        done
+    done;
+    (* 3. walk the bins *)
     let free_by_bins = Hashtbl.create 16 in
     for i = 0 to nbins - 1 do
       let rec follow c prev_fd_addr =
@@ -374,7 +451,7 @@ module Make (M : MEM) = struct
       in
       follow (M.load t.mem (bin_addr t i)) (bin_addr t i)
     done;
-    (* 3. the two views agree *)
+    (* 4. the two views agree *)
     Hashtbl.iter
       (fun c _ ->
         if not (Hashtbl.mem free_by_bins c) then

@@ -21,7 +21,8 @@ end
     aborts cleanly and the arena stays exactly as it was. *)
 exception Out_of_memory of { requested : int; available : int }
 
-(** Raised on metadata corruption (bad magic, an undecodable header met
+(** Raised on metadata corruption (bad magic — including an arena of the
+    format before the chunk-start bitmap — or an undecodable header met
     while validating a free). *)
 exception Corrupt of string
 
@@ -35,7 +36,14 @@ exception Invalid_free of { offset : int; reason : string }
 (** Number of segregated free lists. *)
 val nbins : int
 
-(** Bytes of allocator metadata at the start of the arena. *)
+(** The word at the arena base of a formatted arena. *)
+val magic : int
+
+(** Bytes of fixed allocator metadata at the start of the arena.  The
+    chunk-start bitmap follows at [base + meta_bytes]: bit [g land 31] of
+    word [g lsr 5] is set iff a chunk starts at granule
+    [g = (c - data_start) / 16] below the frontier, for payload offset
+    [c]. *)
 val meta_bytes : int
 
 (** Offset, relative to the arena base, of the word holding the allocation
@@ -51,11 +59,13 @@ module Make (M : MEM) : sig
   type t
 
   (** [init mem ~base ~size] formats a fresh arena occupying
-      [base, base+size) and returns a handle. *)
+      [base, base+size) and returns a handle.  The chunk-start bitmap
+      (one bit per 16 bytes of arena) is only stored to where the memory
+      is not already zero. *)
   val init : M.t -> base:int -> size:int -> t
 
   (** [attach mem ~base] re-opens a previously formatted arena (after a
-      restart); raises [Corrupt] if the magic does not match. *)
+      restart) in O(1); raises [Corrupt] if the magic does not match. *)
   val attach : M.t -> base:int -> t
 
   (** [alloc t n] returns the byte offset of an [n]-byte payload.  The
@@ -64,21 +74,22 @@ module Make (M : MEM) : sig
   val alloc : t -> int -> int
 
   (** Raises {!Invalid_free} (before touching any metadata) when the
-      offset is not a live chunk — including double frees. *)
+      offset is not a live chunk — including double frees.  The check is
+      O(1): a bitmap bit test plus the chunk's in-use bit. *)
   val free : t -> int -> unit
 
   (** Bytes between the arena base and the allocation frontier — the upper
       bound a twin-copy commit needs to replicate. *)
   val used_bytes : t -> int
 
-  (** Offset of the first chunk payload minus 8 (start of the chunk
-      area). *)
+  (** Payload offset of the first chunk; its header, 8 bytes below, is
+      the start of the chunk area. *)
   val data_start : t -> int
 
   (** Usable payload bytes of an allocated chunk (>= the requested size). *)
   val usable_size : t -> int -> int
 
-  (** Full structural invariant check (heap walk + bin walk); returns all
-      violations found. *)
+  (** Full structural invariant check (heap walk + bin walk + bitmap
+      cross-check against the walk); returns all violations found. *)
   val check : t -> (unit, string) result
 end

@@ -12,16 +12,17 @@ let table =
          done;
          !c))
 
-let update crc b =
-  let t = Lazy.force table in
-  t.((crc lxor b) land 0xff) lxor (crc lsr 8)
-
+(* The table is forced once per call and indexed unchecked: the index is
+   masked to 8 bits and the table has 256 entries. *)
 let bytes ?(crc = 0) buf off len =
   if off < 0 || len < 0 || off + len > Bytes.length buf then
     invalid_arg "Crc32.bytes: range outside buffer";
+  let t = Lazy.force table in
   let c = ref (crc lxor 0xFFFFFFFF) in
   for i = off to off + len - 1 do
-    c := update !c (Char.code (Bytes.unsafe_get buf i))
+    c :=
+      Array.unsafe_get t ((!c lxor Char.code (Bytes.unsafe_get buf i)) land 0xff)
+      lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF
 

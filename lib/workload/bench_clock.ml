@@ -4,7 +4,8 @@
    latency they would have on that medium while remaining deterministic
    and fast. *)
 
-let now_ns () = Unix.gettimeofday () *. 1e9
+(* monotonic: a wall-clock step (NTP) cannot land inside a measurement *)
+let now_ns () = Int64.to_float (Monotonic_clock.now ())
 
 (* [time_ns ?region f] runs [f ()] and returns elapsed nanoseconds,
    including the virtual delay the region accumulated during the call. *)

@@ -684,6 +684,140 @@ module Make (P : VARIANT) = struct
         done)
       [ R.Drop_all; R.Keep_all; R.Random_subset 7; R.Torn_words 113 ]
 
+  (* ---- allocator surgery under crashes and aborts ---- *)
+
+  (* Nine blocks a b c x y z e f g in root slots 20..28, allocated in
+     that order from the frontier; [e] is freed, so it sits in a bin. *)
+  let surgery_root i = 20 + i
+
+  let setup_surgery_region () =
+    let r = region () in
+    let p = P.open_region r in
+    P.update_tx p (fun () ->
+        Array.iteri
+          (fun i n ->
+            let o = P.alloc p n in
+            P.store p o (100 + i);
+            P.set_root p (surgery_root i) o)
+          [| 32; 32; 32; 32; 32; 32; 200; 32; 32 |];
+        P.free p (P.get_root p (surgery_root 6));
+        P.set_root p (surgery_root 6) 0);
+    (r, p)
+
+  (* One transaction performing every kind of allocator surgery. *)
+  let surgery_body p =
+    let free_slot i =
+      P.free p (P.get_root p (surgery_root i));
+      P.set_root p (surgery_root i) 0
+    in
+    let s = P.alloc p 16 in (* split: carved from e's free chunk *)
+    P.store p s 7;
+    P.set_root p (surgery_root 6) s;
+    free_slot 0;
+    free_slot 1; (* backward coalesce: b into a *)
+    free_slot 4;
+    free_slot 3; (* forward coalesce: x absorbs y *)
+    free_slot 8 (* top merge: g was allocated last *)
+
+  let observe_surgery p =
+    P.read_tx p (fun () ->
+        let v i =
+          match P.get_root p (surgery_root i) with
+          | 0 -> 0
+          | o -> P.load p o
+        in
+        match List.init 9 v with
+        | [ 100; 101; 102; 103; 104; 105; 0; 107; 108 ] -> Pre
+        | [ 0; 0; 102; 0; 0; 105; 7; 107; 0 ] -> Post
+        | l -> Torn (String.concat "," (List.map string_of_int l)))
+
+  let check_arena p what =
+    match P.allocator_check p with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "%s: arena broken: %s" what e
+
+  (* Crash at every point of the surgery transaction under every policy:
+     recovery lands on the pre- or post-state, and the arena (bitmap
+     included) passes its structural check. *)
+  let test_allocator_surgery_crashes () =
+    List.iter
+      (fun policy ->
+        let k = ref 0 in
+        let completed = ref false in
+        while not !completed do
+          let r, p = setup_surgery_region () in
+          R.set_trap r !k;
+          (match P.update_tx p (fun () -> surgery_body p) with
+           | () ->
+             R.clear_trap r;
+             completed := true
+           | exception R.Crash_point -> ());
+          R.crash r policy;
+          P.recover p;
+          let where = Printf.sprintf "point %d (%s)" !k (policy_name policy) in
+          (match observe_surgery p with
+           | Post -> ()
+           | Pre when not !completed -> ()
+           | Pre -> Alcotest.failf "%s: committed surgery lost" where
+           | Torn s -> Alcotest.failf "%s: torn surgery: %s" where s);
+          check_arena p where;
+          (* the recovered arena keeps working *)
+          P.update_tx p (fun () ->
+              let x = P.alloc p 40 in
+              P.store p x 5;
+              P.free p x);
+          check_arena p (where ^ ", after a follow-up tx");
+          incr k;
+          if !k > 20_000 then Alcotest.fail "surgery sweep did not terminate"
+        done)
+      [ R.Drop_all; R.Keep_all; R.Random_subset 7; R.Torn_words 113 ]
+
+  (* The surgery aborted by an exception leaves the arena exactly as it
+     was: it passes its check, and the same surgery followed by the same
+     allocations then places every block where a control region that
+     never saw the abort places it. *)
+  let test_allocator_surgery_abort () =
+    let then_allocate p =
+      P.update_tx p (fun () -> surgery_body p);
+      P.update_tx p (fun () -> List.map (P.alloc p) [ 16; 48; 100; 200 ])
+    in
+    let _, victim = setup_surgery_region () in
+    (match P.update_tx victim (fun () -> surgery_body victim; raise Exit) with
+     | exception Romulus.Engine.Tx_aborted { cause = Exit; _ } -> ()
+     | exception e ->
+       Alcotest.failf "expected Tx_aborted{Exit}, got %s" (Printexc.to_string e)
+     | () -> Alcotest.fail "raising tx must not commit");
+    (match observe_surgery victim with
+     | Pre -> ()
+     | Post | Torn _ -> Alcotest.fail "aborted surgery visible");
+    check_arena victim "after the aborted surgery";
+    let _, control = setup_surgery_region () in
+    Alcotest.(check (list int)) "same placement as a region without the abort"
+      (then_allocate control) (then_allocate victim);
+    check_arena victim "after the committed surgery"
+
+  (* An arena in the allocator format before the chunk-start bitmap is
+     refused with a typed Corrupt when the region is opened. *)
+  let test_old_arena_format_refused () =
+    let r, p = open_fresh () in
+    P.update_tx p (fun () -> P.set_root p 0 (P.alloc p 16));
+    let found = ref 0 in
+    for i = 0 to (R.size r / 8) - 1 do
+      if R.load r (8 * i) = Palloc.magic then begin
+        R.store r (8 * i) 0x50414C4C (* "PALL", the pre-bitmap magic *);
+        R.pwb r (8 * i);
+        incr found
+      end
+    done;
+    R.pfence r;
+    Alcotest.(check bool) "allocator magic found" true (!found > 0);
+    R.crash r R.Drop_all;
+    match P.open_region r with
+    | exception Palloc.Corrupt _ -> ()
+    | exception e ->
+      Alcotest.failf "expected Palloc.Corrupt, got %s" (Printexc.to_string e)
+    | _ -> Alcotest.fail "a pre-bitmap arena must not open"
+
   (* ---- qcheck: aborted alloc+store+free leaves the allocator intact ---- *)
 
   (* Differential property: a victim region runs a committed prologue,
@@ -1064,6 +1198,10 @@ module Make (P : VARIANT) = struct
       tc "blob crash atomicity" `Slow test_blob_crash_atomicity;
       tc "allocator churn with crashes" `Slow
         test_allocator_churn_with_crashes;
+      tc "allocator surgery under crashes" `Slow
+        test_allocator_surgery_crashes;
+      tc "aborted allocator surgery" `Quick test_allocator_surgery_abort;
+      tc "pre-bitmap arena refused" `Quick test_old_arena_format_refused;
       tc "scrub on clean media is a no-op" `Quick test_scrub_clean_is_noop;
       tc "scrub repairs or refuses rot" `Quick test_scrub_corrupted_line;
       tc "recovery scrubs before rolling" `Quick test_scrub_at_recovery ]

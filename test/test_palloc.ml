@@ -228,6 +228,106 @@ let prop_random_alloc_free =
        Gen.(list_size (int_bound 120) op))
     run_script
 
+(* ---- differential property: O(1) free vs a reference heap walk ---- *)
+
+(* The reference the allocator's O(1) validation must agree with: walk
+   the chunk lattice from the bottom of the heap, through the raw region,
+   and report whether [c] is the payload of a live (in-use) chunk. *)
+let live_by_walk r a c =
+  let top = Pmem.Region.load r (64 + Palloc.top_offset) in
+  let rec seek p =
+    if p - 8 >= top || p > c then false
+    else
+      let h = Pmem.Region.load r (p - 8) in
+      if p = c then h land 1 <> 0
+      else
+        let size = h land lnot 15 in
+        if size < 32 then Alcotest.failf "reference walk: bad header at %d" p
+        else seek (p + size)
+  in
+  seek (A.data_start a)
+
+(* Random alloc/free sequences interleaved with probes of every invalid
+   kind.  [free] must raise Invalid_free exactly when the reference walk
+   says the offset is not a live chunk, and the structural check
+   (bitmap included) must pass after every step. *)
+let run_probe_script script =
+  let r, a = fresh ~size:(1 lsl 15) () in
+  let live = ref [] in
+  let dead = ref [] in (* offsets freed earlier: stale or double probes *)
+  let pick l i = List.nth l (i mod List.length l) in
+  let probe c =
+    let expect_live = live_by_walk r a c in
+    match A.free a c with
+    | () ->
+      if not expect_live then
+        QCheck.Test.fail_reportf "free %d accepted; the walk says no chunk" c;
+      live := List.filter (( <> ) c) !live;
+      dead := c :: !dead
+    | exception Palloc.Invalid_free { reason; _ } ->
+      if expect_live then
+        QCheck.Test.fail_reportf "free %d refused (%s); the walk says live" c
+          reason
+  in
+  List.iteri
+    (fun step op ->
+      (match op with
+       | `Alloc n ->
+         (match A.alloc a n with
+          | p -> live := p :: !live
+          | exception Palloc.Out_of_memory _ -> ())
+       | `Free i -> if !live <> [] then probe (pick !live i)
+       | `Interior (i, k) ->
+         if !live <> [] then probe (pick !live i + (16 * (1 + (k mod 8))))
+       | `Misaligned (i, k) ->
+         if !live <> [] then probe (pick !live i + 1 + (k mod 15))
+       | `Stale i -> if !dead <> [] then probe (pick !dead i)
+       | `Outside k ->
+         probe
+           (match k mod 3 with
+            | 0 -> A.data_start a - 16
+            | 1 -> 64 + A.used_bytes a + 8
+            | _ -> 1 lsl 20));
+      match A.check a with
+      | Ok () -> ()
+      | Error e -> QCheck.Test.fail_reportf "after step %d: %s" step e)
+    script;
+  true
+
+let prop_free_matches_walk =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [ (4, map (fun n -> `Alloc (1 + (n mod 200))) nat);
+          (3, map (fun i -> `Free i) nat);
+          (1, map2 (fun i k -> `Interior (i, k)) nat nat);
+          (1, map2 (fun i k -> `Misaligned (i, k)) nat nat);
+          (2, map (fun i -> `Stale i) nat);
+          (1, map (fun k -> `Outside k) nat) ])
+  in
+  Test.make ~count:100 ~name:"free refuses exactly what the heap walk refuses"
+    (make ~print:(fun l -> Printf.sprintf "<script of %d ops>" (List.length l))
+       Gen.(list_size (int_bound 150) op))
+    run_probe_script
+
+(* One flipped bitmap bit, written behind the allocator's back, must be
+   reported by [check]: both a start bit cleared and a spurious one set. *)
+let test_check_sees_bitmap_flip () =
+  let bitmap = 64 + Palloc.meta_bytes in
+  List.iter
+    (fun bit ->
+      let r, a = fresh () in
+      let _ = A.alloc a 64 in
+      let _ = A.alloc a 64 in
+      check_ok a "before the flip";
+      let w = Pmem.Region.load r bitmap in
+      Pmem.Region.store r bitmap (w lxor (1 lsl bit));
+      match A.check a with
+      | Ok () -> Alcotest.failf "flipped bitmap bit %d not reported" bit
+      | Error _ -> ())
+    [ 0; 1; 5; 31; 40 ]
+
 let suite =
   let tc = Alcotest.test_case in
   [ tc "alloc basics" `Quick test_alloc_basic;
@@ -241,7 +341,10 @@ let suite =
     tc "out of memory" `Quick test_out_of_memory;
     tc "attach" `Quick test_attach;
     tc "attach bad magic" `Quick test_attach_bad_magic;
+    tc "check reports a flipped bitmap bit" `Quick
+      test_check_sees_bitmap_flip;
     tc "bin_index monotone" `Quick test_bin_index_monotone ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_random_alloc_free ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_random_alloc_free; prop_free_matches_walk ]
 
 let () = Alcotest.run "palloc" [ ("palloc", suite) ]
