@@ -115,6 +115,11 @@ exception Shard_open_failed of { shard : int; cause : exn }
    no routing metadata at all until its first split. *)
 let slots_per_shard = 8
 
+(* Each protocol record names its participants in one int bitmask, bit
+   [i] for shard [i], so a store can never grow past the bit width of
+   an OCaml int. *)
+let max_shards = 63
+
 (* ---- typed-backoff retry around [Overloaded] ----
 
    Deterministic: the sleep schedule is a pure function of
@@ -1041,6 +1046,42 @@ module Make (P : SHARD_PTM) = struct
   let iter t f = iter_dir ~reverse:false t f
   let iter_reverse t f = iter_dir ~reverse:true t f
 
+  (* index of the lowest set bit of a non-zero mask *)
+  let lowest_bit m =
+    let rec go b = if m land (1 lsl b) <> 0 then b else go (b + 1) in
+    go 0
+
+  (* Participant masks of shard [i]'s hooked protocol records: a mirror
+     carries its own shard's bit and names the lowest set bit as its
+     coordinator (the minimum participant); a flip lives on its
+     coordinator, so its mask carries that shard's bit. *)
+  let check_masks i s =
+    let p = s.p in
+    let rec walk off f =
+      if off = 0 then None
+      else match f off with None -> walk (P.load p off) f | e -> e
+    in
+    let bad what off mask =
+      Some
+        (Printf.sprintf "shard %d: %s at %d has participant mask %#x" i what
+           off mask)
+    in
+    P.read_tx p (fun () ->
+        match
+          walk (P.get_root p mirror_slot) (fun off ->
+              let mask = P.load p (off + m_mask) in
+              if
+                mask land (1 lsl i) = 0
+                || lowest_bit mask <> P.load p (off + m_coord)
+              then bad "mirror" off mask
+              else None)
+        with
+        | Some _ as e -> e
+        | None ->
+          walk (P.get_root p flip_slot) (fun off ->
+              let mask = P.load p (off + 16) in
+              if mask land (1 lsl i) = 0 then bad "flip" off mask else None))
+
   (* Structural check of every healthy shard; a non-healthy shard's
      structure is by definition damaged (or its engine gone), so it is
      skipped rather than failing the check of the serving data. *)
@@ -1056,7 +1097,10 @@ module Make (P : SHARD_PTM) = struct
           | Ok () -> (
             match P.allocator_check s.p with
             | Error e -> Error (Printf.sprintf "shard %d allocator: %s" i e)
-            | Ok () -> go (i + 1)))
+            | Ok () -> (
+              match check_masks i s with
+              | Some e -> Error e
+              | None -> go (i + 1))))
         | _ -> go (i + 1)
     in
     go 0
@@ -1541,9 +1585,7 @@ module Make (P : SHARD_PTM) = struct
     let id = pr.next_batch_id in
     pr.next_batch_id <- id + 1;
     let coord = fst (List.hd groups) in
-    let mask =
-      List.fold_left (fun m (i, _) -> m lor (1 lsl (i land 61))) 0 groups
-    in
+    let mask = List.fold_left (fun m (i, _) -> m lor (1 lsl i)) 0 groups in
     let applied = ref [] in
     (* keys whose pending-undo entries this batch registered *)
     let registered = ref [] in
@@ -2126,6 +2168,7 @@ module Make (P : SHARD_PTM) = struct
      shard opened over [region]; returns the new shard's index.  Online:
      reads and single-key writes proceed during the stream. *)
   let split_shard t ~source region =
+    if shards t >= max_shards then raise (Invalid_shards (shards t + 1));
     check_resizable t ~source;
     (* the move stream reads and deletes from the source: Healthy only *)
     ignore (rw t source : shard);
@@ -2969,7 +3012,8 @@ module Make (P : SHARD_PTM) = struct
       ?(spill_threshold = default_spill_threshold)
       ?(admission_budget = default_admission_budget)
       ?(clear_flush_threshold = default_clear_flush_threshold) regions =
-    if Array.length regions = 0 then raise (Invalid_shards 0);
+    let n = Array.length regions in
+    if n = 0 || n > max_shards then raise (Invalid_shards n);
     if initial_buckets <= 0 then
       raise (Romulus_db.Invalid_buckets initial_buckets);
     if chunk_bytes < min_chunk_bytes then
@@ -2982,7 +3026,6 @@ module Make (P : SHARD_PTM) = struct
       invalid_arg "Sharded_db.open_db: admission_budget must be positive";
     if clear_flush_threshold <= 0 then
       invalid_arg "Sharded_db.open_db: clear_flush_threshold must be positive";
-    let n = Array.length regions in
     (* Per-shard open + classification.  Opening runs engine recovery in
        salvage mode, so content damage surfaces here: a shard whose
        engine mounts is re-scrubbed to decide Healthy vs Degraded; a
@@ -3088,7 +3131,7 @@ module Make (P : SHARD_PTM) = struct
 
   let open_from_files ?fence ?protocol ?initial_buckets ?chunk_bytes
       ?spill_threshold ?admission_budget ?clear_flush_threshold ~shards base =
-    if shards <= 0 then raise (Invalid_shards shards);
+    if shards <= 0 || shards > max_shards then raise (Invalid_shards shards);
     (* validate the requested count against the file family before any
        region is opened: a snapshot family saved by an elastic store has
        one file per shard it had grown to, and opening a strict subset

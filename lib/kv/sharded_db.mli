@@ -64,7 +64,10 @@
     batch's undo image for that key, so neither a runtime rollback nor
     crash recovery overwrites it. *)
 
-(** Raised by [open_db] when given an empty shard array. *)
+(** Raised by [open_db], [open_from_files] and [split_shard] when the
+    shard count would fall outside [1, 63]: every cross-shard protocol
+    record names its participants in one int bitmask, bit [i] for shard
+    [i].  Raised before anything is opened or written. *)
 exception Invalid_shards of int
 
 (** Raised by a cross-shard batch refused by admission control: shard
@@ -271,9 +274,12 @@ module Make (P : SHARD_PTM) : sig
   val iter_reverse : t -> (string -> string -> unit) -> unit
 
   (** Structural invariant check of every healthy shard's map and
-      allocator (shards whose engine is down or degraded are skipped —
-      their damage is reported through {!health}, not as a structural
-      failure). *)
+      allocator, and of the participant masks of its hooked protocol
+      records: each mirror carries its own shard's bit and names the
+      lowest set bit as its coordinator, each flip carries its
+      coordinator's bit.  Shards whose engine is down or degraded are
+      skipped — their damage is reported through {!health}, not as a
+      structural failure. *)
   val check : t -> (unit, string) result
 
   (** Number of attached shards (grows with {!split_shard}; a merged

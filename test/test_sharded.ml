@@ -140,6 +140,59 @@ let test_invalid_args () =
   Alcotest.(check (option string)) "buckets=1 usable" (Some "v")
     (Sd.get db "k")
 
+(* ---- participant masks ---- *)
+
+(* first key of the form "mNNN" routing to [shard] *)
+let key_on db shard =
+  let rec find i =
+    let k = Printf.sprintf "m%03d" i in
+    if Sd.shard_of_key db k = shard then k else find (i + 1)
+  in
+  find 0
+
+(* A batch over shards {2,3} parks two mirrors and a flip under lazy
+   CLEAR.  Bit [i] per shard gives the mask 0b1100: each mirror carries
+   its own bit, the coordinator (shard 2) is the lowest set bit, and
+   [check] verifies exactly that on every hooked record. *)
+let test_mask_names_participants () =
+  let _, db = open_sharded () in
+  let k2 = key_on db 2 and k3 = key_on db 3 in
+  Sd.write_batch db (fun b ->
+      Sd.put b k2 "two";
+      Sd.put b k3 "three");
+  Alcotest.(check int) "two mirrors and a flip parked" 3
+    (Sd.pending_intents db);
+  check_ok "parked {2,3} batch" db;
+  Alcotest.(check (option string)) "applied on 2" (Some "two") (Sd.get db k2);
+  Alcotest.(check (option string)) "applied on 3" (Some "three")
+    (Sd.get db k3)
+
+(* the mask is one int: 64 shards are refused before any region is
+   formatted, and a split may not grow a store past 63 *)
+let test_too_many_shards () =
+  let rs = regions ~size:(1 lsl 12) 64 in
+  (match Sd.open_db rs with
+   | _ -> Alcotest.fail "accepted 64 shards"
+   | exception Kv.Sharded_db.Invalid_shards 64 -> ());
+  Array.iteri
+    (fun i r ->
+      let img = R.persistent_snapshot r in
+      if not (String.equal img (String.make (String.length img) '\000'))
+      then Alcotest.failf "region %d written before the refusal" i)
+    rs;
+  (match Sd.open_from_files ~shards:64 "no-such-snapshot-family" with
+   | _ -> Alcotest.fail "open_from_files accepted 64 shards"
+   | exception Kv.Sharded_db.Invalid_shards 64 -> ());
+  let db = Sd.open_db ~initial_buckets:1 (regions ~size:(1 lsl 16) 63) in
+  let spare = region ~size:(1 lsl 12) () in
+  (match Sd.split_shard db ~source:0 spare with
+   | _ -> Alcotest.fail "split grew the store to 64 shards"
+   | exception Kv.Sharded_db.Invalid_shards 64 -> ());
+  Alcotest.(check int) "still 63 shards" 63 (Sd.shards db);
+  let img = R.persistent_snapshot spare in
+  Alcotest.(check bool) "split target untouched" true
+    (String.equal img (String.make (String.length img) '\000'))
+
 (* ---- shards=1: bit-for-bit Romulus_db equivalence ---- *)
 
 (* The same operation script drives a plain RomulusDB and a 1-shard
@@ -2349,6 +2402,9 @@ let suite =
   [ tc "sharded basics" `Quick test_basics;
     tc "invalid arguments typed" `Quick test_invalid_args;
     tc "shards=1 bitwise equivalence" `Quick test_shard1_bitwise_equivalence;
+    tc "participant mask names each shard" `Quick
+      test_mask_names_participants;
+    tc "more than 63 shards refused" `Quick test_too_many_shards;
     tc "cross-shard runtime abort" `Quick test_cross_shard_runtime_abort;
     tc "raising closure discards buffer" `Quick
       test_raising_closure_discards_buffer;
