@@ -43,6 +43,12 @@ let ptms : (string * (module PTM)) list =
     ("mne", (module Baselines.Redolog));
     ("pmdk", (module Baselines.Undolog)) ]
 
+let policy_name = function
+  | Pmem.Region.Drop_all -> "drop"
+  | Pmem.Region.Keep_all -> "keep"
+  | Pmem.Region.Random_subset _ -> "random"
+  | Pmem.Region.Torn_words _ -> "torn"
+
 type outcome = {
   rounds : int;
   crashes : int;
@@ -636,7 +642,10 @@ let run_scrub_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose
    and inside recovery's mirror-resolution loop (reconciliation must be
    idempotent) — always killing the coordinator's own region for the
    flip windows, the adversarial case.  The Stats protocol counters are
-   asserted so the campaign proves the protocol actually ran. *)
+   asserted so the campaign proves the protocol actually ran.  Returns
+   the outcome with the sorted (site, policy) pairs that fired: "trap"
+   is an instruction trap inside the batch, "recovery-trap" one inside
+   the parallel recovery fan-out, any other site a failpoint kill. *)
 let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     ~policy ~decentralized =
   let module SD = Kv.Sharded_db.Make (P) in
@@ -645,6 +654,8 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let crashes = ref 0 in
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let fired_pairs = Hashtbl.create 16 in
+  let note_fired site p = Hashtbl.replace fired_pairs (site, policy_name p) () in
   let pick_policy salt =
     match policy with
     | `Drop -> Pmem.Region.Drop_all
@@ -749,10 +760,13 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     for t = 0 to nshards - 1 do
       let rs, db = fresh ~protocol () in
       Pmem.Region.set_trap rs.(t) (1 + Workload.Keygen.int rng 400);
+      let p = pick_policy (salt + t) in
       (match run_batch db with
        | () -> Pmem.Region.clear_trap rs.(t)
-       | exception Pmem.Region.Crash_point -> incr crashes);
-      crash_all rs (pick_policy (salt + t));
+       | exception Pmem.Region.Crash_point ->
+         incr crashes;
+         note_fired "trap" p);
+      crash_all rs p;
       let db = SD.open_db ~protocol ~initial_buckets:8 rs in
       oracle (Printf.sprintf "round %d trap shard %d" round t) db
         ~expect:None
@@ -816,7 +830,9 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
              coordinator); the power-off still happened, so the same
              crash + reopen + oracle applies *)
           ignore completed;
-          crash_all rs (pick_policy (salt + 7));
+          let p = pick_policy (salt + 7) in
+          note_fired site p;
+          crash_all rs p;
           let db = SD.open_db ~protocol ~initial_buckets:8 rs in
           oracle (Printf.sprintf "round %d %s" round site) db ~expect;
           if SD.pending_intents db <> 0 then
@@ -829,17 +845,22 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     (* (c) crash inside the parallel recovery fan-out *)
     let rs, db = fresh ~protocol () in
     Pmem.Region.set_trap rs.(0) (1 + Workload.Keygen.int rng 300);
+    let p = pick_policy (salt + 11) in
     (match run_batch db with
      | () -> Pmem.Region.clear_trap rs.(0)
-     | exception Pmem.Region.Crash_point -> incr crashes);
-    crash_all rs (pick_policy (salt + 11));
+     | exception Pmem.Region.Crash_point ->
+       incr crashes;
+       note_fired "trap" p);
+    crash_all rs p;
     let t = Workload.Keygen.int rng nshards in
     Pmem.Region.set_trap rs.(t) (1 + Workload.Keygen.int rng 40);
     (match SD.recover ~parallel:true db with
      | () -> Pmem.Region.clear_trap rs.(t)
      | exception Pmem.Region.Crash_point ->
        incr rec_crashes;
-       crash_all rs (pick_policy (salt + 13));
+       let p = pick_policy (salt + 13) in
+       note_fired "recovery-trap" p;
+       crash_all rs p;
        SD.recover ~parallel:true db);
     oracle (Printf.sprintf "round %d parallel recovery" round) db
       ~expect:None;
@@ -850,10 +871,13 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     if decentralized then begin
       let rs, db = fresh ~protocol () in
       Pmem.Region.set_trap rs.(coordinator) (1 + Workload.Keygen.int rng 300);
+      let p = pick_policy (salt + 17) in
       (match run_batch db with
        | () -> Pmem.Region.clear_trap rs.(coordinator)
-       | exception Pmem.Region.Crash_point -> incr crashes);
-      crash_all rs (pick_policy (salt + 17));
+       | exception Pmem.Region.Crash_point ->
+         incr crashes;
+         note_fired "trap" p);
+      crash_all rs p;
       let t = Workload.Keygen.int rng nshards in
       Fault.arm "sharded.recover.mirror_resolved" (fun () ->
           Pmem.Region.kill rs.(t));
@@ -862,7 +886,9 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
        | exception Pmem.Region.Crash_point ->
          incr rec_crashes;
          Fault.disarm ();
-         crash_all rs (pick_policy (salt + 19));
+         let p = pick_policy (salt + 19) in
+         note_fired "sharded.recover.mirror_resolved" p;
+         crash_all rs p;
          SD.recover ~parallel:false db);
       oracle (Printf.sprintf "round %d reconciliation crash" round) db
         ~expect:None;
@@ -873,10 +899,12 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  ( { rounds;
+      crashes = !crashes;
+      recovery_crashes = !rec_crashes;
+      failures = !failures },
+    List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) fired_pairs [])
+  )
 
 (* ---- chunked intent-streaming campaign ---- *)
 
@@ -2292,6 +2320,7 @@ let main ptm workload rounds seed policy recovery_crashes failpoint
        --workload selection does not apply *)
     List.iter
       (fun (pname, m) ->
+        let coverage = ref [] in
         let o =
           if group then begin
             Printf.printf "%-6s x %d-shard group-commit: %!" pname nshards;
@@ -2312,8 +2341,12 @@ let main ptm workload rounds seed policy recovery_crashes failpoint
           else begin
             Printf.printf "%-6s x %d-shard %s: %!" pname nshards
               (if decentralized then "presumed-abort" else "batch-intent");
-            run_sharded_campaign m ~nshards ~rounds ~seed ~verbose ~policy
-              ~decentralized
+            let o, fired =
+              run_sharded_campaign m ~nshards ~rounds ~seed ~verbose ~policy
+                ~decentralized
+            in
+            coverage := fired;
+            o
           end
         in
         if o.failures = [] then
@@ -2324,7 +2357,11 @@ let main ptm workload rounds seed policy recovery_crashes failpoint
           failed := true;
           Printf.printf "FAILED (%d issues)\n" (List.length o.failures);
           List.iter (fun f -> Printf.printf "    %s\n" f) o.failures
-        end)
+        end;
+        if !coverage <> [] then
+          Printf.printf "    fired: %s\n%!"
+            (String.concat " "
+               (List.map (fun (site, p) -> site ^ "/" ^ p) !coverage)))
       selected_ptms
   else if scrub then begin
     let rot_rates =

@@ -193,6 +193,101 @@ let test_too_many_shards () =
   Alcotest.(check bool) "split target untouched" true
     (String.equal img (String.make (String.length img) '\000'))
 
+(* ---- golden persistent image ---- *)
+
+(* One fixed operation sequence over 4 shards that runs every path of
+   the cross-shard commit protocol: single-key puts, overwrites and
+   deletes; cross-shard batches over several participant sets; a batch
+   above [chunk_bytes] whose undo images spill; a runtime abort with a
+   racing single-key put issued from inside the window; a trapped crash
+   resolved under Drop_all and the reopen's reconciliation; an explicit
+   lazy-CLEAR drain; and one group-commit window merging three cross
+   batches into one intent.  The digest of every region's persistent
+   image is pinned per PTM, so a change to the protocol code that moves
+   a single persisted byte fails here. *)
+module Golden (P : Kv.Sharded_db.SHARD_PTM) = struct
+  module S = Kv.Sharded_db.Make (P)
+  module G = Kv.Group_commit.Make (P)
+
+  (* the [n]-th key of the form "gNNN" routing to [shard] *)
+  let on db shard n =
+    let rec find i n =
+      let k = Printf.sprintf "g%03d" i in
+      if S.shard_of_key db k <> shard then find (i + 1) n
+      else if n = 0 then k
+      else find (i + 1) (n - 1)
+    in
+    find 0 n
+
+  let batch db kvs =
+    S.write_batch db (fun b -> List.iter (fun (k, v) -> S.put b k v) kvs)
+
+  let digest () =
+    let rs = regions 4 in
+    let reopen () =
+      S.open_db ~initial_buckets:8 ~chunk_bytes:512 ~spill_threshold:256 rs
+    in
+    let db = reopen () in
+    for i = 0 to 31 do
+      S.put db (key i) (value i)
+    done;
+    S.put db (key 3) "value-9999";
+    S.put db (key 4) "a longer overwrite";
+    ignore (S.delete db (key 5) : bool);
+    List.iter
+      (fun parts ->
+        batch db
+          (List.map (fun s -> (on db s 0, Printf.sprintf "b%d" s)) parts))
+      [ [ 0; 1 ]; [ 2; 3 ]; [ 1; 2; 3 ]; [ 0; 1; 2; 3 ] ];
+    let bigs = [ on db 0 1; on db 1 1 ] in
+    List.iter (fun k -> S.put db k (String.make 300 'o')) bigs;
+    batch db (List.map (fun k -> (k, String.make 300 'n')) bigs);
+    if (S.stats db).Pmem.Stats.chunks_spilled = 0 then
+      Alcotest.fail "golden: large batch spilled no undo image";
+    let k2 = on db 2 1 and k3 = on db 3 1 in
+    Fault.arm ~skip:1 "sharded.d.mirror_applied" (fun () ->
+        S.put db k2 "raced";
+        raise (Fault.Injected "golden"));
+    (match batch db [ (k2, "x2"); (k3, "x3") ] with
+     | () -> Alcotest.fail "golden: runtime abort did not fire"
+     | exception Romulus.Engine.Tx_aborted _ -> ());
+    Fault.disarm ();
+    R.set_trap rs.(2) 40;
+    (match batch db [ (on db 0 2, "t0"); (on db 2 2, "t2") ] with
+     | () -> Alcotest.fail "golden: trap did not fire"
+     | exception R.Crash_point -> ());
+    crash_all rs R.Drop_all;
+    let db = reopen () in
+    batch db [ (on db 1 2, "p1"); (on db 3 2, "p3") ];
+    S.flush_clears db;
+    let fe = G.attach ~window:4 ~ack:Kv.Group_commit.Async db in
+    List.iter
+      (fun j ->
+        G.write_batch fe (fun b ->
+            S.put b (on db 0 (3 + j)) (Printf.sprintf "ga%d" j);
+            S.put b (on db 3 (3 + j)) (Printf.sprintf "gb%d" j)))
+      [ 0; 1; 2 ];
+    G.flush fe;
+    if (S.stats db).Pmem.Stats.merged_intents < 2 then
+      Alcotest.fail "golden: group window did not merge its batches";
+    (match S.check db with
+     | Ok () -> ()
+     | Error e -> Alcotest.failf "golden: %s" e);
+    Digest.to_hex
+      (Digest.string
+         (String.concat "" (Array.to_list (Array.map R.persistent_snapshot rs))))
+end
+
+let golden_romL = "300361e9713e0317fa57cc3cc3dad18b"
+let golden_rom = "01df3c56c863bc31a0039abc07cd3dfb"
+
+let test_golden_image () =
+  with_disarm @@ fun () ->
+  let module L = Golden (Romulus.Logged) in
+  let module B = Golden (Romulus.Basic) in
+  Alcotest.(check string) "romL persistent image" golden_romL (L.digest ());
+  Alcotest.(check string) "rom persistent image" golden_rom (B.digest ())
+
 (* ---- shards=1: bit-for-bit Romulus_db equivalence ---- *)
 
 (* The same operation script drives a plain RomulusDB and a 1-shard
@@ -2405,6 +2500,7 @@ let suite =
     tc "participant mask names each shard" `Quick
       test_mask_names_participants;
     tc "more than 63 shards refused" `Quick test_too_many_shards;
+    tc "golden persistent image" `Quick test_golden_image;
     tc "cross-shard runtime abort" `Quick test_cross_shard_runtime_abort;
     tc "raising closure discards buffer" `Quick
       test_raising_closure_discards_buffer;
