@@ -622,7 +622,7 @@ let run_scrub_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose
 (* ---- sharded cross-shard commit campaign ---- *)
 
 (* Differential all-or-nothing campaign for the sharded store's
-   cross-shard commit protocols.  Each round builds fresh
+   cross-shard commit protocol.  Each round builds fresh
    [nshards]-shard stores over the selected PTM, seeds them, then
    crashes a cross-shard write batch several ways — an instruction trap
    at a random point on every shard's region in turn, failpoint kills
@@ -630,24 +630,21 @@ let run_scrub_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose
    recovery fan-out — resolving every power-off under the selected
    line-fate policy.  After each reopen the oracle requires the batch
    to be exactly all-or-nothing, untouched committed keys to survive,
-   and every shard to pass its structural and allocator checks.
+   and every shard to pass its structural, allocator and
+   participant-mask checks.
 
-   Without [decentralized] the campaign drives the legacy centralized
-   protocol (windows: intent PREPARED, between per-shard commits, after
-   the COMMIT flip, killing shard 0).  With [decentralized] it drives
-   the presumed-abort protocol, alternating lazy and eager CLEAR per
-   round: kills after each mirror+apply (expect presumed abort), after
-   the coordinator flip (expect roll-forward), inside the lazy CLEAR
-   piggyback of a *second* batch (the first batch must stay applied),
-   and inside recovery's mirror-resolution loop (reconciliation must be
-   idempotent) — always killing the coordinator's own region for the
-   flip windows, the adversarial case.  The Stats protocol counters are
+   The failpoint windows kill after each mirror+apply (expect presumed
+   abort), after the coordinator flip (expect roll-forward), inside the
+   lazy CLEAR piggyback of a *second* batch (the first batch must stay
+   applied), and inside recovery's mirror-resolution loop
+   (reconciliation must be idempotent) — always killing the
+   coordinator's own region, the adversarial case.  The Stats protocol counters are
    asserted so the campaign proves the protocol actually ran.  Returns
    the outcome with the sorted (site, policy) pairs that fired: "trap"
    is an instruction trap inside the batch, "recovery-trap" one inside
    the parallel recovery fan-out, any other site a failpoint kill. *)
 let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
-    ~policy ~decentralized =
+    ~policy =
   let module SD = Kv.Sharded_db.Make (P) in
   let rng = Workload.Keygen.create ~seed () in
   let failures = ref [] in
@@ -677,22 +674,15 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       ("batch-d", Some "D"); ("batch-e", Some "E"); ("batch-f", Some "F");
       (key 1, Some "overwritten"); (key 2, None) ]
   in
-  let fresh ?(protocol = Kv.Sharded_db.Centralized) () =
+  let fresh () =
     let rs =
       Array.init nshards (fun _ -> Pmem.Region.create ~size:(1 lsl 19) ())
     in
-    let db = SD.open_db ~protocol ~initial_buckets:8 rs in
+    let db = SD.open_db ~initial_buckets:8 rs in
     for i = 0 to 11 do
       SD.put db (key i) (value i)
     done;
     (rs, db)
-  in
-  (* lazy and eager CLEAR alternate across rounds of the decentralized
-     campaign so both reclamation paths face every policy *)
-  let proto_for round =
-    if decentralized then
-      Kv.Sharded_db.Decentralized { lazy_clear = round mod 2 = 0 }
-    else Kv.Sharded_db.Centralized
   in
   let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   let run_batch db =
@@ -737,7 +727,7 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   (* sanity once per campaign: the batch really is cross-shard, and a
      clean run ticks the protocol counters *)
   let coordinator =
-    let _, db = fresh ~protocol:(proto_for 0) () in
+    let _, db = fresh () in
     let groups =
       List.sort_uniq compare
         (List.map (fun (k, _) -> SD.shard_of_key db k) batch_ops)
@@ -755,10 +745,9 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   in
   for round = 1 to rounds do
     let salt = round * 31 in
-    let protocol = proto_for round in
     (* (a) instruction trap at a random point on each shard's region *)
     for t = 0 to nshards - 1 do
-      let rs, db = fresh ~protocol () in
+      let rs, db = fresh () in
       Pmem.Region.set_trap rs.(t) (1 + Workload.Keygen.int rng 400);
       let p = pick_policy (salt + t) in
       (match run_batch db with
@@ -767,51 +756,35 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
          incr crashes;
          note_fired "trap" p);
       crash_all rs p;
-      let db = SD.open_db ~protocol ~initial_buckets:8 rs in
+      let db = SD.open_db ~initial_buckets:8 rs in
       oracle (Printf.sprintf "round %d trap shard %d" round t) db
         ~expect:None
     done;
-    (* (b) failpoint kills in each protocol window.  [prep] runs before
-       the site is armed (the lazy-CLEAR window needs a committed batch
-       already parked); [victim] picks the killed region — the
-       centralized windows kill shard 0 (the intent's home), the
-       decentralized ones the batch coordinator.  [check_stats] asserts
-       the reopened store's protocol counters. *)
+    (* (b) failpoint kills in each protocol window, on the batch
+       coordinator's region.  [prep] runs before the site is armed (the
+       lazy-CLEAR window needs a committed batch already parked);
+       [check_stats] asserts the reopened store's protocol counters. *)
     let windows =
-      if decentralized then
-        [ ( "sharded.d.mirror_applied",
-            Some (Workload.Keygen.int rng 2),
-            (fun _ -> ()), coordinator, Some false,
-            fun st -> st.Pmem.Stats.rolled_back > 0 );
-          ( "sharded.d.flip_written", None,
-            (fun _ -> ()), coordinator, Some true,
-            fun st -> st.Pmem.Stats.rolled_forward > 0 );
-          ( "sharded.d.mirror_cleared", None,
-            (* park a committed batch first, then kill inside the next
-               batch's piggybacked (or eager) reclamation: the committed
-               batch must stay applied *)
-            (fun db -> run_batch db), coordinator, Some true,
-            fun st -> st.Pmem.Stats.intent_prepares > 0 ) ]
-      else
-        [ ( "sharded.batch.intent_published", None,
-            (fun _ -> ()), 0, Some false,
-            fun st -> st.Pmem.Stats.rolled_back > 0 );
-          ( "sharded.batch.shard_applied",
-            Some (Workload.Keygen.int rng 2),
-            (fun _ -> ()), 0, Some false,
-            fun st -> st.Pmem.Stats.rolled_back > 0 );
-          ( "sharded.batch.committed", None,
-            (fun _ -> ()), 0, Some true,
-            fun st -> st.Pmem.Stats.rolled_forward > 0 ) ]
+      [ ( "sharded.d.mirror_applied", Some (Workload.Keygen.int rng 2),
+          (fun _ -> ()), Some false,
+          fun st -> st.Pmem.Stats.rolled_back > 0 );
+        ( "sharded.d.flip_written", None, (fun _ -> ()), Some true,
+          fun st -> st.Pmem.Stats.rolled_forward > 0 );
+        ( "sharded.d.mirror_cleared", None,
+          (* park a committed batch first, then kill inside the next
+             batch's piggybacked reclamation: the committed batch must
+             stay applied *)
+          (fun db -> run_batch db), Some true,
+          fun st -> st.Pmem.Stats.intent_prepares > 0 ) ]
     in
     List.iter
-      (fun (site, skip, prep, victim, expect, check_stats) ->
-        let rs, db = fresh ~protocol () in
+      (fun (site, skip, prep, expect, check_stats) ->
+        let rs, db = fresh () in
         prep db;
         let fired = ref false in
         Fault.arm ?skip site (fun () ->
             fired := true;
-            Pmem.Region.kill rs.(victim));
+            Pmem.Region.kill rs.(coordinator));
         let completed =
           match run_batch db with
           | () ->
@@ -833,7 +806,7 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
           let p = pick_policy (salt + 7) in
           note_fired site p;
           crash_all rs p;
-          let db = SD.open_db ~protocol ~initial_buckets:8 rs in
+          let db = SD.open_db ~initial_buckets:8 rs in
           oracle (Printf.sprintf "round %d %s" round site) db ~expect;
           if SD.pending_intents db <> 0 then
             fail "round %d %s: records left hooked after recovery" round
@@ -843,7 +816,7 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
         end)
       windows;
     (* (c) crash inside the parallel recovery fan-out *)
-    let rs, db = fresh ~protocol () in
+    let rs, db = fresh () in
     Pmem.Region.set_trap rs.(0) (1 + Workload.Keygen.int rng 300);
     let p = pick_policy (salt + 11) in
     (match run_batch db with
@@ -866,35 +839,32 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       ~expect:None;
     (* (d) crash inside the reconciliation pass itself: wreck a batch,
        then kill a shard right as recovery resolves a mirror; the next
-       recovery must converge (decentralized only — the centralized
-       reconciliation is a single shard-0 transaction) *)
-    if decentralized then begin
-      let rs, db = fresh ~protocol () in
-      Pmem.Region.set_trap rs.(coordinator) (1 + Workload.Keygen.int rng 300);
-      let p = pick_policy (salt + 17) in
-      (match run_batch db with
-       | () -> Pmem.Region.clear_trap rs.(coordinator)
-       | exception Pmem.Region.Crash_point ->
-         incr crashes;
-         note_fired "trap" p);
-      crash_all rs p;
-      let t = Workload.Keygen.int rng nshards in
-      Fault.arm "sharded.recover.mirror_resolved" (fun () ->
-          Pmem.Region.kill rs.(t));
-      (match SD.recover ~parallel:false db with
-       | () -> Fault.disarm ()
-       | exception Pmem.Region.Crash_point ->
-         incr rec_crashes;
-         Fault.disarm ();
-         let p = pick_policy (salt + 19) in
-         note_fired "sharded.recover.mirror_resolved" p;
-         crash_all rs p;
-         SD.recover ~parallel:false db);
-      oracle (Printf.sprintf "round %d reconciliation crash" round) db
-        ~expect:None;
-      if SD.pending_intents db <> 0 then
-        fail "round %d: reconciliation crash left records hooked" round
-    end;
+       recovery must converge *)
+    let rs, db = fresh () in
+    Pmem.Region.set_trap rs.(coordinator) (1 + Workload.Keygen.int rng 300);
+    let p = pick_policy (salt + 17) in
+    (match run_batch db with
+     | () -> Pmem.Region.clear_trap rs.(coordinator)
+     | exception Pmem.Region.Crash_point ->
+       incr crashes;
+       note_fired "trap" p);
+    crash_all rs p;
+    let t = Workload.Keygen.int rng nshards in
+    Fault.arm "sharded.recover.mirror_resolved" (fun () ->
+        Pmem.Region.kill rs.(t));
+    (match SD.recover ~parallel:false db with
+     | () -> Fault.disarm ()
+     | exception Pmem.Region.Crash_point ->
+       incr rec_crashes;
+       Fault.disarm ();
+       let p = pick_policy (salt + 19) in
+       note_fired "sharded.recover.mirror_resolved" p;
+       crash_all rs p;
+       SD.recover ~parallel:false db);
+    oracle (Printf.sprintf "round %d reconciliation crash" round) db
+      ~expect:None;
+    if SD.pending_intents db <> 0 then
+      fail "round %d: reconciliation crash left records hooked" round;
     if verbose then
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
@@ -912,13 +882,13 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
    deliberately small [chunk_bytes]/[spill_threshold] and the cross-shard
    batch overwrites ~700-byte values with ~900-byte ones, so every
    PREPARE streams a multi-chunk CRC-protected chain and spills every
-   undo image.  Per round (lazy and eager CLEAR alternating): an
-   instruction trap at a random point on every shard in turn; failpoint
-   kills mid-chain, at a spill, in the seal window (a complete but
-   unsealed chain must be collected as presumed-abort garbage), and
-   after the coordinator flip (roll-forward with parked chains); and a
-   kill inside recovery's chain GC itself, which must converge when
-   recovery is crashed and rerun.  The oracle requires the batch to be
+   undo image.  Per round: an instruction trap at a random point on
+   every shard in turn; failpoint kills mid-chain, at a spill, in the
+   seal window (a complete but unsealed chain must be collected as
+   presumed-abort garbage), and after the coordinator flip
+   (roll-forward with parked chains); and a kill inside recovery's
+   chain GC itself, which must converge when recovery is crashed and
+   rerun.  The oracle requires the batch to be
    exactly all-or-nothing — a torn large value is the failure this
    campaign exists to catch — and every reopen to leave zero hooked
    records.  A sanity pass per campaign asserts the degradation
@@ -957,12 +927,12 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let old_v i = big (3 + i) 700 in
   let new_v i = big (101 + i) 900 in
   let fresh_v = big 77 700 in
-  let fresh ?admission_budget ~protocol () =
+  let fresh ?admission_budget () =
     let rs =
       Array.init nshards (fun _ -> Pmem.Region.create ~size:(1 lsl 19) ())
     in
     let db =
-      SD.open_db ~protocol ~initial_buckets:8 ~chunk_bytes ~spill_threshold
+      SD.open_db ~initial_buckets:8 ~chunk_bytes ~spill_threshold
         ?admission_budget rs
     in
     for i = 0 to nkeys - 1 do
@@ -970,8 +940,8 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     done;
     (rs, db)
   in
-  let reopen ~protocol rs =
-    SD.open_db ~protocol ~initial_buckets:8 ~chunk_bytes ~spill_threshold rs
+  let reopen rs =
+    SD.open_db ~initial_buckets:8 ~chunk_bytes ~spill_threshold rs
   in
   let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   let run_batch db =
@@ -980,9 +950,6 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
           SD.put b (key i) (new_v i)
         done;
         SD.put b "fresh-blob" fresh_v)
-  in
-  let proto_for round =
-    Kv.Sharded_db.Decentralized { lazy_clear = round mod 2 = 0 }
   in
   (* all-or-nothing over large values: any torn byte fails the equality *)
   let oracle what db ~expect =
@@ -1012,7 +979,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
      stream and spill, an explicit drain ticks clear_flushes, and an
      undersized admission budget refuses the batch typed and untouched *)
   let coordinator =
-    let _, db = fresh ~protocol:(proto_for 0) () in
+    let _, db = fresh () in
     let groups =
       List.sort_uniq compare
         (SD.shard_of_key db "fresh-blob"
@@ -1039,7 +1006,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       if SD.get db (key i) <> Some (new_v i) then
         fail "clean chunked batch lost %s" (key i)
     done;
-    let _, db = fresh ~admission_budget:256 ~protocol:(proto_for 0) () in
+    let _, db = fresh ~admission_budget:256 () in
     (match run_batch db with
      | () -> fail "a 256-byte admission budget admitted a multi-KB batch"
      | exception Kv.Sharded_db.Overloaded _ -> ()
@@ -1057,16 +1024,15 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   in
   for round = 1 to rounds do
     let salt = round * 41 in
-    let protocol = proto_for round in
     (* (a) instruction trap at a random point on each shard's region *)
     for t = 0 to nshards - 1 do
-      let rs, db = fresh ~protocol () in
+      let rs, db = fresh () in
       Pmem.Region.set_trap rs.(t) (1 + Workload.Keygen.int rng 1200);
       (match run_batch db with
        | () -> Pmem.Region.clear_trap rs.(t)
        | exception Pmem.Region.Crash_point -> incr crashes);
       crash_all rs (pick_policy (salt + t));
-      let db = reopen ~protocol rs in
+      let db = reopen rs in
       oracle (Printf.sprintf "round %d trap shard %d" round t) db
         ~expect:None
     done;
@@ -1088,7 +1054,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     in
     List.iter
       (fun (site, skip, expect, check_stats) ->
-        let rs, db = fresh ~protocol () in
+        let rs, db = fresh () in
         let fired = ref false in
         Fault.arm ?skip site (fun () ->
             fired := true;
@@ -1101,7 +1067,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
         if not !fired then fail "round %d: %s did not fire" round site
         else begin
           crash_all rs (pick_policy (salt + 7));
-          let db = reopen ~protocol rs in
+          let db = reopen rs in
           oracle (Printf.sprintf "round %d %s" round site) db ~expect;
           if not (check_stats (SD.stats db)) then
             fail "round %d %s: protocol counters did not move" round site
@@ -1110,7 +1076,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     (* (c) a complete-but-unsealed chain (seal-window kill), then a
        crash inside recovery's chain GC itself: the rerun must converge
        on the rolled-back image — collection is idempotent *)
-    let rs, db = fresh ~protocol () in
+    let rs, db = fresh () in
     Fault.arm "sharded.chunk.seal_window" (fun () ->
         Pmem.Region.kill rs.(coordinator));
     (match run_batch db with
@@ -1127,7 +1093,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
         gc_fired := true;
         Pmem.Region.kill rs.(t));
     let db =
-      match reopen ~protocol rs with
+      match reopen rs with
       | db ->
         Fault.disarm ();
         db
@@ -1135,7 +1101,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
         incr rec_crashes;
         Fault.disarm ();
         crash_all rs (pick_policy (salt + 13));
-        reopen ~protocol rs
+        reopen rs
     in
     if not !gc_fired then
       fail "round %d: chain-GC window did not fire" round;
@@ -1832,11 +1798,11 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       ("batch", Kv.Group_commit.Batch_sync { txs = 3; bytes = 1 lsl 16 });
       ("async", Kv.Group_commit.Async) ]
   in
-  let fresh protocol =
+  let fresh () =
     let rs =
       Array.init nshards (fun _ -> Pmem.Region.create ~size:(1 lsl 19) ())
     in
-    let db = SD.open_db ~protocol ~initial_buckets:8 rs in
+    let db = SD.open_db ~initial_buckets:8 rs in
     for i = 0 to 7 do
       SD.put db (base_key i) "settled"
     done;
@@ -1873,8 +1839,8 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
         fail "%s: lost settled key %s" what (base_key i)
     done
   in
-  let reopen what protocol rs =
-    let db = SD.open_db ~protocol ~initial_buckets:8 rs in
+  let reopen what rs =
+    let db = SD.open_db ~initial_buckets:8 rs in
     (match SD.check db with
      | Ok () -> ()
      | Error e -> fail "%s: check: %s" what e);
@@ -1898,9 +1864,6 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   in
   for round = 1 to rounds do
     let salt = round * 37 in
-    let protocol =
-      Kv.Sharded_db.Decentralized { lazy_clear = round mod 2 = 0 }
-    in
     List.iteri
       (fun mi (mname, ack) ->
         let what = Printf.sprintf "round %d %s" round mname in
@@ -1909,7 +1872,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
            from {!F.failures} (retained when the drain raised) plus, in
            Sync mode, the raising put itself (its failure is answered
            to the submitter, never deferred). *)
-        let rs, db = fresh protocol in
+        let rs, db = fresh () in
         let fe = F.attach ~window ~ack db in
         let t = Workload.Keygen.int rng nshards in
         let subs = Array.make nshards [] in
@@ -1942,7 +1905,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
               max 0 (F.watermark fe s - failed.(s)))
         in
         crash_all rs (pick_policy (salt + mi));
-        let db = reopen (what ^ " stream") protocol rs in
+        let db = reopen (what ^ " stream") rs in
         for s = 0 to nshards - 1 do
           check_prefix
             (Printf.sprintf "%s stream shard %d" what s)
@@ -1950,7 +1913,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
             (Array.of_list (List.rev subs.(s)))
         done;
         (* (b) clean cross-batch merge: the shared-intent determinism *)
-        let _rs, db = fresh protocol in
+        let _rs, db = fresh () in
         let fe = F.attach ~window ~ack db in
         let ka, kb = cross_keys db in
         let st0 = Pmem.Stats.snapshot (SD.stats db) in
@@ -1981,7 +1944,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
           (List.combine ka kb);
         (* (c) cross batches crashed mid-protocol: all-or-nothing per
            batch, prefix over the cross queue *)
-        let rs, db = fresh protocol in
+        let rs, db = fresh () in
         let fe = F.attach ~window ~ack db in
         let ka, kb = cross_keys db in
         let t = Workload.Keygen.int rng nshards in
@@ -2007,7 +1970,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
           (F.failures fe);
         let cfloor = max 0 (F.watermark fe nshards - !cross_failed) in
         crash_all rs (pick_policy (salt + mi + 5));
-        let db = reopen (what ^ " cross") protocol rs in
+        let db = reopen (what ^ " cross") rs in
         let applied =
           List.mapi
             (fun j (a, b') ->
@@ -2035,8 +1998,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       modes;
     (* (d) crash the recovery of a crashed stream itself: reopening after
        a second power-off must converge to the same prefix contract *)
-    let protocol = Kv.Sharded_db.Centralized in
-    let rs, db = fresh protocol in
+    let rs, db = fresh () in
     let fe = F.attach ~window ~ack:Kv.Group_commit.Async db in
     let t = Workload.Keygen.int rng nshards in
     Pmem.Region.set_trap rs.(t) (1 + Workload.Keygen.int rng 300);
@@ -2064,14 +2026,14 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     let u = Workload.Keygen.int rng nshards in
     Pmem.Region.set_trap rs.(u) (1 + Workload.Keygen.int rng 60);
     let db =
-      match SD.open_db ~protocol ~initial_buckets:8 rs with
+      match SD.open_db ~initial_buckets:8 rs with
       | db ->
         Pmem.Region.clear_trap rs.(u);
         db
       | exception Pmem.Region.Crash_point ->
         incr rec_crashes;
         crash_all rs (pick_policy (salt + 29));
-        reopen (Printf.sprintf "round %d rec-crash" round) protocol rs
+        reopen (Printf.sprintf "round %d rec-crash" round) rs
     in
     for s = 0 to nshards - 1 do
       check_prefix
@@ -2171,26 +2133,18 @@ let shards_arg =
   let doc =
     "Sharded-store campaign over $(docv) hash shards (0 disables): crash \
      a cross-shard write batch with instruction traps on every shard, \
-     failpoint kills inside each batch-intent window (intent PREPARED, \
-     between per-shard commits, after the COMMIT flip), and a crash \
-     inside the parallel recovery fan-out, resolving each power-off \
-     under the selected --policy.  The oracle requires every batch to \
-     be all-or-nothing.  --rounds is the number of seeds swept."
+     failpoint kills on the coordinator's region after a participant's \
+     mirror+apply (expect presumed abort), after the COMMIT flip (expect \
+     roll-forward) and inside the lazy-CLEAR piggyback of a second batch \
+     (the first must stay applied), a crash inside the parallel recovery \
+     fan-out, and a kill inside recovery's mirror-resolution loop \
+     (reconciliation must converge when crashed and rerun), resolving \
+     each power-off under the selected --policy.  The oracle requires \
+     every batch to be all-or-nothing; each run prints the \
+     (site, policy) pairs that fired.  --rounds is the number of seeds \
+     swept."
   in
   Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N" ~doc)
-
-let decentralized_arg =
-  let doc =
-    "With --shards, drive the decentralized presumed-abort commit \
-     protocol instead of the legacy centralized batch intent: per-round \
-     windows kill the coordinator's region after a participant's \
-     mirror+apply (expect presumed abort), after the COMMIT flip \
-     (expect roll-forward), inside the lazy-CLEAR piggyback of a second \
-     batch (the first must stay applied), and inside recovery's \
-     mirror-resolution loop (reconciliation must converge when crashed \
-     and rerun).  Lazy and eager CLEAR alternate across rounds."
-  in
-  Arg.(value & flag & info [ "decentralized" ] ~doc)
 
 let chunked_arg =
   let doc =
@@ -2200,9 +2154,7 @@ let chunked_arg =
      chain and spills its undo images, and the windows kill mid-chain, \
      at a spill, in the seal window (a complete but unsealed chain is \
      presumed-abort garbage), after the coordinator flip (roll-forward \
-     with parked chains), and inside recovery's chain GC itself.  \
-     Implies the decentralized protocol; lazy and eager CLEAR \
-     alternate across rounds."
+     with parked chains), and inside recovery's chain GC itself."
   in
   Arg.(value & flag & info [ "chunked" ] ~doc)
 
@@ -2268,8 +2220,8 @@ let verbose_arg =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
 let main ptm workload rounds seed policy recovery_crashes failpoint
-    inject_exn scrub rot_rates_str nshards decentralized chunked quarantine
-    migrate group list_failpoints verbose =
+    inject_exn scrub rot_rates_str nshards chunked quarantine migrate group
+    list_failpoints verbose =
   if list_failpoints then begin
     List.iter
       (fun s ->
@@ -2339,11 +2291,9 @@ let main ptm workload rounds seed policy recovery_crashes failpoint
             run_chunked_campaign m ~nshards ~rounds ~seed ~verbose ~policy
           end
           else begin
-            Printf.printf "%-6s x %d-shard %s: %!" pname nshards
-              (if decentralized then "presumed-abort" else "batch-intent");
+            Printf.printf "%-6s x %d-shard presumed-abort: %!" pname nshards;
             let o, fired =
               run_sharded_campaign m ~nshards ~rounds ~seed ~verbose ~policy
-                ~decentralized
             in
             coverage := fired;
             o
@@ -2474,8 +2424,8 @@ let cmd =
     Term.(const main $ ptm_arg $ workload_arg $ rounds_arg $ seed_arg
           $ policy_arg $ recovery_crashes_arg $ failpoint_arg
           $ inject_exn_arg $ scrub_arg $ rot_rates_arg $ shards_arg
-          $ decentralized_arg $ chunked_arg $ quarantine_arg $ migrate_arg
-          $ group_arg $ list_failpoints_arg $ verbose_arg)
+          $ chunked_arg $ quarantine_arg $ migrate_arg $ group_arg
+          $ list_failpoints_arg $ verbose_arg)
 
 let () =
   Printexc.register_printer (function

@@ -7,8 +7,8 @@
     Single-key operations and batches that touch one shard keep exact
     Romulus semantics (with one shard the store is bit-for-bit equivalent
     to {!Romulus_db} over the same operations).  A cross-shard
-    [write_batch] is made all-or-nothing by a persistent commit protocol;
-    the default is the decentralized presumed-abort protocol:
+    [write_batch] is made all-or-nothing by a decentralized presumed-abort
+    commit protocol:
 
     - PREPARE+APPLY: each participant shard, in one durable transaction,
       writes its own {e intent mirror} (batch id, coordinator, participant
@@ -18,11 +18,10 @@
       participant) hooks a flip record carrying the batch id; the flip is
       the batch's durability point.  No fixed shard serializes the
       protocol.
-    - CLEAR (lazy by default): stale mirrors are reclaimed piggybacked on
-      the shard's next protocol transaction, and a flip once every mirror
-      of its batch is gone.  [Decentralized {lazy_clear = false}] clears
-      eagerly instead (one extra transaction per participant plus one on
-      the coordinator).
+    - CLEAR (lazy): stale mirrors are reclaimed piggybacked on the
+      shard's next protocol transaction, and a flip once every mirror of
+      its batch is gone, so the steady-state extra cost per cross-shard
+      batch is the single coordinator flip.
 
     Mirror payloads are {e chunked}: a payload that fits one
     [chunk_bytes] allocation rides the single PREPARE transaction as
@@ -51,10 +50,11 @@
     reclaimed); flip absent means the batch aborted, and the mirror's
     still-valid undo images are rolled back (chunk chain and spilled
     images re-verified against their CRCs; unsealed chains collected).
-    Crash-during-recovery is idempotent.  The legacy [Centralized]
-    shard-0 intent protocol is kept for ablation; recovery reconciles
-    both protocols' state regardless of the protocol the store was
-    opened with.
+    Crash-during-recovery is idempotent.  An image still holding a
+    record of the removed shard-0 intent protocol (shard 0's root slot
+    [root_slots - 1] set) is refused with {!Shard_open_failed} for
+    shard 0 whose cause is a [Recovery_error] naming the legacy intent:
+    nothing here can finish that batch.
 
     Isolation caveat: a cross-shard batch is crash-atomic and its shards
     individually linearizable, but concurrent readers may observe the
@@ -115,8 +115,8 @@ type health =
 exception Shard_unavailable of { shard : int; cause : health_cause }
 
 (** A shard the store cannot even degrade around failed to come up:
-    shard 0 (which anchors the routing table, the commit-protocol
-    intents and the health record) refused to open, a snapshot file
+    shard 0 (which anchors the routing table and the health record)
+    refused to open or holds a legacy shard-0 intent, a snapshot file
     could not be loaded, or {!Make.recover_shard} was pointed at a dead
     engine.  [cause] is the underlying failure, preserved. *)
 exception Shard_open_failed of { shard : int; cause : exn }
@@ -152,19 +152,6 @@ val with_overload_retry :
   ?on_wait:(int -> unit) ->
   (unit -> 'a) ->
   'a
-
-(** How a cross-shard [write_batch] reaches durability.  [Centralized] is
-    the legacy single-record protocol in shard 0 (PREPARE / APPLY /
-    COMMIT flip / eager CLEAR: three extra shard-0 transactions per
-    batch).  [Decentralized] is the presumed-abort protocol described
-    above; with [lazy_clear] the steady-state extra cost per cross-shard
-    batch is the single coordinator flip. *)
-type commit_protocol =
-  | Centralized
-  | Decentralized of { lazy_clear : bool }
-
-(** [Decentralized { lazy_clear = true }]. *)
-val default_protocol : commit_protocol
 
 (** Smallest accepted [chunk_bytes] (the floor the redo-log-overflow
     retry shrinks toward). *)
@@ -222,9 +209,7 @@ module Make (P : SHARD_PTM) : sig
       count is the array length, fixed for the life of the store (keys
       are routed by hash modulo that count).  Each region is formatted or
       recovered as usual, then any protocol state left by a crash is
-      reconciled.  [protocol] (default {!default_protocol}) selects the
-      cross-shard commit protocol for batches issued through this handle;
-      reconciliation always covers both protocols.
+      reconciled.
 
       [chunk_bytes] (default {!default_chunk_bytes}) bounds each mirror
       payload chunk — and therefore each streamed PREPARE transaction;
@@ -236,12 +221,11 @@ module Make (P : SHARD_PTM) : sig
       {!default_clear_flush_threshold}) bounds the lazy-CLEAR queues
       (see {!val-flush_clears}).
 
-      Raises {!Invalid_shards} on an empty array,
+      Raises {!Invalid_shards} on an empty array or more than 63,
       {!Romulus_db.Invalid_buckets} when [initial_buckets] is not
       positive, and [Invalid_argument] when [chunk_bytes] is below
       {!min_chunk_bytes} or another knob is not positive. *)
   val open_db :
-    ?protocol:commit_protocol ->
     ?initial_buckets:int ->
     ?chunk_bytes:int ->
     ?spill_threshold:int ->
@@ -260,7 +244,7 @@ module Make (P : SHARD_PTM) : sig
       [f] are buffered (reads see the buffered writes) and applied when
       [f] returns: a batch touching one shard runs as that shard's single
       durable transaction, exactly as in {!Romulus_db}; a cross-shard
-      batch runs under the store's commit protocol. *)
+      batch runs under the cross-shard commit protocol. *)
   val write_batch : t -> (t -> unit) -> unit
 
   (** Full scans; keys are hash-ordered within a shard and shards are
@@ -380,14 +364,14 @@ module Make (P : SHARD_PTM) : sig
   val health : t -> int -> health
 
   (** Re-run crash recovery on every shard — in parallel (one domain per
-      shard) by default — then run the reconciliation pass over both
-      protocols' surviving records.  Idempotent, like the single-engine
+      shard) by default — then run the reconciliation pass over the
+      surviving protocol records.  Idempotent, like the single-engine
       recovery it fans out.  Per-shard failures are classified instead
       of raised: a shard whose salvage recovery refuses comes back
       [Quarantined] with its engine detached, data-loss survivors come
-      back [Degraded], and work owed to a sick shard (batch intents,
-      mirrors, migrations) is parked until {!repair}.  Only shard 0
-      failing — or a simulated machine crash — still raises
+      back [Degraded], and work owed to a sick shard (mirrors,
+      migrations) is parked until {!repair}.  Only shard 0 failing — or
+      a simulated machine crash — still raises
       ({!Shard_open_failed} / [Crash_point]). *)
   val recover : ?parallel:bool -> t -> unit
 
@@ -445,11 +429,9 @@ module Make (P : SHARD_PTM) : sig
       while a migration intent is in flight. *)
   val start_evacuation : t -> source:int -> target:int -> int
 
-  (** Protocol records currently hooked across the store: the centralized
-      intent (if any) plus every decentralized mirror and flip.  Zero on
-      a quiescent store under eager CLEAR; under lazy CLEAR, committed
-      batches park their records here until a later protocol transaction
-      (or recovery) reclaims them. *)
+  (** Protocol records currently hooked across the store: every mirror
+      and flip.  Committed batches park their records here until a later
+      protocol transaction, {!flush_clears} or recovery reclaims them. *)
   val pending_intents : t -> int
 
   (** Reclaim every parked lazy-CLEAR record now, in dedicated
@@ -458,7 +440,7 @@ module Make (P : SHARD_PTM) : sig
       shard whose queue reaches [clear_flush_threshold], so a
       write-quiet shard's stale mirrors are reclaimed without waiting
       for its next protocol transaction.  After this, a quiescent store
-      reports zero {!pending_intents} even under lazy CLEAR. *)
+      reports zero {!pending_intents}. *)
   val flush_clears : t -> unit
 
   (** Salvage-scrub every open shard's twins; the report sums the
@@ -486,7 +468,6 @@ module Make (P : SHARD_PTM) : sig
       ([shards] must match the saved shard count). *)
   val open_from_files :
     ?fence:Pmem.Fence.profile ->
-    ?protocol:commit_protocol ->
     ?initial_buckets:int ->
     ?chunk_bytes:int ->
     ?spill_threshold:int ->

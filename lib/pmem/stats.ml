@@ -35,7 +35,7 @@ type t = {
   mutable media_errors : int;
   mutable intent_prepares : int;
   mutable coordinator_flips : int;
-  mutable lazy_clears : int;
+  mutable deferred_clears : int;
   mutable rolled_forward : int;
   mutable rolled_back : int;
   mutable chunks_written : int;
@@ -70,7 +70,7 @@ let create () =
     replicated_bytes = 0; commits = 0; delay_ns = 0; crashes = 0;
     tx_aborts = 0; scrubbed_lines = 0; repaired_lines = 0;
     unrepairable_lines = 0; media_errors = 0; intent_prepares = 0;
-    coordinator_flips = 0; lazy_clears = 0; rolled_forward = 0;
+    coordinator_flips = 0; deferred_clears = 0; rolled_forward = 0;
     rolled_back = 0; chunks_written = 0; chunks_spilled = 0;
     overload_rejections = 0; clear_flushes = 0; migrations_started = 0;
     migrations_resumed = 0; migrations_completed = 0; keys_migrated = 0;
@@ -86,7 +86,7 @@ let reset t =
   t.replicated_bytes <- 0; t.commits <- 0; t.delay_ns <- 0; t.crashes <- 0;
   t.tx_aborts <- 0; t.scrubbed_lines <- 0; t.repaired_lines <- 0;
   t.unrepairable_lines <- 0; t.media_errors <- 0; t.intent_prepares <- 0;
-  t.coordinator_flips <- 0; t.lazy_clears <- 0; t.rolled_forward <- 0;
+  t.coordinator_flips <- 0; t.deferred_clears <- 0; t.rolled_forward <- 0;
   t.rolled_back <- 0; t.chunks_written <- 0; t.chunks_spilled <- 0;
   t.overload_rejections <- 0; t.clear_flushes <- 0;
   t.migrations_started <- 0; t.migrations_resumed <- 0;
@@ -123,7 +123,7 @@ let since ~now ~past =
     media_errors = now.media_errors - past.media_errors;
     intent_prepares = now.intent_prepares - past.intent_prepares;
     coordinator_flips = now.coordinator_flips - past.coordinator_flips;
-    lazy_clears = now.lazy_clears - past.lazy_clears;
+    deferred_clears = now.deferred_clears - past.deferred_clears;
     rolled_forward = now.rolled_forward - past.rolled_forward;
     rolled_back = now.rolled_back - past.rolled_back;
     chunks_written = now.chunks_written - past.chunks_written;
@@ -180,7 +180,7 @@ let aggregate ts =
       a.media_errors <- a.media_errors + t.media_errors;
       a.intent_prepares <- a.intent_prepares + t.intent_prepares;
       a.coordinator_flips <- a.coordinator_flips + t.coordinator_flips;
-      a.lazy_clears <- a.lazy_clears + t.lazy_clears;
+      a.deferred_clears <- a.deferred_clears + t.deferred_clears;
       a.rolled_forward <- a.rolled_forward + t.rolled_forward;
       a.rolled_back <- a.rolled_back + t.rolled_back;
       a.chunks_written <- a.chunks_written + t.chunks_written;
@@ -235,7 +235,7 @@ let pp ppf t =
     "pwb=%d pfence=%d psync=%d loads=%d stores=%d nvm=%dB user=%dB \
      loaded=%dB copies=%d replicated=%dB commits=%d amp=%.2f delay=%dns \
      crashes=%d aborts=%d scrubbed=%d repaired=%d unrepairable=%d \
-     media_errors=%d prepares=%d flips=%d lazy_clears=%d fwd=%d back=%d \
+     media_errors=%d prepares=%d flips=%d deferred_clears=%d fwd=%d back=%d \
      chunks=%d spilled=%d overloads=%d clear_flushes=%d \
      migrations=%d/%d/%d keys_migrated=%d double_reads=%d \
      health=%d/%d/%d repair_attempts=%d restores=%d evacuated=%d/%dkeys \
@@ -245,7 +245,7 @@ let pp ppf t =
     t.load_bytes t.copy_calls t.replicated_bytes t.commits
     (write_amplification t) t.delay_ns t.crashes t.tx_aborts
     t.scrubbed_lines t.repaired_lines t.unrepairable_lines t.media_errors
-    t.intent_prepares t.coordinator_flips t.lazy_clears t.rolled_forward
+    t.intent_prepares t.coordinator_flips t.deferred_clears t.rolled_forward
     t.rolled_back t.chunks_written t.chunks_spilled t.overload_rejections
     t.clear_flushes t.migrations_started t.migrations_resumed
     t.migrations_completed t.keys_migrated t.double_reads

@@ -19,9 +19,9 @@ type t = {
   mutable repaired_lines : int;     (** bad lines a scrub rewrote from their twin *)
   mutable unrepairable_lines : int; (** bad lines no twin could repair *)
   mutable media_errors : int;       (** loads that hit a line failing its CRC *)
-  mutable intent_prepares : int;    (** cross-shard intent records made durable (one per participant mirror, or per centralized intent) *)
+  mutable intent_prepares : int;    (** cross-shard intent records made durable (one per participant mirror) *)
   mutable coordinator_flips : int;  (** cross-shard COMMIT flips (the batch durability point) *)
-  mutable lazy_clears : int;        (** intent records reclaimed lazily (piggybacked on a later protocol transaction) *)
+  mutable deferred_clears : int;    (** intent records reclaimed lazily (piggybacked on a later protocol transaction) *)
   mutable rolled_forward : int;     (** intents resolved as committed during reconciliation *)
   mutable rolled_back : int;        (** intents resolved by presumed-abort rollback (recovery or runtime abort) *)
   mutable chunks_written : int;      (** mirror payload chunks made durable (incl. the single-chunk fast path) *)

@@ -14,21 +14,12 @@
      of the sharded store.  Each operation routes to a uniformly random
      shard, so single-key updates on different shards combine and commit
      concurrently.  A cross-shard batch (probability cross_p) follows
-     the store's commit protocol:
-       Proto_centralized — a PREPARE transaction through shard 0's
-       combiner, one apply per participating shard, then a COMMIT+CLEAR
-       transaction through shard 0 again: four dependent combiner slots,
-       two of them through shard 0, which makes shard 0 the serial
-       bottleneck the shards bench demonstrates.
-       Proto_decentralized — the per-shard intent mirrors are written
-       *concurrently* (each participant's mirror+apply is one ordinary
-       transaction on its own shard), then one COMMIT flip rides the
-       coordinator's combiner (the min participant).  With lazy_clear
-       the chain ends there — stale records are reclaimed inside later
-       protocol transactions at no extra slot; with eager clear each
-       participant pays one more concurrent transaction and the
-       coordinator a final flip-clear.
-     Either way the chain carries a protocol-specific fixed cost
+     the store's commit protocol: the per-shard intent mirrors are
+     written *concurrently* (each participant's mirror+apply is one
+     ordinary transaction on its own shard), then one COMMIT flip rides
+     the coordinator's combiner (the min participant) and the chain ends
+     there — stale records are reclaimed inside later protocol
+     transactions at no extra slot.  The chain carries a fixed cost
      (payload encoding, undo capture) and counts as one update.
    - Rw_reader_pref: a plain reader-preference RW lock, one transaction
      per lock acquisition (the paper's PMDK setup).  Writers wait for a
@@ -50,10 +41,6 @@ type costs = {
   batch_fixed_ns : float;  (* per-transaction fixed cost (fences, sync) *)
   think_ns : float;        (* gap between operations of a thread *)
 }
-
-type sharded_protocol =
-  | Proto_centralized
-  | Proto_decentralized of { lazy_clear : bool }
 
 type large_batch = {
   large_p : float;
@@ -97,8 +84,7 @@ type model =
       intent_fixed_ns : float;
       (** serialized extra cost of the commit protocol's bookkeeping:
           payload encoding, undo capture, record management — measured
-          per protocol by the bench calibration *)
-      protocol : sharded_protocol;
+          by the bench calibration *)
       large : large_batch option;
       (** multi-chunk payload element: with probability [large_p] a
           cross-shard batch carries [chunks] chunk transactions per
@@ -268,11 +254,10 @@ let run_fc ~left_right cfg =
    uniformly random shard and follow exactly the run_fc machinery, just
    per shard.  A cross-shard batch is a dependency graph of sub-requests,
    each riding the target shard's ordinary combining queue, plus
-   [intent_fixed_ns] of serialized protocol bookkeeping; the graph's
-   shape depends on the commit protocol (see the header).  The whole
-   graph counts as one update. *)
-let run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~protocol ~large ~resize
-    cfg =
+   [intent_fixed_ns] of serialized protocol bookkeeping (the graph is
+   the commit protocol's, see the header).  The whole graph counts as
+   one update. *)
+let run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~large ~resize cfg =
   if shards < 1 then invalid_arg "Sync_model: shards < 1";
   let sim = Des.create ~seed:cfg.seed () in
   let c = cfg.costs in
@@ -390,45 +375,18 @@ let run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~protocol ~large ~resize
               decr left;
               if !left = 0 then k ()
           in
-          match protocol with
-          | Proto_centralized ->
-            (* the centralized intent has no streaming: the whole
-               payload (both slices) rides shard 0's single PREPARE *)
-            let prep_extra =
-              match batch_large with
-              | Some l -> 2. *. float_of_int l.chunks *. l.chunk_tx_ns
-              | None -> 0.
-            in
-            submit ~extra:prep_extra 0 (fun () -> (* PREPARE intent *)
-                submit a (fun () ->             (* apply on shard a *)
-                    submit b (fun () ->         (* apply on shard b *)
-                        submit 0 (fun () ->     (* COMMIT flip + CLEAR *)
-                            finish ()))))
-          | Proto_decentralized { lazy_clear } ->
-            let coord = min a b in
-            let prepare s k =
-              match batch_large with
-              | Some l -> prepare_large l s k
-              | None -> submit s (fun () -> k ())
-            in
-            (* mirrors+applies run concurrently, one tx per participant
-               (a chain of chunk transactions when the batch is large
-               and streamed) *)
-            let mirrors_done =
-              join 2 (fun () ->
-                  submit coord (fun () ->       (* COMMIT flip *)
-                      if lazy_clear then finish ()
-                      else
-                        (* eager CLEAR: concurrent mirror unhooks, then
-                           the coordinator reclaims its flip *)
-                        let clears_done =
-                          join 2 (fun () -> submit coord finish)
-                        in
-                        submit a clears_done;
-                        submit b clears_done))
-            in
-            prepare a (fun () -> mirrors_done ());
-            prepare b (fun () -> mirrors_done ())
+          let coord = min a b in
+          let prepare s k =
+            match batch_large with
+            | Some l -> prepare_large l s k
+            | None -> submit s (fun () -> k ())
+          in
+          (* mirrors+applies run concurrently, one tx per participant (a
+             chain of chunk transactions when the batch is large and
+             streamed), then the COMMIT flip on the coordinator *)
+          let mirrors_done = join 2 (fun () -> submit coord finish) in
+          prepare a (fun () -> mirrors_done ());
+          prepare b (fun () -> mirrors_done ())
         end
         else begin
           let t0 = Des.now sim in
@@ -730,10 +688,8 @@ let run cfg =
   match cfg.model with
   | Fc_crwwp -> run_fc ~left_right:false cfg
   | Fc_left_right -> run_fc ~left_right:true cfg
-  | Fc_sharded { shards; cross_p; intent_fixed_ns; protocol; large; resize }
-    ->
-    run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~protocol ~large ~resize
-      cfg
+  | Fc_sharded { shards; cross_p; intent_fixed_ns; large; resize } ->
+    run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~large ~resize cfg
   | Fc_group { shards; window; ack; cross_p; intent_fixed_ns } ->
     run_fc_group ~shards ~window ~ack ~cross_p ~intent_fixed_ns
       cfg

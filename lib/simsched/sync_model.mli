@@ -11,19 +11,6 @@ type costs = {
   think_ns : float;        (** gap between operations of a thread *)
 }
 
-(** How {!Fc_sharded} commits a cross-shard batch.
-    [Proto_centralized]: PREPARE through shard 0, one apply per
-    participant, COMMIT+CLEAR through shard 0 — four dependent combiner
-    slots, two serialized through shard 0.  [Proto_decentralized]: the
-    participants' mirror+apply transactions run concurrently, then one
-    COMMIT flip through the coordinator (the min participant); with
-    [lazy_clear] the chain ends there, otherwise each participant pays a
-    concurrent CLEAR transaction and the coordinator a final
-    flip-clear. *)
-type sharded_protocol =
-  | Proto_centralized
-  | Proto_decentralized of { lazy_clear : bool }
-
 (** Multi-chunk payload element for {!Fc_sharded}: with probability
     [large_p] a cross-shard batch carries a large payload of [chunks]
     chunk transactions per participant, [chunk_tx_ns] each, beyond the
@@ -32,9 +19,7 @@ type sharded_protocol =
     sharded store), so small updates on the same shard interleave
     between them; without it the whole payload occupies one monolithic
     combiner slot and every request queued behind it waits the payload
-    out — the occupancy the streamed chain exists to break up.  Under
-    {!Proto_centralized} the payload always rides shard 0's single
-    PREPARE monolithically (that protocol has no streaming). *)
+    out — the occupancy the streamed chain exists to break up. *)
 type large_batch = {
   large_p : float;
   chunks : int;
@@ -83,7 +68,6 @@ type model =
       shards : int;
       cross_p : float;
       intent_fixed_ns : float;
-      protocol : sharded_protocol;
       large : large_batch option;
       resize : resize option;
     }
@@ -91,8 +75,11 @@ type model =
           operation routes to a uniformly random shard, so updates on
           different shards combine and commit concurrently.  With
           probability [cross_p] a writer runs a cross-shard batch
-          instead, following [protocol] with [intent_fixed_ns] of
-          serialized protocol bookkeeping; [large] optionally gives a
+          instead: the two participants' mirror+apply transactions run
+          concurrently, then one COMMIT flip rides the coordinator's
+          combiner (the min participant), plus [intent_fixed_ns] of
+          serialized protocol bookkeeping — CLEAR rides later protocol
+          transactions at no extra slot; [large] optionally gives a
           fraction of those batches a multi-chunk payload (see
           {!large_batch}); [resize] optionally runs a background shard
           migration through the combiners (see {!resize}) *)

@@ -131,7 +131,7 @@ let test_stats_cover_every_field () =
       copy_calls = 109; replicated_bytes = 110; commits = 111;
       delay_ns = 112; crashes = 113; tx_aborts = 114; scrubbed_lines = 115;
       repaired_lines = 116; unrepairable_lines = 117; media_errors = 118;
-      intent_prepares = 119; coordinator_flips = 120; lazy_clears = 121;
+      intent_prepares = 119; coordinator_flips = 120; deferred_clears = 121;
       rolled_forward = 122; rolled_back = 123; chunks_written = 124;
       chunks_spilled = 125; overload_rejections = 126; clear_flushes = 127;
       migrations_started = 128; migrations_resumed = 129;
