@@ -206,8 +206,16 @@ module Make (P : Romulus.Ptm_intf.S) = struct
           if level = 0 then begin
             match leaf_position t n k with
             | `Found i ->
-              free_blob t (lval t n i);
-              set_lval t n i (alloc_blob t v);
+              (* a value of the old blob's length is rewritten in place:
+                 the allocator stays off the same-length overwrite path *)
+              let b = lval t n i in
+              if P.load t.p b = String.length v then begin
+                if v <> "" then P.store_bytes t.p (b + 8) v
+              end
+              else begin
+                free_blob t b;
+                set_lval t n i (alloc_blob t v)
+              end;
               false
             | `Insert_at i ->
               let nk = nkeys t n in

@@ -340,6 +340,32 @@ let test_sorted_db_durability () =
     (List.init 200 (fun i -> Printf.sprintf "key%04d" i))
     (List.rev !keys)
 
+(* A same-length overwrite rewrites the value blob in place, so it never
+   reaches the allocator: with every free armed to raise it still
+   commits, while a different-length overwrite still frees the old blob
+   (and aborts on the armed free, leaving the value untouched). *)
+let test_sorted_db_inplace_overwrite () =
+  let r = region ~size:(1 lsl 19) () in
+  let db = Sdb.open_db r in
+  Sdb.put db "k" "aaaa";
+  Fun.protect ~finally:Fault.disarm (fun () ->
+      Fault.arm "palloc.free.unlinked" (fun () ->
+          raise (Fault.Injected "palloc.free.unlinked"));
+      Sdb.put db "k" "bbbb";
+      Alcotest.(check (option string)) "same length in place" (Some "bbbb")
+        (Sdb.get db "k");
+      (match Sdb.put db "k" "a longer value" with
+       | () -> Alcotest.fail "different-length overwrite did not free"
+       | exception Romulus.Engine.Tx_aborted { cause = Fault.Injected _; _ }
+         ->
+         ());
+      Alcotest.(check (option string)) "aborted overwrite invisible"
+        (Some "bbbb") (Sdb.get db "k"));
+  Sdb.put db "k" "a longer value";
+  Alcotest.(check (option string)) "different length reallocated"
+    (Some "a longer value") (Sdb.get db "k");
+  match Sdb.check db with Ok () -> () | Error e -> Alcotest.fail e
+
 let prop_sorted_db_model =
   let open QCheck in
   let keygen = Gen.map (fun n -> Printf.sprintf "k%03d" (n mod 60)) Gen.nat in
@@ -579,7 +605,9 @@ let suite =
       test_leveldb_replay_after_double_crash ]
   @ [ Alcotest.test_case "sorted db basics" `Quick test_sorted_db_basics;
       Alcotest.test_case "sorted db durability" `Quick
-        test_sorted_db_durability ]
+        test_sorted_db_durability;
+      Alcotest.test_case "sorted db same-length overwrite in place" `Quick
+        test_sorted_db_inplace_overwrite ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_strmap_model; prop_db_crash_atomicity;
         prop_db_crash_overwrite_delete; prop_sorted_db_model;
