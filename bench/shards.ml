@@ -126,19 +126,19 @@ let calibrate ~ops =
 
 (* ---- DES throughput sweep ---- *)
 
+let costs_of calib =
+  { Simsched.Sync_model.read_ns = calib.read_ns;
+    update_work_ns = calib.update_work_ns;
+    batch_fixed_ns = calib.batch_fixed_ns;
+    think_ns = Float.max Common.think_ns (0.25 *. calib.read_ns) }
+
 let sharded_run ?resize ~scale ~calib ~shards ~cross_p ~large writers =
-  let costs =
-    { Simsched.Sync_model.read_ns = calib.read_ns;
-      update_work_ns = calib.update_work_ns;
-      batch_fixed_ns = calib.batch_fixed_ns;
-      think_ns = Float.max Common.think_ns (0.25 *. calib.read_ns) }
-  in
   Simsched.Sync_model.run
     { Simsched.Sync_model.model =
         Fc_sharded
           { shards; cross_p; intent_fixed_ns = calib.intent_fixed_ns;
             large; resize };
-      costs; readers = 0; writers;
+      costs = costs_of calib; readers = 0; writers;
       duration_ns = Common.sim_duration_ns scale; seed = 13 }
 
 let updates_per_sec ~scale ~calib ~shards ~cross_p writers =
@@ -517,18 +517,12 @@ let group_ack_of_arm ~window = function
   | arm -> invalid_arg ("unknown group arm " ^ arm)
 
 let group_run ~scale ~calib ~shards ~window ~arm ~cross_p writers =
-  let costs =
-    { Simsched.Sync_model.read_ns = calib.read_ns;
-      update_work_ns = calib.update_work_ns;
-      batch_fixed_ns = calib.batch_fixed_ns;
-      think_ns = Float.max Common.think_ns (0.25 *. calib.read_ns) }
-  in
   Simsched.Sync_model.run
     { Simsched.Sync_model.model =
         Fc_group
           { shards; window; ack = group_ack_of_arm ~window arm; cross_p;
             intent_fixed_ns = calib.intent_fixed_ns };
-      costs; readers = 0; writers;
+      costs = costs_of calib; readers = 0; writers;
       duration_ns = Common.sim_duration_ns scale; seed = 13 }
 
 (* Ablations run at the ROADMAP operating point (cross_p = 0.2): the
@@ -614,6 +608,12 @@ let emit_json ~scale ~calib ~scaling ~cross ~large_real ~large_des
     ~elastic_r ~elastic_d ~avail ~group_des ~group_window ~group_real
     ~recovery path =
   let b = Buffer.create 4096 in
+  (* a JSON array body: one [indent]ed element per line, comma-separated *)
+  let rows indent xs obj =
+    if xs <> [] then
+      Printf.bprintf b "%s\n"
+        (String.concat ",\n" (List.map (fun r -> indent ^ obj r) xs))
+  in
   Buffer.add_string b "{\n";
   Buffer.add_string b "  \"bench\": \"shards\",\n";
   Printf.bprintf b "  \"scale\": \"%s\",\n" scale;
@@ -624,47 +624,30 @@ let emit_json ~scale ~calib ~scaling ~cross ~large_real ~large_des
     calib.read_ns calib.update_work_ns calib.batch_fixed_ns
     calib.intent_fixed_ns;
   Buffer.add_string b "  \"scaling\": [\n";
-  let n = List.length scaling in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "    {\"shards\": %d, \"writers\": %d, \"updates_per_sec\": %.0f, \
-         \"ns_per_tx\": %.1f}%s\n"
-        r.shards r.writers r.ups r.ns_per_tx
-        (if i = n - 1 then "" else ","))
-    scaling;
+  rows "    " scaling (fun r ->
+      Printf.sprintf
+        "{\"shards\": %d, \"writers\": %d, \"updates_per_sec\": %.0f, \
+         \"ns_per_tx\": %.1f}"
+        r.shards r.writers r.ups r.ns_per_tx);
   Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"cross_batch\": [\n";
-  let n = List.length cross in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "    {\"shards\": %d, \"cross_p\": %.2f, \"updates_per_sec\": \
-         %.0f}%s\n"
-        r.c_shards r.cross_p r.c_ups
-        (if i = n - 1 then "" else ","))
-    cross;
+  rows "    " cross (fun r ->
+      Printf.sprintf
+        "{\"shards\": %d, \"cross_p\": %.2f, \"updates_per_sec\": %.0f}"
+        r.c_shards r.cross_p r.c_ups);
   Buffer.add_string b "  ],\n";
   Buffer.add_string b "  \"large_batch\": {\n    \"real\": [\n";
-  let n = List.length large_real in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "      {\"chunk_bytes\": %d, \"batch_ns\": %.0f, \
-         \"chunks_per_batch\": %.1f, \"spills_per_batch\": %.1f}%s\n"
-        r.lb_chunk_bytes r.lb_ns r.lb_chunks r.lb_spills
-        (if i = n - 1 then "" else ","))
-    large_real;
+  rows "      " large_real (fun r ->
+      Printf.sprintf
+        "{\"chunk_bytes\": %d, \"batch_ns\": %.0f, \"chunks_per_batch\": \
+         %.1f, \"spills_per_batch\": %.1f}"
+        r.lb_chunk_bytes r.lb_ns r.lb_chunks r.lb_spills);
   Buffer.add_string b "    ],\n    \"des\": [\n";
-  let n = List.length large_des in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "      {\"arm\": \"%s\", \"updates_per_sec\": %.0f, \
-         \"small_mean_ns\": %.0f, \"small_max_ns\": %.0f}%s\n"
-        r.ld_arm r.ld_ups r.ld_small_mean_ns r.ld_small_max_ns
-        (if i = n - 1 then "" else ","))
-    large_des;
+  rows "      " large_des (fun r ->
+      Printf.sprintf
+        "{\"arm\": \"%s\", \"updates_per_sec\": %.0f, \"small_mean_ns\": \
+         %.0f, \"small_max_ns\": %.0f}"
+        r.ld_arm r.ld_ups r.ld_small_mean_ns r.ld_small_max_ns);
   Buffer.add_string b "    ]\n  },\n";
   Buffer.add_string b "  \"elastic\": {\n";
   Printf.bprintf b
@@ -692,48 +675,37 @@ let emit_json ~scale ~calib ~scaling ~cross ~large_real ~large_des
     avail.a_restore_repair_ns;
   Buffer.add_string b "  },\n";
   Buffer.add_string b "  \"group_commit\": {\n    \"des_ack\": [\n";
-  let des_row i n r =
-    Printf.bprintf b
-      "      {\"arm\": \"%s\", \"window\": %d, \"updates_per_sec\": %.0f, \
-       \"small_mean_ns\": %.0f, \"small_max_ns\": %.0f}%s\n"
+  let des_row r =
+    Printf.sprintf
+      "{\"arm\": \"%s\", \"window\": %d, \"updates_per_sec\": %.0f, \
+       \"small_mean_ns\": %.0f, \"small_max_ns\": %.0f}"
       r.g_arm r.g_window r.g_ups r.g_small_mean_ns r.g_small_max_ns
-      (if i = n - 1 then "" else ",")
   in
-  let n = List.length group_des in
-  List.iteri (fun i r -> des_row i n r) group_des;
+  rows "      " group_des des_row;
   Buffer.add_string b "    ],\n    \"des_window\": [\n";
-  let n = List.length group_window in
-  List.iteri (fun i r -> des_row i n r) group_window;
+  rows "      " group_window des_row;
   Buffer.add_string b "    ],\n    \"real\": [\n";
-  let n = List.length group_real in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "      {\"mode\": \"%s\", \"logical_txs\": %d, \"group_commits\": \
-         %d, \"mean_group_size\": %.2f, \"engine_tx_per_logical\": %.3f, \
-         \"fences_saved\": %d}%s\n"
+  rows "      " group_real (fun r ->
+      Printf.sprintf
+        "{\"mode\": \"%s\", \"logical_txs\": %d, \"group_commits\": %d, \
+         \"mean_group_size\": %.2f, \"engine_tx_per_logical\": %.3f, \
+         \"fences_saved\": %d}"
         r.gr_mode r.gr_txs r.gr_group_commits r.gr_mean_group
-        r.gr_engine_per_tx r.gr_fences_saved
-        (if i = n - 1 then "" else ","))
-    group_real;
+        r.gr_engine_per_tx r.gr_fences_saved);
   Buffer.add_string b "    ]\n  },\n";
   Buffer.add_string b "  \"recovery\": [\n";
-  let n = List.length recovery in
-  List.iteri
-    (fun i r ->
+  rows "    " recovery (fun r ->
       let per =
         String.concat ", "
           (Array.to_list
              (Array.map (fun ns -> Printf.sprintf "%.0f" ns) r.per_shard_ns))
       in
-      let sum = Array.fold_left ( +. ) 0. r.per_shard_ns in
-      let mx = Array.fold_left Float.max 0. r.per_shard_ns in
-      Printf.bprintf b
-        "    {\"shards\": %d, \"keys\": %d, \"per_shard_ns\": [%s], \
-         \"max_shard_ns\": %.0f, \"sum_ns\": %.0f}%s\n"
-        r.r_shards r.r_keys per mx sum
-        (if i = n - 1 then "" else ","))
-    recovery;
+      Printf.sprintf
+        "{\"shards\": %d, \"keys\": %d, \"per_shard_ns\": [%s], \
+         \"max_shard_ns\": %.0f, \"sum_ns\": %.0f}"
+        r.r_shards r.r_keys per
+        (Array.fold_left Float.max 0. r.per_shard_ns)
+        (Array.fold_left ( +. ) 0. r.per_shard_ns));
   Buffer.add_string b "  ]\n}\n";
   let oc = open_out path in
   Fun.protect

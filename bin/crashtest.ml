@@ -49,6 +49,24 @@ let policy_name = function
   | Pmem.Region.Random_subset _ -> "random"
   | Pmem.Region.Torn_words _ -> "torn"
 
+(* The line-fate policy of one crash: the pinned one, or under [`Mix]
+   a per-crash draw from [rng].  [salt] varies the seed of the random
+   and torn policies across the crashes of one run. *)
+let pick_policy ~policy ~seed rng salt =
+  match policy with
+  | `Drop -> Pmem.Region.Drop_all
+  | `Keep -> Pmem.Region.Keep_all
+  | `Random -> Pmem.Region.Random_subset (seed + salt)
+  | `Torn -> Pmem.Region.Torn_words (seed + salt)
+  | `Mix -> (
+    match Workload.Keygen.int rng 4 with
+    | 0 -> Pmem.Region.Drop_all
+    | 1 -> Pmem.Region.Keep_all
+    | 2 -> Pmem.Region.Torn_words (seed + salt)
+    | _ -> Pmem.Region.Random_subset (seed + salt))
+
+let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs
+
 type outcome = {
   rounds : int;
   crashes : int;
@@ -69,19 +87,7 @@ let run_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose ~policy
   let crashes = ref 0 in
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
   (* the workload exposes: apply one op (given a shadow model), and a
      checker run after each recovery *)
   let module M = struct
@@ -638,11 +644,12 @@ let run_scrub_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose
    lazy CLEAR piggyback of a *second* batch (the first batch must stay
    applied), and inside recovery's mirror-resolution loop
    (reconciliation must be idempotent) — always killing the
-   coordinator's own region, the adversarial case.  The Stats protocol counters are
-   asserted so the campaign proves the protocol actually ran.  Returns
-   the outcome with the sorted (site, policy) pairs that fired: "trap"
-   is an instruction trap inside the batch, "recovery-trap" one inside
-   the parallel recovery fan-out, any other site a failpoint kill. *)
+   coordinator's own region, the adversarial case.  The Stats protocol
+   counters are asserted so the campaign proves the protocol actually
+   ran.  Returns the outcome with the sorted (site, policy) pairs that
+   fired: "trap" is an instruction trap inside the batch,
+   "recovery-trap" one inside the parallel recovery fan-out, any other
+   site a failpoint kill. *)
 let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     ~policy =
   let module SD = Kv.Sharded_db.Make (P) in
@@ -652,20 +659,10 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   let fired_pairs = Hashtbl.create 16 in
-  let note_fired site p = Hashtbl.replace fired_pairs (site, policy_name p) () in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
+  let note_fired site p =
+    Hashtbl.replace fired_pairs (site, policy_name p) ()
   in
+  let pick_policy = pick_policy ~policy ~seed rng in
   let key i = Printf.sprintf "key%03d" i in
   let value i = Printf.sprintf "value-%04d" i in
   (* enough distinct keys that the batch always spans several shards *)
@@ -684,7 +681,6 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     done;
     (rs, db)
   in
-  let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   let run_batch db =
     SD.write_batch db (fun b ->
         List.iter
@@ -904,19 +900,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let crashes = ref 0 in
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
   let chunk_bytes = 256 in
   let spill_threshold = 192 in
   let nkeys = 8 in
@@ -943,7 +927,6 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let reopen rs =
     SD.open_db ~initial_buckets:8 ~chunk_bytes ~spill_threshold rs
   in
-  let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   let run_batch db =
     SD.write_batch db (fun b ->
         for i = 0 to nkeys - 1 do
@@ -1140,19 +1123,7 @@ let run_migrate_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let crashes = ref 0 in
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
   let nkeys = 48 in
   let key i = Printf.sprintf "mig%03d" i in
   let value i = Printf.sprintf "v-%04d-%s" i (String.make (i mod 40) 'x') in
@@ -1168,7 +1139,6 @@ let run_migrate_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     (rs, db)
   in
   let reopen rs = SD.open_db ~initial_buckets:8 ~chunk_bytes rs in
-  let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   (* [racing]: the raced key and the value its durable racing write must
      have pinned; [epoch]: the exact post-recovery epoch when the crash
      window guarantees one (a trap may land before the intent commits,
@@ -1449,23 +1419,10 @@ let run_quarantine_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let evacs = ref 0 in
   let restores = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
   let nkeys = 48 in
   let key i = Printf.sprintf "qkey%03d" i in
   let value i = Printf.sprintf "qvalue-%04d" i in
-  let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   (* a settled store: seeded, crashed clean and reopened, so every line
      is durably fenced and at-rest rot is the only damage *)
   let fresh () =
@@ -1776,22 +1733,9 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   let crashes = ref 0 in
   let rec_crashes = ref 0 in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let pick_policy salt =
-    match policy with
-    | `Drop -> Pmem.Region.Drop_all
-    | `Keep -> Pmem.Region.Keep_all
-    | `Random -> Pmem.Region.Random_subset (seed + salt)
-    | `Torn -> Pmem.Region.Torn_words (seed + salt)
-    | `Mix -> (
-      match Workload.Keygen.int rng 4 with
-      | 0 -> Pmem.Region.Drop_all
-      | 1 -> Pmem.Region.Keep_all
-      | 2 -> Pmem.Region.Torn_words (seed + salt)
-      | _ -> Pmem.Region.Random_subset (seed + salt))
-  in
+  let pick_policy = pick_policy ~policy ~seed rng in
   let base_key i = Printf.sprintf "base%02d" i in
   let skey i = Printf.sprintf "g%03d" i in
-  let crash_all rs p = Array.iter (fun r -> Pmem.Region.crash r p) rs in
   let window = 4 in
   let modes =
     [ ("sync", Kv.Group_commit.Sync);
@@ -2270,35 +2214,22 @@ let main ptm workload rounds seed policy recovery_crashes failpoint
   if nshards > 0 then
     (* the sharded campaign has its own cross-shard workload; the
        --workload selection does not apply *)
+    let label, run =
+      let plain f m = (f m ~nshards ~rounds ~seed ~verbose ~policy, []) in
+      if group then ("group-commit", plain run_group_campaign)
+      else if migrate then ("elastic-migrate", plain run_migrate_campaign)
+      else if quarantine then
+        ("fault-isolation", plain run_quarantine_campaign)
+      else if chunked then ("chunked-stream", plain run_chunked_campaign)
+      else
+        ( "presumed-abort",
+          fun m ->
+            run_sharded_campaign m ~nshards ~rounds ~seed ~verbose ~policy )
+    in
     List.iter
       (fun (pname, m) ->
-        let coverage = ref [] in
-        let o =
-          if group then begin
-            Printf.printf "%-6s x %d-shard group-commit: %!" pname nshards;
-            run_group_campaign m ~nshards ~rounds ~seed ~verbose ~policy
-          end
-          else if migrate then begin
-            Printf.printf "%-6s x %d-shard elastic-migrate: %!" pname nshards;
-            run_migrate_campaign m ~nshards ~rounds ~seed ~verbose ~policy
-          end
-          else if quarantine then begin
-            Printf.printf "%-6s x %d-shard fault-isolation: %!" pname nshards;
-            run_quarantine_campaign m ~nshards ~rounds ~seed ~verbose ~policy
-          end
-          else if chunked then begin
-            Printf.printf "%-6s x %d-shard chunked-stream: %!" pname nshards;
-            run_chunked_campaign m ~nshards ~rounds ~seed ~verbose ~policy
-          end
-          else begin
-            Printf.printf "%-6s x %d-shard presumed-abort: %!" pname nshards;
-            let o, fired =
-              run_sharded_campaign m ~nshards ~rounds ~seed ~verbose ~policy
-            in
-            coverage := fired;
-            o
-          end
-        in
+        Printf.printf "%-6s x %d-shard %s: %!" pname nshards label;
+        let o, fired = run m in
         if o.failures = [] then
           Printf.printf "OK (%d seeds, %d crash-recoveries, %d crashes \
                          inside recovery)\n%!"
@@ -2308,10 +2239,10 @@ let main ptm workload rounds seed policy recovery_crashes failpoint
           Printf.printf "FAILED (%d issues)\n" (List.length o.failures);
           List.iter (fun f -> Printf.printf "    %s\n" f) o.failures
         end;
-        if !coverage <> [] then
+        if fired <> [] then
           Printf.printf "    fired: %s\n%!"
             (String.concat " "
-               (List.map (fun (site, p) -> site ^ "/" ^ p) !coverage)))
+               (List.map (fun (site, p) -> site ^ "/" ^ p) fired)))
       selected_ptms
   else if scrub then begin
     let rot_rates =

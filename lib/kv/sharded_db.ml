@@ -385,6 +385,26 @@ let decode_mirror payload =
   in
   (nshards, ops, undo)
 
+(* Cut key/value pairs, in order, into consecutive move batches whose
+   encoded payload stays within [chunk_bytes] (at least one pair each)
+   and apply [f] to each. *)
+let iter_batches ~chunk_bytes f kvs =
+  let rec take acc size = function
+    | [] -> (List.rev acc, [])
+    | ((k, v) :: rest) as all ->
+      let size = size + 17 + String.length k + String.length v in
+      if acc <> [] && size > chunk_bytes then (List.rev acc, all)
+      else take ((k, v) :: acc) size rest
+  in
+  let rec go = function
+    | [] -> ()
+    | kvs ->
+      let batch, rest = take [] 8 kvs in
+      f batch;
+      go rest
+  in
+  go kvs
+
 (* ---- health record codec (PTM-independent) ----
 
    The per-shard health array persists as one length-prefixed record in
@@ -512,7 +532,6 @@ module Make (P : SHARD_PTM) = struct
      must refresh. *)
   type pending_undo = {
     pu_shard : int;
-    pu_mirror : int;
     pu_chunk : int;
     pu_valid : int;
   }
@@ -1329,6 +1348,21 @@ module Make (P : SHARD_PTM) = struct
           | None -> false)
         undo
     in
+    (* allocate a mirror header and push it on the shard's mirror list
+       (inside an update tx) *)
+    let hook ~sealed ~plen ~chunks =
+      let o = P.alloc s.p mirror_hdr in
+      P.store s.p (o + m_next) (P.get_root s.p mirror_slot);
+      P.store s.p (o + m_id) id;
+      P.store s.p (o + m_coord) coord;
+      P.store s.p (o + m_mask) mask;
+      P.store s.p (o + m_sealed) sealed;
+      P.store s.p (o + m_plen) plen;
+      P.store s.p (o + m_chunks) chunks;
+      P.store s.p (o + m_spills) 0;
+      P.set_root s.p mirror_slot o;
+      o
+    in
     if (not needs_spill) && inline_len <= chunk_bytes then begin
       let payload, rel_offs =
         encode_mirror ~nshards ~ops:slice
@@ -1342,16 +1376,7 @@ module Make (P : SHARD_PTM) = struct
             P.store s.p (c + c_len) plen;
             P.store s.p (c + c_crc) (Chunk.crc payload);
             P.store_bytes s.p (c + chunk_hdr) payload;
-            let o = P.alloc s.p mirror_hdr in
-            P.store s.p (o + m_next) (P.get_root s.p mirror_slot);
-            P.store s.p (o + m_id) id;
-            P.store s.p (o + m_coord) coord;
-            P.store s.p (o + m_mask) mask;
-            P.store s.p (o + m_sealed) 1;
-            P.store s.p (o + m_plen) plen;
-            P.store s.p (o + m_chunks) c;
-            P.store s.p (o + m_spills) 0;
-            P.set_root s.p mirror_slot o;
+            let o = hook ~sealed:1 ~plen ~chunks:c in
             List.iter (apply_op s) slice;
             (o, c))
       in
@@ -1364,18 +1389,7 @@ module Make (P : SHARD_PTM) = struct
       (* unsealed shell first: from here the chain is crash-visible and
          recovery (or the inline abort path) can always collect it *)
       let moff =
-        tx_with_drain t i (fun () ->
-            let o = P.alloc s.p mirror_hdr in
-            P.store s.p (o + m_next) (P.get_root s.p mirror_slot);
-            P.store s.p (o + m_id) id;
-            P.store s.p (o + m_coord) coord;
-            P.store s.p (o + m_mask) mask;
-            P.store s.p (o + m_sealed) 0;
-            P.store s.p (o + m_plen) 0;
-            P.store s.p (o + m_chunks) 0;
-            P.store s.p (o + m_spills) 0;
-            P.set_root s.p mirror_slot o;
-            o)
+        tx_with_drain t i (fun () -> hook ~sealed:0 ~plen:0 ~chunks:0)
       in
       try
         (* oversized undo images leave the payload: one record each,
@@ -1496,8 +1510,7 @@ module Make (P : SHARD_PTM) = struct
           List.iter
             (fun (k, coff, aoff) ->
               Hashtbl.replace pr.pending k
-                { pu_shard = i; pu_mirror = moff; pu_chunk = coff;
-                  pu_valid = aoff };
+                { pu_shard = i; pu_chunk = coff; pu_valid = aoff };
               registered := k :: !registered)
             valids;
           Fault.hit fp_mirror_applied)
@@ -1810,6 +1823,21 @@ module Make (P : SHARD_PTM) = struct
       Some (off, kind, source, target, mepoch, moving)
     end
 
+  (* The target half of a move batch, idempotent on replay: insert each
+     pair unless a racing write already decided the key (the target has
+     it, or a tombstone marks it deleted). *)
+  let move_into tgt tomb kvs =
+    let inserted = ref 0 in
+    P.update_tx tgt.p (fun () ->
+        List.iter
+          (fun (k, v) ->
+            if (not (Map_.mem tgt.map k)) && not (Map_.mem tomb k) then begin
+              ignore (Map_.put tgt.map k v : bool);
+              incr inserted
+            end)
+          kvs);
+    tick_migrated tgt !inserted
+
   (* One bounded move batch: [moved] is (key, value) pairs still living
      in the source.  Source transaction: replace the cursor (free the
      previous batch's) and delete the keys; target transaction: insert
@@ -1841,20 +1869,7 @@ module Make (P : SHARD_PTM) = struct
     with_overload_retry ~seed:(m.mig_epoch + plen) (fun () -> admit t charge);
     Fun.protect
       ~finally:(fun () -> release t charge)
-      (fun () ->
-        let inserted = ref 0 in
-        P.update_tx tgt.p (fun () ->
-            List.iter
-              (fun (k, v) ->
-                if
-                  (not (Map_.mem tgt.map k))
-                  && not (Map_.mem m.mig_tomb k)
-                then begin
-                  ignore (Map_.put tgt.map k v : bool);
-                  incr inserted
-                end)
-              moved);
-        tick_migrated tgt !inserted);
+      (fun () -> move_into tgt m.mig_tomb moved);
     Fault.hit fp_mig_applied
 
   (* Stream every source key of a moving slot to the target in bounded
@@ -1873,25 +1888,14 @@ module Make (P : SHARD_PTM) = struct
       match !pending with
       | [] -> ()
       | kvs ->
-        let rec batches = function
-          | [] -> ()
-          | kvs ->
-            let rec take acc size = function
-              | [] -> (List.rev acc, [])
-              | ((k, v) :: rest) as all ->
-                let size = size + 17 + String.length k + String.length v in
-                if acc <> [] && size > chunk_bytes then (List.rev acc, all)
-                else take ((k, v) :: acc) size rest
-            in
-            let batch, rest = take [] 8 kvs in
+        iter_batches ~chunk_bytes
+          (fun batch ->
             (* a racing write may have retired a key since collection *)
             let moved =
               List.filter (fun (k, _) -> Map_.mem src.map k) batch
             in
-            if moved <> [] then move_batch t m moved;
-            batches rest
-        in
-        batches kvs;
+            if moved <> [] then move_batch t m moved)
+          kvs;
         pass ()
     in
     pass ()
@@ -2102,9 +2106,8 @@ module Make (P : SHARD_PTM) = struct
     (* bounded insert-if-absent batches (idempotent on re-run): a moving
        key can only be written through the source, which refuses, so a
        key already present in the target was placed by this stream *)
-    let chunk_bytes = t.proto.config.chunk_bytes in
-    let flush batch =
-      if batch <> [] then begin
+    iter_batches ~chunk_bytes:t.proto.config.chunk_bytes
+      (fun batch ->
         let inserted = ref 0 in
         P.update_tx tgt.p (fun () ->
             List.iter
@@ -2116,24 +2119,8 @@ module Make (P : SHARD_PTM) = struct
               batch);
         tick_region t target (fun st ->
             st.Pmem.Stats.keys_evacuated <-
-              st.Pmem.Stats.keys_evacuated + !inserted)
-      end
-    in
-    let rec batches = function
-      | [] -> ()
-      | kvs ->
-        let rec take acc size = function
-          | [] -> (List.rev acc, [])
-          | ((k, v) :: rest) as all ->
-            let size = size + 17 + String.length k + String.length v in
-            if acc <> [] && size > chunk_bytes then (List.rev acc, all)
-            else take ((k, v) :: acc) size rest
-        in
-        let batch, rest = take [] 8 kvs in
-        flush batch;
-        batches rest
-    in
-    batches kvs;
+              st.Pmem.Stats.keys_evacuated + !inserted))
+      kvs;
     (* volatile route + verdict first (precedent: run_migration opening
        the window before its durable flip), then the atomic flip *)
     let r = t.router in
@@ -2241,22 +2228,10 @@ module Make (P : SHARD_PTM) = struct
           if cepoch = mepoch then begin
             let pr = { payload; pos = 0 } in
             let kvs = take_kv_list pr "migration-cursor" in
-            let inserted = ref 0 in
-            P.update_tx tgt.p (fun () ->
-                List.iter
-                  (fun (k, v) ->
-                    match v with
-                    | Some v ->
-                      if
-                        (not (Map_.mem tgt.map k))
-                        && not (Map_.mem tomb k)
-                      then begin
-                        ignore (Map_.put tgt.map k v : bool);
-                        incr inserted
-                      end
-                    | None -> ())
-                  kvs);
-            tick_migrated tgt !inserted
+            move_into tgt tomb
+              (List.filter_map
+                 (fun (k, v) -> Option.map (fun v -> (k, v)) v)
+                 kvs)
           end
         end;
         Fault.hit fp_mig_resumed;

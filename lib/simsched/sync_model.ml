@@ -368,13 +368,6 @@ let run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~large ~resize cfg =
               Some l
             | _ -> None
           in
-          (* a barrier over the two participants' concurrent requests *)
-          let join n k =
-            let left = ref n in
-            fun () ->
-              decr left;
-              if !left = 0 then k ()
-          in
           let coord = min a b in
           let prepare s k =
             match batch_large with
@@ -383,10 +376,15 @@ let run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~large ~resize cfg =
           in
           (* mirrors+applies run concurrently, one tx per participant (a
              chain of chunk transactions when the batch is large and
-             streamed), then the COMMIT flip on the coordinator *)
-          let mirrors_done = join 2 (fun () -> submit coord finish) in
-          prepare a (fun () -> mirrors_done ());
-          prepare b (fun () -> mirrors_done ())
+             streamed); the second to finish submits the COMMIT flip on
+             the coordinator *)
+          let left = ref 2 in
+          let mirror_done () =
+            decr left;
+            if !left = 0 then submit coord finish
+          in
+          prepare a mirror_done;
+          prepare b mirror_done
         end
         else begin
           let t0 = Des.now sim in
