@@ -74,6 +74,11 @@ type outcome = {
   failures : string list;
 }
 
+(* a crash campaign's result, read from its running counters *)
+let outcome ~rounds ~crashes ~rec_crashes ~failures =
+  { rounds; crashes = !crashes; recovery_crashes = !rec_crashes;
+    failures = !failures }
+
 (* One workload campaign: run [rounds] batches of random operations with a
    random crash trap (or a named failpoint) armed; after each crash,
    recover — optionally crashing the recovery itself, [recovery_crashes]
@@ -214,10 +219,7 @@ let run_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose ~policy
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- exception-injection campaign ---- *)
 
@@ -865,10 +867,7 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  ( { rounds;
-      crashes = !crashes;
-      recovery_crashes = !rec_crashes;
-      failures = !failures },
+  ( outcome ~rounds ~crashes ~rec_crashes ~failures,
     List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) fired_pairs [])
   )
 
@@ -1094,10 +1093,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- the elastic-sharding migration campaign ----
 
@@ -1383,10 +1379,7 @@ let run_migrate_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- quarantine / self-healing campaign ---- *)
 
@@ -1698,10 +1691,7 @@ let run_quarantine_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   done;
   if !restores = 0 then fail "snapshot-restore path never exercised";
   if !evacs = 0 then fail "evacuation path never exercised";
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- group-commit front-end campaign ---- *)
 
@@ -1989,10 +1979,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
         round rounds !crashes !rec_crashes
   done;
-  { rounds;
-    crashes = !crashes;
-    recovery_crashes = !rec_crashes;
-    failures = !failures }
+  outcome ~rounds ~crashes ~rec_crashes ~failures
 
 (* ---- command line ---- *)
 
