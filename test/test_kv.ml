@@ -366,6 +366,49 @@ let test_sorted_db_inplace_overwrite () =
     (Some "a longer value") (Sdb.get db "k");
   match Sdb.check db with Ok () -> () | Error e -> Alcotest.fail e
 
+(* ---- golden images ---- *)
+
+(* One fixed op sequence per store, pinned by the digest of the
+   persistent image it leaves and by the exact region access counts it
+   costs: inserts (through bucket doublings / root splits), same-length
+   and different-length overwrites, removes of present and absent keys,
+   and inserts after the removes.  A refactor that claims to keep the
+   on-media layout and the access path must leave both unchanged. *)
+let golden_run run =
+  let r = region () in
+  run r;
+  let st = R.stats r in
+  ( Digest.to_hex (Digest.string (R.persistent_snapshot r)),
+    Printf.sprintf "loads=%d stores=%d pwbs=%d pfences=%d" st.Pmem.Stats.loads
+      st.stores st.pwbs st.pfences )
+
+let golden_ops ~put ~delete =
+  let key i = Printf.sprintf "key%03d" i in
+  for i = 0 to 39 do put (key i) (Printf.sprintf "v%03d" i) done;
+  for i = 0 to 9 do put (key i) (Printf.sprintf "w%03d" i) done;
+  for i = 10 to 14 do put (key i) (String.make i 'x') done;
+  for i = 10 to 19 do ignore (delete (key (3 * i)) : bool) done;
+  for i = 40 to 44 do put (key i) (Printf.sprintf "v%03d" i) done
+
+let check_golden what (digest, counts) run =
+  let d, c = golden_run run in
+  Alcotest.(check string) (what ^ " image") digest d;
+  Alcotest.(check string) (what ^ " access counts") counts c
+
+let test_db_golden () =
+  check_golden "romulusdb"
+    ("b207f8702e0de5a628b6393dea3c71ec",
+     "loads=10736 stores=1950 pwbs=1337 pfences=215") (fun r ->
+      let db = Db.open_db ~initial_buckets:4 r in
+      golden_ops ~put:(Db.put db) ~delete:(Db.delete db))
+
+let test_sorted_db_golden () =
+  check_golden "sorted db"
+    ("6477b9753b2f3a5cfece298701aa833a",
+     "loads=11074 stores=1820 pwbs=1430 pfences=215") (fun r ->
+      let db = Sdb.open_db r in
+      golden_ops ~put:(Sdb.put db) ~delete:(Sdb.delete db))
+
 let prop_sorted_db_model =
   let open QCheck in
   let keygen = Gen.map (fun n -> Printf.sprintf "k%03d" (n mod 60)) Gen.nat in
@@ -607,7 +650,9 @@ let suite =
       Alcotest.test_case "sorted db durability" `Quick
         test_sorted_db_durability;
       Alcotest.test_case "sorted db same-length overwrite in place" `Quick
-        test_sorted_db_inplace_overwrite ]
+        test_sorted_db_inplace_overwrite;
+      Alcotest.test_case "romulusdb golden image" `Quick test_db_golden;
+      Alcotest.test_case "sorted db golden image" `Quick test_sorted_db_golden ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_strmap_model; prop_db_crash_atomicity;
         prop_db_crash_overwrite_delete; prop_sorted_db_model;

@@ -391,6 +391,53 @@ module Make (P : PTM) = struct
           prop_bptree_model; prop_bptree_crash ]
 end
 
+(* ---- golden images ---- *)
+
+(* One fixed op sequence per structure on RomulusLog, pinned by the
+   digest of the persistent image it leaves and by the exact region
+   access counts it costs: inserts (through bucket doublings / root
+   splits), overwrites, removes of present and absent keys, and inserts
+   after the removes. *)
+module GH = Pds.Hash_map.Make (Romulus.Logged)
+module GB = Pds.Bptree.Make (Romulus.Logged)
+
+let check_golden what (digest, counts) run =
+  let r = region ~size:(1 lsl 20) () in
+  run (Romulus.Logged.open_region r);
+  let st = R.stats r in
+  Alcotest.(check string) (what ^ " image") digest
+    (Digest.to_hex (Digest.string (R.persistent_snapshot r)));
+  Alcotest.(check string) (what ^ " access counts") counts
+    (Printf.sprintf "loads=%d stores=%d pwbs=%d pfences=%d" st.Pmem.Stats.loads
+       st.stores st.pwbs st.pfences)
+
+let golden_ops ~put ~remove =
+  for k = 0 to 39 do ignore (put k (k * 10) : bool) done;
+  for k = 0 to 9 do ignore (put k ((k * 10) + 1) : bool) done;
+  for k = 10 to 19 do ignore (remove (3 * k) : bool) done;
+  for k = 40 to 44 do ignore (put k k : bool) done
+
+let golden =
+  let tc = Alcotest.test_case in
+  [ tc "hash map (resizable) golden image" `Quick (fun () ->
+        check_golden "resizable map"
+          ("91d541442ef42eb7642c3fd003d64dbd",
+           "loads=4508 stores=1232 pwbs=1081 pfences=200") (fun p ->
+            let m = GH.create ~initial_buckets:4 p ~root:0 in
+            golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
+    tc "hash map (fixed) golden image" `Quick (fun () ->
+        check_golden "fixed map"
+          ("e9d06f0a9673897f8c608d526982641a",
+           "loads=4622 stores=850 pwbs=890 pfences=200") (fun p ->
+            let m = GH.create ~resizable:false ~initial_buckets:8 p ~root:0 in
+            golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
+    tc "b+tree golden image" `Quick (fun () ->
+        check_golden "b+tree"
+          ("0e87abc83b987bea01f7edaedf71206e",
+           "loads=3300 stores=968 pwbs=964 pfences=200") (fun p ->
+            let b = GB.create p ~root:0 in
+            golden_ops ~put:(GB.put b) ~remove:(GB.remove b))) ]
+
 module On_logged = Make (Romulus.Logged)
 module On_lr = Make (Romulus.Lr)
 module On_redolog = Make (Baselines.Redolog)
@@ -399,4 +446,5 @@ let () =
   Alcotest.run "pds-extra"
     [ ("on RomL", On_logged.suite);
       ("on RomLR", On_lr.suite);
-      ("on Mnemosyne-like", On_redolog.suite) ]
+      ("on Mnemosyne-like", On_redolog.suite);
+      ("golden", golden) ]
