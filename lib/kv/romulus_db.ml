@@ -1,5 +1,6 @@
 (* RomulusDB (§6.4): a persistent key-value store with the LevelDB
-   interface, built by wrapping the string hash map in a PTM.  Unlike
+   interface, built by wrapping a persistent hash map in a PTM: the
+   blob-keyed, blob-valued instance of {!Pds.Hash_map}.  Unlike
    LevelDB, every write is a durable transaction (there is no
    WriteOptions.sync to forget), and write batches are real transactions
    with all-or-nothing semantics.
@@ -13,7 +14,7 @@
 exception Invalid_buckets of int
 
 module Make (P : Romulus.Ptm_intf.S) = struct
-  module Map_ = Str_hash_map.Make (P)
+  module Map_ = Pds.Hash_map.Of_codec (Pds.Codec.Blob) (Pds.Codec.Blob) (P)
 
   type t = { p : P.t; map : Map_.t }
 

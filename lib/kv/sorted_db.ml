@@ -1,10 +1,11 @@
-(* Sorted RomulusDB: the LevelDB interface over a persistent string
-   B+tree instead of the paper's hash map.  Scans run in key order (and
+(* Sorted RomulusDB: the LevelDB interface over a persistent B+tree — the
+   blob-keyed, blob-valued instance of {!Pds.Bptree} — instead of the
+   paper's hash map.  Scans run in key order (and
    support ranges), matching LevelDB's iterator semantics that the
    hash-ordered RomulusDB of §6.4 deliberately traded away. *)
 
 module Make (P : Romulus.Ptm_intf.S) = struct
-  module T = Str_bptree.Make (P)
+  module T = Pds.Bptree.Of_codec (Pds.Codec.Blob) (Pds.Codec.Blob) (P)
 
   type t = { p : P.t; tree : T.t }
 

@@ -1,24 +1,35 @@
-(* Persistent B+tree map: integer keys to word values, fixed fanout,
-   values only in leaves, leaves chained for range scans.
+(* Persistent B+tree map over a key codec and a value codec (see
+   codec.mli): fixed fanout, values only in leaves, leaves chained for
+   range scans.  The word instance ([Make]) maps integers to words; the
+   blob instance is the ordered index behind Kv.Sorted_db.
 
    Layout (fanout F = 8):
 
      tree object:  [0] root  [8] height (0 = root is a leaf)  [16] count
      leaf:         [0] nkeys  [8] next-leaf
-                   [16..]            F keys
-                   [16+8F..]         F values
+                   [16..]            F key slots
+                   [16+8F..]         F value slots
      internal:     [0] nkeys
-                   [8..]             F-1 separator keys
+                   [8..]             F-1 separators
                    [8+8(F-1)..]      F children
 
-   Insertion splits full nodes on the way down (proactive splitting, so a
-   split never propagates upward mid-transaction).  Deletion is lazy:
-   nodes may underflow (only an empty root collapses) — the approach of
-   many production stores; the structural check therefore validates
-   ordering, height uniformity, separator correctness and the leaf chain,
-   but not minimum occupancy. *)
+   A leaf owns its key and value slots.  A separator is the codec's copy
+   of the key it was split on, owned by its internal node, so no leaf
+   deletion can dangle it.
 
-module Make (P : Romulus.Ptm_intf.S) = struct
+   Insertion splits full nodes on the way down (proactive splitting, so a
+   split never propagates upward mid-transaction).  Deletion is lazy: it
+   only removes leaf entries.  Nodes may underflow, and no internal node
+   or separator is ever removed (an internal node keeps the keys it was
+   split with) — the approach of many production stores; the structural
+   check therefore validates ordering, height uniformity, separator
+   correctness and the leaf chain, but not minimum occupancy. *)
+
+module Of_codec (Kc : Codec.S) (Vc : Codec.S) (P : Romulus.Ptm_intf.S) =
+struct
+  module K = Kc.Make (P)
+  module V = Vc.Make (P)
+
   type t = { p : P.t; obj : int }
 
   let fanout = 8
@@ -42,18 +53,24 @@ module Make (P : Romulus.Ptm_intf.S) = struct
   let i_children = i_keys + (8 * (fanout - 1))
   let internal_bytes = i_children + (8 * fanout)
 
+  (* slot addresses *)
+  let lk n i = n + l_keys + (8 * i)
+  let lv n i = n + l_vals + (8 * i)
+  let ik n i = n + i_keys + (8 * i)
+
   let nkeys t n = P.load t.p (n + n_nkeys)
   let set_nkeys t n v = P.store t.p (n + n_nkeys) v
 
-  let lkey t n i = P.load t.p (n + l_keys + (8 * i))
-  let set_lkey t n i v = P.store t.p (n + l_keys + (8 * i)) v
-  let lval t n i = P.load t.p (n + l_vals + (8 * i))
-  let set_lval t n i v = P.store t.p (n + l_vals + (8 * i)) v
+  (* raw slot words: shifting and splitting move them, codecs not involved *)
+  let lkey t n i = P.load t.p (lk n i)
+  let set_lkey t n i v = P.store t.p (lk n i) v
+  let lval t n i = P.load t.p (lv n i)
+  let set_lval t n i v = P.store t.p (lv n i) v
   let lnext t n = P.load t.p (n + l_next)
   let set_lnext t n v = P.store t.p (n + l_next) v
 
-  let ikey t n i = P.load t.p (n + i_keys + (8 * i))
-  let set_ikey t n i v = P.store t.p (n + i_keys + (8 * i)) v
+  let ikey t n i = P.load t.p (ik n i)
+  let set_ikey t n i v = P.store t.p (ik n i) v
   let child t n i = P.load t.p (n + i_children + (8 * i))
   let set_child t n i v = P.store t.p (n + i_children + (8 * i)) v
 
@@ -87,12 +104,19 @@ module Make (P : Romulus.Ptm_intf.S) = struct
     | 0 -> invalid_arg "Bptree.attach: empty root"
     | obj -> { p; obj }
 
+  let open_or_create p ~root =
+    match P.read_tx p (fun () -> P.get_root p root) with
+    | 0 -> create p ~root
+    | _ -> attach p ~root
+
   let length t = P.read_tx t.p (fun () -> P.load t.p (t.obj + o_count))
 
   (* index of the child to follow for key [k] in internal node [n] *)
   let child_index t n k =
     let nk = nkeys t n in
-    let rec scan i = if i < nk && k >= ikey t n i then scan (i + 1) else i in
+    let rec scan i =
+      if i < nk && K.compare_at t.p (ik n i) k <= 0 then scan (i + 1) else i
+    in
     scan 0
 
   (* position of [k] in leaf [n]: [Found i] or [Insert_at i] *)
@@ -101,9 +125,9 @@ module Make (P : Romulus.Ptm_intf.S) = struct
     let rec scan i =
       if i >= nk then `Insert_at i
       else
-        let ki = lkey t n i in
-        if ki = k then `Found i
-        else if ki > k then `Insert_at i
+        let c = K.compare_at t.p (lk n i) k in
+        if c = 0 then `Found i
+        else if c > 0 then `Insert_at i
         else scan (i + 1)
     in
     scan 0
@@ -116,17 +140,15 @@ module Make (P : Romulus.Ptm_intf.S) = struct
     P.read_tx t.p (fun () ->
         let leaf = descend_to_leaf t (root t) (height t) k in
         match leaf_position t leaf k with
-        | `Found i -> Some (lval t leaf i)
+        | `Found i -> Some (V.load t.p (lv leaf i))
         | `Insert_at _ -> None)
 
   let mem t k = get t k <> None
 
   (* ---- insertion with proactive splitting ---- *)
 
-  (* split the full child [ci] of internal node [parent] (or the root).
-     Returns unit; the caller re-examines the parent afterwards. *)
+  (* split a full leaf; returns (separator, right) *)
   let split_leaf t leaf =
-    (* returns (separator, right) *)
     let half = fanout / 2 in
     let right = new_leaf t in
     for j = 0 to fanout - half - 1 do
@@ -137,7 +159,7 @@ module Make (P : Romulus.Ptm_intf.S) = struct
     set_nkeys t leaf half;
     set_lnext t right (lnext t leaf);
     set_lnext t leaf right;
-    (lkey t right 0, right)
+    (K.separator t.p (lk right 0), right)
 
   let split_internal t node =
     (* full internal node has fanout-1 keys; middle key moves up *)
@@ -199,7 +221,7 @@ module Make (P : Romulus.Ptm_intf.S) = struct
           if level = 0 then begin
             match leaf_position t n k with
             | `Found i ->
-              set_lval t n i v;
+              V.overwrite t.p (lv n i) v;
               false
             | `Insert_at i ->
               let nk = nkeys t n in
@@ -207,8 +229,8 @@ module Make (P : Romulus.Ptm_intf.S) = struct
                 set_lkey t n (j + 1) (lkey t n j);
                 set_lval t n (j + 1) (lval t n j)
               done;
-              set_lkey t n i k;
-              set_lval t n i v;
+              K.store t.p (lk n i) k;
+              V.store t.p (lv n i) v;
               set_nkeys t n (nk + 1);
               P.store t.p (t.obj + o_count)
                 (P.load t.p (t.obj + o_count) + 1);
@@ -240,6 +262,8 @@ module Make (P : Romulus.Ptm_intf.S) = struct
             match leaf_position t n k with
             | `Insert_at _ -> false
             | `Found i ->
+              K.free t.p (lk n i);
+              V.free t.p (lv n i);
               let nk = nkeys t n in
               for j = i to nk - 2 do
                 set_lkey t n j (lkey t n (j + 1));
@@ -280,12 +304,14 @@ module Make (P : Romulus.Ptm_intf.S) = struct
             let nk = nkeys t n in
             let acc = ref acc in
             for i = 0 to nk - 1 do
-              acc := f !acc (lkey t n i) (lval t n i)
+              acc := f !acc (K.load t.p (lk n i)) (V.load t.p (lv n i))
             done;
             leaves (lnext t n) !acc
           end
         in
         leaves (leftmost_leaf t) init)
+
+  let iter t f = fold t (fun () k v -> f k v) ()
 
   let to_list t = List.rev (fold t (fun acc k v -> (k, v) :: acc) [])
 
@@ -300,9 +326,10 @@ module Make (P : Romulus.Ptm_intf.S) = struct
             let acc = ref acc in
             let beyond = ref false in
             for i = 0 to nk - 1 do
-              let k = lkey t n i in
-              if k > hi then beyond := true
-              else if k >= lo then acc := f !acc k (lval t n i)
+              let k = K.load t.p (lk n i) in
+              if K.compare k hi > 0 then beyond := true
+              else if K.compare k lo >= 0 then
+                acc := f !acc k (V.load t.p (lv n i))
             done;
             if !beyond then !acc else leaves (lnext t n) !acc
           end
@@ -317,7 +344,11 @@ module Make (P : Romulus.Ptm_intf.S) = struct
         let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
         let leaves_seen = ref [] in
         let count = ref 0 in
-        (* returns the (min, max) key range of the subtree *)
+        (* [lo, hi) bounds the subtree's keys; None is unbounded *)
+        let in_range k lo hi =
+          (match lo with None -> true | Some l -> K.compare k l >= 0)
+          && match hi with None -> true | Some h -> K.compare k h < 0
+        in
         let rec walk n level lo hi =
           if level = 0 then begin
             leaves_seen := n :: !leaves_seen;
@@ -325,32 +356,35 @@ module Make (P : Romulus.Ptm_intf.S) = struct
             if nk < 0 || nk > fanout then err "leaf %d bad nkeys %d" n nk;
             count := !count + nk;
             for i = 0 to nk - 1 do
-              let k = lkey t n i in
-              if k < lo || k >= hi then
-                err "leaf key %d outside separator range [%d,%d)" k lo hi;
-              if i > 0 && lkey t n (i - 1) >= k then
+              let k = K.load t.p (lk n i) in
+              if not (in_range k lo hi) then
+                err "leaf key %s outside separator range" (K.pp k);
+              if i > 0 && K.compare (K.load t.p (lk n (i - 1))) k >= 0 then
                 err "leaf %d keys not ascending" n
             done
           end
           else begin
             let nk = nkeys t n in
+            (* separators are never removed: an internal node always
+               keeps at least the key it was created with *)
             if nk < 1 || nk > fanout - 1 then
               err "internal %d bad nkeys %d" n nk;
+            let sep i = K.load t.p (ik n i) in
             for i = 0 to nk - 1 do
-              let k = ikey t n i in
-              if k < lo || k >= hi then
-                err "separator %d outside range [%d,%d)" k lo hi;
-              if i > 0 && ikey t n (i - 1) >= k then
+              let k = sep i in
+              if not (in_range k lo hi) then
+                err "separator %s outside range" (K.pp k);
+              if i > 0 && K.compare (sep (i - 1)) k >= 0 then
                 err "internal %d separators not ascending" n
             done;
             for i = 0 to nk do
-              let clo = if i = 0 then lo else ikey t n (i - 1) in
-              let chi = if i = nk then hi else ikey t n i in
+              let clo = if i = 0 then lo else Some (sep (i - 1)) in
+              let chi = if i = nk then hi else Some (sep i) in
               walk (child t n i) (level - 1) clo chi
             done
           end
         in
-        walk (root t) (height t) min_int max_int;
+        walk (root t) (height t) None None;
         (* leaf chain must visit exactly the tree's leaves, in order *)
         let chain = ref [] in
         let rec follow n guard =
@@ -366,9 +400,11 @@ module Make (P : Romulus.Ptm_intf.S) = struct
           err "leaf chain does not match tree leaves";
         if !count <> P.load t.p (t.obj + o_count) then
           err "count %d but %d keys" (P.load t.p (t.obj + o_count)) !count;
-        let sorted = to_list t in
-        if List.sort compare sorted <> sorted then err "scan not sorted";
+        let keys = List.map fst (to_list t) in
+        if List.sort K.compare keys <> keys then err "scan not sorted";
         match !errors with
         | [] -> Ok ()
         | es -> Error (String.concat "; " es))
 end
+
+module Make (P : Romulus.Ptm_intf.S) = Of_codec (Codec.Word) (Codec.Word) (P)

@@ -1,30 +1,38 @@
-(** Persistent B+tree map: integer keys to word values, values in chained
-    leaves (ordered scans and range queries), proactive splits on insert,
-    lazy deletion (only an empty root collapses). *)
+(** Persistent B+tree map over a key codec and a value codec (see
+    {!Codec}): values in chained leaves (ordered scans and range
+    queries), proactive splits on insert, lazy deletion.  Deletion only
+    removes leaf entries: separators are never removed and stay owned by
+    their internal node. *)
 
-module Make (P : Romulus.Ptm_intf.S) : sig
+module Of_codec (K : Codec.S) (V : Codec.S) (P : Romulus.Ptm_intf.S) : sig
   type t
 
   val create : P.t -> root:int -> t
   val attach : P.t -> root:int -> t
+  val open_or_create : P.t -> root:int -> t
 
   (** Insert or overwrite; true when the key was new. *)
-  val put : t -> int -> int -> bool
+  val put : t -> K.t -> V.t -> bool
 
-  val get : t -> int -> int option
-  val mem : t -> int -> bool
-  val remove : t -> int -> bool
+  val get : t -> K.t -> V.t option
+  val mem : t -> K.t -> bool
+  val remove : t -> K.t -> bool
   val length : t -> int
 
-  (** Ascending fold over all bindings (leaf chain). *)
-  val fold : t -> ('a -> int -> int -> 'a) -> 'a -> 'a
+  (** Ascending fold / iteration over all bindings (leaf chain). *)
+  val fold : t -> ('a -> K.t -> V.t -> 'a) -> 'a -> 'a
 
-  val to_list : t -> (int * int) list
+  val iter : t -> (K.t -> V.t -> unit) -> unit
+  val to_list : t -> (K.t * V.t) list
 
   (** Ascending fold over bindings with [lo <= key <= hi]. *)
-  val fold_range : t -> lo:int -> hi:int -> ('a -> int -> int -> 'a) -> 'a -> 'a
+  val fold_range : t -> lo:K.t -> hi:K.t -> ('a -> K.t -> V.t -> 'a) -> 'a -> 'a
 
-  (** Structural check: key ordering, separator ranges, leaf chain
-      consistency, count. *)
+  (** Structural check: key and separator ordering, separator ranges,
+      no internal node without keys, leaf chain consistency, count. *)
   val check : t -> (unit, string) result
 end
+
+(** Integer keys and word values. *)
+module Make (P : Romulus.Ptm_intf.S) :
+  module type of Of_codec (Codec.Word) (Codec.Word) (P)

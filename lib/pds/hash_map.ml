@@ -1,19 +1,25 @@
-(* Persistent hash map with chaining: integer keys and word values.
+(* Persistent hash map with chaining, over a key codec and a value codec
+   (see codec.mli).  The word instance ([Make]) is the map of the
+   paper's §6.2 evaluation; the blob instance is RomulusDB's (§6.4).
 
    Two flavours behind one implementation, as in the paper's evaluation:
    - resizable (§6.2): a shared element counter drives resizing — the
      counter is exactly the contention point that makes fine-grained STMs
      abort (Figure 5's discussion);
-   - fixed-size (2,048 buckets, no counter updates on the hot path),
-     the statically-dimensioned variant built to reproduce Mnemosyne's
+   - fixed-size (no counter updates on the hot path), the
+     statically-dimensioned variant built to reproduce Mnemosyne's
      original scalability results (Figure 5).
 
    Layout:
 
      map object:  [0] buckets (ptr to array)  [8] nbuckets  [16] count
-     node:        [0] key  [8] value  [16] next *)
+     node:        [0] next  [8] key slot  [16] value slot *)
 
-module Make (P : Romulus.Ptm_intf.S) = struct
+module Of_codec (Kc : Codec.S) (Vc : Codec.S) (P : Romulus.Ptm_intf.S) =
+struct
+  module K = Kc.Make (P)
+  module V = Vc.Make (P)
+
   type t = {
     p : P.t;
     map : int;
@@ -25,19 +31,16 @@ module Make (P : Romulus.Ptm_intf.S) = struct
   let o_count = 16
   let map_bytes = 24
 
-  let n_key = 0
-  let n_value = 8
-  let n_next = 16
+  let n_next = 0
+  let n_key = 8
+  let n_value = 16
   let node_bytes = 24
-
-  let hash_key k = (k * 0x2545F4914F6CDD1D) land max_int
 
   let buckets t = P.load t.p (t.map + o_buckets)
   let nbuckets t = P.load t.p (t.map + o_nbuckets)
   let count t = P.load t.p (t.map + o_count)
 
-  let bucket_addr _t ~buckets ~nbuckets k =
-    buckets + (8 * (hash_key k mod nbuckets))
+  let bucket_addr ~buckets ~nbuckets k = buckets + (8 * (K.hash k mod nbuckets))
 
   let create ?(resizable = true) ?(initial_buckets = 16) p ~root =
     P.update_tx p (fun () ->
@@ -57,21 +60,26 @@ module Make (P : Romulus.Ptm_intf.S) = struct
     | 0 -> invalid_arg "Hash_map.attach: empty root"
     | map -> { p; map; resizable }
 
+  let open_or_create ?resizable ?initial_buckets p ~root =
+    match P.read_tx p (fun () -> P.get_root p root) with
+    | 0 -> create ?resizable ?initial_buckets p ~root
+    | _ -> attach ?resizable p ~root
+
   (* find the node with [k] in its bucket; returns (pred, node) where node
      is 0 when absent and pred is the address of the pointer to update *)
   let find_in_bucket t slot_addr k =
     let rec walk pred node =
       if node = 0 then (pred, 0)
-      else if P.load t.p (node + n_key) = k then (pred, node)
+      else if K.equal_at t.p (node + n_key) k then (pred, node)
       else walk (node + n_next) (P.load t.p (node + n_next))
     in
     walk slot_addr (P.load t.p slot_addr)
 
   let get t k =
     P.read_tx t.p (fun () ->
-        let slot = bucket_addr t ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
+        let slot = bucket_addr ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
         let _, node = find_in_bucket t slot k in
-        if node = 0 then None else Some (P.load t.p (node + n_value)))
+        if node = 0 then None else Some (V.load t.p (node + n_value)))
 
   let mem t k = get t k <> None
 
@@ -88,10 +96,8 @@ module Make (P : Romulus.Ptm_intf.S) = struct
       let rec move node =
         if node <> 0 then begin
           let succ = P.load t.p (node + n_next) in
-          let k = P.load t.p (node + n_key) in
-          let slot =
-            bucket_addr t ~buckets:new_buckets ~nbuckets:new_n k
-          in
+          let k = K.load t.p (node + n_key) in
+          let slot = bucket_addr ~buckets:new_buckets ~nbuckets:new_n k in
           P.store t.p (node + n_next) (P.load t.p slot);
           P.store t.p slot node;
           move succ
@@ -106,16 +112,16 @@ module Make (P : Romulus.Ptm_intf.S) = struct
   (* insert or overwrite; returns true when the key was new *)
   let put t k v =
     P.update_tx t.p (fun () ->
-        let slot = bucket_addr t ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
+        let slot = bucket_addr ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
         let _, node = find_in_bucket t slot k in
         if node <> 0 then begin
-          P.store t.p (node + n_value) v;
+          V.overwrite t.p (node + n_value) v;
           false
         end
         else begin
           let n = P.alloc t.p node_bytes in
-          P.store t.p (n + n_key) k;
-          P.store t.p (n + n_value) v;
+          K.store t.p (n + n_key) k;
+          V.store t.p (n + n_value) v;
           P.store t.p (n + n_next) (P.load t.p slot);
           P.store t.p slot n;
           if t.resizable then begin
@@ -128,33 +134,43 @@ module Make (P : Romulus.Ptm_intf.S) = struct
 
   let remove t k =
     P.update_tx t.p (fun () ->
-        let slot = bucket_addr t ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
+        let slot = bucket_addr ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
         let pred, node = find_in_bucket t slot k in
         if node = 0 then false
         else begin
           P.store t.p pred (P.load t.p (node + n_next));
+          K.free t.p (node + n_key);
+          V.free t.p (node + n_value);
           P.free t.p node;
           if t.resizable then
             P.store t.p (t.map + o_count) (count t - 1);
           true
         end)
 
-  (* fold over all (key, value) bindings, bucket by bucket *)
-  let fold t f init =
+  (* fold in bucket order; [reverse] walks the buckets backwards (the
+     traversal order is irrelevant for a hash map, which is the point the
+     paper makes about readseq vs readreverse on RomulusDB) *)
+  let fold ?(reverse = false) t f init =
     P.read_tx t.p (fun () ->
         let buckets = buckets t and n = nbuckets t in
         let acc = ref init in
-        for i = 0 to n - 1 do
+        let visit i =
           let rec walk node =
             if node <> 0 then begin
               acc :=
-                f !acc (P.load t.p (node + n_key)) (P.load t.p (node + n_value));
+                f !acc (K.load t.p (node + n_key)) (V.load t.p (node + n_value));
               walk (P.load t.p (node + n_next))
             end
           in
           walk (P.load t.p (buckets + (8 * i)))
-        done;
+        in
+        if reverse then
+          for i = n - 1 downto 0 do visit i done
+        else
+          for i = 0 to n - 1 do visit i done;
         !acc)
+
+  let iter ?reverse t f = fold ?reverse t (fun () k v -> f k v) ()
 
   let length t =
     if t.resizable then P.read_tx t.p (fun () -> count t)
@@ -170,12 +186,13 @@ module Make (P : Romulus.Ptm_intf.S) = struct
         for i = 0 to n - 1 do
           let rec walk node =
             if node <> 0 then begin
-              let k = P.load t.p (node + n_key) in
-              if hash_key k mod n <> i then
+              let k = K.load t.p (node + n_key) in
+              if K.hash k mod n <> i then
                 errors :=
-                  Printf.sprintf "key %d in wrong bucket %d" k i :: !errors;
+                  Printf.sprintf "key %s in wrong bucket %d" (K.pp k) i
+                  :: !errors;
               if Hashtbl.mem seen k then
-                errors := Printf.sprintf "duplicate key %d" k :: !errors;
+                errors := Printf.sprintf "duplicate key %s" (K.pp k) :: !errors;
               Hashtbl.replace seen k ();
               walk (P.load t.p (node + n_next))
             end
@@ -191,3 +208,5 @@ module Make (P : Romulus.Ptm_intf.S) = struct
         | [] -> Ok ()
         | es -> Error (String.concat "; " es))
 end
+
+module Make (P : Romulus.Ptm_intf.S) = Of_codec (Codec.Word) (Codec.Word) (P)

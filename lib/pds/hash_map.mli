@@ -1,9 +1,10 @@
-(** Persistent hash map with chaining, integer keys and word values.
-    The resizable flavour maintains a shared element counter that drives
-    bucket doubling (the contention point of §6.2); the fixed flavour is
-    the statically-dimensioned variant of Figure 5. *)
+(** Persistent hash map with chaining over a key codec and a value codec
+    (see {!Codec}).  The resizable flavour maintains a shared element
+    counter that drives bucket doubling (the contention point of §6.2);
+    the fixed flavour is the statically-dimensioned variant of Figure 5.
+    Node layout: [[0] next [8] key slot [16] value slot]. *)
 
-module Make (P : Romulus.Ptm_intf.S) : sig
+module Of_codec (K : Codec.S) (V : Codec.S) (P : Romulus.Ptm_intf.S) : sig
   type t
 
   val create :
@@ -11,13 +12,20 @@ module Make (P : Romulus.Ptm_intf.S) : sig
 
   val attach : ?resizable:bool -> P.t -> root:int -> t
 
-  (** Insert or overwrite; true when the key was new. *)
-  val put : t -> int -> int -> bool
+  val open_or_create :
+    ?resizable:bool -> ?initial_buckets:int -> P.t -> root:int -> t
 
-  val get : t -> int -> int option
-  val mem : t -> int -> bool
-  val remove : t -> int -> bool
-  val fold : t -> ('a -> int -> int -> 'a) -> 'a -> 'a
+  (** Insert or overwrite; true when the key was new. *)
+  val put : t -> K.t -> V.t -> bool
+
+  val get : t -> K.t -> V.t option
+  val mem : t -> K.t -> bool
+  val remove : t -> K.t -> bool
+
+  (** Fold in bucket order; [reverse] walks the buckets backwards. *)
+  val fold : ?reverse:bool -> t -> ('a -> K.t -> V.t -> 'a) -> 'a -> 'a
+
+  val iter : ?reverse:bool -> t -> (K.t -> V.t -> unit) -> unit
   val length : t -> int
 
   (** Current bucket count (tests). *)
@@ -26,3 +34,7 @@ module Make (P : Romulus.Ptm_intf.S) : sig
   (** Structural invariant check. *)
   val check : t -> (unit, string) result
 end
+
+(** Integer keys and word values: the map of the paper's §6.2. *)
+module Make (P : Romulus.Ptm_intf.S) :
+  module type of Of_codec (Codec.Word) (Codec.Word) (P)

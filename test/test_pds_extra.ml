@@ -421,13 +421,13 @@ let golden =
   let tc = Alcotest.test_case in
   [ tc "hash map (resizable) golden image" `Quick (fun () ->
         check_golden "resizable map"
-          ("91d541442ef42eb7642c3fd003d64dbd",
-           "loads=4508 stores=1232 pwbs=1081 pfences=200") (fun p ->
+          ("3bd6f3ea0ea6b77f8e1b1bd5d8249e03",
+           "loads=4508 stores=1235 pwbs=1083 pfences=200") (fun p ->
             let m = GH.create ~initial_buckets:4 p ~root:0 in
             golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
     tc "hash map (fixed) golden image" `Quick (fun () ->
         check_golden "fixed map"
-          ("e9d06f0a9673897f8c608d526982641a",
+          ("a9351d401f120822b123a5521a02e5b2",
            "loads=4622 stores=850 pwbs=890 pfences=200") (fun p ->
             let m = GH.create ~resizable:false ~initial_buckets:8 p ~root:0 in
             golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
