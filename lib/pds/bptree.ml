@@ -253,7 +253,7 @@ struct
         in
         walk (root t) (height t))
 
-  (* ---- deletion (lazy: no rebalancing below the root) ---- *)
+  (* ---- deletion (lazy: leaf entries only, no rebalancing) ---- *)
 
   let remove t k =
     P.update_tx t.p (fun () ->
@@ -276,19 +276,7 @@ struct
           end
           else walk (child t n (child_index t n k)) (level - 1)
         in
-        let removed = walk (root t) (height t) in
-        (* collapse an empty internal root *)
-        let rec shrink () =
-          if height t > 0 && nkeys t (root t) = 0 then begin
-            let old = root t in
-            P.store t.p (t.obj + o_root) (child t old 0);
-            P.store t.p (t.obj + o_height) (height t - 1);
-            P.free t.p old;
-            shrink ()
-          end
-        in
-        shrink ();
-        removed)
+        walk (root t) (height t))
 
   (* ---- scans ---- *)
 

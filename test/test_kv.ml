@@ -405,7 +405,7 @@ let test_db_golden () =
 let test_sorted_db_golden () =
   check_golden "sorted db"
     ("6477b9753b2f3a5cfece298701aa833a",
-     "loads=11074 stores=1820 pwbs=1430 pfences=215") (fun r ->
+     "loads=11044 stores=1820 pwbs=1430 pfences=215") (fun r ->
       let db = Sdb.open_db r in
       golden_ops ~put:(Sdb.put db) ~delete:(Sdb.delete db))
 

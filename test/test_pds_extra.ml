@@ -434,7 +434,7 @@ let golden =
     tc "b+tree golden image" `Quick (fun () ->
         check_golden "b+tree"
           ("0e87abc83b987bea01f7edaedf71206e",
-           "loads=3300 stores=968 pwbs=964 pfences=200") (fun p ->
+           "loads=3270 stores=968 pwbs=964 pfences=200") (fun p ->
             let b = GB.create p ~root:0 in
             golden_ops ~put:(GB.put b) ~remove:(GB.remove b))) ]
 
