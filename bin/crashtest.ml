@@ -724,7 +724,7 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
   in
   (* sanity once per campaign: the batch really is cross-shard, and a
      clean run ticks the protocol counters *)
-  let coordinator =
+  let coordinator, nparts =
     let _, db = fresh () in
     let groups =
       List.sort_uniq compare
@@ -739,7 +739,7 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       fail "clean batch ticked no intent PREPAREs";
     if st.Pmem.Stats.coordinator_flips = 0 then
       fail "clean batch ticked no COMMIT flips";
-    List.hd groups
+    (List.hd groups, List.length groups)
   in
   for round = 1 to rounds do
     let salt = round * 31 in
@@ -835,23 +835,28 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
        SD.recover ~parallel:true db);
     oracle (Printf.sprintf "round %d parallel recovery" round) db
       ~expect:None;
-    (* (d) crash inside the reconciliation pass itself: wreck a batch,
-       then kill a shard right as recovery resolves a mirror; the next
-       recovery must converge *)
+    (* (d) crash inside the reconciliation pass itself: kill the batch
+       once every participant's mirror is hooked (before the flip, so
+       recovery has every mirror to roll back), then kill a shard right
+       as recovery resolves one; the next recovery must converge *)
     let rs, db = fresh () in
-    Pmem.Region.set_trap rs.(coordinator) (1 + Workload.Keygen.int rng 300);
-    let p = pick_policy (salt + 17) in
+    let killed site =
+      fail "round %d reconciliation crash: %s did not fire" round site
+    in
+    Fault.arm ~skip:(nparts - 1) "sharded.d.mirror_applied" (fun () ->
+        Pmem.Region.kill rs.(coordinator));
     (match run_batch db with
-     | () -> Pmem.Region.clear_trap rs.(coordinator)
-     | exception Pmem.Region.Crash_point ->
-       incr crashes;
-       note_fired "trap" p);
-    crash_all rs p;
+     | () -> killed "sharded.d.mirror_applied"
+     | exception Pmem.Region.Crash_point -> incr crashes);
+    Fault.disarm ();
+    crash_all rs (pick_policy (salt + 17));
     let t = Workload.Keygen.int rng nshards in
     Fault.arm "sharded.recover.mirror_resolved" (fun () ->
         Pmem.Region.kill rs.(t));
     (match SD.recover ~parallel:false db with
-     | () -> Fault.disarm ()
+     | () ->
+       Fault.disarm ();
+       killed "sharded.recover.mirror_resolved"
      | exception Pmem.Region.Crash_point ->
        incr rec_crashes;
        Fault.disarm ();
@@ -860,7 +865,7 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
        crash_all rs p;
        SD.recover ~parallel:false db);
     oracle (Printf.sprintf "round %d reconciliation crash" round) db
-      ~expect:None;
+      ~expect:(Some false);
     if SD.pending_intents db <> 0 then
       fail "round %d: reconciliation crash left records hooked" round;
     if verbose then

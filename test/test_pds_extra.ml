@@ -1,5 +1,5 @@
 (* Tests for the extension containers (cell/array/string box, stack,
-   queue, skiplist): model-based behaviour, structural invariants, and
+   queue, B+tree): model-based behaviour, structural invariants, and
    crash atomicity.  Run over RomulusLog, RomulusLR and the aborting STM
    baseline (which additionally exercises closure re-execution). *)
 
@@ -17,7 +17,6 @@ module Make (P : PTM) = struct
   module B = Pds.Pbox.Make (P)
   module S = Pds.Pstack.Make (P)
   module Q = Pds.Pqueue.Make (P)
-  module Sk = Pds.Skiplist.Make (P)
   module Bt = Pds.Bptree.Make (P)
 
   (* ---- Pbox ---- *)
@@ -153,104 +152,6 @@ module Make (P : PTM) = struct
          | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
         Q.to_list q = List.of_seq (Queue.to_seq model))
 
-  (* ---- skiplist ---- *)
-
-  let test_skiplist_basics () =
-    let r = region () in
-    let p = P.open_region r in
-    let s = Sk.create p ~root:0 in
-    Alcotest.(check bool) "add 5" true (Sk.add s 5);
-    Alcotest.(check bool) "add 1" true (Sk.add s 1);
-    Alcotest.(check bool) "add 9" true (Sk.add s 9);
-    Alcotest.(check bool) "re-add 5" false (Sk.add s 5);
-    Alcotest.(check bool) "contains 5" true (Sk.contains s 5);
-    Alcotest.(check bool) "not contains 4" false (Sk.contains s 4);
-    Alcotest.(check (list int)) "sorted" [ 1; 5; 9 ] (Sk.to_list s);
-    Alcotest.(check bool) "remove 5" true (Sk.remove s 5);
-    Alcotest.(check bool) "re-remove 5" false (Sk.remove s 5);
-    Alcotest.(check int) "length" 2 (Sk.length s);
-    match Sk.check s with Ok () -> () | Error e -> Alcotest.fail e
-
-  let test_skiplist_towers_used () =
-    (* with enough keys, some nodes must rise above level 0; the check
-       validates the sublist property for every level *)
-    let r = region ~size:(1 lsl 20) () in
-    let p = P.open_region r in
-    let s = Sk.create p ~root:0 in
-    for k = 1 to 500 do
-      ignore (Sk.add s k)
-    done;
-    (match Sk.check s with Ok () -> () | Error e -> Alcotest.fail e);
-    Alcotest.(check int) "all present" 500 (Sk.length s);
-    for k = 1 to 500 do
-      if not (Sk.contains s k) then Alcotest.failf "lost %d" k
-    done
-
-  let prop_skiplist_model =
-    let open QCheck in
-    Test.make ~count:30 ~name:(P.name ^ ": skiplist vs model")
-      (list (pair bool (int_bound 80)))
-      (fun ops ->
-        let r = region () in
-        let p = P.open_region r in
-        let s = Sk.create p ~root:0 in
-        let model = Hashtbl.create 64 in
-        List.iter
-          (fun (is_add, k) ->
-            if is_add then begin
-              let fresh = not (Hashtbl.mem model k) in
-              if Sk.add s k <> fresh then
-                QCheck.Test.fail_reportf "add %d disagreed" k;
-              Hashtbl.replace model k ()
-            end
-            else begin
-              let present = Hashtbl.mem model k in
-              if Sk.remove s k <> present then
-                QCheck.Test.fail_reportf "remove %d disagreed" k;
-              Hashtbl.remove model k
-            end)
-          ops;
-        (match Sk.check s with
-         | Ok () -> ()
-         | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
-        Sk.to_list s
-        = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) model []))
-
-  let prop_skiplist_crash =
-    let open QCheck in
-    Test.make ~count:25 ~name:(P.name ^ ": skiplist crash recovery")
-      (pair small_nat (int_bound 2))
-      (fun (trap, pol) ->
-        let r = region () in
-        let p = P.open_region r in
-        let s = Sk.create p ~root:0 in
-        for k = 1 to 30 do
-          ignore (Sk.add s k)
-        done;
-        R.set_trap r (10 + trap);
-        (try
-           for k = 31 to 60 do
-             ignore (Sk.add s k)
-           done;
-           R.clear_trap r
-         with R.Crash_point -> ());
-        let policy =
-          match pol with
-          | 0 -> R.Drop_all
-          | 1 -> R.Keep_all
-          | n -> R.Random_subset (n + trap)
-        in
-        R.crash r policy;
-        P.recover p;
-        let s = Sk.attach p ~root:0 in
-        (match Sk.check s with
-         | Ok () -> ()
-         | Error e -> QCheck.Test.fail_reportf "invariant after crash: %s" e);
-        (* adds are atomic and sequential: the survivors are a prefix *)
-        let keys = Sk.to_list s in
-        keys = List.init (List.length keys) (fun i -> i + 1)
-        && List.length keys >= 30)
-
   (* ---- B+tree ---- *)
 
   let test_bptree_basics () =
@@ -311,68 +212,108 @@ module Make (P : PTM) = struct
     ignore (Bt.put b 42 42);
     Alcotest.(check (option int)) "reusable" (Some 42) (Bt.get b 42)
 
-  let prop_bptree_model =
-    let open QCheck in
-    Test.make ~count:30 ~name:(P.name ^ ": b+tree vs model")
-      (list (pair (int_bound 2) (int_bound 120)))
-      (fun ops ->
-        let r = region ~size:(1 lsl 20) () in
-        let p = P.open_region r in
-        let b = Bt.create p ~root:0 in
-        let model = Hashtbl.create 64 in
-        List.iter
-          (fun (op, k) ->
-            match op with
-            | 0 ->
-              ignore (Bt.put b k (k * 3));
-              Hashtbl.replace model k (k * 3)
-            | 1 ->
-              ignore (Bt.remove b k);
-              Hashtbl.remove model k
-            | _ ->
-              if Bt.get b k <> Hashtbl.find_opt model k then
-                QCheck.Test.fail_reportf "get %d disagreed" k)
-          ops;
-        (match Bt.check b with
-         | Ok () -> ()
-         | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
-        Bt.to_list b
-        = List.sort compare
-            (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model []))
+  (* The model and crash properties run on both codec instances: the
+     word tree and the blob tree behind Kv.Sorted_db.  [key] must be
+     order-preserving so both trees scan in the model's order. *)
+  module Bptree_props (C : sig
+    module K : Pds.Codec.S
+    module V : Pds.Codec.S
 
-  let prop_bptree_crash =
-    let open QCheck in
-    Test.make ~count:25 ~name:(P.name ^ ": b+tree crash recovery")
-      (pair small_nat (int_bound 2))
-      (fun (trap, pol) ->
-        let r = region ~size:(1 lsl 20) () in
-        let p = P.open_region r in
-        let b = Bt.create p ~root:0 in
-        for k = 1 to 40 do
-          ignore (Bt.put b k k)
-        done;
-        R.set_trap r (15 + trap);
-        (try
-           for k = 41 to 90 do
-             ignore (Bt.put b k k)
-           done;
-           R.clear_trap r
-         with R.Crash_point -> ());
-        let policy =
-          match pol with
-          | 0 -> R.Drop_all
-          | 1 -> R.Keep_all
-          | n -> R.Random_subset (n + trap)
-        in
-        R.crash r policy;
-        P.recover p;
-        let b = Bt.attach p ~root:0 in
-        (match Bt.check b with
-         | Ok () -> ()
-         | Error e -> QCheck.Test.fail_reportf "invariant after crash: %s" e);
-        let keys = List.map fst (Bt.to_list b) in
-        keys = List.init (List.length keys) (fun i -> i + 1)
-        && List.length keys >= 40)
+    val name : string
+    val key : int -> K.t
+    val value : int -> V.t
+  end) =
+  struct
+    module T = Pds.Bptree.Of_codec (C.K) (C.V) (P)
+
+    let binding k v = (C.key k, C.value v)
+
+    let model =
+      let open QCheck in
+      Test.make ~count:30 ~name:(P.name ^ ": " ^ C.name ^ " vs model")
+        (list (pair (int_bound 2) (int_bound 120)))
+        (fun ops ->
+          let r = region ~size:(1 lsl 20) () in
+          let p = P.open_region r in
+          let b = T.create p ~root:0 in
+          let model = Hashtbl.create 64 in
+          List.iter
+            (fun (op, k) ->
+              match op with
+              | 0 ->
+                ignore (T.put b (C.key k) (C.value (k * 3)));
+                Hashtbl.replace model k (k * 3)
+              | 1 ->
+                ignore (T.remove b (C.key k));
+                Hashtbl.remove model k
+              | _ ->
+                if
+                  T.get b (C.key k)
+                  <> Option.map C.value (Hashtbl.find_opt model k)
+                then QCheck.Test.fail_reportf "get %d disagreed" k)
+            ops;
+          (match T.check b with
+           | Ok () -> ()
+           | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
+          T.to_list b
+          = List.map
+              (fun (k, v) -> binding k v)
+              (List.sort compare
+                 (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])))
+
+    let crash =
+      let open QCheck in
+      Test.make ~count:25 ~name:(P.name ^ ": " ^ C.name ^ " crash recovery")
+        (pair small_nat (int_bound 2))
+        (fun (trap, pol) ->
+          let r = region ~size:(1 lsl 20) () in
+          let p = P.open_region r in
+          let b = T.create p ~root:0 in
+          for k = 1 to 40 do
+            ignore (T.put b (C.key k) (C.value k))
+          done;
+          R.set_trap r (15 + trap);
+          (try
+             for k = 41 to 90 do
+               ignore (T.put b (C.key k) (C.value k))
+             done;
+             R.clear_trap r
+           with R.Crash_point -> ());
+          let policy =
+            match pol with
+            | 0 -> R.Drop_all
+            | 1 -> R.Keep_all
+            | n -> R.Random_subset (n + trap)
+          in
+          R.crash r policy;
+          P.recover p;
+          let b = T.attach p ~root:0 in
+          (match T.check b with
+           | Ok () -> ()
+           | Error e -> QCheck.Test.fail_reportf "invariant after crash: %s" e);
+          (* puts are atomic and sequential: the survivors are a prefix *)
+          let n = List.length (T.to_list b) in
+          T.to_list b = List.init n (fun i -> binding (i + 1) (i + 1))
+          && n >= 40)
+  end
+
+  module Word_tree = Bptree_props (struct
+    module K = Pds.Codec.Word
+    module V = Pds.Codec.Word
+
+    let name = "b+tree"
+    let key = Fun.id
+    let value = Fun.id
+  end)
+
+  module Blob_tree = Bptree_props (struct
+    module K = Pds.Codec.Blob
+    module V = Pds.Codec.Blob
+
+    let name = "string b+tree"
+    let key = Printf.sprintf "key%04d"
+    let value = string_of_int
+  end)
 
   let suite =
     let tc = Alcotest.test_case in
@@ -383,12 +324,10 @@ module Make (P : PTM) = struct
       tc "array" `Quick test_array;
       tc "string box" `Quick test_str_box;
       tc "stack" `Quick test_stack;
-      tc "queue" `Quick test_queue;
-      tc "skiplist basics" `Quick test_skiplist_basics;
-      tc "skiplist towers" `Quick test_skiplist_towers_used ]
+      tc "queue" `Quick test_queue ]
     @ List.map QCheck_alcotest.to_alcotest
-        [ prop_queue_model; prop_skiplist_model; prop_skiplist_crash;
-          prop_bptree_model; prop_bptree_crash ]
+        [ prop_queue_model; Word_tree.model; Word_tree.crash; Blob_tree.model;
+          Blob_tree.crash ]
 end
 
 (* ---- golden images ---- *)
