@@ -6,8 +6,8 @@
    - resizable (§6.2): a shared element counter drives resizing — the
      counter is exactly the contention point that makes fine-grained STMs
      abort (Figure 5's discussion);
-   - fixed-size (no counter updates on the hot path), the
-     statically-dimensioned variant built to reproduce Mnemosyne's
+   - fixed-size (2,048 buckets, no counter updates on the hot path),
+     the statically-dimensioned variant built to reproduce Mnemosyne's
      original scalability results (Figure 5).
 
    Layout:
@@ -60,10 +60,10 @@ struct
     | 0 -> invalid_arg "Hash_map.attach: empty root"
     | map -> { p; map; resizable }
 
-  let open_or_create ?resizable ?initial_buckets p ~root =
+  let open_or_create ?initial_buckets p ~root =
     match P.read_tx p (fun () -> P.get_root p root) with
-    | 0 -> create ?resizable ?initial_buckets p ~root
-    | _ -> attach ?resizable p ~root
+    | 0 -> create ?initial_buckets p ~root
+    | _ -> attach p ~root
 
   (* find the node with [k] in its bucket; returns (pred, node) where node
      is 0 when absent and pred is the address of the pointer to update *)

@@ -12,8 +12,8 @@ module Of_codec (K : Codec.S) (V : Codec.S) (P : Romulus.Ptm_intf.S) : sig
 
   val attach : ?resizable:bool -> P.t -> root:int -> t
 
-  val open_or_create :
-    ?resizable:bool -> ?initial_buckets:int -> P.t -> root:int -> t
+  (** Attach to the resizable map at [root], creating it when absent. *)
+  val open_or_create : ?initial_buckets:int -> P.t -> root:int -> t
 
   (** Insert or overwrite; true when the key was new. *)
   val put : t -> K.t -> V.t -> bool
