@@ -840,23 +840,26 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
        recovery has every mirror to roll back), then kill a shard right
        as recovery resolves one; the next recovery must converge *)
     let rs, db = fresh () in
-    let killed site =
+    let not_fired site =
       fail "round %d reconciliation crash: %s did not fire" round site
     in
     Fault.arm ~skip:(nparts - 1) "sharded.d.mirror_applied" (fun () ->
         Pmem.Region.kill rs.(coordinator));
+    let p_d = pick_policy (salt + 17) in
     (match run_batch db with
-     | () -> killed "sharded.d.mirror_applied"
-     | exception Pmem.Region.Crash_point -> incr crashes);
+     | () -> not_fired "sharded.d.mirror_applied"
+     | exception Pmem.Region.Crash_point ->
+       incr crashes;
+       note_fired "sharded.d.mirror_applied" p_d);
     Fault.disarm ();
-    crash_all rs (pick_policy (salt + 17));
+    crash_all rs p_d;
     let t = Workload.Keygen.int rng nshards in
     Fault.arm "sharded.recover.mirror_resolved" (fun () ->
         Pmem.Region.kill rs.(t));
     (match SD.recover ~parallel:false db with
      | () ->
        Fault.disarm ();
-       killed "sharded.recover.mirror_resolved"
+       not_fired "sharded.recover.mirror_resolved"
      | exception Pmem.Region.Crash_point ->
        incr rec_crashes;
        Fault.disarm ();
