@@ -14,7 +14,7 @@
 exception Invalid_buckets of int
 
 module Make (P : Romulus.Ptm_intf.S) = struct
-  module Map_ = Pds.Hash_map.Of_codec (Pds.Codec.Blob) (Pds.Codec.Blob) (P)
+  module Map_ = Pds.Hash_map.Of_codec (Pds.Codec.Blob) (P)
 
   type t = { p : P.t; map : Map_.t }
 

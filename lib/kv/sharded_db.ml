@@ -516,7 +516,7 @@ module Chunk = struct
 end
 
 module Make (P : SHARD_PTM) = struct
-  module Map_ = Pds.Hash_map.Of_codec (Pds.Codec.Blob) (Pds.Codec.Blob) (P)
+  module Map_ = Pds.Hash_map.Of_codec (Pds.Codec.Blob) (P)
 
   type shard = { p : P.t; map : Map_.t; region : Pmem.Region.t }
 

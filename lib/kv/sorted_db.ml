@@ -5,7 +5,7 @@
    hash-ordered RomulusDB of §6.4 deliberately traded away. *)
 
 module Make (P : Romulus.Ptm_intf.S) = struct
-  module T = Pds.Bptree.Of_codec (Pds.Codec.Blob) (Pds.Codec.Blob) (P)
+  module T = Pds.Bptree.Of_codec (Pds.Codec.Blob) (P)
 
   type t = { p : P.t; tree : T.t }
 

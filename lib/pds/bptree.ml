@@ -1,4 +1,4 @@
-(* Persistent B+tree map over a key codec and a value codec (see
+(* Persistent B+tree map over one codec for its keys and values (see
    codec.mli): fixed fanout, values only in leaves, leaves chained for
    range scans.  The word instance ([Make]) maps integers to words; the
    blob instance is the ordered index behind Kv.Sorted_db.
@@ -25,10 +25,8 @@
    check therefore validates ordering, height uniformity, separator
    correctness and the leaf chain, but not minimum occupancy. *)
 
-module Of_codec (Kc : Codec.S) (Vc : Codec.S) (P : Romulus.Ptm_intf.S) =
-struct
-  module K = Kc.Make (P)
-  module V = Vc.Make (P)
+module Of_codec (Cc : Codec.S) (P : Romulus.Ptm_intf.S) = struct
+  module C = Cc.Make (P)
 
   type t = { p : P.t; obj : int }
 
@@ -115,7 +113,7 @@ struct
   let child_index t n k =
     let nk = nkeys t n in
     let rec scan i =
-      if i < nk && K.compare_at t.p (ik n i) k <= 0 then scan (i + 1) else i
+      if i < nk && C.compare_at t.p (ik n i) k <= 0 then scan (i + 1) else i
     in
     scan 0
 
@@ -125,7 +123,7 @@ struct
     let rec scan i =
       if i >= nk then `Insert_at i
       else
-        let c = K.compare_at t.p (lk n i) k in
+        let c = C.compare_at t.p (lk n i) k in
         if c = 0 then `Found i
         else if c > 0 then `Insert_at i
         else scan (i + 1)
@@ -140,7 +138,7 @@ struct
     P.read_tx t.p (fun () ->
         let leaf = descend_to_leaf t (root t) (height t) k in
         match leaf_position t leaf k with
-        | `Found i -> Some (V.load t.p (lv leaf i))
+        | `Found i -> Some (C.load t.p (lv leaf i))
         | `Insert_at _ -> None)
 
   let mem t k = get t k <> None
@@ -159,7 +157,7 @@ struct
     set_nkeys t leaf half;
     set_lnext t right (lnext t leaf);
     set_lnext t leaf right;
-    (K.separator t.p (lk right 0), right)
+    (C.separator t.p (lk right 0), right)
 
   let split_internal t node =
     (* full internal node has fanout-1 keys; middle key moves up *)
@@ -221,7 +219,7 @@ struct
           if level = 0 then begin
             match leaf_position t n k with
             | `Found i ->
-              V.overwrite t.p (lv n i) v;
+              C.overwrite t.p (lv n i) v;
               false
             | `Insert_at i ->
               let nk = nkeys t n in
@@ -229,8 +227,8 @@ struct
                 set_lkey t n (j + 1) (lkey t n j);
                 set_lval t n (j + 1) (lval t n j)
               done;
-              K.store t.p (lk n i) k;
-              V.store t.p (lv n i) v;
+              C.store t.p (lk n i) k;
+              C.store t.p (lv n i) v;
               set_nkeys t n (nk + 1);
               P.store t.p (t.obj + o_count)
                 (P.load t.p (t.obj + o_count) + 1);
@@ -262,8 +260,8 @@ struct
             match leaf_position t n k with
             | `Insert_at _ -> false
             | `Found i ->
-              K.free t.p (lk n i);
-              V.free t.p (lv n i);
+              C.free t.p (lk n i);
+              C.free t.p (lv n i);
               let nk = nkeys t n in
               for j = i to nk - 2 do
                 set_lkey t n j (lkey t n (j + 1));
@@ -292,7 +290,7 @@ struct
             let nk = nkeys t n in
             let acc = ref acc in
             for i = 0 to nk - 1 do
-              acc := f !acc (K.load t.p (lk n i)) (V.load t.p (lv n i))
+              acc := f !acc (C.load t.p (lk n i)) (C.load t.p (lv n i))
             done;
             leaves (lnext t n) !acc
           end
@@ -314,10 +312,10 @@ struct
             let acc = ref acc in
             let beyond = ref false in
             for i = 0 to nk - 1 do
-              let k = K.load t.p (lk n i) in
-              if K.compare k hi > 0 then beyond := true
-              else if K.compare k lo >= 0 then
-                acc := f !acc k (V.load t.p (lv n i))
+              let k = C.load t.p (lk n i) in
+              if C.compare k hi > 0 then beyond := true
+              else if C.compare k lo >= 0 then
+                acc := f !acc k (C.load t.p (lv n i))
             done;
             if !beyond then !acc else leaves (lnext t n) !acc
           end
@@ -334,8 +332,8 @@ struct
         let count = ref 0 in
         (* [lo, hi) bounds the subtree's keys; None is unbounded *)
         let in_range k lo hi =
-          (match lo with None -> true | Some l -> K.compare k l >= 0)
-          && match hi with None -> true | Some h -> K.compare k h < 0
+          (match lo with None -> true | Some l -> C.compare k l >= 0)
+          && match hi with None -> true | Some h -> C.compare k h < 0
         in
         let rec walk n level lo hi =
           if level = 0 then begin
@@ -344,10 +342,10 @@ struct
             if nk < 0 || nk > fanout then err "leaf %d bad nkeys %d" n nk;
             count := !count + nk;
             for i = 0 to nk - 1 do
-              let k = K.load t.p (lk n i) in
+              let k = C.load t.p (lk n i) in
               if not (in_range k lo hi) then
-                err "leaf key %s outside separator range" (K.pp k);
-              if i > 0 && K.compare (K.load t.p (lk n (i - 1))) k >= 0 then
+                err "leaf key %s outside separator range" (C.pp k);
+              if i > 0 && C.compare (C.load t.p (lk n (i - 1))) k >= 0 then
                 err "leaf %d keys not ascending" n
             done
           end
@@ -357,12 +355,12 @@ struct
                keeps at least the key it was created with *)
             if nk < 1 || nk > fanout - 1 then
               err "internal %d bad nkeys %d" n nk;
-            let sep i = K.load t.p (ik n i) in
+            let sep i = C.load t.p (ik n i) in
             for i = 0 to nk - 1 do
               let k = sep i in
               if not (in_range k lo hi) then
-                err "separator %s outside range" (K.pp k);
-              if i > 0 && K.compare (sep (i - 1)) k >= 0 then
+                err "separator %s outside range" (C.pp k);
+              if i > 0 && C.compare (sep (i - 1)) k >= 0 then
                 err "internal %d separators not ascending" n
             done;
             for i = 0 to nk do
@@ -389,10 +387,10 @@ struct
         if !count <> P.load t.p (t.obj + o_count) then
           err "count %d but %d keys" (P.load t.p (t.obj + o_count)) !count;
         let keys = List.map fst (to_list t) in
-        if List.sort K.compare keys <> keys then err "scan not sorted";
+        if List.sort C.compare keys <> keys then err "scan not sorted";
         match !errors with
         | [] -> Ok ()
         | es -> Error (String.concat "; " es))
 end
 
-module Make (P : Romulus.Ptm_intf.S) = Of_codec (Codec.Word) (Codec.Word) (P)
+module Make (P : Romulus.Ptm_intf.S) = Of_codec (Codec.Word) (P)

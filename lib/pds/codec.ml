@@ -1,4 +1,4 @@
-(* Key/value codecs: how a key or a value lives in one 8-byte node slot.
+(* Codecs: how a key or a value lives in one 8-byte node slot.
    See codec.mli. *)
 
 module type OPS = sig

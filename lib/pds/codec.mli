@@ -1,5 +1,6 @@
-(** Key/value codecs for {!Hash_map} and {!Bptree}: how a key or a value
-    lives in one 8-byte slot of a node.
+(** Codecs for {!Hash_map} and {!Bptree}: how a key or a value lives in
+    one 8-byte slot of a node.  A container uses one codec for both its
+    keys and its values.
 
     A codec owns what its slot points to.  Every operation takes the
     slot's address, so a container only moves slot words around (bucket

@@ -1,5 +1,5 @@
-(* Persistent hash map with chaining, over a key codec and a value codec
-   (see codec.mli).  The word instance ([Make]) is the map of the
+(* Persistent hash map with chaining, over one codec for its keys and
+   values (see codec.mli).  The word instance ([Make]) is the map of the
    paper's §6.2 evaluation; the blob instance is RomulusDB's (§6.4).
 
    Two flavours behind one implementation, as in the paper's evaluation:
@@ -15,10 +15,8 @@
      map object:  [0] buckets (ptr to array)  [8] nbuckets  [16] count
      node:        [0] next  [8] key slot  [16] value slot *)
 
-module Of_codec (Kc : Codec.S) (Vc : Codec.S) (P : Romulus.Ptm_intf.S) =
-struct
-  module K = Kc.Make (P)
-  module V = Vc.Make (P)
+module Of_codec (Cc : Codec.S) (P : Romulus.Ptm_intf.S) = struct
+  module C = Cc.Make (P)
 
   type t = {
     p : P.t;
@@ -40,7 +38,7 @@ struct
   let nbuckets t = P.load t.p (t.map + o_nbuckets)
   let count t = P.load t.p (t.map + o_count)
 
-  let bucket_addr ~buckets ~nbuckets k = buckets + (8 * (K.hash k mod nbuckets))
+  let bucket_addr ~buckets ~nbuckets k = buckets + (8 * (C.hash k mod nbuckets))
 
   let create ?(resizable = true) ?(initial_buckets = 16) p ~root =
     P.update_tx p (fun () ->
@@ -70,7 +68,7 @@ struct
   let find_in_bucket t slot_addr k =
     let rec walk pred node =
       if node = 0 then (pred, 0)
-      else if K.equal_at t.p (node + n_key) k then (pred, node)
+      else if C.equal_at t.p (node + n_key) k then (pred, node)
       else walk (node + n_next) (P.load t.p (node + n_next))
     in
     walk slot_addr (P.load t.p slot_addr)
@@ -79,7 +77,7 @@ struct
     P.read_tx t.p (fun () ->
         let slot = bucket_addr ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
         let _, node = find_in_bucket t slot k in
-        if node = 0 then None else Some (V.load t.p (node + n_value)))
+        if node = 0 then None else Some (C.load t.p (node + n_value)))
 
   let mem t k = get t k <> None
 
@@ -96,7 +94,7 @@ struct
       let rec move node =
         if node <> 0 then begin
           let succ = P.load t.p (node + n_next) in
-          let k = K.load t.p (node + n_key) in
+          let k = C.load t.p (node + n_key) in
           let slot = bucket_addr ~buckets:new_buckets ~nbuckets:new_n k in
           P.store t.p (node + n_next) (P.load t.p slot);
           P.store t.p slot node;
@@ -115,13 +113,13 @@ struct
         let slot = bucket_addr ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
         let _, node = find_in_bucket t slot k in
         if node <> 0 then begin
-          V.overwrite t.p (node + n_value) v;
+          C.overwrite t.p (node + n_value) v;
           false
         end
         else begin
           let n = P.alloc t.p node_bytes in
-          K.store t.p (n + n_key) k;
-          V.store t.p (n + n_value) v;
+          C.store t.p (n + n_key) k;
+          C.store t.p (n + n_value) v;
           P.store t.p (n + n_next) (P.load t.p slot);
           P.store t.p slot n;
           if t.resizable then begin
@@ -139,8 +137,8 @@ struct
         if node = 0 then false
         else begin
           P.store t.p pred (P.load t.p (node + n_next));
-          K.free t.p (node + n_key);
-          V.free t.p (node + n_value);
+          C.free t.p (node + n_key);
+          C.free t.p (node + n_value);
           P.free t.p node;
           if t.resizable then
             P.store t.p (t.map + o_count) (count t - 1);
@@ -158,7 +156,7 @@ struct
           let rec walk node =
             if node <> 0 then begin
               acc :=
-                f !acc (K.load t.p (node + n_key)) (V.load t.p (node + n_value));
+                f !acc (C.load t.p (node + n_key)) (C.load t.p (node + n_value));
               walk (P.load t.p (node + n_next))
             end
           in
@@ -186,13 +184,13 @@ struct
         for i = 0 to n - 1 do
           let rec walk node =
             if node <> 0 then begin
-              let k = K.load t.p (node + n_key) in
-              if K.hash k mod n <> i then
+              let k = C.load t.p (node + n_key) in
+              if C.hash k mod n <> i then
                 errors :=
-                  Printf.sprintf "key %s in wrong bucket %d" (K.pp k) i
+                  Printf.sprintf "key %s in wrong bucket %d" (C.pp k) i
                   :: !errors;
               if Hashtbl.mem seen k then
-                errors := Printf.sprintf "duplicate key %s" (K.pp k) :: !errors;
+                errors := Printf.sprintf "duplicate key %s" (C.pp k) :: !errors;
               Hashtbl.replace seen k ();
               walk (P.load t.p (node + n_next))
             end
@@ -209,4 +207,4 @@ struct
         | es -> Error (String.concat "; " es))
 end
 
-module Make (P : Romulus.Ptm_intf.S) = Of_codec (Codec.Word) (Codec.Word) (P)
+module Make (P : Romulus.Ptm_intf.S) = Of_codec (Codec.Word) (P)

@@ -1,10 +1,10 @@
-(** Persistent hash map with chaining over a key codec and a value codec
-    (see {!Codec}).  The resizable flavour maintains a shared element
+(** Persistent hash map with chaining over one codec for its keys and
+    values (see {!Codec}).  The resizable flavour maintains a shared element
     counter that drives bucket doubling (the contention point of §6.2);
     the fixed flavour is the statically-dimensioned variant of Figure 5.
     Node layout: [[0] next [8] key slot [16] value slot]. *)
 
-module Of_codec (K : Codec.S) (V : Codec.S) (P : Romulus.Ptm_intf.S) : sig
+module Of_codec (C : Codec.S) (P : Romulus.Ptm_intf.S) : sig
   type t
 
   val create :
@@ -16,16 +16,16 @@ module Of_codec (K : Codec.S) (V : Codec.S) (P : Romulus.Ptm_intf.S) : sig
   val open_or_create : ?initial_buckets:int -> P.t -> root:int -> t
 
   (** Insert or overwrite; true when the key was new. *)
-  val put : t -> K.t -> V.t -> bool
+  val put : t -> C.t -> C.t -> bool
 
-  val get : t -> K.t -> V.t option
-  val mem : t -> K.t -> bool
-  val remove : t -> K.t -> bool
+  val get : t -> C.t -> C.t option
+  val mem : t -> C.t -> bool
+  val remove : t -> C.t -> bool
 
   (** Fold in bucket order; [reverse] walks the buckets backwards. *)
-  val fold : ?reverse:bool -> t -> ('a -> K.t -> V.t -> 'a) -> 'a -> 'a
+  val fold : ?reverse:bool -> t -> ('a -> C.t -> C.t -> 'a) -> 'a -> 'a
 
-  val iter : ?reverse:bool -> t -> (K.t -> V.t -> unit) -> unit
+  val iter : ?reverse:bool -> t -> (C.t -> C.t -> unit) -> unit
   val length : t -> int
 
   (** Current bucket count (tests). *)
@@ -37,4 +37,4 @@ end
 
 (** Integer keys and word values: the map of the paper's §6.2. *)
 module Make (P : Romulus.Ptm_intf.S) :
-  module type of Of_codec (Codec.Word) (Codec.Word) (P)
+  module type of Of_codec (Codec.Word) (P)

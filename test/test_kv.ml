@@ -8,7 +8,7 @@ let region ?(size = 1 lsl 20) () = R.create ~size ()
 
 (* ---- string hash map over RomulusLog ---- *)
 
-module SM = Pds.Hash_map.Of_codec (Pds.Codec.Blob) (Pds.Codec.Blob) (Romulus.Logged)
+module SM = Pds.Hash_map.Of_codec (Pds.Codec.Blob) (Romulus.Logged)
 
 let test_strmap_basics () =
   let r = region () in

@@ -216,15 +216,14 @@ module Make (P : PTM) = struct
      word tree and the blob tree behind Kv.Sorted_db.  [key] must be
      order-preserving so both trees scan in the model's order. *)
   module Bptree_props (C : sig
-    module K : Pds.Codec.S
-    module V : Pds.Codec.S
+    module Codec : Pds.Codec.S
 
     val name : string
-    val key : int -> K.t
-    val value : int -> V.t
+    val key : int -> Codec.t
+    val value : int -> Codec.t
   end) =
   struct
-    module T = Pds.Bptree.Of_codec (C.K) (C.V) (P)
+    module T = Pds.Bptree.Of_codec (C.Codec) (P)
 
     let binding k v = (C.key k, C.value v)
 
@@ -298,8 +297,7 @@ module Make (P : PTM) = struct
   end
 
   module Word_tree = Bptree_props (struct
-    module K = Pds.Codec.Word
-    module V = Pds.Codec.Word
+    module Codec = Pds.Codec.Word
 
     let name = "b+tree"
     let key = Fun.id
@@ -307,8 +305,7 @@ module Make (P : PTM) = struct
   end)
 
   module Blob_tree = Bptree_props (struct
-    module K = Pds.Codec.Blob
-    module V = Pds.Codec.Blob
+    module Codec = Pds.Codec.Blob
 
     let name = "string b+tree"
     let key = Printf.sprintf "key%04d"
