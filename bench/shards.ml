@@ -21,6 +21,9 @@
 
 module S = Kv.Sharded_db.Default
 
+(* A sharded store's own counter (see [Kv.Sharded_db.counters]). *)
+let counted db c = Kv.Sharded_db.Counters.get (S.counters db) c
+
 let key i = Printf.sprintf "k%06d" i
 let value i = Printf.sprintf "v%08d" i
 
@@ -213,6 +216,8 @@ let large_batch_real ~ops ~chunk_axis =
           (Array.to_list (Array.map Pmem.Region.stats regions))
       in
       let s0 = snap () in
+      let chunks0 = counted db Chunks_written in
+      let spills0 = counted db Chunks_spilled in
       let n = max 4 (ops / 16) in
       let t0 = Workload.Bench_clock.now_ns () in
       for _ = 1 to n do
@@ -229,8 +234,8 @@ let large_batch_real ~ops ~chunk_axis =
       { lb_chunk_bytes = chunk_bytes;
         lb_ns =
           (wall +. float_of_int d.Pmem.Stats.delay_ns) /. float_of_int n;
-        lb_chunks = per d.Pmem.Stats.chunks_written;
-        lb_spills = per d.Pmem.Stats.chunks_spilled })
+        lb_chunks = per (counted db Chunks_written - chunks0);
+        lb_spills = per (counted db Chunks_spilled - spills0) })
     chunk_axis
 
 let large_batch_des ~scale ~calib ~shards ~writers =
@@ -282,14 +287,12 @@ let elastic_real ~ops ~keys =
   in
   let e_put_before_ns = put_ns () in
   let target = Pmem.Region.create ~fence:Pmem.Fence.stt ~size:region_size () in
-  let s0 = Pmem.Stats.snapshot (S.stats db) in
   let born = ref (-1) in
   let e_split_ns =
     Workload.Bench_clock.time_ns ~region:regions.(0) (fun () ->
         born := S.split_shard db ~source:0 target)
   in
-  let d = Pmem.Stats.since ~now:(S.stats db) ~past:s0 in
-  let e_migrated = d.Pmem.Stats.keys_migrated in
+  let e_migrated = counted db Keys_migrated in
   if S.count db <> keys then failwith "elastic: split lost keys";
   if S.migration_pending db then failwith "elastic: split left intent";
   let e_put_after_ns = put_ns () in
@@ -563,21 +566,20 @@ let group_real_stats ~ops =
     (fun (gr_mode, ack) ->
       let db, _ = make_store ~region_size:(1 lsl 21) 4 in
       let fe = Front.attach ~window:32 ~ack db in
-      let base = Pmem.Stats.snapshot (S.stats db) in
       for i = 0 to txs - 1 do
         Front.put fe (key (i land 255)) (value i)
       done;
       Front.flush fe;
-      let d = Pmem.Stats.since ~now:(S.stats db) ~past:base in
-      let gc = d.Pmem.Stats.group_commits in
-      let logical = d.Pmem.Stats.group_size_sum in
+      let grouped c = Kv.Group_commit.Counters.get (Front.counters fe) c in
+      let gc = grouped Group_commits in
+      let logical = grouped Group_size_sum in
       { gr_mode; gr_txs = logical; gr_group_commits = gc;
         gr_mean_group =
           (if gc = 0 then 0. else float_of_int logical /. float_of_int gc);
         gr_engine_per_tx =
           (if logical = 0 then 0.
            else float_of_int gc /. float_of_int logical);
-        gr_fences_saved = d.Pmem.Stats.fences_saved })
+        gr_fences_saved = grouped Fences_saved })
     [ ("sync", Kv.Group_commit.Sync);
       ("batch_sync",
        Kv.Group_commit.Batch_sync { txs = 8; bytes = 1 lsl 16 });
@@ -940,7 +942,7 @@ let smoke () =
         ~recovery_keys:256 ~shard_axis:[ 1; 2 ] ~writer_axis:[ 1; 4 ] ~path)
 
 (* Quick regression check of the cross-batch curve for @bench-smoke: the
-   real store must show protocol activity through the Stats counters
+   real store must show protocol activity through its own counters
    (prepares, flips, lazy clears), recovery must drain the parked
    records and keep the batch writes, and the calibrated DES must keep
    cross-batch throughput at cross_p=0.2 at or above 0.50x its cross_p=0
@@ -961,18 +963,19 @@ let cross_smoke () =
           S.put b (key ((r * 16) + i)) "x"
         done)
   done;
-  let st = S.stats db in
-  if st.Pmem.Stats.intent_prepares = 0 then fail "no intent PREPAREs";
-  if st.Pmem.Stats.coordinator_flips = 0 then fail "no COMMIT flips";
-  if st.Pmem.Stats.deferred_clears = 0 then fail "no lazy CLEARs";
+  let prepares = counted db Intent_prepares in
+  let flips = counted db Coordinator_flips in
+  let clears = counted db Deferred_clears in
+  if prepares = 0 then fail "no intent PREPAREs";
+  if flips = 0 then fail "no COMMIT flips";
+  if clears = 0 then fail "no lazy CLEARs";
   S.recover ~parallel:false db;
   if S.pending_intents db <> 0 then fail "recovery left records hooked";
   for i = 0 to 63 do
     if S.get db (key i) <> Some "x" then fail "batch write lost"
   done;
   Printf.printf "  real store: prepares=%d flips=%d deferred_clears=%d: ok\n%!"
-    st.Pmem.Stats.intent_prepares st.Pmem.Stats.coordinator_flips
-    st.Pmem.Stats.deferred_clears;
+    prepares flips clears;
   (* DES at the ROADMAP's operating point *)
   let calib = calibrate ~ops:60 in
   let ups cross_p =
@@ -1060,11 +1063,10 @@ let elastic_smoke () =
     Pmem.Region.create ~fence:Pmem.Fence.stt ~size:(1 lsl 21) ()
   in
   let born = S.split_shard db ~source:0 target in
-  let st = S.stats db in
   if S.epoch db <> 1 then fail "split did not bump the epoch";
-  if st.Pmem.Stats.migrations_completed <> 1 then
+  if counted db Migrations_completed <> 1 then
     fail "split did not tick migrations_completed";
-  if st.Pmem.Stats.keys_migrated = 0 then fail "split moved no keys";
+  if counted db Keys_migrated = 0 then fail "split moved no keys";
   if S.migration_pending db then fail "split left the intent hooked";
   let on_born = ref 0 in
   for i = 0 to keys - 1 do
@@ -1074,9 +1076,8 @@ let elastic_smoke () =
   if S.count db <> keys then fail "split changed the key count";
   if !on_born = 0 then fail "no key routes to the new shard";
   S.merge_shards db ~source:born ~target:0;
-  let st = S.stats db in
   if S.epoch db <> 2 then fail "merge did not bump the epoch";
-  if st.Pmem.Stats.migrations_completed <> 2 then
+  if counted db Migrations_completed <> 2 then
     fail "merge did not tick migrations_completed";
   if S.count db <> keys then fail "merge changed the key count";
   for i = 0 to keys - 1 do
@@ -1085,7 +1086,7 @@ let elastic_smoke () =
   ignore (Sys.opaque_identity regions);
   Printf.printf
     "  split+merge streamed %d keys (%d were on shard %d), epoch %d\n%!"
-    st.Pmem.Stats.keys_migrated !on_born born (S.epoch db);
+    (counted db Keys_migrated) !on_born born (S.epoch db);
   let calib = calibrate ~ops:60 in
   let d = elastic_des ~scale:Common.Quick ~calib ~shards:4 ~writers:16 in
   Printf.printf

@@ -43,6 +43,11 @@ let ptms : (string * (module PTM)) list =
     ("mne", (module Baselines.Redolog));
     ("pmdk", (module Baselines.Undolog)) ]
 
+(* One counter of a sharded store's set ([SD.counters db]).  The set lives
+   with the store handle: work done before a crash is counted by the
+   crashed store, recovery work by the reopened one. *)
+let counted set c = Kv.Sharded_db.Counters.get set c
+
 let policy_name = function
   | Pmem.Region.Drop_all -> "drop"
   | Pmem.Region.Keep_all -> "keep"
@@ -646,7 +651,7 @@ let run_scrub_campaign (module P : PTM) ~workload ~rounds ~seed ~verbose
    lazy CLEAR piggyback of a *second* batch (the first batch must stay
    applied), and inside recovery's mirror-resolution loop
    (reconciliation must be idempotent) — always killing the
-   coordinator's own region, the adversarial case.  The Stats protocol
+   coordinator's own region, the adversarial case.  The store's protocol
    counters are asserted so the campaign proves the protocol actually
    ran.  Returns the outcome with the sorted (site, policy) pairs that
    fired: "trap" is an instruction trap inside the batch,
@@ -734,10 +739,10 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       fail "batch spans %d shard(s); campaign needs a cross-shard batch"
         (List.length groups);
     run_batch db;
-    let st = SD.stats db in
-    if st.Pmem.Stats.intent_prepares = 0 then
+    let st = SD.counters db in
+    if counted st Intent_prepares = 0 then
       fail "clean batch ticked no intent PREPAREs";
-    if st.Pmem.Stats.coordinator_flips = 0 then
+    if counted st Coordinator_flips = 0 then
       fail "clean batch ticked no COMMIT flips";
     (List.hd groups, List.length groups)
   in
@@ -761,19 +766,22 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     (* (b) failpoint kills in each protocol window, on the batch
        coordinator's region.  [prep] runs before the site is armed (the
        lazy-CLEAR window needs a committed batch already parked);
-       [check_stats] asserts the reopened store's protocol counters. *)
+       [check_stats ~before ~after] asserts the protocol counters of the
+       store that ran the batch and of the reopened store. *)
     let windows =
       [ ( "sharded.d.mirror_applied", Some (Workload.Keygen.int rng 2),
           (fun _ -> ()), Some false,
-          fun st -> st.Pmem.Stats.rolled_back > 0 );
+          fun ~before:_ ~after -> counted after Rolled_back > 0 );
         ( "sharded.d.flip_written", None, (fun _ -> ()), Some true,
-          fun st -> st.Pmem.Stats.rolled_forward > 0 );
+          fun ~before:_ ~after ->
+            counted after Rolled_forward > 0 );
         ( "sharded.d.mirror_cleared", None,
           (* park a committed batch first, then kill inside the next
              batch's piggybacked reclamation: the committed batch must
              stay applied *)
           (fun db -> run_batch db), Some true,
-          fun st -> st.Pmem.Stats.intent_prepares > 0 ) ]
+          fun ~before ~after:_ ->
+            counted before Intent_prepares > 0 ) ]
     in
     List.iter
       (fun (site, skip, prep, expect, check_stats) ->
@@ -804,12 +812,13 @@ let run_sharded_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
           let p = pick_policy (salt + 7) in
           note_fired site p;
           crash_all rs p;
+          let before = SD.counters db in
           let db = SD.open_db ~initial_buckets:8 rs in
           oracle (Printf.sprintf "round %d %s" round site) db ~expect;
           if SD.pending_intents db <> 0 then
             fail "round %d %s: records left hooked after recovery" round
               site;
-          if not (check_stats (SD.stats db)) then
+          if not (check_stats ~before ~after:(SD.counters db)) then
             fail "round %d %s: protocol counters did not move" round site
         end)
       windows;
@@ -979,16 +988,17 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       fail "batch spans %d shard(s); campaign needs a cross-shard batch"
         (List.length groups);
     run_batch db;
-    let st = SD.stats db in
-    if st.Pmem.Stats.chunks_written < 2 * List.length groups then
-      fail "clean batch streamed only %d chunks over %d shards"
-        st.Pmem.Stats.chunks_written (List.length groups);
-    if st.Pmem.Stats.chunks_spilled < nkeys then
-      fail "clean batch spilled only %d undo images (want >= %d)"
-        st.Pmem.Stats.chunks_spilled nkeys;
+    let st = SD.counters db in
+    let chunks = counted st Chunks_written in
+    if chunks < 2 * List.length groups then
+      fail "clean batch streamed only %d chunks over %d shards" chunks
+        (List.length groups);
+    let spilled = counted st Chunks_spilled in
+    if spilled < nkeys then
+      fail "clean batch spilled only %d undo images (want >= %d)" spilled
+        nkeys;
     SD.flush_clears db;
-    let st = SD.stats db in
-    if st.Pmem.Stats.clear_flushes = 0 then
+    if counted st Clear_flushes = 0 then
       fail "explicit drain ticked no clear_flushes";
     if SD.pending_intents db <> 0 then
       fail "flush_clears left %d records parked" (SD.pending_intents db);
@@ -1002,7 +1012,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
      | exception Kv.Sharded_db.Overloaded _ -> ()
      | exception e ->
        fail "admission refusal escaped untyped: %s" (Printexc.to_string e));
-    if (SD.stats db).Pmem.Stats.overload_rejections = 0 then
+    if counted (SD.counters db) Overload_rejections = 0 then
       fail "refused batch ticked no overload_rejections";
     for i = 0 to nkeys - 1 do
       if SD.get db (key i) <> Some (old_v i) then
@@ -1034,16 +1044,15 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
        policy over the rounds. *)
     let windows =
       [ ( "sharded.chunk.written", Some (Workload.Keygen.int rng 4),
-          Some false, fun st -> st.Pmem.Stats.rolled_back > 0 );
+          Some false, Kv.Sharded_db.Rolled_back );
         ( "sharded.chunk.spilled", Some (Workload.Keygen.int rng 3),
-          Some false, fun st -> st.Pmem.Stats.rolled_back > 0 );
+          Some false, Rolled_back );
         ( "sharded.chunk.seal_window", Some (Workload.Keygen.int rng 2),
-          Some false, fun st -> st.Pmem.Stats.rolled_back > 0 );
-        ( "sharded.d.flip_written", None, Some true,
-          fun st -> st.Pmem.Stats.rolled_forward > 0 ) ]
+          Some false, Rolled_back );
+        ("sharded.d.flip_written", None, Some true, Rolled_forward) ]
     in
     List.iter
-      (fun (site, skip, expect, check_stats) ->
+      (fun (site, skip, expect, resolved) ->
         let rs, db = fresh () in
         let fired = ref false in
         Fault.arm ?skip site (fun () ->
@@ -1059,7 +1068,7 @@ let run_chunked_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
           crash_all rs (pick_policy (salt + 7));
           let db = reopen rs in
           oracle (Printf.sprintf "round %d %s" round site) db ~expect;
-          if not (check_stats (SD.stats db)) then
+          if counted (SD.counters db) resolved = 0 then
             fail "round %d %s: protocol counters did not move" round site
         end)
       windows;
@@ -1253,6 +1262,7 @@ let run_migrate_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
         end
         else begin
           crash_all all (pick_policy (salt + 7));
+          let crashed = db in
           let resumes =
             site = "sharded.migrate.intent_open"
             || site = "sharded.migrate.batch_moved"
@@ -1279,13 +1289,16 @@ let run_migrate_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
           in
           let what = Printf.sprintf "round %d %s" round site in
           oracle what db ~epoch:1 ();
-          let st = SD.stats db in
-          if resumes && st.Pmem.Stats.migrations_resumed < 1 then
+          (* the crashed split and the recovery that finished it *)
+          let both c =
+            counted (SD.counters crashed) c + counted (SD.counters db) c
+          in
+          if resumes && counted (SD.counters db) Migrations_resumed < 1 then
             fail "%s: recovery never resumed the migration" what;
-          if st.Pmem.Stats.migrations_completed <> 1 then
-            fail "%s: %d completions counted, want exactly 1" what
-              st.Pmem.Stats.migrations_completed;
-          if st.Pmem.Stats.keys_migrated = 0 then
+          let completed = both Migrations_completed in
+          if completed <> 1 then
+            fail "%s: %d completions counted, want exactly 1" what completed;
+          if both Keys_migrated = 0 then
             fail "%s: no keys counted as migrated" what
         end
         in
@@ -1360,15 +1373,17 @@ let run_migrate_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
       kill_in_window ~site ~skip:0 ~victim:all.(born) (fun () ->
           SD.merge_shards db ~source:born ~target:back)
     in
-    let merge_checks what db =
+    let completions db = counted (SD.counters db) Migrations_completed in
+    (* [completed]: counted by the store that ran the split and the
+       merge, plus the reopened one if the merge crashed *)
+    let merge_checks what db ~completed =
       oracle what db ~epoch:2 ();
       for s = 0 to SD.route_slots db - 1 do
         if SD.shard_of_slot db s = born then
           fail "%s: merged shard still owns slot %d" what s
       done;
-      if (SD.stats db).Pmem.Stats.migrations_completed <> 2 then
-        fail "%s: %d completions counted, want exactly 2" what
-          (SD.stats db).Pmem.Stats.migrations_completed
+      if completed <> 2 then
+        fail "%s: %d completions counted, want exactly 2" what completed
     in
     if not fired then begin
       (* only the batch windows can go unvisited, and only when the
@@ -1376,12 +1391,16 @@ let run_migrate_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
          merge then completed clean and its post-state must hold live *)
       if site = "sharded.migrate.batch_moved"
          || site = "sharded.migrate.batch_applied"
-      then merge_checks (Printf.sprintf "round %d merge %s unfired" round site) db
+      then
+        merge_checks (Printf.sprintf "round %d merge %s unfired" round site) db
+          ~completed:(completions db)
       else fail "round %d: merge %s did not fire" round site
     end
     else begin
       crash_all all (pick_policy (salt + 13));
-      merge_checks (Printf.sprintf "round %d merge %s" round site) (reopen all)
+      let reopened = reopen all in
+      merge_checks (Printf.sprintf "round %d merge %s" round site) reopened
+        ~completed:(completions db + completions reopened)
     end;
     if verbose then
       Printf.printf "  ... %d/%d rounds, %d crashes (%d during recovery)\n%!"
@@ -1525,7 +1544,7 @@ let run_quarantine_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
        | Some v -> SD.put db k v
        | None -> ignore (SD.delete db k : bool))
      | None -> fail "%s: every key routed to the sick shard" what);
-    if (SD.stats db).Pmem.Stats.unavailable_rejections = 0 then
+    if counted (SD.counters db) Unavailable_rejections = 0 then
       fail "%s: probes ticked no unavailable_rejections" what
   in
   (* (c): the end state after repair — either all-Healthy with full
@@ -1624,12 +1643,13 @@ let run_quarantine_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
     (match List.assoc_opt sick (SD.repair ~seed:(seed + salt + 1) db) with
      | Some (SD.Evacuated_keys { target = _; moved }) ->
        incr evacs;
-       let st = SD.stats db in
-       if st.Pmem.Stats.shards_evacuated = 0 then
+       let st = SD.counters db in
+       if counted st Shards_evacuated = 0 then
          fail "%s: shards_evacuated did not tick" what;
-       if st.Pmem.Stats.keys_evacuated <> moved then
-         fail "%s: keys_evacuated=%d but the verdict moved %d" what
-           st.Pmem.Stats.keys_evacuated moved
+       let keys = counted st Keys_evacuated in
+       if keys <> moved then
+         fail "%s: keys_evacuated=%d but the verdict moved %d" what keys
+           moved
      | Some SD.Scrub_repaired -> ()
      | Some SD.Snapshot_restored ->
        fail "%s: restored without a snapshot" what
@@ -1858,7 +1878,7 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
         let _rs, db = fresh () in
         let fe = F.attach ~window ~ack db in
         let ka, kb = cross_keys db in
-        let st0 = Pmem.Stats.snapshot (SD.stats db) in
+        let flips0 = counted (SD.counters db) Coordinator_flips in
         List.iteri
           (fun j (a, b') ->
             F.write_batch fe (fun db ->
@@ -1866,9 +1886,10 @@ let run_group_campaign (module P : PTM) ~nshards ~rounds ~seed ~verbose
                 SD.put db b' (Printf.sprintf "cb%d" j)))
           (List.combine ka kb);
         F.flush fe;
-        let d = Pmem.Stats.since ~now:(SD.stats db) ~past:st0 in
-        let flips = d.Pmem.Stats.coordinator_flips in
-        let merged = d.Pmem.Stats.merged_intents in
+        let flips = counted (SD.counters db) Coordinator_flips - flips0 in
+        let merged =
+          Kv.Group_commit.Counters.get (F.counters fe) Merged_intents
+        in
         (match ack with
          | Kv.Group_commit.Sync ->
            if flips <> 3 || merged <> 0 then

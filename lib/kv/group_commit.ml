@@ -10,6 +10,34 @@ type ack_mode =
 
 let default_window = 32
 
+(* One counter set per front-end (see [Counter_set] for its lifetime). *)
+type counter =
+  | Group_commits
+  | Group_size_sum
+  | Group_size_max
+  | Fences_saved
+  | Merged_intents
+  | Async_acks
+  | Flushes
+
+module Counters = Counter_set.Make (struct
+  type nonrec counter = counter
+
+  let table =
+    [ ( Group_commits, "group_commits",
+        "engine rounds run for coalesced groups" );
+      ( Group_size_sum, "group_size_sum",
+        "logical transactions settled in those rounds" );
+      ( Group_size_max, "group_size_max",
+        "largest group settled (a high-water mark)" );
+      ( Fences_saved, "fences_saved",
+        "fence sequences avoided: settled txs - rounds" );
+      ( Merged_intents, "merged_intents",
+        "cross-shard batches that rode another's intent" );
+      (Async_acks, "async_acks", "operations acknowledged at enqueue (Async)");
+      (Flushes, "flushes", "explicit drain-everything flushes") ]
+end)
+
 module Make (P : Sharded_db.SHARD_PTM) = struct
   module SD = Sharded_db.Make (P)
 
@@ -45,6 +73,7 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
     ack : ack_mode;
     qs : queue array;              (* shards queues ++ [cross queue] *)
     mutable deferred : (int * int * exn) list;  (* newest first *)
+    counters : Counters.t;
   }
 
   let make_queue () =
@@ -60,9 +89,11 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
      | _ -> ());
     { db; win = window; ack;
       qs = Array.init (SD.shards db + 1) (fun _ -> make_queue ());
-      deferred = [] }
+      deferred = []; counters = Counters.create () }
 
   let db t = t.db
+  let counters t = t.counters
+  let tick t c n = Counters.count t.counters c n
   let ack_mode t = t.ack
   let window t = t.win
   let queues t = Array.length t.qs
@@ -129,10 +160,10 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
      under the flat-combining raiser rule — a raising logical tx is
      answered alone, survivors retry as a fresh group.  Advances the
      watermark over the whole window (every entry is settled, with its
-     value or its failure), meters the round on [stat_shard], and
+     value or its failure), meters the round, and
      re-raises a crash immediately: once the machine is down nothing
      later in this process can settle. *)
-  let settle_window t ~qi ~stat_shard taken taken_n =
+  let settle_window t ~qi taken taken_n =
     let q = t.qs.(qi) in
     let committed_rounds = ref 0 in
     let cur = ref t.db in
@@ -154,11 +185,17 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
     locked q (fun () ->
         q.mark <- q.mark + taken_n;
         if q.ackd < q.mark then q.ackd <- q.mark);
-    if ok > 0 then
-      SD.note_group_commit t.db ~shard:stat_shard ~logical:ok
-        ~engine:!committed_rounds
-        ~merged:
-          (if qi = cross_q t then max 0 (ok - !committed_rounds) else 0);
+    (* [ok] logical txs took [rounds] engine rounds (> 1 only when a
+       raiser split the window); on the cross queue the difference also
+       counts the batches that rode another batch's intent record *)
+    if ok > 0 then begin
+      let rounds = !committed_rounds in
+      tick t Group_commits rounds;
+      tick t Group_size_sum ok;
+      Counters.raise_to t.counters Group_size_max ok;
+      tick t Fences_saved (ok - rounds);
+      if qi = cross_q t then tick t Merged_intents (max 0 (ok - rounds))
+    end;
     (* Deferred-failure bookkeeping happens at the caller (it knows
        which entry, if any, belongs to a waiting Sync submitter). *)
     List.iter
@@ -173,7 +210,6 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
      deferred for {!flush}. *)
   let drain t ?until qi =
     let q = t.qs.(qi) in
-    let stat_shard = if qi = cross_q t then 0 else qi in
     let settled_until () =
       match until with None -> q.n = 0 | Some e -> e.result <> None
     in
@@ -195,7 +231,7 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
               | _ -> ())
             taken
         in
-        match settle_window t ~qi ~stat_shard taken taken_n with
+        match settle_window t ~qi taken taken_n with
         | () -> defer ()
         | exception e -> defer (); raise e
       end
@@ -243,7 +279,7 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
       (* acknowledged at enqueue: the ack mark runs ahead of the
          watermark, bounded by flush *)
       locked q (fun () -> if q.ackd <= e.seq then q.ackd <- e.seq + 1);
-      SD.note_async_acks t.db ~shard:(if qi = cross_q t then 0 else qi) 1;
+      tick t Async_acks 1;
       if over_threshold t q then drain t qi
 
   let put t k v =
@@ -277,7 +313,7 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
     match buffered with Some r -> r | None -> SD.get t.db k
 
   let flush t =
-    SD.note_flush t.db;
+    tick t Flushes 1;
     drain_all t;
     match List.rev t.deferred with
     | [] -> ()

@@ -39,7 +39,7 @@
       fills); acknowledgement advances only with the watermark, so the
       un-acked loss window after a crash is bounded by the thresholds.
     - [Async] — like [put ~sync:false]: acknowledged at enqueue
-      ([async_acks] counts the lie), drained when the window fills or
+      ([Async_acks] counts the lie), drained when the window fills or
       on an explicit {!Make.flush}.
 
     {2 Ordering between queues}
@@ -64,6 +64,20 @@ type ack_mode =
     engine transaction / shared intent). *)
 val default_window : int
 
+(** The front-end's own counters, one set per {!Make.attach}ed front-end
+    (see {!Counter_set} for their lifetime).  {!Counters.table} gives
+    each one's printed name and meaning. *)
+type counter =
+  | Group_commits
+  | Group_size_sum
+  | Group_size_max
+  | Fences_saved
+  | Merged_intents
+  | Async_acks
+  | Flushes
+
+module Counters : Counter_set.S with type counter = counter
+
 module Make (P : Sharded_db.SHARD_PTM) : sig
   type t
 
@@ -78,6 +92,11 @@ module Make (P : Sharded_db.SHARD_PTM) : sig
   val attach : ?window:int -> ?ack:ack_mode -> db -> t
 
   val db : t -> db
+
+  (** This front-end's counters (live: take {!Counters.snapshot} to keep
+      a value). *)
+  val counters : t -> Counters.t
+
   val ack_mode : t -> ack_mode
   val window : t -> int
 

@@ -515,6 +515,77 @@ module Chunk = struct
     go pieces
 end
 
+(* ---- counters ----
+
+   The store's own counters, one set per open store (see [Counter_set]
+   for their lifetime), ticked once per event on whichever shard. *)
+
+type counter =
+  | Intent_prepares
+  | Coordinator_flips
+  | Deferred_clears
+  | Rolled_forward
+  | Rolled_back
+  | Chunks_written
+  | Chunks_spilled
+  | Overload_rejections
+  | Clear_flushes
+  | Migrations_started
+  | Migrations_resumed
+  | Migrations_completed
+  | Keys_migrated
+  | Double_reads
+  | Health_degraded
+  | Health_quarantined
+  | Health_repaired
+  | Repair_attempts
+  | Repair_snapshot_restores
+  | Shards_evacuated
+  | Keys_evacuated
+  | Unavailable_rejections
+
+module Counters = Counter_set.Make (struct
+  type nonrec counter = counter
+
+  let table =
+    [ ( Intent_prepares, "intent_prepares",
+        "intent mirrors made durable, one per participant" );
+      ( Coordinator_flips, "coordinator_flips",
+        "COMMIT flips: the cross-shard durability point" );
+      (Deferred_clears, "deferred_clears", "protocol records reclaimed lazily");
+      (Rolled_forward, "rolled_forward", "intents resolved as committed");
+      (Rolled_back, "rolled_back", "intents rolled back (presumed abort)");
+      (Chunks_written, "chunks_written", "mirror payload chunks made durable");
+      ( Chunks_spilled, "chunks_spilled",
+        "undo images spilled out of the payload" );
+      ( Overload_rejections, "overload_rejections",
+        "batches refused by admission control" );
+      ( Clear_flushes, "clear_flushes",
+        "dedicated lazy-CLEAR flush transactions" );
+      ( Migrations_started, "migrations_started",
+        "split/merge intents made durable" );
+      ( Migrations_resumed, "migrations_resumed",
+        "migrations picked up by recovery" );
+      ( Migrations_completed, "migrations_completed",
+        "migrations whose epoch flip committed" );
+      (Keys_migrated, "keys_migrated", "keys inserted into a migration target");
+      ( Double_reads, "double_reads",
+        "reads that fell back to the migration source" );
+      (Health_degraded, "health_degraded", "shard transitions into Degraded");
+      ( Health_quarantined, "health_quarantined",
+        "shard transitions into Quarantined" );
+      (Health_repaired, "health_repaired", "shard transitions back to Healthy");
+      ( Repair_attempts, "repair_attempts",
+        "scrub/reopen attempts by the repair driver" );
+      ( Repair_snapshot_restores, "repair_snapshot_restores",
+        "shards restored from a snapshot file" );
+      ( Shards_evacuated, "shards_evacuated",
+        "dying shards whose keys were evacuated" );
+      (Keys_evacuated, "keys_evacuated", "keys copied off a dying shard");
+      ( Unavailable_rejections, "unavailable_rejections",
+        "operations refused with Shard_unavailable" ) ]
+end)
+
 module Make (P : SHARD_PTM) = struct
   module Map_ = Pds.Hash_map.Of_codec (Pds.Codec.Blob) (P)
 
@@ -603,6 +674,7 @@ module Make (P : SHARD_PTM) = struct
     batch : batch option;
     proto : proto;
     router : router;
+    counters : Counters.t;
   }
 
   let db_root = 0 (* same slot as Romulus_db: the map's anchor *)
@@ -687,13 +759,8 @@ module Make (P : SHARD_PTM) = struct
     Pmem.Stats.aggregate
       (Array.to_list (Array.map Pmem.Region.stats t.region_arr))
 
-  let tick s f =
-    let st = Pmem.Region.stats s.region in
-    f st
-
-  (* Tick by shard index through the region table, so counters attach to
-     the right shard even when its engine is down. *)
-  let tick_region t i f = f (Pmem.Region.stats t.region_arr.(i))
+  let counters t = t.counters
+  let tick t c n = Counters.count t.counters c n
 
   (* ---- availability gates ----
 
@@ -706,9 +773,7 @@ module Make (P : SHARD_PTM) = struct
      {!Shard_unavailable} carrying that shard's verdict. *)
 
   let unavailable t i =
-    tick_region t i (fun st ->
-        st.Pmem.Stats.unavailable_rejections <-
-          st.Pmem.Stats.unavailable_rejections + 1);
+    tick t Unavailable_rejections 1;
     let cause =
       match t.health_arr.(i) with
       | Degraded c | Quarantined c -> c
@@ -749,105 +814,10 @@ module Make (P : SHARD_PTM) = struct
     | Healthy | Degraded _ -> Some (raw t i)
     | Quarantined _ -> unavailable t i
 
-  let tick_prepare s =
-    tick s (fun st ->
-        st.Pmem.Stats.intent_prepares <- st.Pmem.Stats.intent_prepares + 1)
-
-  let tick_flip s =
-    tick s (fun st ->
-        st.Pmem.Stats.coordinator_flips <- st.Pmem.Stats.coordinator_flips + 1)
-
-  let tick_deferred_clear s n =
-    tick s (fun st ->
-        st.Pmem.Stats.deferred_clears <- st.Pmem.Stats.deferred_clears + n)
-
-  let tick_forward s =
-    tick s (fun st ->
-        st.Pmem.Stats.rolled_forward <- st.Pmem.Stats.rolled_forward + 1)
-
-  let tick_back s =
-    tick s (fun st ->
-        st.Pmem.Stats.rolled_back <- st.Pmem.Stats.rolled_back + 1)
-
-  let tick_chunk s =
-    tick s (fun st ->
-        st.Pmem.Stats.chunks_written <- st.Pmem.Stats.chunks_written + 1)
-
-  let tick_spill s =
-    tick s (fun st ->
-        st.Pmem.Stats.chunks_spilled <- st.Pmem.Stats.chunks_spilled + 1)
-
-  let tick_overload s =
-    tick s (fun st ->
-        st.Pmem.Stats.overload_rejections <-
-          st.Pmem.Stats.overload_rejections + 1)
-
-  let tick_clear_flush s =
-    tick s (fun st ->
-        st.Pmem.Stats.clear_flushes <- st.Pmem.Stats.clear_flushes + 1)
-
-  let tick_mig_started s =
-    tick s (fun st ->
-        st.Pmem.Stats.migrations_started <- st.Pmem.Stats.migrations_started + 1)
-
-  let tick_mig_resumed s =
-    tick s (fun st ->
-        st.Pmem.Stats.migrations_resumed <- st.Pmem.Stats.migrations_resumed + 1)
-
-  let tick_mig_completed s =
-    tick s (fun st ->
-        st.Pmem.Stats.migrations_completed <-
-          st.Pmem.Stats.migrations_completed + 1)
-
-  let tick_migrated s n =
-    tick s (fun st ->
-        st.Pmem.Stats.keys_migrated <- st.Pmem.Stats.keys_migrated + n)
-
-  let tick_double_read s =
-    tick s (fun st ->
-        st.Pmem.Stats.double_reads <- st.Pmem.Stats.double_reads + 1)
-
-  let tick_health t i h =
-    tick_region t i (fun st ->
-        match h with
-        | Healthy ->
-          st.Pmem.Stats.health_repaired <- st.Pmem.Stats.health_repaired + 1
-        | Degraded _ ->
-          st.Pmem.Stats.health_degraded <- st.Pmem.Stats.health_degraded + 1
-        | Quarantined _ ->
-          st.Pmem.Stats.health_quarantined <-
-            st.Pmem.Stats.health_quarantined + 1)
-
-  (* ---- group-commit accounting (ticked by the front-end layer) ----
-
-     The group-commit front-end ({!Group_commit}) coalesces many
-     logical transactions into one engine transaction (single-shard
-     windows) or one shared intent record (cross-shard windows).  It
-     meters each drained window on the shard whose queue it drained so
-     the counters aggregate naturally with the rest of the per-shard
-     stats: [logical] transactions were settled using [engine] engine
-     rounds (> 1 only when a raiser split the window), and [merged]
-     cross-shard batches rode another batch's intent record. *)
-
-  let note_group_commit t ~shard ~logical ~engine ~merged =
-    tick_region t shard (fun st ->
-        st.Pmem.Stats.group_commits <- st.Pmem.Stats.group_commits + engine;
-        st.Pmem.Stats.group_size_sum <-
-          st.Pmem.Stats.group_size_sum + logical;
-        if logical > st.Pmem.Stats.group_size_max then
-          st.Pmem.Stats.group_size_max <- logical;
-        st.Pmem.Stats.fences_saved <-
-          st.Pmem.Stats.fences_saved + (logical - engine);
-        st.Pmem.Stats.merged_intents <-
-          st.Pmem.Stats.merged_intents + merged)
-
-  let note_async_acks t ~shard n =
-    tick_region t shard (fun st ->
-        st.Pmem.Stats.async_acks <- st.Pmem.Stats.async_acks + n)
-
-  let note_flush t =
-    tick_region t 0 (fun st ->
-        st.Pmem.Stats.flushes <- st.Pmem.Stats.flushes + 1)
+  let count_health t = function
+    | Healthy -> tick t Health_repaired 1
+    | Degraded _ -> tick t Health_degraded 1
+    | Quarantined _ -> tick t Health_quarantined 1
 
   (* ---- plain (non-batch) operations ---- *)
 
@@ -860,7 +830,7 @@ module Make (P : SHARD_PTM) = struct
       match Map_.get (raw t m.mig_target).map k with
       | Some _ as r -> r
       | None ->
-        tick_double_read (raw t m.mig_source);
+        tick t Double_reads 1;
         if Map_.mem m.mig_tomb k then None
         else Map_.get (raw t m.mig_source).map k)
     | _ -> Map_.get (shard_for t k).map k
@@ -870,7 +840,7 @@ module Make (P : SHARD_PTM) = struct
     | Some m when m.moving.(slot_of_key t k) ->
       Map_.mem (raw t m.mig_target).map k
       || begin
-        tick_double_read (raw t m.mig_source);
+        tick t Double_reads 1;
         (not (Map_.mem m.mig_tomb k))
         && Map_.mem (raw t m.mig_source).map k
       end
@@ -1175,7 +1145,7 @@ module Make (P : SHARD_PTM) = struct
     pr.clearable_mirrors.(i) <- [];
     pr.clearable_flips.(i) <- [];
     let n = List.length mirrors + List.length flips in
-    if n > 0 then tick_deferred_clear (raw t i) n;
+    tick t Deferred_clears n;
     (* a batch whose last mirror is gone frees its flip for reclamation *)
     List.iter
       (fun (_, id) ->
@@ -1222,7 +1192,7 @@ module Make (P : SHARD_PTM) = struct
     if mirrors <> [] || flips <> [] then begin
       let s = raw t i in
       P.update_tx s.p (fun () -> drain_in_tx t i plan);
-      tick_clear_flush s;
+      tick t Clear_flushes 1;
       finish_drain t i plan
     end
 
@@ -1380,7 +1350,7 @@ module Make (P : SHARD_PTM) = struct
             List.iter (apply_op s) slice;
             (o, c))
       in
-      tick_chunk s;
+      tick t Chunks_written 1;
       ( moff,
         List.map (fun (k, rel) -> (k, coff, coff + chunk_hdr + rel)) rel_offs
       )
@@ -1410,7 +1380,7 @@ module Make (P : SHARD_PTM) = struct
                       P.store s.p (moff + m_spills) o;
                       o)
                 in
-                tick_spill s;
+                tick t Chunks_spilled 1;
                 Fault.hit fp_chunk_spilled;
                 (k, U_spilled { off = soff; len })
               | v -> (k, image_of_opt v))
@@ -1442,7 +1412,7 @@ module Make (P : SHARD_PTM) = struct
             segs := (coff, at, plen) :: !segs;
             prev := coff;
             pos := at + plen;
-            tick_chunk s;
+            tick t Chunks_written 1;
             Fault.hit fp_chunk_written)
           (Chunk.split ~chunk_bytes payload);
         let segs = List.rev !segs in
@@ -1505,7 +1475,7 @@ module Make (P : SHARD_PTM) = struct
             prepare_shard t ~chunk_bytes i ~id ~coord ~mask slice
           in
           applied := (i, moff) :: !applied;
-          tick_prepare (raw t i);
+          tick t Intent_prepares 1;
           (* expose the undo entries to racing single-key writes *)
           List.iter
             (fun (k, coff, aoff) ->
@@ -1530,7 +1500,7 @@ module Make (P : SHARD_PTM) = struct
             P.set_root sc.p flip_slot o;
             o)
       in
-      tick_flip sc;
+      tick t Coordinator_flips 1;
       unregister ();
       Fault.hit fp_flip_written;
       (* CLEAR is deferred: each mirror rides its shard's next PREPARE;
@@ -1560,7 +1530,7 @@ module Make (P : SHARD_PTM) = struct
       List.iter
         (fun (i, off) ->
           rollback_mirror_tx t i off;
-          tick_back (raw t i);
+          tick t Rolled_back 1;
           Fault.hit fp_rollback_undone)
         !applied;
       unregister ();
@@ -1595,7 +1565,7 @@ module Make (P : SHARD_PTM) = struct
           attempt (round + 1)
         end
         else begin
-          tick_overload (raw t i);
+          tick t Overload_rejections 1;
           raise (Overloaded { shard = i; in_flight = infl.(i); budget })
         end
     in
@@ -1716,7 +1686,7 @@ module Make (P : SHARD_PTM) = struct
   let set_health ?(persist = true) t i h =
     if t.health_arr.(i) <> h then begin
       t.health_arr.(i) <- h;
-      tick_health t i h;
+      count_health t h;
       (match h with
       | Healthy -> Fault.hit fp_health_repaired
       | Degraded _ -> Fault.hit fp_health_degraded
@@ -1826,7 +1796,7 @@ module Make (P : SHARD_PTM) = struct
   (* The target half of a move batch, idempotent on replay: insert each
      pair unless a racing write already decided the key (the target has
      it, or a tombstone marks it deleted). *)
-  let move_into tgt tomb kvs =
+  let move_into t tgt tomb kvs =
     let inserted = ref 0 in
     P.update_tx tgt.p (fun () ->
         List.iter
@@ -1836,7 +1806,7 @@ module Make (P : SHARD_PTM) = struct
               incr inserted
             end)
           kvs);
-    tick_migrated tgt !inserted
+    tick t Keys_migrated !inserted
 
   (* One bounded move batch: [moved] is (key, value) pairs still living
      in the source.  Source transaction: replace the cursor (free the
@@ -1869,7 +1839,7 @@ module Make (P : SHARD_PTM) = struct
     with_overload_retry ~seed:(m.mig_epoch + plen) (fun () -> admit t charge);
     Fun.protect
       ~finally:(fun () -> release t charge)
-      (fun () -> move_into tgt m.mig_tomb moved);
+      (fun () -> move_into t tgt m.mig_tomb moved);
     Fault.hit fp_mig_applied
 
   (* Stream every source key of a moving slot to the target in bounded
@@ -1907,7 +1877,7 @@ module Make (P : SHARD_PTM) = struct
     persist_route t ~epoch:m.mig_epoch;
     t.router.epoch <- m.mig_epoch;
     t.router.migration <- None;
-    tick_mig_completed (raw t 0);
+    tick t Migrations_completed 1;
     Fault.hit fp_mig_flip
 
   (* Post-flip reclamation, idempotent (recovery re-runs it whole when a
@@ -2014,7 +1984,7 @@ module Make (P : SHARD_PTM) = struct
         P.store s0.p (o + 32) r.n_slots;
         P.store_bytes s0.p (o + mig_hdr) bitmap;
         P.set_root s0.p mig_slot o);
-    tick_mig_started s0;
+    tick t Migrations_started 1;
     Fault.hit fp_mig_intent;
     mepoch
 
@@ -2117,9 +2087,7 @@ module Make (P : SHARD_PTM) = struct
                   incr inserted
                 end)
               batch);
-        tick_region t target (fun st ->
-            st.Pmem.Stats.keys_evacuated <-
-              st.Pmem.Stats.keys_evacuated + !inserted))
+        tick t Keys_evacuated !inserted)
       kvs;
     (* volatile route + verdict first (precedent: run_migration opening
        the window before its durable flip), then the atomic flip *)
@@ -2127,15 +2095,14 @@ module Make (P : SHARD_PTM) = struct
     Array.iteri (fun s mv -> if mv then r.assignment.(s) <- target) moving;
     let verdict = Quarantined (Evacuated { target }) in
     t.health_arr.(source) <- verdict;
-    tick_health t source verdict;
+    count_health t verdict;
     let s0 = raw t 0 in
     P.update_tx s0.p (fun () ->
         persist_route_in_tx t ~epoch:mepoch;
         persist_health_in_tx t);
     r.epoch <- mepoch;
-    tick_mig_completed s0;
-    tick_region t source (fun st ->
-        st.Pmem.Stats.shards_evacuated <- st.Pmem.Stats.shards_evacuated + 1);
+    tick t Migrations_completed 1;
+    tick t Shards_evacuated 1;
     Fault.hit fp_health_evacuated;
     (* retire the dying engine; residual source bytes are never touched
        again (its map still holds stale duplicates of the target's keys,
@@ -2187,7 +2154,7 @@ module Make (P : SHARD_PTM) = struct
           (* routing and the Evacuated verdict flipped durably together;
              only the intent unhook is owed *)
           let s0 = raw t 0 in
-          tick_mig_resumed s0;
+          tick t Migrations_resumed 1;
           P.update_tx s0.p (fun () ->
               P.set_root s0.p mig_slot 0;
               P.free s0.p ioff);
@@ -2195,7 +2162,7 @@ module Make (P : SHARD_PTM) = struct
         end
         else if Option.is_some t.shard_arr.(source) && healthy t target
         then begin
-          tick_mig_resumed (raw t 0);
+          tick t Migrations_resumed 1;
           Fault.hit fp_mig_resumed;
           ignore (run_evacuation t ~source ~target ~mepoch ~moving : int)
         end
@@ -2205,7 +2172,7 @@ module Make (P : SHARD_PTM) = struct
       else if not (healthy t source && healthy t target) then
         () (* parked split/merge; resumed by repair via reconcile *)
       else begin
-        tick_mig_resumed (raw t 0);
+        tick t Migrations_resumed 1;
         if t.router.epoch >= mepoch then
           reclaim_migration t ~source ~target ~moving
         else begin
@@ -2228,7 +2195,7 @@ module Make (P : SHARD_PTM) = struct
           if cepoch = mepoch then begin
             let pr = { payload; pos = 0 } in
             let kvs = take_kv_list pr "migration-cursor" in
-            move_into tgt tomb
+            move_into t tgt tomb
               (List.filter_map
                  (fun (k, v) -> Option.map (fun v -> (k, v)) v)
                  kvs)
@@ -2253,7 +2220,7 @@ module Make (P : SHARD_PTM) = struct
       | Some m when List.exists (fun (k, _) -> m.moving.(slot_of_key t k)) ops
         ->
         let i = m.mig_target in
-        tick_overload (raw t i);
+        tick t Overload_rejections 1;
         raise
           (Overloaded
              { shard = i; in_flight = t.proto.in_flight.(i);
@@ -2403,7 +2370,7 @@ module Make (P : SHARD_PTM) = struct
                    never applied, so the whole chain is presumed-abort
                    garbage — collected without decoding a byte *)
                 gc_mirror_tx t i head;
-                tick_back s;
+                tick t Rolled_back 1;
                 Fault.hit fp_chunk_gc
               end
               else if not (engine_up t coord) then
@@ -2426,11 +2393,11 @@ module Make (P : SHARD_PTM) = struct
                 if Hashtbl.mem flips (coord, id) then begin
                   (* committed: the slice is already applied *)
                   P.update_tx s.p (fun () -> unhook_mirror s.p head);
-                  tick_forward s
+                  tick t Rolled_forward 1
                 end
                 else begin
                   rollback_mirror_tx t i head;
-                  tick_back s
+                  tick t Rolled_back 1
                 end
               end
             with
@@ -2688,8 +2655,7 @@ module Make (P : SHARD_PTM) = struct
      at the source). *)
   let repair_scrub t i ~retries ~base_ns ~seed =
     let attempt () =
-      tick_region t i (fun st ->
-          st.Pmem.Stats.repair_attempts <- st.Pmem.Stats.repair_attempts + 1);
+      tick t Repair_attempts 1;
       try_reopen t i
       &&
       match t.shard_arr.(i) with
@@ -2735,9 +2701,7 @@ module Make (P : SHARD_PTM) = struct
         | { Romulus.Engine.unrepairable = []; _ } ->
           t.region_arr.(i) <- region;
           t.shard_arr.(i) <- Some { p; map; region };
-          tick_region t i (fun st ->
-              st.Pmem.Stats.repair_snapshot_restores <-
-                st.Pmem.Stats.repair_snapshot_restores + 1);
+          tick t Repair_snapshot_restores 1;
           true
         | _ -> false)
       with
@@ -2894,7 +2858,7 @@ module Make (P : SHARD_PTM) = struct
     in
     let t =
       { shard_arr; region_arr = Array.copy regions; health_arr;
-        batch = None; proto; router }
+        batch = None; proto; router; counters = Counters.create () }
     in
     (* Merge the durable record: every verdict above was freshly
        recomputed from the media (rot is persistent), so only the
@@ -2910,10 +2874,10 @@ module Make (P : SHARD_PTM) = struct
             | Quarantined (Evacuated _) -> t.health_arr.(i) <- h
             | _ -> ())
         sv);
-    Array.iteri
-      (fun i h ->
+    Array.iter
+      (fun h ->
         if h <> Healthy then begin
-          tick_health t i h;
+          count_health t h;
           Fault.hit
             (match h with
             | Degraded _ -> fp_health_degraded

@@ -111,7 +111,7 @@ type health =
 
 (** An operation routed to a shard that cannot serve it.  Raised instead
     of crashing and instead of silently missing — each refusal is also
-    counted in the refusing shard's [Stats.unavailable_rejections]. *)
+    counted in the store's [Unavailable_rejections]. *)
 exception Shard_unavailable of { shard : int; cause : health_cause }
 
 (** A shard the store cannot even degrade around failed to come up:
@@ -201,6 +201,37 @@ module type SHARD_PTM = sig
   val media_spans : t -> (int * int) list
   val allocator_check : t -> (unit, string) result
 end
+
+(** The store's own counters: the cross-shard commit protocol, chunked
+    mirrors, migration and shard health, one set per open store (see
+    {!Counter_set} for their lifetime).  {!Counters.table} gives each
+    one's printed name and meaning.  The persistence counters stay in
+    each shard region's {!Pmem.Stats}. *)
+type counter =
+  | Intent_prepares
+  | Coordinator_flips
+  | Deferred_clears
+  | Rolled_forward
+  | Rolled_back
+  | Chunks_written
+  | Chunks_spilled
+  | Overload_rejections
+  | Clear_flushes
+  | Migrations_started
+  | Migrations_resumed
+  | Migrations_completed
+  | Keys_migrated
+  | Double_reads
+  | Health_degraded
+  | Health_quarantined
+  | Health_repaired
+  | Repair_attempts
+  | Repair_snapshot_restores
+  | Shards_evacuated
+  | Keys_evacuated
+  | Unavailable_rejections
+
+module Counters : Counter_set.S with type counter = counter
 
 module Make (P : SHARD_PTM) : sig
   type t
@@ -325,28 +356,12 @@ module Make (P : SHARD_PTM) : sig
   (** The per-shard regions, in shard order (shared, not copies). *)
   val regions : t -> Pmem.Region.t array
 
-  (** Aggregated instrumentation counters across every shard's region. *)
+  (** Aggregated persistence counters across every shard's region. *)
   val stats : t -> Pmem.Stats.t
 
-  (** {2 Group-commit accounting}
-
-      Ticked by the {!Group_commit} front-end; exposed here so the
-      coalescing layer's activity is metered on the shard regions it
-      drained and aggregates with the rest of {!stats}.  A drained
-      window of [logical] transactions that needed [engine] engine
-      rounds (> 1 only when a raiser split the window) saved
-      [logical - engine] fence sequences; [merged] cross-shard batches
-      rode another batch's intent record instead of writing their own. *)
-  val note_group_commit :
-    t -> shard:int -> logical:int -> engine:int -> merged:int -> unit
-
-  (** [n] operations acknowledged at enqueue ([Async] mode), metered on
-      the shard whose queue accepted them. *)
-  val note_async_acks : t -> shard:int -> int -> unit
-
-  (** One explicit drain-everything barrier (metered on shard 0, like
-      the other whole-store events). *)
-  val note_flush : t -> unit
+  (** This store's own counters (live: take {!Counters.snapshot} to keep
+      a value).  A reopened store starts a fresh set. *)
+  val counters : t -> Counters.t
 
   (** {2 Fault isolation and self-healing}
 
@@ -398,7 +413,7 @@ module Make (P : SHARD_PTM) : sig
 
       + scrub retries under the jittered-exponential backoff schedule
         of {!overload_backoff_schedule} ([retries]/[base_ns]/[seed],
-        attempts counted in [Stats.repair_attempts]);
+        attempts counted in [Repair_attempts]);
       + restore from the shard's snapshot file under [snapshot_base]
         (as written by {!save_to_files}), adopted only after a clean
         validating scrub;
@@ -436,7 +451,7 @@ module Make (P : SHARD_PTM) : sig
 
   (** Reclaim every parked lazy-CLEAR record now, in dedicated
       transactions (one per shard with a non-empty queue, counted in
-      [Stats.clear_flushes]).  The same drain runs automatically for any
+      [Clear_flushes]).  The same drain runs automatically for any
       shard whose queue reaches [clear_flush_threshold], so a
       write-quiet shard's stale mirrors are reclaimed without waiting
       for its next protocol transaction.  After this, a quiescent store

@@ -229,7 +229,6 @@ let copy t ~src ~dst ~len =
   step t;
   Bytes.blit t.vol src t.vol dst len;
   dirty_range t dst len;
-  t.stats.stores <- t.stats.stores + 1;
   t.stats.nvm_bytes <- t.stats.nvm_bytes + len;
   t.stats.copy_calls <- t.stats.copy_calls + 1;
   t.stats.replicated_bytes <- t.stats.replicated_bytes + len

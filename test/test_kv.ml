@@ -379,8 +379,9 @@ let golden_run run =
   run r;
   let st = R.stats r in
   ( Digest.to_hex (Digest.string (R.persistent_snapshot r)),
-    Printf.sprintf "loads=%d stores=%d pwbs=%d pfences=%d" st.Pmem.Stats.loads
-      st.stores st.pwbs st.pfences )
+    Printf.sprintf "loads=%d stores=%d copies=%d pwbs=%d pfences=%d"
+      st.Pmem.Stats.loads
+      st.stores st.copy_calls st.pwbs st.pfences )
 
 let golden_ops ~put ~delete =
   let key i = Printf.sprintf "key%03d" i in
@@ -398,14 +399,14 @@ let check_golden what (digest, counts) run =
 let test_db_golden () =
   check_golden "romulusdb"
     ("b207f8702e0de5a628b6393dea3c71ec",
-     "loads=10736 stores=1950 pwbs=1337 pfences=215") (fun r ->
+     "loads=10736 stores=1526 copies=424 pwbs=1337 pfences=215") (fun r ->
       let db = Db.open_db ~initial_buckets:4 r in
       golden_ops ~put:(Db.put db) ~delete:(Db.delete db))
 
 let test_sorted_db_golden () =
   check_golden "sorted db"
     ("6477b9753b2f3a5cfece298701aa833a",
-     "loads=11044 stores=1820 pwbs=1430 pfences=215") (fun r ->
+     "loads=11044 stores=1350 copies=470 pwbs=1430 pfences=215") (fun r ->
       let db = Sdb.open_db r in
       golden_ops ~put:(Sdb.put db) ~delete:(Sdb.delete db))
 

@@ -344,8 +344,9 @@ let check_golden what (digest, counts) run =
   Alcotest.(check string) (what ^ " image") digest
     (Digest.to_hex (Digest.string (R.persistent_snapshot r)));
   Alcotest.(check string) (what ^ " access counts") counts
-    (Printf.sprintf "loads=%d stores=%d pwbs=%d pfences=%d" st.Pmem.Stats.loads
-       st.stores st.pwbs st.pfences)
+    (Printf.sprintf "loads=%d stores=%d copies=%d pwbs=%d pfences=%d"
+      st.Pmem.Stats.loads
+       st.stores st.copy_calls st.pwbs st.pfences)
 
 let golden_ops ~put ~remove =
   for k = 0 to 39 do ignore (put k (k * 10) : bool) done;
@@ -358,19 +359,19 @@ let golden =
   [ tc "hash map (resizable) golden image" `Quick (fun () ->
         check_golden "resizable map"
           ("3bd6f3ea0ea6b77f8e1b1bd5d8249e03",
-           "loads=4508 stores=1235 pwbs=1083 pfences=200") (fun p ->
+           "loads=4508 stores=910 copies=325 pwbs=1083 pfences=200") (fun p ->
             let m = GH.create ~initial_buckets:4 p ~root:0 in
             golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
     tc "hash map (fixed) golden image" `Quick (fun () ->
         check_golden "fixed map"
           ("a9351d401f120822b123a5521a02e5b2",
-           "loads=4622 stores=850 pwbs=890 pfences=200") (fun p ->
+           "loads=4622 stores=640 copies=210 pwbs=890 pfences=200") (fun p ->
             let m = GH.create ~resizable:false ~initial_buckets:8 p ~root:0 in
             golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
     tc "b+tree golden image" `Quick (fun () ->
         check_golden "b+tree"
           ("0e87abc83b987bea01f7edaedf71206e",
-           "loads=3270 stores=968 pwbs=964 pfences=200") (fun p ->
+           "loads=3270 stores=708 copies=260 pwbs=964 pfences=200") (fun p ->
             let b = GB.create p ~root:0 in
             golden_ops ~put:(GB.put b) ~remove:(GB.remove b))) ]
 

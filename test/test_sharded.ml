@@ -12,6 +12,10 @@
 module R = Pmem.Region
 module Db = Kv.Romulus_db.Default
 module Sd = Kv.Sharded_db.Default
+module Sc = Kv.Sharded_db.Counters
+
+(* the store's own counter (it lives with this store handle) *)
+let counted db c = Sc.get (Sd.counters db) c
 
 let region ?(size = 1 lsl 18) () = R.create ~size ()
 
@@ -238,7 +242,7 @@ module Golden (P : Kv.Sharded_db.SHARD_PTM) = struct
     let bigs = [ on db 0 1; on db 1 1 ] in
     List.iter (fun k -> S.put db k (String.make 300 'o')) bigs;
     batch db (List.map (fun k -> (k, String.make 300 'n')) bigs);
-    if (S.stats db).Pmem.Stats.chunks_spilled = 0 then
+    if Sc.get (S.counters db) Chunks_spilled = 0 then
       Alcotest.fail "golden: large batch spilled no undo image";
     let k2 = on db 2 1 and k3 = on db 3 1 in
     Fault.arm ~skip:1 "sharded.d.mirror_applied" (fun () ->
@@ -264,7 +268,7 @@ module Golden (P : Kv.Sharded_db.SHARD_PTM) = struct
             S.put b (on db 3 (3 + j)) (Printf.sprintf "gb%d" j)))
       [ 0; 1; 2 ];
     G.flush fe;
-    if (S.stats db).Pmem.Stats.merged_intents < 2 then
+    if Kv.Group_commit.Counters.get (G.counters fe) Merged_intents < 2 then
       Alcotest.fail "golden: group window did not merge its batches";
     (match S.check db with
      | Ok () -> ()
@@ -450,19 +454,16 @@ let test_d_runtime_abort () =
   let applied = assert_all_or_nothing "d runtime abort" db in
   Alcotest.(check bool) "rolled back, not applied" false applied;
   Alcotest.(check int) "no record left hooked" 0 (Sd.pending_intents db);
-  let st = Sd.stats db in
   Alcotest.(check bool) "prepares counted" true
-    (st.Pmem.Stats.intent_prepares > 0);
-  Alcotest.(check bool) "rollbacks counted" true
-    (st.Pmem.Stats.rolled_back > 0);
+    (counted db Intent_prepares > 0);
+  Alcotest.(check bool) "rollbacks counted" true (counted db Rolled_back > 0);
   (* recovery afterwards finds nothing to reconcile *)
-  let before = Pmem.Stats.snapshot (Sd.stats db) in
+  let before = Sc.snapshot (Sd.counters db) in
   Sd.recover ~parallel:false db;
-  let d = Pmem.Stats.since ~now:(Sd.stats db) ~past:before in
-  Alcotest.(check int) "recovery rolled nothing back" 0
-    d.Pmem.Stats.rolled_back;
+  let d = Sc.since ~now:(Sd.counters db) ~past:before in
+  Alcotest.(check int) "recovery rolled nothing back" 0 (Sc.get d Rolled_back);
   Alcotest.(check int) "recovery rolled nothing forward" 0
-    d.Pmem.Stats.rolled_forward;
+    (Sc.get d Rolled_forward);
   Alcotest.(check bool) "still rolled back" false
     (assert_all_or_nothing "after recover" db);
   run_batch db;
@@ -495,7 +496,7 @@ let test_d_preflip_presumed_abort () =
         (assert_all_or_nothing "preflip window" db);
       Alcotest.(check int) "mirrors reclaimed" 0 (Sd.pending_intents db);
       Alcotest.(check bool) "rollbacks counted" true
-        ((Sd.stats db).Pmem.Stats.rolled_back > 0))
+        (counted db Rolled_back > 0))
     [ 0; nparts - 1 ]
 
 let test_d_postflip_rolls_forward () =
@@ -516,7 +517,7 @@ let test_d_postflip_rolls_forward () =
     (assert_all_or_nothing "postflip window" db);
   Alcotest.(check int) "mirrors and flip reclaimed" 0 (Sd.pending_intents db);
   Alcotest.(check bool) "roll-forwards counted" true
-    ((Sd.stats db).Pmem.Stats.rolled_forward > 0);
+    (counted db Rolled_forward > 0);
   (* reconciliation already converged: another pass changes nothing *)
   Sd.recover ~parallel:false db;
   Alcotest.(check bool) "idempotent after roll-forward" true
@@ -538,7 +539,7 @@ let test_deferred_clear_reclamation () =
   Alcotest.(check int) "previous batch fully reclaimed" footprint
     (Sd.pending_intents db);
   Alcotest.(check bool) "lazy clears counted" true
-    ((Sd.stats db).Pmem.Stats.deferred_clears >= footprint);
+    (counted db Deferred_clears >= footprint);
   Alcotest.(check bool) "batch applied" true
     (assert_all_or_nothing "lazy clear" db);
   (* recovery reclaims the rest without touching data *)
@@ -846,7 +847,8 @@ let prop_d_racing_mix =
 
 (* ---- snapshots ---- *)
 
-let test_snapshot_roundtrip () =
+(* [f dir] over a fresh directory, removed with its files afterwards *)
+let with_temp_dir f =
   let dir = Filename.temp_file "sharded" ".d" in
   Sys.remove dir;
   Unix.mkdir dir 0o700;
@@ -856,7 +858,10 @@ let test_snapshot_roundtrip () =
         (fun f -> Sys.remove (Filename.concat dir f))
         (Sys.readdir dir);
       Unix.rmdir dir)
-    (fun () ->
+    (fun () -> f dir)
+
+let test_snapshot_roundtrip () =
+  with_temp_dir (fun dir ->
       let _, db = open_sharded () in
       seed db 30;
       run_batch db;
@@ -971,11 +976,10 @@ let test_chunked_batch_commits () =
       Alcotest.(check (option string)) k (Some (big_value 9 900))
         (Sd.get db k))
     big_keys;
-  let st = Sd.stats db in
   Alcotest.(check bool) "payloads streamed as multiple chunks" true
-    (st.Pmem.Stats.chunks_written > List.length parts);
+    (counted db Chunks_written > List.length parts);
   Alcotest.(check bool) "every oversized undo image spilled" true
-    (st.Pmem.Stats.chunks_spilled >= List.length big_keys);
+    (counted db Chunks_spilled >= List.length big_keys);
   check_ok "chunked batch" db;
   (* chains, spills, mirrors and the flip are all reclaimable *)
   Sd.flush_clears db;
@@ -1052,7 +1056,7 @@ let test_chunk_midchain_kill () =
   let db = Sd.open_db ~initial_buckets:8 ~chunk_bytes:256 rs in
   assert_fresh_big_rolled_back "mid-chain kill" db;
   Alcotest.(check bool) "chain GC counted as presumed abort" true
-    ((Sd.stats db).Pmem.Stats.rolled_back > 0)
+    (counted db Rolled_back > 0)
 
 let test_chunk_seal_window_kill () =
   with_disarm @@ fun () ->
@@ -1110,7 +1114,7 @@ let test_admission_overload_immediate () =
   Alcotest.(check (option string)) "nothing applied" None (Sd.get db ka);
   Alcotest.(check int) "nothing hooked" 0 (Sd.pending_intents db);
   Alcotest.(check bool) "rejection counted" true
-    ((Sd.stats db).Pmem.Stats.overload_rejections > 0);
+    (counted db Overload_rejections > 0);
   (* a batch under the budget is unaffected *)
   run_batch db;
   Alcotest.(check bool) "small batch commits" true
@@ -1150,7 +1154,7 @@ let test_admission_overload_concurrent () =
      Alcotest.(check bool) "outer charge visible to the inner batch" true
        (in_flight > 0));
   Alcotest.(check bool) "rejection counted" true
-    ((Sd.stats db).Pmem.Stats.overload_rejections > 0);
+    (counted db Overload_rejections > 0);
   (* the aborted outer batch released its charge: the big batch fits now *)
   Sd.write_batch db (fun b ->
       Sd.put b ka (big_value 2 1600);
@@ -1278,11 +1282,10 @@ let test_overflow_retry_real () =
     (Some (big_value 1 600)) (Tsd.get db ka);
   Alcotest.(check (option string)) "second key committed"
     (Some (big_value 1 600)) (Tsd.get db kb);
-  let st = Tsd.stats db in
   Alcotest.(check bool) "fast path overflowed and aborted" true
-    (st.Pmem.Stats.tx_aborts > 0);
+    ((Tsd.stats db).Pmem.Stats.tx_aborts > 0);
   Alcotest.(check bool) "payload streamed in bounded chunks" true
-    (st.Pmem.Stats.chunks_written > 2);
+    (Sc.get (Tsd.counters db) Chunks_written > 2);
   (match Tsd.check db with
    | Ok () -> ()
    | Error e -> Alcotest.failf "tight redo log: %s" e);
@@ -1307,7 +1310,7 @@ let test_flush_clears () =
   Alcotest.(check int) "explicit flush reclaims everything" 0
     (Sd.pending_intents db);
   Alcotest.(check bool) "flush transactions counted" true
-    ((Sd.stats db).Pmem.Stats.clear_flushes >= 1);
+    (counted db Clear_flushes >= 1);
   Alcotest.(check bool) "data intact" true
     (assert_all_or_nothing "flush_clears" db);
   (* threshold 1: every parked mirror is drained right after the commit;
@@ -1321,7 +1324,7 @@ let test_flush_clears () =
   Sd.flush_clears db2;
   Alcotest.(check int) "flip flushed" 0 (Sd.pending_intents db2);
   Alcotest.(check bool) "auto-flushes counted" true
-    ((Sd.stats db2).Pmem.Stats.clear_flushes
+    (counted db2 Clear_flushes
      >= List.length (d_participants db2));
   Alcotest.(check bool) "data intact after auto-flush" true
     (assert_all_or_nothing "auto flush" db2)
@@ -1404,12 +1407,10 @@ let test_split_basic () =
   done;
   Alcotest.(check int) "target owns half the source's slots"
     (Kv.Sharded_db.slots_per_shard / 2) !owns;
-  let st = Sd.stats db in
-  Alcotest.(check int) "started" 1 st.Pmem.Stats.migrations_started;
-  Alcotest.(check int) "completed" 1 st.Pmem.Stats.migrations_completed;
-  Alcotest.(check int) "nothing resumed" 0 st.Pmem.Stats.migrations_resumed;
-  Alcotest.(check bool) "keys migrated" true
-    (st.Pmem.Stats.keys_migrated > 0);
+  Alcotest.(check int) "started" 1 (counted db Migrations_started);
+  Alcotest.(check int) "completed" 1 (counted db Migrations_completed);
+  Alcotest.(check int) "nothing resumed" 0 (counted db Migrations_resumed);
+  Alcotest.(check bool) "keys migrated" true (counted db Keys_migrated > 0);
   (* the store keeps working across the new route *)
   Sd.put db "post-split" "psv";
   Alcotest.(check (option string)) "post-split put" (Some "psv")
@@ -1427,8 +1428,7 @@ let test_merge_basic () =
       Alcotest.failf "merged shard still owns slot %d" s
   done;
   assert_exactly_once "merge" db 80;
-  let st = Sd.stats db in
-  Alcotest.(check int) "two migrations" 2 st.Pmem.Stats.migrations_completed;
+  Alcotest.(check int) "two migrations" 2 (counted db Migrations_completed);
   (* merging the last slots out of shard 0 is fine too; merging a
      slotless shard is a typed error *)
   (match Sd.merge_shards db ~source:target ~target:0 with
@@ -1453,8 +1453,7 @@ let test_resize_persists () =
   Alcotest.(check int) "epoch survives" 1 (Sd.epoch db);
   Alcotest.(check (list int)) "route survives" route_before
     (List.init (Sd.route_slots db) (fun s -> Sd.shard_of_slot db s));
-  Alcotest.(check int) "nothing resumed" 0
-    (Sd.stats db).Pmem.Stats.migrations_resumed;
+  Alcotest.(check int) "nothing resumed" 0 (counted db Migrations_resumed);
   assert_exactly_once "reopened" db 60
 
 let test_resize_guards () =
@@ -1509,19 +1508,20 @@ let test_split_crash_at_failpoints () =
            | exception R.Crash_point -> ());
           let rs = Array.append rs [| r2 |] in
           crash_all rs policy;
+          let crashed = db in
           let db = Sd.open_db ~initial_buckets:8 rs in
           let what = Printf.sprintf "%s/policy%d" site pi in
           assert_exactly_once what db 60;
           Alcotest.(check int) (what ^ " epoch") 1 (Sd.epoch db);
-          let st = Sd.stats db in
           Alcotest.(check int) (what ^ " resumed")
             (if resumes then 1 else 0)
-            st.Pmem.Stats.migrations_resumed;
+            (counted db Migrations_resumed);
           (* exactly one completion ever: pre-flip crashes complete on
-             resume, post-flip crashes must not flip a second time
-             (region counters survive the simulated power cycle) *)
+             resume, post-flip crashes must not flip a second time.  The
+             crashed store counted its own completion, if any. *)
           Alcotest.(check int) (what ^ " completed once") 1
-            st.Pmem.Stats.migrations_completed)
+            (counted crashed Migrations_completed
+             + counted db Migrations_completed))
         policies)
     sites
 
@@ -1543,6 +1543,7 @@ let test_racing_write_during_split () =
       seed db 40;
       let raced = ref "" in
       let deleted = ref "" in
+      let double_read = ref 0 in
       Fault.arm "sharded.migrate.batch_moved" (fun () ->
           (* during the window moving slots already route to the new
              shard (index 2): these are forwarded writes.  Pick the
@@ -1550,13 +1551,21 @@ let test_racing_write_during_split () =
              in-flight batch is legitimately invisible right here (the
              cursor owns it), yet its forwarded delete must still win
              via the tombstone. *)
-          raced := moving_key db 2;
-          Sd.put db !raced "raced-live";
           let rec victim i =
             if i >= 40 then None
             else if Sd.shard_of_key db (key i) = 2 then Some (key i)
             else victim (i + 1)
           in
+          (* a moving key the target does not hold yet: the read misses
+             on the target and falls back to the source *)
+          (match victim 0 with
+           | Some k ->
+             let before = counted db Double_reads in
+             ignore (Sd.get db k : string option);
+             double_read := counted db Double_reads - before
+           | None -> ());
+          raced := moving_key db 2;
+          Sd.put db !raced "raced-live";
           match victim 0 with
           | Some k ->
             deleted := k;
@@ -1569,8 +1578,9 @@ let test_racing_write_during_split () =
       if !deleted <> "" then
         Alcotest.(check (option string)) "raced delete survives the stream"
           None (Sd.get db !deleted);
+      if !deleted = "" then Alcotest.fail "no seeded key moves to shard 2";
       Alcotest.(check bool) "double-read served the window" true
-        ((Sd.stats db).Pmem.Stats.double_reads >= 0));
+        (!double_read >= 1));
   (* same race, then kill the source before the target tx of a later
      batch; recovery must keep the racing values *)
   List.iter
@@ -1635,16 +1645,7 @@ let test_batch_refused_during_window () =
 (* satellite: open_from_files with the wrong ~shards is a typed error
    before any region is opened *)
 let test_shard_mismatch_typed () =
-  let dir = Filename.temp_file "sharded" ".d" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () ->
+  with_temp_dir (fun dir ->
       let _, db = open_sharded ~shards:2 () in
       seed db 30;
       ignore (Sd.split_shard db ~source:0 (region ()) : int);
@@ -1809,6 +1810,14 @@ let rot_shard rs db sick =
 
 (* a settled store: seeded, crashed clean and reopened, so every line is
    durably fenced and at-rest rot is the only damage *)
+(* make shard [i]'s engine unmountable (its region's head lines rot),
+   then power off every region *)
+let smash_head rs i =
+  for l = 0 to 3 do
+    R.corrupt_line rs.(i) ~line:l
+  done;
+  crash_all rs R.Drop_all
+
 let settled ?(shards = 4) n =
   let rs, db = open_sharded ~shards () in
   seed db n;
@@ -1871,20 +1880,14 @@ let test_health_degraded_read_only () =
      Alcotest.(check int) "batch refusal names the shard" 1 shard);
   Alcotest.(check (option string)) "refused batch left no trace"
     (Some (value ih)) (Sd.get db (key ih));
-  let st = Sd.stats db in
   Alcotest.(check bool) "rejections metered" true
-    (st.Pmem.Stats.unavailable_rejections > 0);
+    (counted db Unavailable_rejections > 0);
   Alcotest.(check bool) "degradation metered" true
-    (st.Pmem.Stats.health_degraded > 0)
+    (counted db Health_degraded > 0)
 
 let test_health_quarantine_unopenable () =
-  let rs, db = settled 32 in
-  ignore db;
-  (* smash the head of shard 2's region: the engine cannot mount *)
-  for l = 0 to 3 do
-    R.corrupt_line rs.(2) ~line:l
-  done;
-  crash_all rs R.Drop_all;
+  let rs, _ = settled 32 in
+  smash_head rs 2;
   let db = Sd.open_db ~initial_buckets:8 rs in
   (match Sd.health db 2 with
    | Kv.Sharded_db.Quarantined _ -> ()
@@ -1911,29 +1914,21 @@ let test_health_quarantine_unopenable () =
    | exception Kv.Sharded_db.Shard_unavailable { shard; _ } ->
      Alcotest.(check int) "scan refusal blames shard 2" 2 shard);
   Alcotest.(check bool) "quarantine metered" true
-    ((Sd.stats db).Pmem.Stats.health_quarantined > 0)
+    (counted db Health_quarantined > 0)
 
 (* shard 0 anchors the route table, the intents and the health record:
    its loss is the typed fatal, naming the shard *)
 let test_shard0_failure_typed () =
-  let rs, db = settled 8 in
-  ignore db;
-  for l = 0 to 3 do
-    R.corrupt_line rs.(0) ~line:l
-  done;
-  crash_all rs R.Drop_all;
+  let rs, _ = settled 8 in
+  smash_head rs 0;
   match Sd.open_db ~initial_buckets:8 rs with
   | _ -> Alcotest.fail "store opened without its anchor shard"
   | exception Kv.Sharded_db.Shard_open_failed { shard; _ } ->
     Alcotest.(check int) "anchor failure names shard 0" 0 shard
 
 let test_recover_shard_failure_typed () =
-  let rs, db = settled 16 in
-  ignore db;
-  for l = 0 to 3 do
-    R.corrupt_line rs.(3) ~line:l
-  done;
-  crash_all rs R.Drop_all;
+  let rs, _ = settled 16 in
+  smash_head rs 3;
   let db = Sd.open_db ~initial_buckets:8 rs in
   match Sd.recover_shard db 3 with
   | () -> Alcotest.fail "recover_shard succeeded on a dead shard"
@@ -1941,16 +1936,7 @@ let test_recover_shard_failure_typed () =
     Alcotest.(check int) "recover_shard names the failing shard" 3 shard
 
 let test_open_from_files_failure_typed () =
-  let dir = Filename.temp_file "sharded-health" ".d" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () ->
+  with_temp_dir (fun dir ->
       let _, db = settled 16 in
       let base = Filename.concat dir "db" in
       Sd.save_to_files db base;
@@ -1964,16 +1950,7 @@ let test_open_from_files_failure_typed () =
         Alcotest.(check int) "load failure names the shard" 2 shard)
 
 let test_repair_snapshot_restore () =
-  let dir = Filename.temp_file "sharded-restore" ".d" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o700;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter
-        (fun f -> Sys.remove (Filename.concat dir f))
-        (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () ->
+  with_temp_dir (fun dir ->
       let rs, db = settled 32 in
       let base = Filename.concat dir "snap" in
       Sd.save_to_files db base;
@@ -1997,11 +1974,10 @@ let test_repair_snapshot_restore () =
       Sd.put db (key 0) "writable-again";
       Alcotest.(check (option string)) "writes re-enabled"
         (Some "writable-again") (Sd.get db (key 0));
-      let st = Sd.stats db in
       Alcotest.(check bool) "restore metered" true
-        (st.Pmem.Stats.repair_snapshot_restores > 0);
+        (counted db Repair_snapshot_restores > 0);
       Alcotest.(check bool) "healing metered" true
-        (st.Pmem.Stats.health_repaired > 0);
+        (counted db Health_repaired > 0);
       check_ok "restored store" db;
       (* the healed verdict is durable — the restore swapped a fresh
          region in for shard 1, so reopen through the store's current
@@ -2012,6 +1988,30 @@ let test_repair_snapshot_restore () =
       match Sd.health db 1 with
       | Kv.Sharded_db.Healthy -> ()
       | _ -> Alcotest.fail "healed verdict lost across reopen")
+
+(* R2 swaps a freshly loaded region in for the patient; the store's
+   counts of what happened to that shard before the swap (its
+   quarantine, every scrub attempt) must survive it *)
+let test_restore_keeps_counts () =
+  with_temp_dir (fun dir ->
+      let rs, db = settled 32 in
+      let base = Filename.concat dir "snap" in
+      Sd.save_to_files db base;
+      smash_head rs 2;
+      let db = Sd.open_db ~initial_buckets:8 rs in
+      (match Sd.health db 2 with
+       | Kv.Sharded_db.Quarantined _ -> ()
+       | _ -> Alcotest.fail "unopenable shard 2 was not quarantined");
+      (match Sd.repair ~retries:2 ~snapshot_base:base db with
+       | [ (2, Sd.Snapshot_restored) ] -> ()
+       | _ -> Alcotest.fail "expected a snapshot restore of shard 2");
+      Alcotest.(check int) "quarantine still counted" 1
+        (counted db Health_quarantined);
+      Alcotest.(check int) "every scrub attempt still counted" 3
+        (counted db Repair_attempts);
+      Alcotest.(check int) "restore counted" 1
+        (counted db Repair_snapshot_restores);
+      Alcotest.(check int) "healing counted" 1 (counted db Health_repaired))
 
 let test_repair_evacuates () =
   let rs, db = settled 32 in
@@ -2069,7 +2069,7 @@ let test_repair_evacuates () =
   Alcotest.(check (option string)) "rerouted write lands" (Some "rerouted")
     (Sd.get db (key i0));
   Alcotest.(check bool) "evacuation metered" true
-    ((Sd.stats db).Pmem.Stats.shards_evacuated > 0);
+    (counted db Shards_evacuated > 0);
   Alcotest.(check int) "nothing left hooked" 0 (Sd.pending_intents db);
   (* the retired verdict survives further crash-recoveries *)
   crash_all rs R.Drop_all;
@@ -2128,9 +2128,38 @@ let prop_scrub_attribution =
              reports
       | [] -> false)
 
+(* ---- counter tables ---- *)
+
+(* A layer's counter table: every name unique and documented, [since]
+   subtracts every counter and [pp] prints every one as name=value. *)
+let check_counter_table (module C : Kv.Counter_set.S) () =
+  let names = List.map (fun (_, name, _) -> name) C.table in
+  Alcotest.(check int) "names unique" (List.length names)
+    (List.length (List.sort_uniq compare names));
+  let past = C.create () and now = C.create () in
+  List.iteri
+    (fun i (c, name, doc) ->
+      if doc = "" then Alcotest.failf "%s: no doc" name;
+      C.count past c (100 + i);
+      C.count now c (2 * (100 + i)))
+    C.table;
+  let d = C.since ~now ~past in
+  let printed = String.split_on_char ' ' (Format.asprintf "%a" C.pp d) in
+  List.iteri
+    (fun i (c, name, _) ->
+      Alcotest.(check int) (name ^ " since") (100 + i) (C.get d c);
+      let field = Printf.sprintf "%s=%d" name (100 + i) in
+      if not (List.mem field printed) then
+        Alcotest.failf "pp does not print %s" field)
+    C.table
+
 (* ---- group-commit front-end (Group_commit, CORRECTNESS.md 15) ---- *)
 
 module Gc = Kv.Group_commit.Default
+module Gcc = Kv.Group_commit.Counters
+
+(* the front-end's own counter *)
+let grouped fe c = Gcc.get (Gc.counters fe) c
 
 (* first [n] indices whose key routes to [shard] under [db] *)
 let group_keys_on db ~shard n =
@@ -2155,25 +2184,23 @@ let test_group_async_coalesces () =
     (Sd.get db (key 3));
   Alcotest.(check (option string)) "read-your-writes from the queue"
     (Some (value 3)) (Gc.get fe (key 3));
-  let st = Sd.stats db in
-  Alcotest.(check int) "async acks counted" 20 st.Pmem.Stats.async_acks;
-  Alcotest.(check int) "no engine round yet" 0 st.Pmem.Stats.group_commits;
+  Alcotest.(check int) "async acks counted" 20 (grouped fe Async_acks);
+  Alcotest.(check int) "no engine round yet" 0 (grouped fe Group_commits);
   Gc.flush fe;
   Alcotest.(check int) "drained" 0 (Gc.pending fe);
   for i = 0 to 19 do
     if Sd.get db (key i) <> Some (value i) then
       Alcotest.failf "flush lost %s" (key i)
   done;
-  let st = Sd.stats db in
   Alcotest.(check int) "every logical tx settled" 20
-    st.Pmem.Stats.group_size_sum;
-  Alcotest.(check int) "one flush" 1 st.Pmem.Stats.flushes;
+    (grouped fe Group_size_sum);
+  Alcotest.(check int) "one flush" 1 (grouped fe Flushes);
   (* 20 logical txs over 4 shard queues: at most 4 engine rounds, so at
      least 16 fence sequences were never paid *)
   Alcotest.(check bool) "coalesced (rounds <= shards)" true
-    (st.Pmem.Stats.group_commits <= 4);
+    (grouped fe Group_commits <= 4);
   Alcotest.(check int) "fences saved = logical - rounds"
-    (20 - st.Pmem.Stats.group_commits) st.Pmem.Stats.fences_saved;
+    (20 - grouped fe Group_commits) (grouped fe Fences_saved);
   (* watermark = submitted on every queue after a flush *)
   for qi = 0 to Gc.queues fe - 1 do
     Alcotest.(check int) "watermark caught up" (Gc.submitted fe qi)
@@ -2193,13 +2220,12 @@ let test_group_sync_is_per_tx () =
   Gc.delete fe (key 0);
   Alcotest.(check (option string)) "delete durable at ack" None
     (Sd.get db (key 0));
-  let st = Sd.stats db in
   Alcotest.(check int) "one engine round per logical tx" 11
-    st.Pmem.Stats.group_commits;
+    (grouped fe Group_commits);
   Alcotest.(check int) "nothing saved at group size 1" 0
-    st.Pmem.Stats.fences_saved;
+    (grouped fe Fences_saved);
   Alcotest.(check int) "no async acks in Sync mode" 0
-    st.Pmem.Stats.async_acks
+    (grouped fe Async_acks)
 
 let test_group_batch_sync_threshold () =
   let _, db = open_sharded () in
@@ -2230,18 +2256,36 @@ let test_group_batch_sync_threshold () =
       if Sd.get db (key i) <> Some (value i) then
         Alcotest.failf "batch-sync lost %s" (key i))
     ks;
-  let st = Sd.stats db in
   Alcotest.(check int) "one engine round for the group" 1
-    st.Pmem.Stats.group_commits;
+    (grouped fe Group_commits);
   Alcotest.(check int) "three fences amortized away" 3
-    st.Pmem.Stats.fences_saved;
+    (grouped fe Fences_saved);
   Alcotest.(check int) "largest group recorded" 4
-    st.Pmem.Stats.group_size_max
+    (grouped fe Group_size_max)
+
+(* one front-end owns one high-water mark: a group of 4 on one shard
+   queue and a group of 3 on another leave 4, not their sum *)
+let test_group_size_max_is_a_max () =
+  let _, db = open_sharded () in
+  let fe = Gc.attach ~window:32 ~ack:Kv.Group_commit.Async db in
+  let a = Sd.shard_of_key db (key 0) in
+  let b = (a + 1) mod Sd.shards db in
+  List.iter
+    (fun (shard, n) ->
+      List.iter
+        (fun i -> Gc.put fe (key i) (value i))
+        (group_keys_on db ~shard n))
+    [ (a, 4); (b, 3) ];
+  Gc.flush fe;
+  Alcotest.(check int) "one engine round per group" 2
+    (grouped fe Group_commits);
+  Alcotest.(check int) "largest group, not a sum" 4
+    (grouped fe Group_size_max)
 
 let test_group_cross_batches_share_intent () =
   let _, db = open_sharded () in
   let fe = Gc.attach ~window:32 ~ack:Kv.Group_commit.Async db in
-  let st0 = Pmem.Stats.snapshot (Sd.stats db) in
+  let flips0 = counted db Coordinator_flips in
   (* three cross-shard batches queued back to back: one shared intent *)
   for b = 0 to 2 do
     Gc.write_batch fe (fun h ->
@@ -2254,11 +2298,10 @@ let test_group_cross_batches_share_intent () =
     if Sd.get db (Printf.sprintf "cross-%d-a" b) <> Some "A" then
       Alcotest.failf "merged batch %d lost" b
   done;
-  let d = Pmem.Stats.since ~now:(Sd.stats db) ~past:st0 in
   Alcotest.(check int) "one coordinator flip for the whole group" 1
-    d.Pmem.Stats.coordinator_flips;
+    (counted db Coordinator_flips - flips0);
   Alcotest.(check int) "two batches rode the shared intent" 2
-    d.Pmem.Stats.merged_intents;
+    (grouped fe Merged_intents);
   check_ok "shared intent" db
 
 let test_group_raiser_fails_alone_in_window () =
@@ -2541,5 +2584,13 @@ let suite =
         prop_chunked_crash_batch; prop_epoch0_matches_fnv;
         prop_route_stable_across_reopen; prop_route_uniform;
         prop_scrub_attribution; prop_group_watermark ]
+  @ [ tc "repair: snapshot restore keeps the shard's counts" `Quick
+        test_restore_keeps_counts;
+      tc "group: group_size_max is the largest group" `Quick
+        test_group_size_max_is_a_max;
+      tc "counters: Sharded_db table covers every counter" `Quick
+        (check_counter_table (module Sc));
+      tc "counters: Group_commit table covers every counter" `Quick
+        (check_counter_table (module Kv.Group_commit.Counters)) ]
 
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]
