@@ -913,8 +913,9 @@ let batch_rows ~chunked ~ptm:_ (module P : PTM) cfg =
         end
         else fail r "round %d: %s did not fire" round site)
       windows;
-    (* (c) the controls recover sequentially: each domain of a parallel
-       recovery keeps a thread slot on mne, and the pool holds 128 *)
+    (* (c) the controls recover sequentially: they only measure each
+       shard's recovery work, which is the same either way, and spawn
+       no domains *)
     let _, db =
       crash_in_recovery r ~fresh ~op:run_batch
         ~recover:(fun ~control -> recover ~parallel:(not control))

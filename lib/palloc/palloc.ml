@@ -13,7 +13,10 @@
      base+8   top          first never-allocated byte (bump frontier)
      base+16  limit        end of the arena
      base+24  frontier_prev_inuse   in-use bit of the chunk just below top
-     base+32  bins[NBINS]  heads of segregated free lists (0 = empty)
+     base+32  mask[2]      non-empty-bin mask: bin [i] is bit [i land 31]
+                           of word [i lsr 5] (32 bins per word, like the
+                           bitmap below, so indexing stays a shift)
+     base+48  bins[NBINS]  heads of segregated free lists (0 = empty)
      base+meta_bytes
               chunk-start bitmap: one bit per 16-byte granule of the chunk
               area, 32 granules per word (bit [g land 31] of word
@@ -46,7 +49,18 @@
    - a bitmap bit is set iff a chunk (free or in use) starts at that
      granule below top.  Maintained by [alloc_from_top] and [split] (set),
      and by coalescing and the top merge (clear), so [free] validates its
-     argument in O(1). *)
+     argument in O(1);
+   - a non-empty bin has its mask bit set.  The converse need not hold: a
+     set bit over an empty bin is *stale*.  [insert_into_bin] sets the bit
+     when it fills an empty bin; [unlink] leaves the mask alone; an
+     [alloc] that falls through to the frontier clears the stale bits its
+     search met.  So [alloc] finds its first candidate bin with one mask
+     load instead of loading every head up to the last bin, and a bin that
+     empties and refills inside one transaction costs no mask store.
+
+   Every mask access is an ordinary [MEM] access inside the enclosing
+   transaction, like the bitmap: crash recovery and aborts roll it back
+   with the bins it describes, and no volatile state survives an abort. *)
 
 module type MEM = sig
   type t
@@ -69,12 +83,14 @@ exception Invalid_free of { offset : int; reason : string }
 let fp_alloc_split = Fault.site ~can_raise:true "palloc.alloc.split"
 let fp_free_unlinked = Fault.site ~can_raise:true "palloc.free.unlinked"
 
-(* "PALB".  The format before the chunk-start bitmap ("PALL") kept its
-   first chunks where this one keeps the bitmap: [attach] refuses it as a
-   bad magic rather than misread it. *)
-let magic = 0x50414C42
+(* "PALM".  The formats before it are refused by [attach] as a bad magic
+   rather than misread: "PALL" (before the chunk-start bitmap) kept its
+   first chunks where the bitmap now sits, and "PALB" (before the bin
+   mask) kept its bins where the mask now sits. *)
+let magic = 0x50414C4D
 
 let nbins = 64
+let mask_words = nbins / 32
 let min_chunk = 32
 let small_max = 512
 
@@ -83,11 +99,13 @@ let o_magic = 0
 let o_top = 8
 let o_limit = 16
 let o_frontier_prev = 24
-let o_bins = 32
+let o_mask = 32
+let o_bins = o_mask + (8 * mask_words)
 
 let meta_bytes = o_bins + (8 * nbins)
 
 let top_offset = o_top
+let mask_offset = o_mask
 
 let round16 n = (n + 15) land lnot 15
 
@@ -100,6 +118,19 @@ let bin_index size =
     let j = log2 (size - 1) 0 - 8 in
     min (nbins - 1) (small_bins + j)
   end
+
+let chunk_size nbytes = max min_chunk (round16 (nbytes + 8))
+
+(* The mask bits of bins [lo] and up within one 32-bin word; [lo] may
+   lie below or above the word. *)
+let bins_from lo =
+  if lo <= 0 then 0xFFFF_FFFF else (0xFFFF_FFFF lsl lo) land 0xFFFF_FFFF
+
+(* Index of the lowest set bit of [x] (nonzero), plus [i]. *)
+let rec lowest_bit x i =
+  if x land 0xFF = 0 then lowest_bit (x lsr 8) (i + 8)
+  else if x land 1 = 0 then lowest_bit (x lsr 1) (i + 1)
+  else i
 
 (* Bitmap words covering an arena of [size] bytes: one bit per 16-byte
    granule, 32 granules per word (a slight over-count: the metadata and
@@ -122,6 +153,7 @@ module Make (M : MEM) = struct
   let frontier_prev t = M.load t.mem (t.base + o_frontier_prev)
   let set_frontier_prev t v = M.store t.mem (t.base + o_frontier_prev) v
   let bin_addr t i = t.base + o_bins + (8 * i)
+  let mask_addr t k = t.base + o_mask + (8 * k)
 
   let header c = c - 8
   let hdr_size h = h land lnot 15
@@ -138,10 +170,10 @@ module Make (M : MEM) = struct
 
   let write_footer t c ~size = M.store t.mem (header c + size - 8) size
 
-  (* next chunk's payload offset, or None when this chunk touches top *)
+  (* next chunk's payload offset, or 0 when this chunk touches top *)
   let next_chunk t c ~size =
     let n = header c + size + 8 in
-    if n - 8 >= top t then None else Some n
+    if n - 8 >= top t then 0 else n
 
   let set_prev_inuse t c v =
     let h = read_header t c in
@@ -151,12 +183,19 @@ module Make (M : MEM) = struct
   (* ---- free-list linking ---- *)
 
   let insert_into_bin t c ~size =
-    let slot = bin_addr t (bin_index size) in
+    let i = bin_index size in
+    let slot = bin_addr t i in
     let old = M.load t.mem slot in
     M.store t.mem c old;           (* fd *)
     M.store t.mem (c + 8) slot;    (* bk = address of predecessor's fd *)
     M.store t.mem slot c;
     if old <> 0 then M.store t.mem (old + 8) c
+    else begin
+      (* the bin was empty, so its bit may be clear (or stale, then set) *)
+      let a = mask_addr t (i lsr 5) and m = 1 lsl (i land 31) in
+      let w = M.load t.mem a in
+      if w land m = 0 then M.store t.mem a (w lor m)
+    end
 
   let unlink t c =
     let fd = M.load t.mem c in
@@ -166,26 +205,24 @@ module Make (M : MEM) = struct
 
   (* ---- chunk-start bitmap ---- *)
 
-  (* (word address, bit mask) of the granule chunk [c] starts at *)
-  let bit_of t c =
-    let g = (c - t.ds) lsr 4 in
-    (t.bitmap + ((g lsr 5) lsl 3), 1 lsl (g land 31))
+  (* The bit of chunk [c] is [start_bit c] of the word at [start_word t c]
+     (two functions, not a pair: a tuple would be allocated per call). *)
+  let start_word t c = t.bitmap + ((((c - t.ds) lsr 4) lsr 5) lsl 3)
+  let start_bit t c = 1 lsl (((c - t.ds) lsr 4) land 31)
 
-  let is_chunk_start t c =
-    let a, m = bit_of t c in
-    M.load t.mem a land m <> 0
+  let is_chunk_start t c = M.load t.mem (start_word t c) land start_bit t c <> 0
 
   (* Both store only when the word changes: under an interposing PTM a
      redundant store would still cost a redo range and a write-back.  At
      every call site the invariant says the bit flips, so each call is
      one load and one store. *)
   let mark_start t c =
-    let a, m = bit_of t c in
+    let a = start_word t c and m = start_bit t c in
     let w = M.load t.mem a in
     if w land m = 0 then M.store t.mem a (w lor m)
 
   let unmark_start t c =
-    let a, m = bit_of t c in
+    let a = start_word t c and m = start_bit t c in
     let w = M.load t.mem a in
     if w land m <> 0 then M.store t.mem a (w land lnot m)
 
@@ -204,6 +241,9 @@ module Make (M : MEM) = struct
     set_top t (t.ds - 8);
     M.store mem (base + o_limit) t.limit;
     set_frontier_prev t 1;
+    for k = 0 to mask_words - 1 do
+      M.store mem (mask_addr t k) 0
+    done;
     for i = 0 to nbins - 1 do
       M.store mem (bin_addr t i) 0
     done;
@@ -226,8 +266,6 @@ module Make (M : MEM) = struct
 
   (* ---- allocation ---- *)
 
-  let chunk_size_for nbytes = max min_chunk (round16 (nbytes + 8))
-
   (* Split [c] (free, unlinked, of [size] bytes) so that only [need] bytes
      remain allocated; the remainder goes back to a bin. *)
   let split t c ~size ~need ~prev_inuse =
@@ -238,42 +276,45 @@ module Make (M : MEM) = struct
       write_footer t rest ~size:rest_size;
       mark_start t rest;
       insert_into_bin t rest ~size:rest_size;
-      write_header t c ~size:need ~inuse:true ~prev_inuse;
-      need
+      write_header t c ~size:need ~inuse:true ~prev_inuse
     end
     else begin
       (* allocate the whole chunk: the next chunk's prev becomes in-use *)
       write_header t c ~size ~inuse:true ~prev_inuse;
-      (match next_chunk t c ~size with
-       | Some n -> set_prev_inuse t n true
-       | None ->
-         (* a free chunk is never adjacent to top, so this cannot happen *)
-         raise (Corrupt "Palloc: free chunk adjacent to top"));
-      size
+      match next_chunk t c ~size with
+      | 0 ->
+        (* a free chunk is never adjacent to top, so this cannot happen *)
+        raise (Corrupt "Palloc: free chunk adjacent to top")
+      | n -> set_prev_inuse t n true
     end
 
-  (* First fit within a bin; exact-size bins fit on the first element. *)
-  let take_from_bin t i ~need =
-    let rec scan c =
-      if c = 0 then None
-      else
-        let size = hdr_size (read_header t c) in
-        if size >= need then Some (c, size)
-        else scan (M.load t.mem c)
-    in
-    match scan (M.load t.mem (bin_addr t i)) with
-    | None -> None
-    | Some (c, size) ->
-      unlink t c;
-      Fault.hit fp_alloc_split;
-      let prev_inuse = hdr_prev_inuse (read_header t c) in
-      let _ = split t c ~size ~need ~prev_inuse in
-      Some c
+  (* First fit along a bin's list from [c]: the first chunk of at least
+     [need] bytes, or 0.  Exact-size bins fit on the first element. *)
+  let rec first_fit t ~need c =
+    if c = 0 || hdr_size (read_header t c) >= need then c
+    else first_fit t ~need (M.load t.mem c)
 
-  let alloc_from_top t ~need =
+  (* Unlink the free chunk [c] and allocate [need] bytes of it. *)
+  let take t c ~need =
+    let h = read_header t c in
+    unlink t c;
+    Fault.hit fp_alloc_split;
+    split t c ~size:(hdr_size h) ~need ~prev_inuse:(hdr_prev_inuse h);
+    c
+
+  let take_from_bin t i ~need =
+    match first_fit t ~need (M.load t.mem (bin_addr t i)) with
+    | 0 -> 0
+    | c -> take t c ~need
+
+  (* The frontier, once it is known to have room for [need] bytes. *)
+  let frontier_for t ~need =
     let tp = top t in
     if tp + need > t.limit then
       raise (Out_of_memory { requested = need; available = t.limit - tp });
+    tp
+
+  let carve_top t ~tp ~need =
     let c = tp + 8 in
     let fp = frontier_prev t in
     write_header t c ~size:need ~inuse:true ~prev_inuse:(fp <> 0);
@@ -283,17 +324,46 @@ module Make (M : MEM) = struct
     if fp <> 1 then set_frontier_prev t 1;
     c
 
+  let alloc_from_top t ~need = carve_top t ~tp:(frontier_for t ~need) ~need
+
+  (* Visit the bins of mask word [k] whose bits are in [bits], lowest
+     first, and take the first chunk that fits.  Returns that chunk
+     (> 0), or [- stale] where [stale] holds the visited bits whose bin
+     was empty. *)
+  let rec search t ~need k bits stale =
+    if bits = 0 then -stale
+    else
+      let j = lowest_bit bits 0 in
+      let bit = 1 lsl j in
+      match M.load t.mem (bin_addr t ((k lsl 5) + j)) with
+      | 0 -> search t ~need k (bits lxor bit) (stale lor bit)
+      | head ->
+        match first_fit t ~need head with
+        | 0 -> search t ~need k (bits lxor bit) stale
+        | c -> take t c ~need
+
+  (* The bins from [bin_index need] up, in order, as the 64-bin scan
+     visits them, skipping those whose mask bit is clear: they are empty.
+     Stale bits are cleared only when the search falls through to the
+     frontier: after a take, the split may just have refilled one of
+     those bins. *)
   let alloc t nbytes =
     if nbytes < 0 then invalid_arg "Palloc.alloc: negative size";
-    let need = chunk_size_for nbytes in
-    let rec try_bins i =
-      if i >= nbins then alloc_from_top t ~need
-      else
-        match take_from_bin t i ~need with
-        | Some c -> c
-        | None -> try_bins (i + 1)
-    in
-    try_bins (bin_index need)
+    let need = chunk_size nbytes in
+    let b = bin_index need in
+    let w0 = if b < 32 then M.load t.mem (mask_addr t 0) else 0 in
+    let r0 = search t ~need 0 (w0 land bins_from b) 0 in
+    if r0 > 0 then r0
+    else
+      let w1 = M.load t.mem (mask_addr t 1) in
+      let r1 = search t ~need 1 (w1 land bins_from (b - 32)) 0 in
+      if r1 > 0 then r1
+      else begin
+        let tp = frontier_for t ~need in
+        if r0 <> 0 then M.store t.mem (mask_addr t 0) (w0 land lnot (-r0));
+        if r1 <> 0 then M.store t.mem (mask_addr t 1) (w1 land lnot (-r1));
+        carve_top t ~tp ~need
+      end
 
   (* ---- free ---- *)
 
@@ -304,18 +374,19 @@ module Make (M : MEM) = struct
      {!Invalid_free} instead.  The chunk-start bitmap makes the check
      exact in O(1): a bit is set iff a chunk starts at that granule.
      Returns the chunk's header. *)
+  let invalid_free c reason = raise (Invalid_free { offset = c; reason })
+
   let validate_free t c =
-    let invalid reason = raise (Invalid_free { offset = c; reason }) in
     let tp = top t in
-    if c < t.ds || header c >= tp then invalid "offset outside the heap";
-    if (c - t.ds) land 15 <> 0 then invalid "misaligned chunk offset";
+    if c < t.ds || header c >= tp then invalid_free c "offset outside the heap";
+    if (c - t.ds) land 15 <> 0 then invalid_free c "misaligned chunk offset";
     if not (is_chunk_start t c) then
-      invalid "interior offset, not a chunk start";
+      invalid_free c "interior offset, not a chunk start";
     let h = read_header t c in
     if hdr_size h < min_chunk || header c + hdr_size h > tp then
       raise
         (Corrupt (Printf.sprintf "Palloc.free: chunk %d has bad header" c));
-    if not (hdr_inuse h) then invalid "double free";
+    if not (hdr_inuse h) then invalid_free c "double free";
     h
 
   let free t c =
@@ -333,15 +404,16 @@ module Make (M : MEM) = struct
         (p, size + prev_size, hdr_prev_inuse ph)
       end
     in
-    let c, size =
+    let size =
       (* forward coalescing *)
-      match next_chunk t c ~size with
-      | Some n when not (hdr_inuse (read_header t n)) ->
+      let n = next_chunk t c ~size in
+      if n = 0 || hdr_inuse (read_header t n) then size
+      else begin
         let nsize = hdr_size (read_header t n) in
         unlink t n;
         unmark_start t n;
-        (c, size + nsize)
-      | Some _ | None -> (c, size)
+        size + nsize
+      end
     in
     Fault.hit fp_free_unlinked;
     if header c + size = top t then begin
@@ -353,9 +425,8 @@ module Make (M : MEM) = struct
     else begin
       write_header t c ~size ~inuse:false ~prev_inuse;
       write_footer t c ~size;
-      (match next_chunk t c ~size with
-       | Some n -> set_prev_inuse t n false
-       | None -> ());
+      let n = next_chunk t c ~size in
+      if n <> 0 then set_prev_inuse t n false;
       insert_into_bin t c ~size
     end
 
@@ -451,7 +522,18 @@ module Make (M : MEM) = struct
       in
       follow (M.load t.mem (bin_addr t i)) (bin_addr t i)
     done;
-    (* 4. the two views agree *)
+    (* 4. every non-empty bin has its mask bit set; a set bit over an
+       empty bin is stale, which is allowed *)
+    for k = 0 to mask_words - 1 do
+      let w = M.load t.mem (mask_addr t k) in
+      if w lsr 32 <> 0 then err "mask word %d has stray bits above bit 31" k
+    done;
+    for i = 0 to nbins - 1 do
+      let w = M.load t.mem (mask_addr t (i lsr 5)) in
+      if M.load t.mem (bin_addr t i) <> 0 && w land (1 lsl (i land 31)) = 0
+      then err "bin %d is non-empty but its mask bit is clear" i
+    done;
+    (* 5. the heap walk and the bins agree *)
     Hashtbl.iter
       (fun c _ ->
         if not (Hashtbl.mem free_by_bins c) then

@@ -21,9 +21,9 @@ end
     aborts cleanly and the arena stays exactly as it was. *)
 exception Out_of_memory of { requested : int; available : int }
 
-(** Raised on metadata corruption (bad magic — including an arena of the
-    format before the chunk-start bitmap — or an undecodable header met
-    while validating a free). *)
+(** Raised on metadata corruption (bad magic — including an arena of a
+    format before the chunk-start bitmap or before the bin mask — or an
+    undecodable header met while validating a free). *)
 exception Corrupt of string
 
 (** Raised by {!Make.free} for an offset that is not the payload of a
@@ -38,6 +38,12 @@ val nbins : int
 
 (** The word at the arena base of a formatted arena. *)
 val magic : int
+
+(** Offset, relative to the arena base, of the two words of the
+    non-empty-bin mask: bin [i] is bit [i land 31] of word [i lsr 5].  A
+    non-empty bin has its bit set; a set bit over an empty bin is stale
+    and allowed (exposed for tests). *)
+val mask_offset : int
 
 (** Bytes of fixed allocator metadata at the start of the arena.  The
     chunk-start bitmap follows at [base + meta_bytes]: bit [g land 31] of
@@ -55,6 +61,10 @@ val top_offset : int
     tests). *)
 val bin_index : int -> int
 
+(** The chunk size, header included, that serves an [n]-byte request
+    (exposed for tests). *)
+val chunk_size : int -> int
+
 module Make (M : MEM) : sig
   type t
 
@@ -70,8 +80,20 @@ module Make (M : MEM) : sig
 
   (** [alloc t n] returns the byte offset of an [n]-byte payload.  The
       payload is NOT zeroed.  Raises {!Out_of_memory} when the arena is
-      exhausted. *)
+      exhausted.  First fit over the bins from [n]'s bin up, then the
+      frontier; the bin mask skips the empty bins with one load per mask
+      word. *)
   val alloc : t -> int -> int
+
+  (** The two steps of the 64-bin scan that [alloc]'s mask search
+      replaced, so a test can keep that scan as a reference:
+      [take_from_bin t i ~need] carves [need] bytes (a {!chunk_size}) out
+      of the first chunk of bin [i] that fits and returns its payload
+      offset, or 0 when none fits; [alloc_from_top t ~need] carves them
+      from the frontier.  Neither reads the mask nor clears stale bits. *)
+  val take_from_bin : t -> int -> need:int -> int
+
+  val alloc_from_top : t -> need:int -> int
 
   (** Raises {!Invalid_free} (before touching any metadata) when the
       offset is not a live chunk — including double frees.  The check is
@@ -90,6 +112,7 @@ module Make (M : MEM) : sig
   val usable_size : t -> int -> int
 
   (** Full structural invariant check (heap walk + bin walk + bitmap
-      cross-check against the walk); returns all violations found. *)
+      cross-check against the walk + every non-empty bin's mask bit set);
+      returns all violations found. *)
   val check : t -> (unit, string) result
 end

@@ -37,11 +37,13 @@ let with_slot f =
       (fun () -> f tid)
 
 (* The current domain's slot; the main domain (and any domain that calls
-   this outside [with_slot]) lazily takes a slot it keeps forever. *)
+   this outside [with_slot]) lazily takes a slot it keeps until the
+   domain exits. *)
 let current () =
   match Domain.DLS.get key with
   | Some tid -> tid
   | None ->
     let tid = acquire_slot () in
     Domain.DLS.set key (Some tid);
+    Domain.at_exit (fun () -> release_slot tid);
     tid

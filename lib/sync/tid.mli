@@ -8,5 +8,6 @@ exception Too_many_threads
     afterwards (unless the domain was already registered). *)
 val with_slot : (int -> 'a) -> 'a
 
-(** The current domain's slot, lazily acquired and kept. *)
+(** The current domain's slot, lazily acquired and kept until the domain
+    exits. *)
 val current : unit -> int

@@ -704,20 +704,58 @@ module Make (P : VARIANT) = struct
         P.set_root p (surgery_root 6) 0);
     (r, p)
 
-  (* One transaction performing every kind of allocator surgery. *)
+  (* One transaction performing every kind of allocator surgery, and
+     every kind of bin-mask update.  Chunk sizes: a 32-byte request takes
+     48 bytes, e's 200 bytes take 208. *)
   let surgery_body p =
     let free_slot i =
       P.free p (P.get_root p (surgery_root i));
       P.set_root p (surgery_root i) 0
     in
-    let s = P.alloc p 16 in (* split: carved from e's free chunk *)
+    (* split: carved from e's free chunk; e's bin turns stale, and the
+       176-byte remainder sets the bit of an empty bin *)
+    let s = P.alloc p 16 in
     P.store p s 7;
     P.set_root p (surgery_root 6) s;
     free_slot 0;
-    free_slot 1; (* backward coalesce: b into a *)
-    free_slot 4;
-    free_slot 3; (* forward coalesce: x absorbs y *)
-    free_slot 8 (* top merge: g was allocated last *)
+    free_slot 1; (* backward coalesce: b into a; a's bin turns stale *)
+    free_slot 4; (* y refills a's empty bin, whose bit is still set *)
+    free_slot 3; (* forward coalesce: x absorbs y; a's bin stale again *)
+    free_slot 8; (* top merge: g was allocated last *)
+    (* no bin fits 192 bytes: on its way to the frontier the search
+       meets e's stale bit and clears it *)
+    let t = P.alloc p 180 in
+    P.store p t 9;
+    P.set_root p (surgery_root 9) t
+
+  (* Mask word 0 of the bins before and after the surgery: e's bin;
+     then a's (stale), the two coalesced 96-byte chunks' and the
+     remainder's.  Word 1 (bins 32 and up) stays 0. *)
+  let bin_bit size = 1 lsl Palloc.bin_index size
+  let pre_mask = bin_bit 208
+  let post_mask = bin_bit 48 lor bin_bit 96 lor bin_bit 176
+
+  (* The two mask words of every allocator copy: the first word holding
+     the allocator magic in each persistent span is that copy's base. *)
+  let mask_words r p =
+    List.map
+      (fun (s, len) ->
+        let rec base a =
+          if a >= s + len then Alcotest.fail "no allocator magic in a span"
+          else if R.load r a = Palloc.magic then a
+          else base (a + 8)
+        in
+        let m = base s + Palloc.mask_offset in
+        (R.load r m, R.load r (m + 8)))
+      (P.media_spans p)
+
+  let check_mask r p ~expect what =
+    List.iter
+      (fun (w0, w1) ->
+        if w0 <> expect || w1 <> 0 then
+          Alcotest.failf "%s: bin mask %#x %#x, expected %#x 0" what w0 w1
+            expect)
+      (mask_words r p)
 
   let observe_surgery p =
     P.read_tx p (fun () ->
@@ -726,9 +764,9 @@ module Make (P : VARIANT) = struct
           | 0 -> 0
           | o -> P.load p o
         in
-        match List.init 9 v with
-        | [ 100; 101; 102; 103; 104; 105; 0; 107; 108 ] -> Pre
-        | [ 0; 0; 102; 0; 0; 105; 7; 107; 0 ] -> Post
+        match List.init 10 v with
+        | [ 100; 101; 102; 103; 104; 105; 0; 107; 108; 0 ] -> Pre
+        | [ 0; 0; 102; 0; 0; 105; 7; 107; 0; 9 ] -> Post
         | l -> Torn (String.concat "," (List.map string_of_int l)))
 
   let check_arena p what =
@@ -737,8 +775,9 @@ module Make (P : VARIANT) = struct
     | Error e -> Alcotest.failf "%s: arena broken: %s" what e
 
   (* Crash at every point of the surgery transaction under every policy:
-     recovery lands on the pre- or post-state, and the arena (bitmap
-     included) passes its structural check. *)
+     recovery lands on the pre- or post-state, bin mask included in every
+     copy, and the arena (bitmap and mask included) passes its structural
+     check. *)
   let test_allocator_surgery_crashes () =
     List.iter
       (fun policy ->
@@ -756,8 +795,8 @@ module Make (P : VARIANT) = struct
           P.recover p;
           let where = Printf.sprintf "point %d (%s)" !k (policy_name policy) in
           (match observe_surgery p with
-           | Post -> ()
-           | Pre when not !completed -> ()
+           | Post -> check_mask r p ~expect:post_mask where
+           | Pre when not !completed -> check_mask r p ~expect:pre_mask where
            | Pre -> Alcotest.failf "%s: committed surgery lost" where
            | Torn s -> Alcotest.failf "%s: torn surgery: %s" where s);
           check_arena p where;
@@ -781,7 +820,7 @@ module Make (P : VARIANT) = struct
       P.update_tx p (fun () -> surgery_body p);
       P.update_tx p (fun () -> List.map (P.alloc p) [ 16; 48; 100; 200 ])
     in
-    let _, victim = setup_surgery_region () in
+    let r, victim = setup_surgery_region () in
     (match P.update_tx victim (fun () -> surgery_body victim; raise Exit) with
      | exception Romulus.Engine.Tx_aborted { cause = Exit; _ } -> ()
      | exception e ->
@@ -791,32 +830,38 @@ module Make (P : VARIANT) = struct
      | Pre -> ()
      | Post | Torn _ -> Alcotest.fail "aborted surgery visible");
     check_arena victim "after the aborted surgery";
+    check_mask r victim ~expect:pre_mask "after the aborted surgery";
     let _, control = setup_surgery_region () in
     Alcotest.(check (list int)) "same placement as a region without the abort"
       (then_allocate control) (then_allocate victim);
     check_arena victim "after the committed surgery"
 
-  (* An arena in the allocator format before the chunk-start bitmap is
-     refused with a typed Corrupt when the region is opened. *)
+  (* An arena in an allocator format before the chunk-start bitmap
+     ("PALL") or before the bin mask ("PALB") is refused with a typed
+     Corrupt when the region is opened. *)
   let test_old_arena_format_refused () =
-    let r, p = open_fresh () in
-    P.update_tx p (fun () -> P.set_root p 0 (P.alloc p 16));
-    let found = ref 0 in
-    for i = 0 to (R.size r / 8) - 1 do
-      if R.load r (8 * i) = Palloc.magic then begin
-        R.store r (8 * i) 0x50414C4C (* "PALL", the pre-bitmap magic *);
-        R.pwb r (8 * i);
-        incr found
-      end
-    done;
-    R.pfence r;
-    Alcotest.(check bool) "allocator magic found" true (!found > 0);
-    R.crash r R.Drop_all;
-    match P.open_region r with
-    | exception Palloc.Corrupt _ -> ()
-    | exception e ->
-      Alcotest.failf "expected Palloc.Corrupt, got %s" (Printexc.to_string e)
-    | _ -> Alcotest.fail "a pre-bitmap arena must not open"
+    List.iter
+      (fun (old_magic, format) ->
+        let r, p = open_fresh () in
+        P.update_tx p (fun () -> P.set_root p 0 (P.alloc p 16));
+        let found = ref 0 in
+        for i = 0 to (R.size r / 8) - 1 do
+          if R.load r (8 * i) = Palloc.magic then begin
+            R.store r (8 * i) old_magic;
+            R.pwb r (8 * i);
+            incr found
+          end
+        done;
+        R.pfence r;
+        Alcotest.(check bool) "allocator magic found" true (!found > 0);
+        R.crash r R.Drop_all;
+        match P.open_region r with
+        | exception Palloc.Corrupt _ -> ()
+        | exception e ->
+          Alcotest.failf "%s: expected Palloc.Corrupt, got %s" format
+            (Printexc.to_string e)
+        | _ -> Alcotest.failf "a %s arena must not open" format)
+      [ (0x50414C4C, "pre-bitmap"); (0x50414C42, "pre-mask") ]
 
   (* ---- qcheck: aborted alloc+store+free leaves the allocator intact ---- *)
 

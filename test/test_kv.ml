@@ -398,15 +398,15 @@ let check_golden what (digest, counts) run =
 
 let test_db_golden () =
   check_golden "romulusdb"
-    ("b207f8702e0de5a628b6393dea3c71ec",
-     "loads=10736 stores=1526 copies=424 pwbs=1337 pfences=215") (fun r ->
+    ("ffcaa4cc46468d00bc5a001a6e3af65a",
+     "loads=3101 stores=1542 copies=435 pwbs=1336 pfences=215") (fun r ->
       let db = Db.open_db ~initial_buckets:4 r in
       golden_ops ~put:(Db.put db) ~delete:(Db.delete db))
 
 let test_sorted_db_golden () =
   check_golden "sorted db"
-    ("6477b9753b2f3a5cfece298701aa833a",
-     "loads=11044 stores=1350 copies=470 pwbs=1430 pfences=215") (fun r ->
+    ("d7326d793bfab8438ae17972fb77adfb",
+     "loads=4534 stores=1355 copies=474 pwbs=1377 pfences=215") (fun r ->
       let db = Sdb.open_db r in
       golden_ops ~put:(Sdb.put db) ~delete:(Sdb.delete db))
 

@@ -328,6 +328,138 @@ let test_check_sees_bitmap_flip () =
       | Error _ -> ())
     [ 0; 1; 5; 31; 40 ]
 
+(* ---- differential property: the mask search vs the 64-bin scan ---- *)
+
+(* The search [alloc] did before the bin mask: try every bin from the
+   request's bin up to the last, then the frontier.  It reads no mask
+   bit, so it is the reference the mask search must agree with. *)
+let alloc_by_scan a n =
+  let need = Palloc.chunk_size n in
+  let rec try_bins i =
+    if i >= Palloc.nbins then A.alloc_from_top a ~need
+    else
+      match A.take_from_bin a i ~need with
+      | 0 -> try_bins (i + 1)
+      | c -> c
+  in
+  try_bins (Palloc.bin_index need)
+
+(* One script drives two arenas, one through [A.alloc] and one through
+   the scan.  Every allocation must land at the same offset or fail with
+   the same Out_of_memory, and both arenas must pass [check] after every
+   step.  Sizes up to 2,000 bytes reach the large bins, whose first fit
+   may walk past chunks that are too small. *)
+let run_differential script =
+  let _, a = fresh ~size:(1 lsl 15) () and _, b = fresh ~size:(1 lsl 15) () in
+  let live = ref [] in
+  let outcome alloc x n =
+    match alloc x n with
+    | p -> Ok p
+    | exception Palloc.Out_of_memory { requested; available } ->
+      Error (requested, available)
+  in
+  List.iteri
+    (fun step op ->
+      (match op with
+       | `Alloc n ->
+         let p = outcome A.alloc a n in
+         if p <> outcome alloc_by_scan b n then
+           QCheck.Test.fail_reportf "step %d: alloc %d placed differently"
+             step n;
+         Result.iter (fun p -> live := p :: !live) p
+       | `Free i ->
+         if !live <> [] then begin
+           let p = List.nth !live (i mod List.length !live) in
+           A.free a p;
+           A.free b p;
+           live := List.filter (( <> ) p) !live
+         end);
+      List.iter
+        (fun (what, x) ->
+          match A.check x with
+          | Ok () -> ()
+          | Error e ->
+            QCheck.Test.fail_reportf "step %d, %s arena: %s" step what e)
+        [ ("mask", a); ("scan", b) ])
+    script;
+  true
+
+let prop_mask_search_matches_scan =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [ (3, map (fun n -> `Alloc (1 + (n mod 200))) nat);
+          (1, map (fun n -> `Alloc (1 + (n mod 2000))) nat);
+          (3, map (fun i -> `Free i) nat) ])
+  in
+  Test.make ~count:200 ~name:"mask search places like the 64-bin scan"
+    (make ~print:(fun l -> Printf.sprintf "<script of %d ops>" (List.length l))
+       Gen.(list_size (int_bound 200) op))
+    run_differential
+
+(* The mask, written behind the allocator's back: a non-empty bin whose
+   bit is cleared is reported by [check], naming the bin; an empty bin
+   whose bit is set is only stale, and passes until an allocation clears
+   it. *)
+let test_check_sees_mask_bit () =
+  let mask k = 64 + Palloc.mask_offset + (8 * k) in
+  let with_bin_filled f =
+    let r, a = fresh () in
+    let p = A.alloc a 200 in
+    let _guard = A.alloc a 16 in
+    A.free a p;
+    check_ok a "bin filled";
+    f r a (Palloc.bin_index (Palloc.chunk_size 200))
+  in
+  with_bin_filled (fun r a i ->
+      let w = Pmem.Region.load r (mask (i lsr 5)) in
+      Pmem.Region.store r (mask (i lsr 5)) (w land lnot (1 lsl (i land 31)));
+      Alcotest.(check (result unit string))
+        "the cleared bit is reported, naming its bin"
+        (Error (Printf.sprintf "bin %d is non-empty but its mask bit is clear"
+                  i))
+        (A.check a));
+  with_bin_filled (fun r a i ->
+      List.iter
+        (fun j ->
+          if j <> i then begin
+            let k = j lsr 5 in
+            let w = Pmem.Region.load r (mask k) in
+            Pmem.Region.store r (mask k) (w lor (1 lsl (j land 31)))
+          end)
+        [ 0; 7; 31; 32; 63 ];
+      check_ok a "stale bits over empty bins";
+      (* a 1,000-byte request (bin 31) fits no bin: on its way to the
+         frontier it clears the stale bits at and above its bin *)
+      let _ = A.alloc a 1000 in
+      check_ok a "after the fall-through";
+      Alcotest.(check (pair int int)) "stale bits from bin 31 up cleared"
+        ((1 lsl 0) lor (1 lsl 7) lor (1 lsl i), 0)
+        (Pmem.Region.load r (mask 0), Pmem.Region.load r (mask 1)))
+
+(* The allocation path allocates no OCaml memory: neither the search
+   over the mask, the first fit, the split and take, nor the free with
+   its coalescing and top merge. *)
+let test_alloc_free_allocate_nothing () =
+  let _, a = fresh ~size:(1 lsl 20) () in
+  (* a free 256-byte chunk in a bin, kept off the frontier by [guard] *)
+  let hole = A.alloc a 248 in
+  let _guard = A.alloc a 16 in
+  A.free a hole;
+  let pairs = 10_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to pairs / 2 do
+    (* carved from the hole (a take and a split), then coalesced back *)
+    A.free a (A.alloc a (16 + (i land 63)));
+    (* no bin fits: the frontier, then the top merge *)
+    A.free a (A.alloc a 1000)
+  done;
+  let words = Gc.minor_words () -. before in
+  check_ok a "after the loop";
+  if words >= float_of_int pairs then
+    Alcotest.failf "%.0f minor words for %d alloc/free pairs" words pairs
+
 let suite =
   let tc = Alcotest.test_case in
   [ tc "alloc basics" `Quick test_alloc_basic;
@@ -343,8 +475,13 @@ let suite =
     tc "attach bad magic" `Quick test_attach_bad_magic;
     tc "check reports a flipped bitmap bit" `Quick
       test_check_sees_bitmap_flip;
+    tc "check reports a cleared mask bit, allows a stale one" `Quick
+      test_check_sees_mask_bit;
+    tc "alloc and free allocate no OCaml memory" `Quick
+      test_alloc_free_allocate_nothing;
     tc "bin_index monotone" `Quick test_bin_index_monotone ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_random_alloc_free; prop_free_matches_walk ]
+      [ prop_random_alloc_free; prop_free_matches_walk;
+        prop_mask_search_matches_scan ]
 
 let () = Alcotest.run "palloc" [ ("palloc", suite) ]

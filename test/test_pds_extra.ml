@@ -358,20 +358,20 @@ let golden =
   let tc = Alcotest.test_case in
   [ tc "hash map (resizable) golden image" `Quick (fun () ->
         check_golden "resizable map"
-          ("3bd6f3ea0ea6b77f8e1b1bd5d8249e03",
-           "loads=4508 stores=910 copies=325 pwbs=1083 pfences=200") (fun p ->
+          ("541e34b5817738ff7a89bbf173d2c576",
+           "loads=2061 stores=925 copies=338 pwbs=1090 pfences=200") (fun p ->
             let m = GH.create ~initial_buckets:4 p ~root:0 in
             golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
     tc "hash map (fixed) golden image" `Quick (fun () ->
         check_golden "fixed map"
-          ("a9351d401f120822b123a5521a02e5b2",
-           "loads=4622 stores=640 copies=210 pwbs=890 pfences=200") (fun p ->
+          ("584073011ae5c217d5f2250c444b8fd5",
+           "loads=1902 stores=644 copies=212 pwbs=853 pfences=200") (fun p ->
             let m = GH.create ~resizable:false ~initial_buckets:8 p ~root:0 in
             golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
     tc "b+tree golden image" `Quick (fun () ->
         check_golden "b+tree"
-          ("0e87abc83b987bea01f7edaedf71206e",
-           "loads=3270 stores=708 copies=260 pwbs=964 pfences=200") (fun p ->
+          ("af15c3bc9d977219a8cea00cdc482d59",
+           "loads=2503 stores=710 copies=260 pwbs=956 pfences=200") (fun p ->
             let b = GB.create p ~root:0 in
             golden_ops ~put:(GB.put b) ~remove:(GB.remove b))) ]
 
