@@ -25,6 +25,8 @@ let experiments : (string * string * (Common.scale -> unit)) list =
 let hidden : (string * string * (Common.scale -> unit)) list =
   [ ("commit_path_smoke", "commit-path ablation, tiny parameters (CI smoke)",
      fun _ -> Commit_path.smoke ());
+    ("scrub_smoke", "media-scrub overhead, tiny parameters (CI smoke)",
+     fun _ -> Scrub.smoke ());
     ("shards_smoke", "shard scaling, tiny parameters (CI smoke)",
      fun _ -> Shards.smoke ());
     ("shards_cross", "cross-batch commit-protocol regression check (CI smoke)",

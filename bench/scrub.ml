@@ -15,14 +15,24 @@
 module P = Romulus.Logged
 module H = Pds.Hash_map.Make (P)
 
+(* [runs] timings of one call: median, fastest and slowest *)
+type timing = { median_ns : float; min_ns : float; max_ns : float }
+
+let timed ~region ~runs f =
+  let samples = Workload.Bench_clock.sorted_ns_per_op ~region ~runs ~ops:1 f in
+  { median_ns = List.nth samples (runs / 2);
+    min_ns = List.hd samples;
+    max_ns = List.nth samples (runs - 1) }
+
 type row = {
   keys : int;
   span_bytes : int;
   lines : int;
-  clean_ns : float;
+  runs : int;
+  clean : timing;
   ns_per_line : float;
   rotten : int;
-  repair_ns : float;
+  repair : timing;
 }
 
 let measure ~keys ~runs =
@@ -41,8 +51,8 @@ let measure ~keys ~runs =
   let span_bytes =
     match P.media_spans p with (_, span) :: _ -> span | [] -> 0
   in
-  let clean_ns =
-    Workload.Bench_clock.median_ns_per_op ~region:r ~runs ~ops:1 (fun () ->
+  let clean =
+    timed ~region:r ~runs (fun () ->
         ignore (P.scrub p : Romulus.Engine.scrub_report))
   in
   (* rot a spread of main-copy lines, then time the repairing pass *)
@@ -51,8 +61,8 @@ let measure ~keys ~runs =
   let first = (mbase + line_size - 1) / line_size in
   let last = (mbase + mspan - 1) / line_size in
   let rotten = min 32 (last - first + 1) in
-  let repair_ns =
-    Workload.Bench_clock.median_ns_per_op ~region:r ~runs ~ops:1 (fun () ->
+  let repair =
+    timed ~region:r ~runs (fun () ->
         for i = 0 to rotten - 1 do
           Pmem.Region.corrupt_line r
             ~line:(first + (i * (last - first) / max 1 rotten))
@@ -62,10 +72,12 @@ let measure ~keys ~runs =
   { keys;
     span_bytes;
     lines;
-    clean_ns;
-    ns_per_line = (if lines = 0 then nan else clean_ns /. float_of_int lines);
+    runs;
+    clean;
+    ns_per_line =
+      (if lines = 0 then nan else clean.median_ns /. float_of_int lines);
     rotten;
-    repair_ns }
+    repair }
 
 let emit_json ~scale ~path rows =
   let b = Buffer.create 1024 in
@@ -79,10 +91,13 @@ let emit_json ~scale ~path rows =
     (fun i r ->
       Printf.bprintf b
         "    {\"keys\": %d, \"span_bytes\": %d, \"lines_scrubbed\": %d, \
-         \"clean_pass_ns\": %.1f, \"ns_per_line\": %.2f, \
-         \"rotten_lines\": %d, \"repair_pass_ns\": %.1f}%s\n"
-        r.keys r.span_bytes r.lines r.clean_ns r.ns_per_line r.rotten
-        r.repair_ns
+         \"runs\": %d, \"clean_pass_ns\": %.1f, \"clean_pass_min_ns\": %.1f, \
+         \"clean_pass_max_ns\": %.1f, \"ns_per_line\": %.2f, \
+         \"rotten_lines\": %d, \"repair_pass_ns\": %.1f, \
+         \"repair_pass_min_ns\": %.1f, \"repair_pass_max_ns\": %.1f}%s\n"
+        r.keys r.span_bytes r.lines r.runs r.clean.median_ns r.clean.min_ns
+        r.clean.max_ns r.ns_per_line r.rotten r.repair.median_ns
+        r.repair.min_ns r.repair.max_ns
         (if i = n - 1 then "" else ","))
     rows;
   Buffer.add_string b "  ]\n}\n";
@@ -92,13 +107,7 @@ let emit_json ~scale ~path rows =
     (fun () -> Buffer.output_buffer oc b);
   Printf.printf "wrote %s (%d rows)\n%!" path n
 
-let run scale =
-  Common.section "scrub overhead (RomulusLog, CRC-32 sidecar audit)";
-  let key_axis, runs =
-    match scale with
-    | Common.Quick -> ([ 256; 1_024; 4_096 ], 3)
-    | Common.Full -> ([ 256; 1_024; 4_096; 16_384 ], 5)
-  in
+let run_rows ~scale ~key_axis ~runs ~path =
   let rows = List.map (fun keys -> measure ~keys ~runs) key_axis in
   Common.table ~header:"keys"
     ~cols:[ "span"; "lines"; "clean pass"; "ns/line"; "repair pass" ]
@@ -108,11 +117,27 @@ let run scale =
            ( string_of_int r.keys,
              [ float_of_int r.span_bytes;
                float_of_int r.lines;
-               r.clean_ns;
+               r.clean.median_ns;
                r.ns_per_line;
-               r.repair_ns ] ))
+               r.repair.median_ns ] ))
          rows)
     Common.si;
-  emit_json
+  emit_json ~scale ~path rows
+
+let run scale =
+  Common.section "scrub overhead (RomulusLog, CRC-32 sidecar audit)";
+  let key_axis, runs =
+    match scale with
+    | Common.Quick -> ([ 256; 1_024; 4_096 ], 5)
+    | Common.Full -> ([ 256; 1_024; 4_096; 16_384 ], 9)
+  in
+  run_rows
     ~scale:(match scale with Common.Quick -> "quick" | Common.Full -> "full")
-    ~path:"BENCH_scrub.json" rows
+    ~key_axis ~runs ~path:"BENCH_scrub.json"
+
+(* Tiny parameters: one small heap, three runs, and the JSON emission,
+   so CI catches bench bitrot cheaply. *)
+let smoke () =
+  Common.smoke_json ~name:"scrub"
+    ~keys:[ "bench"; "scale"; "ptm"; "results" ]
+    (fun path -> run_rows ~scale:"smoke" ~key_axis:[ 64 ] ~runs:3 ~path)

@@ -23,16 +23,7 @@
 
 open Cmdliner
 
-module type PTM = sig
-  include Romulus.Ptm_intf.S
-
-  val recover : t -> unit
-  val recover_salvage : t -> (int * string) list
-  val allocator_check : t -> (unit, string) result
-  val scrub : t -> Romulus.Engine.scrub_report
-  val scrub_salvage : t -> Romulus.Engine.scrub_report
-  val media_spans : t -> (int * int) list
-end
+module type PTM = Kv.Sharded_db.SHARD_PTM
 
 let ptms : (string * (module PTM)) list =
   [ ("rom", (module Romulus.Basic));

@@ -658,6 +658,12 @@ let scrub_with ~salvage t =
 let scrub t = scrub_with ~salvage:false t
 let scrub_salvage t = scrub_with ~salvage:true t
 
+(* The open does not scrub (recovery replays the log without a media
+   pass), so the verdict takes one salvage scrub after it. *)
+let open_salvage r =
+  let t = open_region r in
+  (t, (scrub_salvage t).Romulus.Engine.unrepairable)
+
 let recover_salvage t =
   let report = scrub_with ~salvage:true t in
   recover t;

@@ -28,6 +28,10 @@ val scrub : t -> Romulus.Engine.scrub_report
     line still raise [Pmem.Region.Media_error]. *)
 val scrub_salvage : t -> Romulus.Engine.scrub_report
 
+(** [open_region] followed by {!scrub_salvage}: the opened store and
+    its tolerated data-loss lines. *)
+val open_salvage : Pmem.Region.t -> t * (int * string) list
+
 (** Salvage scrub followed by {!recover}; returns the lost lines.  The
     replay itself may still raise [Pmem.Region.Media_error] if the log
     area is damaged. *)

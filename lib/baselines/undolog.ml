@@ -364,6 +364,12 @@ let scrub_with ~salvage t =
 let scrub t = scrub_with ~salvage:false t
 let scrub_salvage t = scrub_with ~salvage:true t
 
+(* The open does not scrub (recovery replays the log without a media
+   pass), so the verdict takes one salvage scrub after it. *)
+let open_salvage r =
+  let t = open_region r in
+  (t, (scrub_salvage t).Romulus.Engine.unrepairable)
+
 let recover_salvage t =
   (* Post-crash entry point: a crash inside [update_tx] leaves the shared
      context's volatile [in_tx] flag set (the machine died mid-transaction,

@@ -3,6 +3,8 @@
 
 include Ptm_intf.S
 
+val open_salvage : Pmem.Region.t -> t * (int * string) list
+
 val engine : t -> Engine.t
 val recover : t -> unit
 val recover_salvage : t -> (int * string) list

@@ -31,10 +31,11 @@ module Make (Config : CONFIG) = struct
      must abort the whole batch cleanly. *)
   let fp_batch_ran = Fault.site ~can_raise:true (Config.name ^ ".combiner.batch_ran")
 
-  let open_region r =
-    { e = Engine.create ~mode:Config.mode r;
-      lock = Crwwp.create ();
-      fc = Flat_combining.create () }
+  let open_salvage r =
+    let e, lost = Engine.open_salvage ~mode:Config.mode r in
+    ({ e; lock = Crwwp.create (); fc = Flat_combining.create () }, lost)
+
+  let open_region r = fst (open_salvage r)
 
   let region t = Engine.region t.e
 

@@ -10,6 +10,10 @@ end
 module Make (_ : CONFIG) : sig
   include Ptm_intf.S
 
+  (** {!open_region}, also returning the data-loss lines the open's
+      recovery scrub tolerated (see {!Engine.open_salvage}). *)
+  val open_salvage : Pmem.Region.t -> t * (int * string) list
+
   (** The underlying twin-copy engine (tests/benchmarks). *)
   val engine : t -> Engine.t
 

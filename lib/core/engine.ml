@@ -369,7 +369,7 @@ let recover_raw ?salvage r ~main_size ~arena_base =
 
 (* ---- creation ---- *)
 
-let create ~mode r =
+let open_salvage ~mode r =
   let main_size, arena_base = layout r in
   let mem = Mem.make r in
   let magic = Pmem.Region.load r o_magic in
@@ -382,12 +382,14 @@ let create ~mode r =
        loss (both twins of a line rotten, nothing to roll forward over)
        still mounts — the loss stays detectable by {!scrub} and reads of
        the lost lines raise [Media_error].  Damage recovery would have to
-       copy still refuses the open with {!Unrepairable}. *)
-    ignore (recover_raw ~salvage:true r ~main_size ~arena_base
-            : (int * string) list);
+       copy still refuses the open with {!Unrepairable}.  The tolerated
+       lines are returned: every other line the scrub visited is now
+       sound, so they are the open's whole media verdict. *)
+    let lost = recover_raw ~salvage:true r ~main_size ~arena_base in
     let arena = A.attach mem ~base:arena_base in
-    { r; mem; arena; mode; log = Redo_log.create ();
-      main_start; main_size; arena_base; in_tx = false; coalesce = true }
+    ( { r; mem; arena; mode; log = Redo_log.create ();
+        main_start; main_size; arena_base; in_tx = false; coalesce = true },
+      lost )
   end
   else begin
     (* format: initialize main, replicate to back, then publish the magic
@@ -413,8 +415,10 @@ let create ~mode r =
     Pmem.Region.store r o_magic magic_value;
     Pmem.Region.pwb r o_magic;
     Pmem.Region.pfence r;
-    t
+    (t, [])
   end
+
+let create ~mode r = fst (open_salvage ~mode r)
 
 (* Re-run recovery on an engine (used by tests after a simulated crash;
    equivalent to re-opening the region). *)

@@ -57,6 +57,14 @@ type t
     roll-forward/back still raises {!Unrepairable}. *)
 val create : mode:mode -> Pmem.Region.t -> t
 
+(** {!create}, also returning the ([offset], state) data-loss lines its
+    salvage-mode recovery scrub tolerated ([[]] for a freshly formatted
+    region).  Every other line that scrub visited was sound or repaired
+    from its twin, so the list is the media verdict a second
+    {!scrub_salvage} of the opened engine would return, without reading
+    the medium again. *)
+val open_salvage : mode:mode -> Pmem.Region.t -> t * (int * string) list
+
 (** Re-run crash recovery (equivalent to re-opening the region after a
     simulated crash).  Recovery begins with a scrub pass: a rotten line in
     the truth copy is repaired from its twin (or refused as

@@ -34,10 +34,13 @@ let fp_readers_on_back = Fault.site "romLR.update.readers_on_back"
 let inst_main = 0
 let inst_back = 1
 
-let open_region r =
-  { e = Engine.create ~mode:Engine.Logged r;
-    lr = Left_right.create ~initial_lr:inst_back ();
-    fc = Flat_combining.create () }
+let open_salvage r =
+  let e, lost = Engine.open_salvage ~mode:Engine.Logged r in
+  ( { e; lr = Left_right.create ~initial_lr:inst_back ();
+      fc = Flat_combining.create () },
+    lost )
+
+let open_region r = fst (open_salvage r)
 
 let region t = Engine.region t.e
 

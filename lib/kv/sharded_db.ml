@@ -181,6 +181,7 @@ let admission_retries = 6
 module type SHARD_PTM = sig
   include Romulus.Ptm_intf.S
 
+  val open_salvage : Pmem.Region.t -> t * (int * string) list
   val recover : t -> unit
   val recover_salvage : t -> (int * string) list
   val scrub : t -> Romulus.Engine.scrub_report
@@ -2678,7 +2679,8 @@ module Make (P : SHARD_PTM) = struct
     go (overload_backoff_schedule ~retries ~base_ns ~seed)
 
   (* R2: replace the shard's region wholesale from its latest snapshot
-     file, validated by a clean salvage scrub before it is adopted.
+     file, validated by a clean salvage scrub (the open's own) before it
+     is adopted.
      Writes committed to the shard after the snapshot are lost — which
      is why this is strictly a fallback — and any batch the store owed
      the shard is re-settled by the reconciliation replay that follows
@@ -2692,13 +2694,13 @@ module Make (P : SHARD_PTM) = struct
       &&
       try
         let region = Pmem.Region.load_from_file path in
-        let p = P.open_region region in
+        let p, lost = P.open_salvage region in
         let map =
           Map_.open_or_create ~initial_buckets:t.proto.config.initial_buckets
             p ~root:db_root
         in
-        (match P.scrub_salvage p with
-        | { Romulus.Engine.unrepairable = []; _ } ->
+        (match lost with
+        | [] ->
           t.region_arr.(i) <- region;
           t.shard_arr.(i) <- Some { p; map; region };
           tick t Repair_snapshot_restores 1;
@@ -2799,18 +2801,18 @@ module Make (P : SHARD_PTM) = struct
       invalid_arg "Sharded_db.open_db: clear_flush_threshold must be positive";
     (* Per-shard open + classification.  Opening runs engine recovery in
        salvage mode, so content damage surfaces here: a shard whose
-       engine mounts is re-scrubbed to decide Healthy vs Degraded; a
+       engine mounts is Healthy or Degraded by the data-loss lines that
+       recovery's own scrub tolerated (read once, not re-scrubbed); a
        shard whose engine refuses to mount is quarantined with a typed
        cause — except shard 0, which anchors the routing table and the
        health record: without it there is no store to
        degrade, so its failure is the typed fatal {!Shard_open_failed}. *)
     let open_engine region =
-      let p = P.open_region region in
+      let p, lost = P.open_salvage region in
       let map = Map_.open_or_create ~initial_buckets p ~root:db_root in
       let s = { p; map; region } in
       let h =
-        match (P.scrub_salvage p : Romulus.Engine.scrub_report).unrepairable
-        with
+        match lost with
         | [] -> Healthy
         | (offset, state) :: _ -> Degraded (Unrepairable_media { offset; state })
       in

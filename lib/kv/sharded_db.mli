@@ -186,6 +186,13 @@ end
 module type SHARD_PTM = sig
   include Romulus.Ptm_intf.S
 
+  (** [open_region], also returning the data-loss lines a salvage scrub
+      of the opened shard would report (see
+      {!Romulus.Engine.open_salvage}).  The twin-copy PTMs take them from
+      the open's own recovery scrub, so the medium is read once; the
+      baselines, whose open does not scrub, run one {!scrub_salvage}. *)
+  val open_salvage : Pmem.Region.t -> t * (int * string) list
+
   val recover : t -> unit
 
   (** Salvage-mode recovery: returns the tolerated IDL data-loss lines

@@ -170,10 +170,11 @@ module Make (M : MEM) = struct
 
   let write_footer t c ~size = M.store t.mem (header c + size - 8) size
 
-  (* next chunk's payload offset, or 0 when this chunk touches top *)
-  let next_chunk t c ~size =
+  (* next chunk's payload offset, or 0 when this chunk touches the
+     frontier [tp] *)
+  let next_chunk c ~size ~tp =
     let n = header c + size + 8 in
-    if n - 8 >= top t then 0 else n
+    if n - 8 >= tp then 0 else n
 
   let set_prev_inuse t c v =
     let h = read_header t c in
@@ -281,31 +282,32 @@ module Make (M : MEM) = struct
     else begin
       (* allocate the whole chunk: the next chunk's prev becomes in-use *)
       write_header t c ~size ~inuse:true ~prev_inuse;
-      match next_chunk t c ~size with
+      match next_chunk c ~size ~tp:(top t) with
       | 0 ->
         (* a free chunk is never adjacent to top, so this cannot happen *)
         raise (Corrupt "Palloc: free chunk adjacent to top")
       | n -> set_prev_inuse t n true
     end
 
-  (* First fit along a bin's list from [c]: the first chunk of at least
-     [need] bytes, or 0.  Exact-size bins fit on the first element. *)
-  let rec first_fit t ~need c =
-    if c = 0 || hdr_size (read_header t c) >= need then c
-    else first_fit t ~need (M.load t.mem c)
-
-  (* Unlink the free chunk [c] and allocate [need] bytes of it. *)
-  let take t c ~need =
-    let h = read_header t c in
+  (* Unlink the free chunk [c], whose header [h] was just loaded, and
+     allocate [need] bytes of it. *)
+  let take t c h ~need =
     unlink t c;
     Fault.hit fp_alloc_split;
     split t c ~size:(hdr_size h) ~need ~prev_inuse:(hdr_prev_inuse h);
     c
 
-  let take_from_bin t i ~need =
-    match first_fit t ~need (M.load t.mem (bin_addr t i)) with
-    | 0 -> 0
-    | c -> take t c ~need
+  (* First fit along a bin's list from [c]: take the first chunk of at
+     least [need] bytes, or return 0.  Exact-size bins fit on the first
+     element.  The fitting chunk's header goes to [take] as loaded. *)
+  let rec first_fit t ~need c =
+    if c = 0 then 0
+    else
+      let h = read_header t c in
+      if hdr_size h >= need then take t c h ~need
+      else first_fit t ~need (M.load t.mem c)
+
+  let take_from_bin t i ~need = first_fit t ~need (M.load t.mem (bin_addr t i))
 
   (* The frontier, once it is known to have room for [need] bytes. *)
   let frontier_for t ~need =
@@ -340,7 +342,7 @@ module Make (M : MEM) = struct
       | head ->
         match first_fit t ~need head with
         | 0 -> search t ~need k (bits lxor bit) stale
-        | c -> take t c ~need
+        | c -> c
 
   (* The bins from [bin_index need] up, in order, as the 64-bin scan
      visits them, skipping those whose mask bit is clear: they are empty.
@@ -373,11 +375,11 @@ module Make (M : MEM) = struct
      corrupt the free lists, so [free] refuses with a typed
      {!Invalid_free} instead.  The chunk-start bitmap makes the check
      exact in O(1): a bit is set iff a chunk starts at that granule.
-     Returns the chunk's header. *)
+     [tp] is the frontier, loaded by the caller; returns the chunk's
+     header. *)
   let invalid_free c reason = raise (Invalid_free { offset = c; reason })
 
-  let validate_free t c =
-    let tp = top t in
+  let validate_free t c ~tp =
     if c < t.ds || header c >= tp then invalid_free c "offset outside the heap";
     if (c - t.ds) land 15 <> 0 then invalid_free c "misaligned chunk offset";
     if not (is_chunk_start t c) then
@@ -389,8 +391,10 @@ module Make (M : MEM) = struct
     if not (hdr_inuse h) then invalid_free c "double free";
     h
 
+  (* [top] is loaded once: nothing before the top merge moves it. *)
   let free t c =
-    let h = validate_free t c in
+    let tp = top t in
+    let h = validate_free t c ~tp in
     let size = hdr_size h in
     let c, size, prev_inuse =
       (* backward coalescing via the previous chunk's footer *)
@@ -406,17 +410,19 @@ module Make (M : MEM) = struct
     in
     let size =
       (* forward coalescing *)
-      let n = next_chunk t c ~size in
-      if n = 0 || hdr_inuse (read_header t n) then size
-      else begin
-        let nsize = hdr_size (read_header t n) in
-        unlink t n;
-        unmark_start t n;
-        size + nsize
-      end
+      match next_chunk c ~size ~tp with
+      | 0 -> size
+      | n ->
+        let nh = read_header t n in
+        if hdr_inuse nh then size
+        else begin
+          unlink t n;
+          unmark_start t n;
+          size + hdr_size nh
+        end
     in
     Fault.hit fp_free_unlinked;
-    if header c + size = top t then begin
+    if header c + size = tp then begin
       (* give the space back to the bump frontier *)
       unmark_start t c;
       set_top t (header c);
@@ -425,7 +431,7 @@ module Make (M : MEM) = struct
     else begin
       write_header t c ~size ~inuse:false ~prev_inuse;
       write_footer t c ~size;
-      let n = next_chunk t c ~size in
+      let n = next_chunk c ~size ~tp in
       if n <> 0 then set_prev_inuse t n false;
       insert_into_bin t c ~size
     end

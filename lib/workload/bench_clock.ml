@@ -32,8 +32,10 @@ let ns_per_op ?region ~ops f =
   let total = time_ns ?region (fun () -> for _ = 1 to ops do f () done) in
   total /. float_of_int ops
 
+(* [runs] measurements, fastest first *)
+let sorted_ns_per_op ?region ?(runs = 3) ~ops f =
+  List.sort compare (List.init runs (fun _ -> ns_per_op ?region ~ops f))
+
 (* median of [runs] measurements (the paper reports the median of 5) *)
 let median_ns_per_op ?region ?(runs = 3) ~ops f =
-  let samples = List.init runs (fun _ -> ns_per_op ?region ~ops f) in
-  let sorted = List.sort compare samples in
-  List.nth sorted (runs / 2)
+  List.nth (sorted_ns_per_op ?region ~runs ~ops f) (runs / 2)

@@ -399,14 +399,14 @@ let check_golden what (digest, counts) run =
 let test_db_golden () =
   check_golden "romulusdb"
     ("ffcaa4cc46468d00bc5a001a6e3af65a",
-     "loads=3101 stores=1542 copies=435 pwbs=1336 pfences=215") (fun r ->
+     "loads=3019 stores=1542 copies=435 pwbs=1336 pfences=215") (fun r ->
       let db = Db.open_db ~initial_buckets:4 r in
       golden_ops ~put:(Db.put db) ~delete:(Db.delete db))
 
 let test_sorted_db_golden () =
   check_golden "sorted db"
     ("d7326d793bfab8438ae17972fb77adfb",
-     "loads=4534 stores=1355 copies=474 pwbs=1377 pfences=215") (fun r ->
+     "loads=4485 stores=1355 copies=474 pwbs=1377 pfences=215") (fun r ->
       let db = Sdb.open_db r in
       golden_ops ~put:(Sdb.put db) ~delete:(Sdb.delete db))
 

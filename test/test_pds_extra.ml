@@ -359,13 +359,13 @@ let golden =
   [ tc "hash map (resizable) golden image" `Quick (fun () ->
         check_golden "resizable map"
           ("541e34b5817738ff7a89bbf173d2c576",
-           "loads=2061 stores=925 copies=338 pwbs=1090 pfences=200") (fun p ->
+           "loads=2031 stores=925 copies=338 pwbs=1090 pfences=200") (fun p ->
             let m = GH.create ~initial_buckets:4 p ~root:0 in
             golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
     tc "hash map (fixed) golden image" `Quick (fun () ->
         check_golden "fixed map"
           ("584073011ae5c217d5f2250c444b8fd5",
-           "loads=1902 stores=644 copies=212 pwbs=853 pfences=200") (fun p ->
+           "loads=1888 stores=644 copies=212 pwbs=853 pfences=200") (fun p ->
             let m = GH.create ~resizable:false ~initial_buckets:8 p ~root:0 in
             golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
     tc "b+tree golden image" `Quick (fun () ->

@@ -321,8 +321,8 @@ let prop_torn_words_deterministic =
    IEEE 802.3 CRC-32, so check it against the published vector, and
    against an independent bit-at-a-time implementation. *)
 
-let crc32_ref s =
-  let c = ref 0xFFFFFFFF in
+let crc32_ref ?(crc = 0) s =
+  let c = ref (crc lxor 0xFFFFFFFF) in
   String.iter
     (fun ch ->
       c := !c lxor Char.code ch;
@@ -353,6 +353,28 @@ let prop_crc32_incremental =
       Pmem.Crc32.string (a ^ b)
       = Pmem.Crc32.string ~crc:(Pmem.Crc32.string a) b
       && Pmem.Crc32.string (a ^ b) = crc32_ref (a ^ b))
+
+(* The 8-byte steps against the bitwise reference on every alignment
+   the loop can meet: an unaligned start, each tail length 0-7 after the
+   last full step, and a chained initial [crc]. *)
+let prop_crc32_range_matches_bitwise =
+  let open QCheck in
+  (* ranges end by byte 310, so random bytes past every range would show
+     an over-read *)
+  let gen =
+    Gen.(
+      quad (int_bound 0xFFFF_FFFF) (int_bound 15) (int_bound 36)
+        (string_size ~gen:char (return 320)))
+  in
+  Test.make ~count:300 ~name:"crc of a range = bitwise crc, every tail 0-7"
+    (make gen) (fun (crc, off, steps, s) ->
+      let buf = Bytes.of_string s in
+      List.for_all
+        (fun tail ->
+          let len = (8 * steps) + tail in
+          Pmem.Crc32.bytes ~crc buf off len
+          = crc32_ref ~crc (String.sub s off len))
+        [ 0; 1; 2; 3; 4; 5; 6; 7 ])
 
 (* ---- media faults ---- *)
 
@@ -660,6 +682,7 @@ let suite =
         prop_keep_all_equals_volatile;
         prop_random_subset_deterministic;
         prop_torn_words_deterministic;
-        prop_crc32_incremental ]
+        prop_crc32_incremental;
+        prop_crc32_range_matches_bitwise ]
 
 let () = Alcotest.run "pmem" [ ("region", suite) ]

@@ -1281,10 +1281,12 @@ module TightLogged = struct
 
   let tight_capacity = 24
 
-  let open_region r =
-    let t = open_region r in
+  let open_salvage r =
+    let t, lost = open_salvage r in
     Romulus.Engine.configure ~redo_capacity:tight_capacity (engine t);
-    t
+    (t, lost)
+
+  let open_region r = fst (open_salvage r)
 end
 
 module Tsd = Kv.Sharded_db.Make (TightLogged)
@@ -2505,6 +2507,122 @@ let prop_group_watermark =
       Sd.iter db (fun k _ -> if not (Hashtbl.mem model k) then incr extra);
       !extra = 0)
 
+(* ---- one media pass per shard open ----
+
+   [open_db] classifies each shard from the data-loss lines its open's
+   own recovery scrub tolerated; the store used to open the shard and
+   then scrub it again.  These check, for every PTM, that each region's
+   medium is read once per open, and that the verdicts and lost offsets
+   are those of the old open-then-rescrub path on the same rotted
+   images. *)
+module Open_pass (P : Kv.Sharded_db.SHARD_PTM) = struct
+  module S = Kv.Sharded_db.Make (P)
+
+  (* a 4-shard store, seeded, crashed clean and reopened, with each
+     shard's media spans as that reopen left them *)
+  let settled () =
+    let rs = regions 4 in
+    let db = S.open_db ~initial_buckets:8 rs in
+    for i = 0 to 31 do
+      S.put db (key i) (value i)
+    done;
+    crash_all rs R.Drop_all;
+    let db = S.open_db ~initial_buckets:8 rs in
+    (rs, S.media_spans db)
+
+  let scrubbed r = (R.stats r).Pmem.Stats.scrubbed_lines
+
+  (* lines one media pass audits: the header lines below the first span
+     (none for the single-copy baselines, whose span starts at 0), then
+     every line of each span *)
+  let audited r spans =
+    let ls = R.line_size r in
+    match spans with
+    | [] -> 0
+    | (first, _) :: _ ->
+      List.fold_left
+        (fun n (_, len) -> n + ((len + ls - 1) / ls))
+        (first / ls) spans
+
+  let test_scrub_once () =
+    let rs, spans = settled () in
+    crash_all rs R.Drop_all;
+    let before = Array.map scrubbed rs in
+    ignore (S.open_db ~initial_buckets:8 rs : S.t);
+    Array.iteri
+      (fun i r ->
+        Alcotest.(check int)
+          (Printf.sprintf "shard %d lines scrubbed by one open" i)
+          (audited r spans.(i))
+          (scrubbed r - before.(i)))
+      rs
+
+  (* shard 0 stays sound (it anchors the store); shard 1 rots its
+     deepest used line in the first span only (one twin), shard 2 in
+     every span (both twins, under IDL), shard 3 its header line *)
+  let rotted () =
+    let rs, spans = settled () in
+    let deepest r (base, len) = (base + len - 1) / R.line_size r in
+    (match spans.(1) with
+     | s :: _ -> R.corrupt_line rs.(1) ~line:(deepest rs.(1) s)
+     | [] -> Alcotest.fail "shard 1 has no media spans");
+    List.iteri
+      (fun k sp -> R.corrupt_line rs.(2) ~seed:(97 + k) ~line:(deepest rs.(2) sp))
+      spans.(2);
+    R.corrupt_line rs.(3) ~line:0;
+    crash_all rs R.Drop_all;
+    rs
+
+  (* the old path: open the shard, then one more salvage scrub *)
+  let rescrubbed r =
+    match P.open_region r with
+    | p -> Ok (P.scrub_salvage p).Romulus.Engine.unrepairable
+    | exception e -> Error e
+
+  let single_pass r =
+    match P.open_salvage r with
+    | _, lost -> Ok lost
+    | exception e -> Error e
+
+  (* [open_db]'s mapping from a shard open's outcome to its verdict *)
+  let verdict =
+    let open Kv.Sharded_db in
+    function
+    | Ok [] -> Healthy
+    | Ok ((offset, state) :: _) -> Degraded (Unrepairable_media { offset; state })
+    | Error (Romulus.Engine.Unrepairable { offset; state }) ->
+      Quarantined (Unrepairable_media { offset; state })
+    | Error (Romulus.Engine.Recovery_error msg) -> Quarantined (Open_failed msg)
+    | Error (R.Media_error { offset; _ }) ->
+      Quarantined
+        (Open_failed
+           (Printf.sprintf "media error at offset %d while opening" offset))
+    | Error e -> Quarantined (Open_failed (Printexc.to_string e))
+
+  let test_verdicts_match_rescrub () =
+    let old = Array.map rescrubbed (rotted ()) in
+    let fresh = Array.map single_pass (rotted ()) in
+    Array.iteri
+      (fun i o ->
+        if o <> fresh.(i) then
+          Alcotest.failf "shard %d: the open's own scrub disagrees with a rescrub"
+            i)
+      old;
+    (match old.(2) with
+     | Ok (_ :: _) -> ()
+     | _ -> Alcotest.fail "shard 2's rot should be tolerated data loss");
+    (match old.(3) with
+     | Error _ -> ()
+     | Ok _ -> Alcotest.fail "shard 3's header rot should refuse the open");
+    let db = S.open_db ~initial_buckets:8 (rotted ()) in
+    Array.iteri
+      (fun i o ->
+        if S.health db i <> verdict o then
+          Alcotest.failf "shard %d: open_db's verdict differs from the rescrub's"
+            i)
+      old
+end
+
 let suite =
   let tc = Alcotest.test_case in
   [ tc "sharded basics" `Quick test_basics;
@@ -2612,5 +2730,14 @@ let suite =
         (check_counter_table (module Kv.Group_commit.Counters));
       tc "parallel recoveries on mne release their thread slots" `Quick
         test_parallel_recovery_releases_slots ]
+  @ List.concat_map
+      (fun (module P : Kv.Sharded_db.SHARD_PTM) ->
+        let module O = Open_pass (P) in
+        [ tc ("open_db scrubs each shard once: " ^ P.name) `Quick
+            O.test_scrub_once;
+          tc ("open_db verdicts match open + rescrub: " ^ P.name) `Quick
+            O.test_verdicts_match_rescrub ])
+      [ (module Romulus.Basic); (module Romulus.Logged); (module Romulus.Lr);
+        (module Baselines.Redolog); (module Baselines.Undolog) ]
 
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]
