@@ -67,21 +67,15 @@ exception Shard_mismatch of { requested : int; found : int }
    table, and operations on a sick shard's slots fail with a typed
    exception instead of crashing the caller or silently missing. *)
 
-type health_cause =
+type health_cause = Shard_records.health_cause =
   | Unrepairable_media of { offset : int; state : string }
-      (* a salvage scrub found lines no twin can vouch for (Degraded:
-         tolerable IDL data loss; Quarantined: damage recovery would
-         have to copy) *)
   | Open_failed of string
-      (* the shard's engine refused to open or recover *)
   | Evacuated of { target : int }
-      (* the shard's surviving keys were moved onto [target]; its slots
-         no longer route here *)
 
-type health =
+type health = Shard_records.health =
   | Healthy
-  | Degraded of health_cause (* read-only: media errors pending repair *)
-  | Quarantined of health_cause (* unreadable / unopenable / evacuated *)
+  | Degraded of health_cause
+  | Quarantined of health_cause
 
 (* An operation routed to a shard that cannot serve it.  Raised by reads
    of a quarantined shard's slots and writes to any non-healthy shard's
@@ -107,7 +101,7 @@ exception Shard_open_failed of { shard : int; cause : exn }
    stores pin the table durably at first open (so a crashed resize can
    never be confused about the pre-resize count); a 1-shard store writes
    no routing metadata at all until its first split. *)
-let slots_per_shard = 8
+let slots_per_shard = Shard_records.slots_per_shard
 
 (* Each protocol record names its participants in one int bitmask, bit
    [i] for shard [i], so a store can never grow past the bit width of
@@ -233,289 +227,6 @@ let fp_health_repaired = Fault.site "sharded.health.repaired"
 let fp_health_evacuate_start = Fault.site "sharded.health.evacuate_start"
 let fp_health_evacuated = Fault.site "sharded.health.evacuated"
 
-(* ---- record serialization (PTM-independent) ----
-
-   All lengths are 64-bit little-endian; a value option carries a
-   presence tag so "put empty string" and "delete" stay distinct.  A
-   mirror stores one blob per shard slice whose undo entries each carry
-   a leading validity byte ('\001' live, '\000' invalidated by a racing
-   single-key write). *)
-
-let add_str b s =
-  Buffer.add_int64_le b (Int64.of_int (String.length s));
-  Buffer.add_string b s
-
-let add_opt b v =
-  match v with
-  | None -> Buffer.add_char b '\000'
-  | Some v ->
-    Buffer.add_char b '\001';
-    add_str b v
-
-let add_kv_list b l =
-  Buffer.add_int64_le b (Int64.of_int (List.length l));
-  List.iter
-    (fun (k, v) ->
-      add_str b k;
-      add_opt b v)
-    l
-
-(* An undo image inside a mirror payload: the key's pre-batch value
-   either did not exist, is stored inline, or — when larger than the
-   spill threshold — was spilled into its own CRC-protected record and
-   the payload carries only the (offset, length) reference. *)
-type undo_image =
-  | U_absent
-  | U_inline of string
-  | U_spilled of { off : int; len : int }
-
-let image_of_opt = function None -> U_absent | Some v -> U_inline v
-
-let add_image b = function
-  | U_absent -> Buffer.add_char b '\000'
-  | U_inline v ->
-    Buffer.add_char b '\001';
-    add_str b v
-  | U_spilled { off; len } ->
-    Buffer.add_char b '\002';
-    Buffer.add_int64_le b (Int64.of_int off);
-    Buffer.add_int64_le b (Int64.of_int len)
-
-(* Mirror payload: shard count, the slice's ops, then undo entries with
-   a per-entry validity byte.  Returns the payload plus each undo key's
-   validity-byte offset *relative to the payload start*, so a racing
-   write can invalidate its entry with a one-byte durable store. *)
-let encode_mirror ~nshards ~ops ~undo =
-  let b = Buffer.create 256 in
-  Buffer.add_int64_le b (Int64.of_int nshards);
-  add_kv_list b ops;
-  Buffer.add_int64_le b (Int64.of_int (List.length undo));
-  let valid_offs =
-    List.map
-      (fun (k, img) ->
-        let off = Buffer.length b in
-        Buffer.add_char b '\001';
-        add_str b k;
-        add_image b img;
-        (k, off))
-      undo
-  in
-  (Buffer.contents b, valid_offs)
-
-(* Exact length of the payload [encode_mirror] would produce with every
-   undo image inline — the admission-control charge of a mirror, and the
-   chunked-vs-fast-path decision, without building the string. *)
-let opt_len = function None -> 1 | Some v -> 1 + 8 + String.length v
-
-let mirror_payload_len ~ops ~undo =
-  let kv_list l =
-    8 + List.fold_left (fun a (k, v) -> a + 8 + String.length k + opt_len v) 0 l
-  in
-  8 + kv_list ops
-  + 8
-  + List.fold_left
-      (fun a (k, v) -> a + 1 + 8 + String.length k + opt_len v)
-      0 undo
-
-type parser_ = { payload : string; mutable pos : int }
-
-let bad what =
-  raise
-    (Romulus.Engine.Recovery_error
-       (Printf.sprintf "sharded batch intent: truncated %s record" what))
-
-let take_int pr what =
-  if pr.pos + 8 > String.length pr.payload then bad what;
-  let v = Int64.to_int (String.get_int64_le pr.payload pr.pos) in
-  pr.pos <- pr.pos + 8;
-  if v < 0 then bad what;
-  v
-
-let take_str pr what =
-  let len = take_int pr what in
-  if pr.pos + len > String.length pr.payload then bad what;
-  let s = String.sub pr.payload pr.pos len in
-  pr.pos <- pr.pos + len;
-  s
-
-let take_byte pr what =
-  if pr.pos >= String.length pr.payload then bad what;
-  let c = pr.payload.[pr.pos] in
-  pr.pos <- pr.pos + 1;
-  c
-
-let take_opt pr what =
-  match take_byte pr what with
-  | '\000' -> None
-  | '\001' -> Some (take_str pr what)
-  | _ -> bad what
-
-let take_kv_list pr what =
-  let n = take_int pr what in
-  List.init n (fun _ ->
-      let k = take_str pr what in
-      (k, take_opt pr what))
-
-let take_image pr what =
-  match take_byte pr what with
-  | '\000' -> U_absent
-  | '\001' -> U_inline (take_str pr what)
-  | '\002' ->
-    let off = take_int pr what in
-    let len = take_int pr what in
-    U_spilled { off; len }
-  | _ -> bad what
-
-(* Returns (nshards, ops, undo) where each undo entry carries its
-   validity flag. *)
-let decode_mirror payload =
-  let pr = { payload; pos = 0 } in
-  let nshards = take_int pr "shard-count" in
-  let ops = take_kv_list pr "operation" in
-  let n = take_int pr "undo" in
-  let undo =
-    List.init n (fun _ ->
-        let valid =
-          match take_byte pr "undo-validity" with
-          | '\000' -> false
-          | '\001' -> true
-          | _ -> bad "undo-validity"
-        in
-        let k = take_str pr "undo" in
-        (valid, k, take_image pr "undo"))
-  in
-  (nshards, ops, undo)
-
-(* Cut key/value pairs, in order, into consecutive move batches whose
-   encoded payload stays within [chunk_bytes] (at least one pair each)
-   and apply [f] to each. *)
-let iter_batches ~chunk_bytes f kvs =
-  let rec take acc size = function
-    | [] -> (List.rev acc, [])
-    | ((k, v) :: rest) as all ->
-      let size = size + 17 + String.length k + String.length v in
-      if acc <> [] && size > chunk_bytes then (List.rev acc, all)
-      else take ((k, v) :: acc) size rest
-  in
-  let rec go = function
-    | [] -> ()
-    | kvs ->
-      let batch, rest = take [] 8 kvs in
-      f batch;
-      go rest
-  in
-  go kvs
-
-(* ---- health record codec (PTM-independent) ----
-
-   The per-shard health array persists as one length-prefixed record in
-   shard 0 (wholesale replace, like the routing table): shard count,
-   then one tagged verdict per shard. *)
-
-let add_cause b = function
-  | Unrepairable_media { offset; state } ->
-    Buffer.add_char b '\000';
-    Buffer.add_int64_le b (Int64.of_int offset);
-    add_str b state
-  | Open_failed msg ->
-    Buffer.add_char b '\001';
-    add_str b msg
-  | Evacuated { target } ->
-    Buffer.add_char b '\002';
-    Buffer.add_int64_le b (Int64.of_int target)
-
-let encode_health healths =
-  let b = Buffer.create 64 in
-  Buffer.add_int64_le b (Int64.of_int (Array.length healths));
-  Array.iter
-    (fun h ->
-      match h with
-      | Healthy -> Buffer.add_char b '\000'
-      | Degraded c ->
-        Buffer.add_char b '\001';
-        add_cause b c
-      | Quarantined c ->
-        Buffer.add_char b '\002';
-        add_cause b c)
-    healths;
-  Buffer.contents b
-
-let take_cause pr =
-  match take_byte pr "health-cause" with
-  | '\000' ->
-    let offset = take_int pr "health-cause" in
-    let state = take_str pr "health-cause" in
-    Unrepairable_media { offset; state }
-  | '\001' -> Open_failed (take_str pr "health-cause")
-  | '\002' -> Evacuated { target = take_int pr "health-cause" }
-  | _ -> bad "health-cause"
-
-let decode_health payload =
-  let pr = { payload; pos = 0 } in
-  let n = take_int pr "health" in
-  Array.init n (fun _ ->
-      match take_byte pr "health" with
-      | '\000' -> Healthy
-      | '\001' -> Degraded (take_cause pr)
-      | '\002' -> Quarantined (take_cause pr)
-      | _ -> bad "health")
-
-(* ---- chunk chains (PTM-independent) ----
-
-   A payload too large for one allocation is cut into bounded pieces;
-   each piece is stored in its own record with a CRC-32 and reassembled
-   on read with every CRC re-verified and the total length checked
-   against the mirror header.  Pure, so the round-trip and the
-   rejection of truncated / corrupted chains are testable without a
-   store. *)
-module Chunk = struct
-  let crc s = Pmem.Crc32.string s
-
-  (* cut [payload] into pieces of at most [chunk_bytes] (the last piece
-     may be shorter); the empty payload is one empty piece *)
-  let split ~chunk_bytes payload =
-    if chunk_bytes <= 0 then invalid_arg "Chunk.split: chunk_bytes <= 0";
-    let n = String.length payload in
-    if n = 0 then [ "" ]
-    else begin
-      let rec go pos acc =
-        if pos >= n then List.rev acc
-        else
-          let len = min chunk_bytes (n - pos) in
-          go (pos + len) (String.sub payload pos len :: acc)
-      in
-      go 0 []
-    end
-
-  (* reassemble a chain read back as (piece, stored_crc) pairs in chain
-     order; every piece must pass its CRC and the total must be exactly
-     [expect_len] *)
-  let join ~expect_len pieces =
-    let b = Buffer.create expect_len in
-    let rec go = function
-      | [] ->
-        if Buffer.length b <> expect_len then
-          Error
-            (Printf.sprintf "chunk chain holds %d bytes, mirror declares %d"
-               (Buffer.length b) expect_len)
-        else Ok (Buffer.contents b)
-      | (piece, stored) :: rest ->
-        if crc piece <> stored then
-          Error
-            (Printf.sprintf "chunk CRC mismatch at payload byte %d"
-               (Buffer.length b))
-        else if Buffer.length b + String.length piece > expect_len then
-          Error
-            (Printf.sprintf "chunk chain exceeds declared length %d"
-               expect_len)
-        else begin
-          Buffer.add_string b piece;
-          go rest
-        end
-    in
-    go pieces
-end
-
 (* ---- counters ----
 
    The store's own counters, one set per open store (see [Counter_set]
@@ -589,6 +300,7 @@ end)
 
 module Make (P : SHARD_PTM) = struct
   module Map_ = Pds.Hash_map.Of_codec (Pds.Codec.Blob) (P)
+  module R = Shard_records.Make (P)
 
   type shard = { p : P.t; map : Map_.t; region : Pmem.Region.t }
 
@@ -678,60 +390,6 @@ module Make (P : SHARD_PTM) = struct
     counters : Counters.t;
   }
 
-  let db_root = 0 (* same slot as Romulus_db: the map's anchor *)
-
-  (* Reserved root slots, far from the map's anchor.  None is touched
-     before the first cross-shard batch, so a 1-shard store stays
-     bit-for-bit identical to Romulus_db.  [mirror_slot] and [flip_slot]
-     head each shard's mirror and flip lists.  [intent_slot] held the
-     record of a removed shard-0 intent protocol; nothing writes it, and
-     recovery refuses an image where shard 0's is set. *)
-  let intent_slot = Romulus.Ptm_intf.root_slots - 1
-  let mirror_slot = Romulus.Ptm_intf.root_slots - 2
-  let flip_slot = Romulus.Ptm_intf.root_slots - 3
-
-  (* Elastic-sharding slots.  [route_slot] (shard 0) holds the persisted
-     routing table, pinned at first open for multi-shard stores and
-     rewritten by each resize's epoch flip (1-shard stores leave it at 0
-     until they split); [mig_slot] (shard 0) holds the single migration intent
-     record; [cursor_slot] (the migration source) holds the current
-     move batch's CRC-protected cursor; [tomb_slot] (the migration
-     target) anchors the tombstone map. *)
-  let route_slot = Romulus.Ptm_intf.root_slots - 4
-  let mig_slot = Romulus.Ptm_intf.root_slots - 5
-  let cursor_slot = Romulus.Ptm_intf.root_slots - 6
-  let tomb_slot = Romulus.Ptm_intf.root_slots - 7
-
-  (* Per-shard health array (shard 0, next to the slot table). *)
-  let health_slot = Romulus.Ptm_intf.root_slots - 8
-
-  (* mirror record: next | batch id | coordinator | participant mask |
-     sealed | payload length | chunk-chain head | spill-list head.
-     The payload itself always lives in the chunk chain (a single chunk
-     on the fast path); [sealed] is 0 while the chain is streaming and
-     flipped to 1 in the transaction that applies the slice, so
-     sealed <=> slice applied and an unsealed chain is garbage for
-     recovery to collect. *)
-  let mirror_hdr = 64
-
-  let m_next = 0
-  let m_id = 8
-  let m_coord = 16
-  let m_mask = 24
-  let m_sealed = 32
-  let m_plen = 40
-  let m_chunks = 48
-  let m_spills = 56
-
-  (* chunk / spill record: next | byte length | crc32 | bytes *)
-  let chunk_hdr = 24
-
-  let c_len = 8
-  let c_crc = 16
-
-  (* flip record: next | batch id | participant mask *)
-  let flip_size = 24
-
   (* FNV-1a core as the map's bucket hash, plus an avalanche step so the
      shard route is independent of the bucket index even when the shard
      count shares factors with the bucket count. *)
@@ -815,10 +473,17 @@ module Make (P : SHARD_PTM) = struct
     | Healthy | Degraded _ -> Some (raw t i)
     | Quarantined _ -> unavailable t i
 
+  (* count a transition into a verdict; returns the verdict's failpoint *)
   let count_health t = function
-    | Healthy -> tick t Health_repaired 1
-    | Degraded _ -> tick t Health_degraded 1
-    | Quarantined _ -> tick t Health_quarantined 1
+    | Healthy ->
+      tick t Health_repaired 1;
+      fp_health_repaired
+    | Degraded _ ->
+      tick t Health_degraded 1;
+      fp_health_degraded
+    | Quarantined _ ->
+      tick t Health_quarantined 1;
+      fp_health_quarantined
 
   (* ---- plain (non-batch) operations ---- *)
 
@@ -890,13 +555,7 @@ module Make (P : SHARD_PTM) = struct
     | Some pu ->
       let sp = (raw t pu.pu_shard).p in
       P.update_tx sp (fun () ->
-          P.store_bytes sp pu.pu_valid "\000";
-          (* the validity byte lives inside a CRC-protected chunk:
-             refresh the chunk's CRC in the same transaction so a later
-             rollback read of the chain still verifies *)
-          let len = P.load sp (pu.pu_chunk + c_len) in
-          let bytes = P.load_bytes sp (pu.pu_chunk + chunk_hdr) len in
-          P.store sp (pu.pu_chunk + c_crc) (Chunk.crc bytes);
+          R.Mirror.invalidate sp ~chunk:pu.pu_chunk ~valid:pu.pu_valid;
           apply_op s (k, v));
       Hashtbl.remove t.proto.pending k)
 
@@ -1010,50 +669,43 @@ module Make (P : SHARD_PTM) = struct
      coordinator, so its mask carries that shard's bit. *)
   let check_masks i s =
     let p = s.p in
-    let rec walk off f =
-      if off = 0 then None
-      else match f off with None -> walk (P.load p off) f | e -> e
-    in
     let bad what off mask =
-      Some
+      failwith
         (Printf.sprintf "shard %d: %s at %d has participant mask %#x" i what
            off mask)
     in
-    P.read_tx p (fun () ->
-        match
-          walk (P.get_root p mirror_slot) (fun off ->
-              let mask = P.load p (off + m_mask) in
+    match
+      P.read_tx p (fun () ->
+          R.iter p R.Mirror.r i (fun off ->
+              let mask = R.Mirror.mask p off in
               if
                 mask land (1 lsl i) = 0
-                || lowest_bit mask <> P.load p (off + m_coord)
-              then bad "mirror" off mask
-              else None)
-        with
-        | Some _ as e -> e
-        | None ->
-          walk (P.get_root p flip_slot) (fun off ->
-              let mask = P.load p (off + 16) in
-              if mask land (1 lsl i) = 0 then bad "flip" off mask else None))
+                || lowest_bit mask <> R.Mirror.coord p off
+              then bad "mirror" off mask);
+          R.iter p R.Flip.r i (fun off ->
+              let mask = R.Flip.mask p off in
+              if mask land (1 lsl i) = 0 then bad "flip" off mask))
+    with
+    | () -> Ok ()
+    | exception (Failure e | Romulus.Engine.Recovery_error e) -> Error e
 
   (* Structural check of every healthy shard; a non-healthy shard's
      structure is by definition damaged (or its engine gone), so it is
      skipped rather than failing the check of the serving data. *)
   let check t =
-    let n = shards t in
+    let ( let* ) = Result.bind in
     let rec go i =
-      if i = n then Ok ()
+      if i = shards t then Ok ()
       else
         match (t.shard_arr.(i), t.health_arr.(i)) with
-        | Some s, Healthy -> (
-          match Map_.check s.map with
-          | Error e -> Error (Printf.sprintf "shard %d: %s" i e)
-          | Ok () -> (
-            match P.allocator_check s.p with
-            | Error e -> Error (Printf.sprintf "shard %d allocator: %s" i e)
-            | Ok () -> (
-              match check_masks i s with
-              | Some e -> Error e
-              | None -> go (i + 1))))
+        | Some s, Healthy ->
+          let in_shard what =
+            Result.map_error (Printf.sprintf "shard %d%s: %s" i what)
+          in
+          let* () = in_shard "" (Map_.check s.map) in
+          let* () = in_shard " allocator" (P.allocator_check s.p) in
+          let* () = check_masks i s in
+          go (i + 1)
         | _ -> go (i + 1)
     in
     go 0
@@ -1088,40 +740,6 @@ module Make (P : SHARD_PTM) = struct
         end)
       slice
 
-  (* splice [off] out of the linked list headed at root [slot] and free
-     it; a no-op when the record is already gone (inside an update tx) *)
-  let unhook p ~slot off =
-    let rec go prev cur =
-      if cur = 0 then ()
-      else if cur = off then begin
-        let next = P.load p cur in
-        if prev = 0 then P.set_root p slot next else P.store p prev next;
-        P.free p cur
-      end
-      else go cur (P.load p cur)
-    in
-    go 0 (P.get_root p slot)
-
-  (* free every record of a chunk or spill chain headed at [head]
-     (inside an update tx) *)
-  let free_chain p head =
-    let rec go c =
-      if c <> 0 then begin
-        let next = P.load p c in
-        P.free p c;
-        go next
-      end
-    in
-    go head
-
-  (* reclaim a mirror together with its chunk chain and spilled undo
-     images, and splice it out of the mirror list (inside an update tx);
-     never reads payload bytes, so it is safe on unsealed chains *)
-  let unhook_mirror p off =
-    free_chain p (P.load p (off + m_chunks));
-    free_chain p (P.load p (off + m_spills));
-    unhook p ~slot:mirror_slot off
-
   let wrap_abort e backtrace =
     match e with
     | Romulus.Engine.Tx_aborted _ -> raise e
@@ -1138,8 +756,8 @@ module Make (P : SHARD_PTM) = struct
 
   let drain_in_tx t i (mirrors, flips) =
     let p = (raw t i).p in
-    List.iter (fun (off, _) -> unhook_mirror p off) mirrors;
-    List.iter (fun off -> unhook p ~slot:flip_slot off) flips
+    List.iter (fun (off, _) -> R.Mirror.reclaim p i off) mirrors;
+    List.iter (fun off -> R.unhook p R.Flip.r i off) flips
 
   let finish_drain t i (mirrors, flips) =
     let pr = t.proto in
@@ -1197,16 +815,14 @@ module Make (P : SHARD_PTM) = struct
       finish_drain t i plan
     end
 
+  (* Two passes: draining a batch's last mirror releases its flip into
+     the coordinator's queue, which the first pass may already have
+     visited — a second pass leaves the store fully reclaimed. *)
   let flush_clears t =
-    let n = shards t in
-    for i = 0 to n - 1 do
-      flush_shard_clears t i
-    done;
-    (* draining a batch's last mirror releases its flip into the
-       coordinator's queue, which the first pass may already have
-       visited — a second pass leaves the store fully reclaimed *)
-    for i = 0 to n - 1 do
-      flush_shard_clears t i
+    for _ = 1 to 2 do
+      for i = 0 to shards t - 1 do
+        flush_shard_clears t i
+      done
     done
 
   (* After a commit, flush any shard whose parked queue crossed the
@@ -1223,47 +839,6 @@ module Make (P : SHARD_PTM) = struct
       then flush_shard_clears t i
     done
 
-  (* ---- validated chunk-chain reads ---- *)
-
-  let chain_error msg =
-    raise (Romulus.Engine.Recovery_error ("sharded mirror: " ^ msg))
-
-  (* read and reassemble the payload of the *sealed* mirror at [off]
-     (inside a transaction on shard [s]); every chunk's CRC and the
-     total length are verified against the header *)
-  let read_payload_in_tx s off =
-    let p = s.p in
-    let plen = P.load p (off + m_plen) in
-    if plen < 0 then chain_error "negative payload length";
-    let rec pieces acc c =
-      if c = 0 then List.rev acc
-      else begin
-        let next = P.load p c in
-        let len = P.load p (c + c_len) in
-        if len < 0 || len > plen then
-          chain_error "chunk length out of range";
-        let stored = P.load p (c + c_crc) in
-        let bytes = P.load_bytes p (c + chunk_hdr) len in
-        pieces ((bytes, stored) :: acc) next
-      end
-    in
-    match
-      Chunk.join ~expect_len:plen (pieces [] (P.load p (off + m_chunks)))
-    with
-    | Ok payload -> payload
-    | Error msg -> chain_error msg
-
-  (* resolve a spilled undo image reference (CRC-checked) *)
-  let read_spill_in_tx s ~off ~len =
-    let p = s.p in
-    let slen = P.load p (off + c_len) in
-    if slen <> len then chain_error "spilled undo image length mismatch";
-    let stored = P.load p (off + c_crc) in
-    let bytes = P.load_bytes p (off + chunk_hdr) slen in
-    if Chunk.crc bytes <> stored then
-      chain_error "spilled undo image CRC mismatch";
-    bytes
-
   (* replay the still-valid undo entries of the sealed mirror at [off]
      and reclaim it (chunk chain and spills included), inside one
      transaction on shard [i]; reads the validity bytes back from the
@@ -1271,25 +846,17 @@ module Make (P : SHARD_PTM) = struct
   let rollback_mirror_tx t i off =
     let s = raw t i in
     P.update_tx s.p (fun () ->
-        let payload = read_payload_in_tx s off in
-        let _, _, undo = decode_mirror payload in
+        let undo = R.Mirror.read s.p i ~shards:(shards t) off in
         List.iter
           (fun (valid, k, img) ->
             if valid then
               match img with
-              | U_absent -> apply_op s (k, None)
-              | U_inline v -> apply_op s (k, Some v)
-              | U_spilled { off = soff; len } ->
-                apply_op s (k, Some (read_spill_in_tx s ~off:soff ~len)))
+              | R.U_absent -> apply_op s (k, None)
+              | R.U_inline v -> apply_op s (k, Some v)
+              | R.U_spilled { off = soff; len } ->
+                apply_op s (k, Some (R.Mirror.spilled s.p i ~off:soff ~len)))
           undo;
-        unhook_mirror s.p off)
-
-  (* collect a partially-streamed (unsealed) chain: nothing of its slice
-     was applied, so this only frees records — payload bytes are never
-     decoded, which is what makes it safe on arbitrary chain prefixes *)
-  let gc_mirror_tx t i off =
-    let s = raw t i in
-    P.update_tx s.p (fun () -> unhook_mirror s.p off)
+        R.Mirror.reclaim s.p i off)
 
   (* ---- PREPARE: one mirror per participant, fast or streamed ----
 
@@ -1310,7 +877,7 @@ module Make (P : SHARD_PTM) = struct
     let cfg = t.proto.config in
     let nshards = shards t in
     let undo = undo_of t slice in
-    let inline_len = mirror_payload_len ~ops:slice ~undo in
+    let inline_len = R.mirror_payload_len ~ops:slice ~undo in
     let needs_spill =
       List.exists
         (fun (_, v) ->
@@ -1319,48 +886,32 @@ module Make (P : SHARD_PTM) = struct
           | None -> false)
         undo
     in
-    (* allocate a mirror header and push it on the shard's mirror list
-       (inside an update tx) *)
-    let hook ~sealed ~plen ~chunks =
-      let o = P.alloc s.p mirror_hdr in
-      P.store s.p (o + m_next) (P.get_root s.p mirror_slot);
-      P.store s.p (o + m_id) id;
-      P.store s.p (o + m_coord) coord;
-      P.store s.p (o + m_mask) mask;
-      P.store s.p (o + m_sealed) sealed;
-      P.store s.p (o + m_plen) plen;
-      P.store s.p (o + m_chunks) chunks;
-      P.store s.p (o + m_spills) 0;
-      P.set_root s.p mirror_slot o;
-      o
-    in
     if (not needs_spill) && inline_len <= chunk_bytes then begin
       let payload, rel_offs =
-        encode_mirror ~nshards ~ops:slice
-          ~undo:(List.map (fun (k, v) -> (k, image_of_opt v)) undo)
+        R.encode_mirror ~nshards ~ops:slice
+          ~undo:(List.map (fun (k, v) -> (k, R.image_of_opt v)) undo)
       in
       let plen = String.length payload in
       let moff, coff =
         tx_with_drain t i (fun () ->
-            let c = P.alloc s.p (chunk_hdr + plen) in
-            P.store s.p c 0;
-            P.store s.p (c + c_len) plen;
-            P.store s.p (c + c_crc) (Chunk.crc payload);
-            P.store_bytes s.p (c + chunk_hdr) payload;
-            let o = hook ~sealed:1 ~plen ~chunks:c in
+            let c = R.Mirror.write_chunk s.p payload in
+            let o =
+              R.Mirror.push s.p ~id ~coord ~mask ~sealed:1 ~plen ~chunks:c
+            in
             List.iter (apply_op s) slice;
             (o, c))
       in
       tick t Chunks_written 1;
       ( moff,
-        List.map (fun (k, rel) -> (k, coff, coff + chunk_hdr + rel)) rel_offs
+        List.map (fun (k, rel) -> (k, coff, R.Mirror.byte coff rel)) rel_offs
       )
     end
     else begin
       (* unsealed shell first: from here the chain is crash-visible and
          recovery (or the inline abort path) can always collect it *)
       let moff =
-        tx_with_drain t i (fun () -> hook ~sealed:0 ~plen:0 ~chunks:0)
+        tx_with_drain t i (fun () ->
+            R.Mirror.push s.p ~id ~coord ~mask ~sealed:0 ~plen:0 ~chunks:0)
       in
       try
         (* oversized undo images leave the payload: one record each,
@@ -1372,72 +923,45 @@ module Make (P : SHARD_PTM) = struct
               | Some v when String.length v > cfg.spill_threshold ->
                 let len = String.length v in
                 let soff =
-                  P.update_tx s.p (fun () ->
-                      let o = P.alloc s.p (chunk_hdr + len) in
-                      P.store s.p o (P.load s.p (moff + m_spills));
-                      P.store s.p (o + c_len) len;
-                      P.store s.p (o + c_crc) (Chunk.crc v);
-                      P.store_bytes s.p (o + chunk_hdr) v;
-                      P.store s.p (moff + m_spills) o;
-                      o)
+                  P.update_tx s.p (fun () -> R.Mirror.add_spill s.p moff v)
                 in
                 tick t Chunks_spilled 1;
                 Fault.hit fp_chunk_spilled;
-                (k, U_spilled { off = soff; len })
-              | v -> (k, image_of_opt v))
+                (k, R.U_spilled { off = soff; len })
+              | v -> (k, R.image_of_opt v))
             undo
         in
         let payload, rel_offs =
-          encode_mirror ~nshards ~ops:slice ~undo:images
+          R.encode_mirror ~nshards ~ops:slice ~undo:images
         in
-        (* stream the chain, tracking each piece's payload interval so
-           validity-byte offsets can be mapped into their chunks *)
-        let segs = ref [] in
-        let prev = ref 0 in
-        let pos = ref 0 in
+        (* stream the chain; every piece but the last holds exactly
+           [chunk_bytes], so payload byte [rel] lies in chunk
+           [rel / chunk_bytes] *)
+        let chunks = ref [] in
         List.iter
           (fun piece ->
-            let at = !pos and prev_off = !prev in
-            let plen = String.length piece in
-            let coff =
+            let prev = match !chunks with c :: _ -> c | [] -> 0 in
+            let c =
               P.update_tx s.p (fun () ->
-                  let c = P.alloc s.p (chunk_hdr + plen) in
-                  P.store s.p c 0;
-                  P.store s.p (c + c_len) plen;
-                  P.store s.p (c + c_crc) (Chunk.crc piece);
-                  P.store_bytes s.p (c + chunk_hdr) piece;
-                  if prev_off = 0 then P.store s.p (moff + m_chunks) c
-                  else P.store s.p prev_off c;
+                  let c = R.Mirror.write_chunk s.p piece in
+                  R.Mirror.link_chunk s.p moff ~prev c;
                   c)
             in
-            segs := (coff, at, plen) :: !segs;
-            prev := coff;
-            pos := at + plen;
+            chunks := c :: !chunks;
             tick t Chunks_written 1;
             Fault.hit fp_chunk_written)
-          (Chunk.split ~chunk_bytes payload);
-        let segs = List.rev !segs in
+          (Shard_records.Chunk.split ~chunk_bytes payload);
+        let chunks = Array.of_list (List.rev !chunks) in
         Fault.hit fp_seal_window;
         (* the seal: sealed <=> slice applied, atomically *)
         P.update_tx s.p (fun () ->
-            P.store s.p (moff + m_plen) (String.length payload);
-            P.store s.p (moff + m_sealed) 1;
+            R.Mirror.seal s.p moff ~plen:(String.length payload);
             List.iter (apply_op s) slice);
-        let abs_of rel =
-          let rec find = function
-            | (c, st, ln) :: rest ->
-              if rel >= st && rel < st + ln then
-                (c, c + chunk_hdr + (rel - st))
-              else find rest
-            | [] -> assert false
-          in
-          find segs
-        in
         ( moff,
           List.map
             (fun (k, rel) ->
-              let c, a = abs_of rel in
-              (k, c, a))
+              let c = chunks.(rel / chunk_bytes) in
+              (k, c, R.Mirror.byte c (rel mod chunk_bytes)))
             rel_offs )
       with
       | Pmem.Region.Crash_point ->
@@ -1446,7 +970,7 @@ module Make (P : SHARD_PTM) = struct
       | e ->
         (* runtime abort mid-stream: collect our own unsealed chain
            before re-raising to the batch-level abort handler *)
-        gc_mirror_tx t i moff;
+        P.update_tx s.p (fun () -> R.Mirror.reclaim s.p i moff);
         raise e
     end
 
@@ -1493,13 +1017,7 @@ module Make (P : SHARD_PTM) = struct
          coordinator's own stale records. *)
       let sc = raw t coord in
       let flip_off =
-        tx_with_drain t coord (fun () ->
-            let o = P.alloc sc.p flip_size in
-            P.store sc.p o (P.get_root sc.p flip_slot);
-            P.store sc.p (o + 8) id;
-            P.store sc.p (o + 16) mask;
-            P.set_root sc.p flip_slot o;
-            o)
+        tx_with_drain t coord (fun () -> R.Flip.push sc.p ~id ~mask)
       in
       tick t Coordinator_flips 1;
       unregister ();
@@ -1604,80 +1122,30 @@ module Make (P : SHARD_PTM) = struct
      at the target as soon as the intent commits, so writes route on the
      new epoch (with per-key forwarding) and reads double-read. *)
 
-  let mig_hdr = 40 (* kind | source | target | new epoch | n_slots *)
-  let cursor_hdr = 32 (* epoch | len | crc | reserved | bytes *)
-
-  let route_error fmt =
-    Printf.ksprintf
-      (fun msg -> raise (Romulus.Engine.Recovery_error ("sharded routing: " ^ msg)))
-      fmt
-
   let tomb_map t target =
-    let cfg = t.proto.config in
-    Map_.open_or_create ~initial_buckets:cfg.initial_buckets
-      (raw t target).p ~root:tomb_slot
+    Map_.open_or_create ~initial_buckets:t.proto.config.initial_buckets
+      (raw t target).p ~root:R.tomb_slot
 
-  let read_root t i slot =
-    let p = (raw t i).p in
-    P.read_tx p (fun () -> P.get_root p slot)
-
-  (* Replace the persisted routing table: alloc the new record, swing
-     the root, free the old.  Called at first open (multi-shard stores)
-     and by each resize's epoch flip — a 1-shard store keeps this slot
-     at 0 until it splits, staying bit-for-bit Romulus_db.  The in-tx
-     variant runs inside a caller-owned shard-0 transaction so an
-     evacuation can swing route and health atomically. *)
-  let persist_route_in_tx t ~epoch =
-    let r = t.router in
-    let s0 = raw t 0 in
-    let o = P.alloc s0.p (24 + (8 * r.n_slots)) in
-    P.store s0.p o epoch;
-    P.store s0.p (o + 8) r.n_slots;
-    P.store s0.p (o + 16) (shards t);
-    Array.iteri (fun s a -> P.store s0.p (o + 24 + (8 * s)) a) r.assignment;
-    let old = P.get_root s0.p route_slot in
-    P.set_root s0.p route_slot o;
-    if old <> 0 then P.free s0.p old
-
+  (* Replace the persisted routing table.  Called at first open
+     (multi-shard stores) and by each resize's epoch flip — a 1-shard
+     store keeps the slot at 0 until it splits, staying bit-for-bit
+     Romulus_db.  An evacuation writes route and health in one shard-0
+     transaction of its own. *)
   let persist_route t ~epoch =
-    let s0 = raw t 0 in
-    P.update_tx s0.p (fun () -> persist_route_in_tx t ~epoch)
+    let p0 = (raw t 0).p in
+    P.update_tx p0 (fun () ->
+        R.Route.write p0 ~epoch ~shards:(shards t) t.router.assignment)
 
-  (* ---- durable health record (shard 0, [health_slot]) ----
+  (* ---- durable health record (shard 0) ----
 
-     Wholesale replace, like the routing table.  The record is a cache
-     of deterministically recomputable verdicts (media rot is
-     persistent), with one exception: [Quarantined (Evacuated _)] is
-     authoritative — an evacuated shard's residual bytes may even scrub
-     clean, but its keys live on the target now, so the verdict must
-     survive reopen. *)
-  let persist_health_in_tx t =
-    let s0 = raw t 0 in
-    let payload = encode_health t.health_arr in
-    let len = String.length payload in
-    let o = P.alloc s0.p (8 + len) in
-    P.store s0.p o len;
-    P.store_bytes s0.p (o + 8) payload;
-    let old = P.get_root s0.p health_slot in
-    P.set_root s0.p health_slot o;
-    if old <> 0 then P.free s0.p old
-
+     The record is a cache of deterministically recomputable verdicts
+     (media rot is persistent), with one exception: [Quarantined
+     (Evacuated _)] is authoritative — an evacuated shard's residual
+     bytes may even scrub clean, but its keys live on the target now, so
+     the verdict must survive reopen. *)
   let persist_health t =
-    let s0 = raw t 0 in
-    P.update_tx s0.p (fun () -> persist_health_in_tx t)
-
-  let load_health t =
-    match read_root t 0 health_slot with
-    | 0 -> None
-    | off ->
-      let s0 = raw t 0 in
-      let payload =
-        P.read_tx s0.p (fun () ->
-            let len = P.load s0.p off in
-            if len < 0 then route_error "negative health record length";
-            P.load_bytes s0.p (off + 8) len)
-      in
-      Some (decode_health payload)
+    let p0 = (raw t 0).p in
+    P.update_tx p0 (fun () -> R.Health.write p0 t.health_arr)
 
   (* Record a health transition: volatile verdict, counter, failpoint,
      and (unless the caller batches several transitions under one
@@ -1687,41 +1155,38 @@ module Make (P : SHARD_PTM) = struct
   let set_health ?(persist = true) t i h =
     if t.health_arr.(i) <> h then begin
       t.health_arr.(i) <- h;
-      count_health t h;
-      (match h with
-      | Healthy -> Fault.hit fp_health_repaired
-      | Degraded _ -> Fault.hit fp_health_degraded
-      | Quarantined _ -> Fault.hit fp_health_quarantined);
+      Fault.hit (count_health t h);
       if persist then persist_health t
     end
 
   (* Rebuild the volatile routing image from shard 0's persisted record,
-     or the identity epoch-0 table when none was ever written.  Validated:
-     a table naming a shard beyond the attached regions means the store
-     was reopened without a region a completed split added. *)
+     or the identity epoch-0 table when none was ever written.  A table
+     naming a shard beyond the attached regions means the store was
+     reopened without a region a completed split added. *)
   let load_router t =
     let r = t.router in
     let n = shards t in
-    let off = read_root t 0 route_slot in
-    if off = 0 then begin
+    let p0 = (raw t 0).p in
+    (match R.Route.read p0 ~shards:n with
+    | Some (epoch, assignment) ->
+      r.epoch <- epoch;
+      r.n_slots <- Array.length assignment;
+      r.assignment <- assignment
+    | None ->
       (* No table was ever flipped.  Usually the identity layout over the
          attached regions — but a crash inside the *first* migration
          leaves an intent and no table, and the identity must then be
          computed over the pre-resize shard count, which the intent's
          slot count encodes (n_slots = slots_per_shard * original n). *)
       let n_slots =
-        match read_root t 0 mig_slot with
-        | 0 -> slots_per_shard * n
-        | moff ->
-          let s0 = raw t 0 in
-          P.read_tx s0.p (fun () -> P.load s0.p (moff + 32))
+        Option.value (R.Intent.read_slots p0) ~default:(slots_per_shard * n)
       in
-      if n_slots <= 0 || n_slots mod slots_per_shard <> 0 then
-        route_error "bad slot count %d" n_slots;
       let base = n_slots / slots_per_shard in
-      if base <= 0 || base > n then
-        route_error "identity table over %d shards, store has %d regions"
-          base n;
+      if n_slots mod slots_per_shard <> 0 || base > n then
+        R.refuse R.Intent.r 0 "slot count"
+          "%d slots make an identity table over %d shards, store has %d \
+           regions"
+          n_slots base n;
       r.epoch <- 0;
       r.n_slots <- n_slots;
       r.assignment <- Array.init n_slots (fun s -> s mod base);
@@ -1732,82 +1197,33 @@ module Make (P : SHARD_PTM) = struct
          the identity over the wrong shard count.  Skipped while an
          intent is pending — the resumed migration's flip persists the
          final table itself. *)
-      if base > 1 && read_root t 0 mig_slot = 0 then
-        persist_route t ~epoch:0
-    end
-    else begin
-      let s0 = raw t 0 in
-      let epoch, n_slots, assignment =
-        P.read_tx s0.p (fun () ->
-            let epoch = P.load s0.p off in
-            let n_slots = P.load s0.p (off + 8) in
-            if epoch < 0 then route_error "bad epoch %d" epoch;
-            if n_slots <= 0 || n_slots > slots_per_shard * 4096 then
-              route_error "bad slot count %d" n_slots;
-            ( epoch, n_slots,
-              Array.init n_slots (fun s -> P.load s0.p (off + 24 + (8 * s))) ))
-      in
-      Array.iter
-        (fun a ->
-          if a < 0 || a >= n then
-            route_error
-              "table names shard %d, store has %d regions (reopen with \
-               every shard of the family attached)"
-              a n)
-        assignment;
-      r.epoch <- epoch;
-      r.n_slots <- n_slots;
-      r.assignment <- assignment
-    end;
+      if base > 1 && R.root p0 R.mig_slot = 0 then
+        persist_route t ~epoch:0);
     r.migration <- None
 
-  let read_mig_intent t =
-    let off = read_root t 0 mig_slot in
-    if off = 0 then None
-    else begin
-      let s0 = raw t 0 in
-      let kind, source, target, mepoch, n_slots, bitmap =
-        P.read_tx s0.p (fun () ->
-            let n_slots = P.load s0.p (off + 32) in
-            if n_slots <= 0 || n_slots > slots_per_shard * 4096 then
-              route_error "migration intent has bad slot count %d" n_slots;
-            ( P.load s0.p off, P.load s0.p (off + 8), P.load s0.p (off + 16),
-              P.load s0.p (off + 24), n_slots,
-              P.load_bytes s0.p (off + mig_hdr) n_slots ))
-      in
-      let n = shards t in
-      (* kind 0 = split, 1 = merge, 2 = evacuation *)
-      if kind < 0 || kind > 2 then
-        route_error "migration intent has bad kind %d" kind;
-      if source < 0 || source >= n || target < 0 || target >= n then
-        route_error
-          "migration intent names shards %d->%d, store has %d regions \
-           (reopen with the migration target's region attached)"
-          source target n;
-      if n_slots <> t.router.n_slots then
-        route_error "migration intent has %d slots, table has %d" n_slots
-          t.router.n_slots;
-      if mepoch <> t.router.epoch && mepoch <> t.router.epoch + 1 then
-        route_error "migration intent epoch %d does not follow table epoch %d"
-          mepoch t.router.epoch;
-      let moving = Array.init n_slots (fun s -> bitmap.[s] = '\001') in
-      Some (off, kind, source, target, mepoch, moving)
-    end
+  (* A durable migration intent is still hooked (never true after
+     recovery or a completed resize: reclamation unhooks it). *)
+  let migration_pending t = R.root (raw t 0).p R.mig_slot <> 0
 
-  (* The target half of a move batch, idempotent on replay: insert each
-     pair unless a racing write already decided the key (the target has
-     it, or a tombstone marks it deleted). *)
-  let move_into t tgt tomb kvs =
+  (* The target half of a move or evacuation batch, idempotent on
+     replay: one transaction inserts each pair unless the key is already
+     decided — the target has it, or [tomb] marks it deleted by a racing
+     write — and [counter] counts the inserts. *)
+  let insert_absent t tgt ~tomb counter kvs =
     let inserted = ref 0 in
     P.update_tx tgt.p (fun () ->
         List.iter
           (fun (k, v) ->
-            if (not (Map_.mem tgt.map k)) && not (Map_.mem tomb k) then begin
+            if
+              not
+                (Map_.mem tgt.map k
+                || match tomb with Some tb -> Map_.mem tb k | None -> false)
+            then begin
               ignore (Map_.put tgt.map k v : bool);
               incr inserted
             end)
           kvs);
-    tick t Keys_migrated !inserted
+    tick t counter !inserted
 
   (* One bounded move batch: [moved] is (key, value) pairs still living
      in the source.  Source transaction: replace the cursor (free the
@@ -1818,29 +1234,21 @@ module Make (P : SHARD_PTM) = struct
   let move_batch t m moved =
     let src = raw t m.mig_source in
     let tgt = raw t m.mig_target in
-    let b = Buffer.create 256 in
-    add_kv_list b (List.map (fun (k, v) -> (k, Some v)) moved);
-    let payload = Buffer.contents b in
-    let plen = String.length payload in
-    P.update_tx src.p (fun () ->
-        let o = P.alloc src.p (cursor_hdr + plen) in
-        P.store src.p o m.mig_epoch;
-        P.store src.p (o + 8) plen;
-        P.store src.p (o + 16) (Chunk.crc payload);
-        P.store src.p (o + 24) 0;
-        P.store_bytes src.p (o + cursor_hdr) payload;
-        let old = P.get_root src.p cursor_slot in
-        P.set_root src.p cursor_slot o;
-        if old <> 0 then P.free src.p old;
-        List.iter
-          (fun (k, _) -> ignore (Map_.remove src.map k : bool))
-          moved);
+    let plen =
+      P.update_tx src.p (fun () ->
+          let plen = R.Cursor.write src.p ~epoch:m.mig_epoch moved in
+          List.iter
+            (fun (k, _) -> ignore (Map_.remove src.map k : bool))
+            moved;
+          plen)
+    in
     Fault.hit fp_mig_moved;
     let charge = [ (m.mig_target, plen) ] in
     with_overload_retry ~seed:(m.mig_epoch + plen) (fun () -> admit t charge);
     Fun.protect
       ~finally:(fun () -> release t charge)
-      (fun () -> move_into t tgt m.mig_tomb moved);
+      (fun () ->
+        insert_absent t tgt ~tomb:(Some m.mig_tomb) Keys_migrated moved);
     Fault.hit fp_mig_applied
 
   (* Stream every source key of a moving slot to the target in bounded
@@ -1859,7 +1267,7 @@ module Make (P : SHARD_PTM) = struct
       match !pending with
       | [] -> ()
       | kvs ->
-        iter_batches ~chunk_bytes
+        R.Cursor.batches ~limit:chunk_bytes
           (fun batch ->
             (* a racing write may have retired a key since collection *)
             let moved =
@@ -1913,11 +1321,7 @@ module Make (P : SHARD_PTM) = struct
             (fun (k, _) -> ignore (Map_.remove src.map k : bool))
             !stale)
     end;
-    let coff = read_root t source cursor_slot in
-    if coff <> 0 then
-      P.update_tx src.p (fun () ->
-          P.set_root src.p cursor_slot 0;
-          P.free src.p coff);
+    R.clear src.p R.Cursor.r;
     let tkeys = ref [] in
     Map_.iter tomb (fun k _ -> tkeys := k :: !tkeys);
     if !tkeys <> [] then
@@ -1925,13 +1329,7 @@ module Make (P : SHARD_PTM) = struct
           List.iter
             (fun k -> ignore (Map_.remove tomb k : bool))
             !tkeys);
-    (match read_root t 0 mig_slot with
-    | 0 -> ()
-    | ioff ->
-      let s0 = raw t 0 in
-      P.update_tx s0.p (fun () ->
-          P.set_root s0.p mig_slot 0;
-          P.free s0.p ioff));
+    R.clear (raw t 0).p R.Intent.r;
     Fault.hit fp_mig_reclaim
 
   (* Open a fresh region as the next shard index (formatting it under
@@ -1941,7 +1339,7 @@ module Make (P : SHARD_PTM) = struct
     let p = P.open_region region in
     let map =
       Map_.open_or_create ~initial_buckets:cfg.initial_buckets p
-        ~root:db_root
+        ~root:R.db_root
     in
     t.shard_arr <- Array.append t.shard_arr [| Some { p; map; region } |];
     t.region_arr <- Array.append t.region_arr [| region |];
@@ -1973,18 +1371,8 @@ module Make (P : SHARD_PTM) = struct
     let r = t.router in
     let mepoch = r.epoch + 1 in
     let s0 = raw t 0 in
-    let bitmap =
-      String.init r.n_slots (fun s -> if moving.(s) then '\001' else '\000')
-    in
     P.update_tx s0.p (fun () ->
-        let o = P.alloc s0.p (mig_hdr + r.n_slots) in
-        P.store s0.p o kind;
-        P.store s0.p (o + 8) source;
-        P.store s0.p (o + 16) target;
-        P.store s0.p (o + 24) mepoch;
-        P.store s0.p (o + 32) r.n_slots;
-        P.store_bytes s0.p (o + mig_hdr) bitmap;
-        P.set_root s0.p mig_slot o);
+        R.Intent.write s0.p ~kind ~source ~target ~epoch:mepoch moving);
     tick t Migrations_started 1;
     Fault.hit fp_mig_intent;
     mepoch
@@ -2077,18 +1465,8 @@ module Make (P : SHARD_PTM) = struct
     (* bounded insert-if-absent batches (idempotent on re-run): a moving
        key can only be written through the source, which refuses, so a
        key already present in the target was placed by this stream *)
-    iter_batches ~chunk_bytes:t.proto.config.chunk_bytes
-      (fun batch ->
-        let inserted = ref 0 in
-        P.update_tx tgt.p (fun () ->
-            List.iter
-              (fun (k, v) ->
-                if not (Map_.mem tgt.map k) then begin
-                  ignore (Map_.put tgt.map k v : bool);
-                  incr inserted
-                end)
-              batch);
-        tick t Keys_evacuated !inserted)
+    R.Cursor.batches ~limit:t.proto.config.chunk_bytes
+      (insert_absent t tgt ~tomb:None Keys_evacuated)
       kvs;
     (* volatile route + verdict first (precedent: run_migration opening
        the window before its durable flip), then the atomic flip *)
@@ -2096,11 +1474,11 @@ module Make (P : SHARD_PTM) = struct
     Array.iteri (fun s mv -> if mv then r.assignment.(s) <- target) moving;
     let verdict = Quarantined (Evacuated { target }) in
     t.health_arr.(source) <- verdict;
-    count_health t verdict;
+    ignore (count_health t verdict : Fault.site);
     let s0 = raw t 0 in
     P.update_tx s0.p (fun () ->
-        persist_route_in_tx t ~epoch:mepoch;
-        persist_health_in_tx t);
+        R.Route.write s0.p ~epoch:mepoch ~shards:(shards t) r.assignment;
+        R.Health.write s0.p t.health_arr);
     r.epoch <- mepoch;
     tick t Migrations_completed 1;
     tick t Shards_evacuated 1;
@@ -2109,12 +1487,7 @@ module Make (P : SHARD_PTM) = struct
        again (its map still holds stale duplicates of the target's keys,
        which is why scans drop Evacuated shards) *)
     t.shard_arr.(source) <- None;
-    (match read_root t 0 mig_slot with
-    | 0 -> ()
-    | ioff ->
-      P.update_tx s0.p (fun () ->
-          P.set_root s0.p mig_slot 0;
-          P.free s0.p ioff));
+    R.clear s0.p R.Intent.r;
     Fault.hit fp_mig_reclaim;
     List.length kvs
 
@@ -2124,7 +1497,7 @@ module Make (P : SHARD_PTM) = struct
     if source = 0 then
       invalid_arg "Sharded_db: shard 0 anchors the store and cannot be \
                    evacuated";
-    if read_root t 0 mig_slot <> 0 then
+    if migration_pending t then
       invalid_arg "Sharded_db: a migration is already in progress";
     if not (healthy t target) then
       invalid_arg
@@ -2147,18 +1520,19 @@ module Make (P : SHARD_PTM) = struct
      and the target healthy; flipped, it owes only the intent unhook —
      the dying source is never written. *)
   let reconcile_migration t =
-    match read_mig_intent t with
+    match
+      R.Intent.read (raw t 0).p ~shards:(shards t) ~n_slots:t.router.n_slots
+        ~epoch:t.router.epoch
+    with
     | None -> ()
-    | Some (ioff, kind, source, target, mepoch, moving) ->
+    | Some (ioff, (kind, source, target, mepoch, moving)) ->
       if kind = 2 then begin
         if t.router.epoch >= mepoch then begin
           (* routing and the Evacuated verdict flipped durably together;
              only the intent unhook is owed *)
           let s0 = raw t 0 in
           tick t Migrations_resumed 1;
-          P.update_tx s0.p (fun () ->
-              P.set_root s0.p mig_slot 0;
-              P.free s0.p ioff);
+          P.update_tx s0.p (fun () -> R.drop s0.p R.Intent.r ioff);
           Fault.hit fp_mig_reclaim
         end
         else if Option.is_some t.shard_arr.(source) && healthy t target
@@ -2177,33 +1551,14 @@ module Make (P : SHARD_PTM) = struct
         if t.router.epoch >= mepoch then
           reclaim_migration t ~source ~target ~moving
         else begin
-          let src = raw t source in
-          let tgt = raw t target in
-        let tomb = tomb_map t target in
-        let coff = read_root t source cursor_slot in
-        if coff <> 0 then begin
-          let cepoch, payload =
-            P.read_tx src.p (fun () ->
-                let cepoch = P.load src.p coff in
-                let len = P.load src.p (coff + 8) in
-                if len < 0 then chain_error "negative migration cursor length";
-                let stored = P.load src.p (coff + 16) in
-                let bytes = P.load_bytes src.p (coff + cursor_hdr) len in
-                if Chunk.crc bytes <> stored then
-                  chain_error "migration cursor CRC mismatch";
-                (cepoch, bytes))
-          in
-          if cepoch = mepoch then begin
-            let pr = { payload; pos = 0 } in
-            let kvs = take_kv_list pr "migration-cursor" in
-            move_into t tgt tomb
-              (List.filter_map
-                 (fun (k, v) -> Option.map (fun v -> (k, v)) v)
-                 kvs)
-          end
-        end;
-        Fault.hit fp_mig_resumed;
-        run_migration t ~source ~target ~mepoch ~moving
+          let tomb = tomb_map t target in
+          (match R.Cursor.read (raw t source).p source with
+          | Some (cepoch, moved) when cepoch = mepoch ->
+            insert_absent t (raw t target) ~tomb:(Some tomb) Keys_migrated
+              moved
+          | _ -> ());
+          Fault.hit fp_mig_resumed;
+          run_migration t ~source ~target ~mepoch ~moving
         end
       end
 
@@ -2242,7 +1597,7 @@ module Make (P : SHARD_PTM) = struct
         let charges =
           List.map
             (fun (i, slice) ->
-              (i, mirror_payload_len ~ops:slice ~undo:(undo_of t slice)))
+              (i, R.mirror_payload_len ~ops:slice ~undo:(undo_of t slice)))
             groups
         in
         admit t charges;
@@ -2315,13 +1670,8 @@ module Make (P : SHARD_PTM) = struct
       if engine_up t c then begin
         let p = (raw t c).p in
         P.read_tx p (fun () ->
-            let rec go off =
-              if off <> 0 then begin
-                Hashtbl.replace flips (c, P.load p (off + 8)) off;
-                go (P.load p off)
-              end
-            in
-            go (P.get_root p flip_slot))
+            R.iter p R.Flip.r c (fun off ->
+                Hashtbl.replace flips (c, R.Flip.id p off) off))
       end
     done;
     (* phase 1: resolve every hooked mirror.  Offsets are collected in
@@ -2340,37 +1690,20 @@ module Make (P : SHARD_PTM) = struct
       end
       else begin
         let s = raw t i in
-        let offs =
-          P.read_tx s.p (fun () ->
-              let rec go acc off =
-                if off = 0 then List.rev acc
-                else go (off :: acc) (P.load s.p off)
-              in
-              go [] (P.get_root s.p mirror_slot))
-        in
+        let offs = ref [] in
+        P.read_tx s.p (fun () ->
+            R.iter s.p R.Mirror.r i (fun off -> offs := off :: !offs));
         List.iter
           (fun head ->
             match
               let id, coord, sealed =
-                P.read_tx s.p (fun () ->
-                    (P.load s.p (head + m_id), P.load s.p (head + m_coord),
-                     P.load s.p (head + m_sealed)))
+                P.read_tx s.p (fun () -> R.Mirror.header s.p i ~shards:n head)
               in
-              if coord < 0 || coord >= n then
-                raise
-                  (Romulus.Engine.Recovery_error
-                     (Printf.sprintf
-                        "sharded mirror names coordinator %d of %d" coord n));
-              if sealed <> 0 && sealed <> 1 then
-                raise
-                  (Romulus.Engine.Recovery_error
-                     (Printf.sprintf "sharded mirror has bad seal word %d"
-                        sealed));
               if sealed = 0 then begin
                 (* partially-streamed chain, never sealed: the slice was
                    never applied, so the whole chain is presumed-abort
                    garbage — collected without decoding a byte *)
-                gc_mirror_tx t i head;
+                P.update_tx s.p (fun () -> R.Mirror.reclaim s.p i head);
                 tick t Rolled_back 1;
                 Fault.hit fp_chunk_gc
               end
@@ -2379,21 +1712,12 @@ module Make (P : SHARD_PTM) = struct
                    leave the sealed mirror hooked until after repair *)
                 skipped := true
               else begin
-                let payload =
-                  P.read_tx s.p (fun () -> read_payload_in_tx s head)
-                in
-                let nshards, _, _ = decode_mirror payload in
-                (* mirrors may predate a split; only more-than-attached
-                   is corrupt *)
-                if nshards <= 0 || nshards > n then
-                  raise
-                    (Romulus.Engine.Recovery_error
-                       (Printf.sprintf
-                          "sharded mirror names %d shards, store has %d"
-                          nshards n));
+                (* resolve only a mirror whose payload verifies *)
+                P.read_tx s.p (fun () ->
+                    ignore (R.Mirror.read s.p i ~shards:n head : _ list));
                 if Hashtbl.mem flips (coord, id) then begin
                   (* committed: the slice is already applied *)
-                  P.update_tx s.p (fun () -> unhook_mirror s.p head);
+                  P.update_tx s.p (fun () -> R.Mirror.reclaim s.p i head);
                   tick t Rolled_forward 1
                 end
                 else begin
@@ -2415,7 +1739,7 @@ module Make (P : SHARD_PTM) = struct
               match t.health_arr.(i) with
               | Degraded _ -> skipped := true
               | _ -> raise e))
-          offs
+          (List.rev !offs)
       end
     done;
     (* phase 2: with nothing skipped no mirror survives anywhere, so
@@ -2423,17 +1747,10 @@ module Make (P : SHARD_PTM) = struct
     if not !skipped then
       for c = 0 to n - 1 do
         if engine_up t c then begin
-          let s = raw t c in
-          let rec clear_head () =
-            let head = P.read_tx s.p (fun () -> P.get_root s.p flip_slot) in
-            if head <> 0 then begin
-              P.update_tx s.p (fun () ->
-                  P.set_root s.p flip_slot (P.load s.p head);
-                  P.free s.p head);
-              clear_head ()
-            end
-          in
-          clear_head ()
+          let p = (raw t c).p in
+          R.walk p R.Flip.r c (R.root p R.flip_slot) (fun head ->
+              P.update_tx p (fun () -> R.pop p R.Flip.r head);
+              R.root p R.flip_slot)
         end
       done
 
@@ -2442,7 +1759,7 @@ module Make (P : SHARD_PTM) = struct
      and ignoring it would leave its batch half-applied, so the image is
      refused. *)
   let refuse_legacy_intent t =
-    match read_root t 0 intent_slot with
+    match R.root (raw t 0).p R.intent_slot with
     | 0 -> ()
     | off ->
       raise
@@ -2454,7 +1771,7 @@ module Make (P : SHARD_PTM) = struct
                     "sharded: legacy shard-0 batch intent at offset %d (root \
                      slot %d) left by the removed centralized protocol; \
                      this store cannot reconcile it"
-                    off intent_slot) })
+                    off R.intent_slot) })
 
   (* Reconciliation rebuilds the persistent truth, so the volatile
      protocol bookkeeping (which may hold offsets of records the pass
@@ -2490,6 +1807,22 @@ module Make (P : SHARD_PTM) = struct
       | Pmem.Region.Crash_point as e -> raise e
       | e -> raise (Shard_open_failed { shard = i; cause = e }))
 
+  (* The verdict on a shard from its salvage open or recovery: the
+     data-loss lines its scrub tolerated (Degraded when any), or what it
+     raised; [other] takes an exception no verdict covers. *)
+  let verdict ~doing ~other = function
+    | Ok [] -> Healthy
+    | Ok ((offset, state) :: _) ->
+      Degraded (Unrepairable_media { offset; state })
+    | Error (Romulus.Engine.Unrepairable { offset; state }) ->
+      Quarantined (Unrepairable_media { offset; state })
+    | Error (Romulus.Engine.Recovery_error msg) -> Quarantined (Open_failed msg)
+    | Error (Pmem.Region.Media_error { offset; _ }) ->
+      Quarantined
+        (Open_failed
+           (Printf.sprintf "media error at offset %d %s" offset doing))
+    | Error e -> other e
+
   (* Per-shard engine recovery (salvage mode), fanned out across
      domains, classified into health verdicts instead of raised: shard
      0 failing is fatal ({!Shard_open_failed} — it anchors the store),
@@ -2500,30 +1833,22 @@ module Make (P : SHARD_PTM) = struct
     let n = shards t in
     let verdicts = Array.make n None in
     let run s = try Ok (P.recover_salvage s.p) with e -> Error e in
-    if parallel && n > 1 then begin
-      let doms =
-        Array.map
-          (Option.map (fun s -> Domain.spawn (fun () -> run s)))
-          t.shard_arr
-      in
-      Array.iteri
-        (fun i d ->
-          match d with
-          | None -> ()
-          | Some d ->
-            verdicts.(i) <- Some (Domain.join d);
-            Fault.hit fp_recover_shard_done)
-        doms
-    end
-    else
-      Array.iteri
-        (fun i so ->
-          match so with
-          | None -> ()
-          | Some s ->
-            verdicts.(i) <- Some (run s);
-            Fault.hit fp_recover_shard_done)
-        t.shard_arr;
+    (* every shard's recovery, to be joined in shard order: all spawned
+       up front when parallel, each run at its join otherwise *)
+    let start s =
+      if parallel && n > 1 then
+        let d = Domain.spawn (fun () -> run s) in
+        fun () -> Domain.join d
+      else fun () -> run s
+    in
+    Array.iteri
+      (fun i d ->
+        match d with
+        | None -> ()
+        | Some join ->
+          verdicts.(i) <- Some (join ());
+          Fault.hit fp_recover_shard_done)
+      (Array.map (Option.map start) t.shard_arr);
     (* a simulated machine crash is the whole store dying, not a shard
        fault; and without shard 0 there is nothing to degrade to *)
     Array.iter
@@ -2541,20 +1866,8 @@ module Make (P : SHARD_PTM) = struct
         | None, _ | _, Quarantined (Evacuated _) -> ()
         | Some v, prev ->
           let h =
-            match v with
-            | Ok [] -> Healthy
-            | Ok ((offset, state) :: _) ->
-              Degraded (Unrepairable_media { offset; state })
-            | Error (Romulus.Engine.Unrepairable { offset; state }) ->
-              Quarantined (Unrepairable_media { offset; state })
-            | Error (Romulus.Engine.Recovery_error msg) ->
-              Quarantined (Open_failed msg)
-            | Error (Pmem.Region.Media_error { offset; _ }) ->
-              Quarantined
-                (Open_failed
-                   (Printf.sprintf "media error at offset %d during recovery"
-                      offset))
-            | Error e -> raise (Shard_open_failed { shard = i; cause = e })
+            verdict ~doing:"during recovery" v ~other:(fun e ->
+                raise (Shard_open_failed { shard = i; cause = e }))
           in
           (match h with
           | Quarantined _ -> t.shard_arr.(i) <- None
@@ -2572,42 +1885,17 @@ module Make (P : SHARD_PTM) = struct
      flip.  Committed batches leave theirs here until a later protocol
      transaction, a flush or recovery reclaims them. *)
   let pending_intents t =
-    let count p slot =
-      P.read_tx p (fun () ->
-          let rec go n off = if off = 0 then n else go (n + 1) (P.load p off) in
-          go 0 (P.get_root p slot))
-    in
-    Array.fold_left
-      (fun acc so ->
-        match so with
-        | None -> acc
-        | Some s -> acc + count s.p mirror_slot + count s.p flip_slot)
-      0 t.shard_arr
-
-  (* A durable migration intent is still hooked (never true after
-     recovery or a completed resize: reclamation unhooks it). *)
-  let migration_pending t = read_root t 0 mig_slot <> 0
+    let n = ref 0 in
+    Array.iteri
+      (fun i ->
+        Option.iter (fun s ->
+            n := !n + R.count s.p R.Mirror.r i + R.count s.p R.Flip.r i))
+      t.shard_arr;
+    !n
 
   let media_spans t =
     Array.map
       (function None -> [] | Some s -> P.media_spans s.p)
-      t.shard_arr
-
-  (* Store-wide salvage scrub over every shard whose engine is open,
-     with the tolerated data-loss lines of all shards concatenated
-     (offsets are shard-relative — {!scrub_shards} keeps the
-     attribution). *)
-  let scrub t =
-    Array.fold_left
-      (fun (acc : Romulus.Engine.scrub_report) so ->
-        match so with
-        | None -> acc
-        | Some s ->
-          let r = P.scrub_salvage s.p in
-          { Romulus.Engine.scrubbed = acc.scrubbed + r.scrubbed;
-            repaired = acc.repaired + r.repaired;
-            unrepairable = acc.unrepairable @ r.unrepairable })
-      { Romulus.Engine.scrubbed = 0; repaired = 0; unrepairable = [] }
       t.shard_arr
 
   (* Per-shard salvage scrub reports, one entry per open engine: each
@@ -2623,6 +1911,19 @@ module Make (P : SHARD_PTM) = struct
       t.shard_arr;
     List.rev !acc
 
+  (* Store-wide salvage scrub over every shard whose engine is open,
+     with the tolerated data-loss lines of all shards concatenated
+     (offsets are shard-relative — {!scrub_shards} keeps the
+     attribution). *)
+  let scrub t =
+    List.fold_left
+      (fun (acc : Romulus.Engine.scrub_report) (_, r) ->
+        { Romulus.Engine.scrubbed = acc.scrubbed + r.Romulus.Engine.scrubbed;
+          repaired = acc.repaired + r.repaired;
+          unrepairable = acc.unrepairable @ r.unrepairable })
+      { Romulus.Engine.scrubbed = 0; repaired = 0; unrepairable = [] }
+      (scrub_shards t)
+
   (* ---- the repair supervisor ---- *)
 
   type repair_outcome =
@@ -2631,42 +1932,36 @@ module Make (P : SHARD_PTM) = struct
     | Evacuated_keys of { target : int; moved : int }
     | Unrepaired of health_cause
 
-  (* Re-mount a detached engine over the shard's region; false when the
-     region still refuses to open. *)
-  let try_reopen t i =
-    match t.shard_arr.(i) with
-    | Some _ -> true
-    | None -> (
-      try
-        let region = t.region_arr.(i) in
-        let p = P.open_region region in
-        let map =
-          Map_.open_or_create ~initial_buckets:t.proto.config.initial_buckets
-            p ~root:db_root
-        in
-        t.shard_arr.(i) <- Some { p; map; region };
-        true
-      with
-      | Pmem.Region.Crash_point as e -> raise e
-      | _ -> false)
+  (* Mount an engine over [region] and open its key map.  The open's
+     own salvage recovery scrub is the shard's one media pass; the
+     data-loss lines it tolerated come back with the shard. *)
+  let mount ~initial_buckets region =
+    let p, lost = P.open_salvage region in
+    let map = Map_.open_or_create ~initial_buckets p ~root:R.db_root in
+    ({ p; map; region }, lost)
 
   (* R1: bounded scrub retries under the shared jittered-exponential
-     backoff schedule.  Succeeds when a reopen+salvage-scrub pass comes
-     back with nothing unrepairable (rot healed from a twin, or cleared
-     at the source). *)
+     backoff schedule.  Each attempt is one media pass: a detached shard
+     is mounted and its open's own scrub decides; an open engine takes
+     one salvage scrub.  Succeeds when the pass finds nothing
+     unrepairable (rot healed from a twin, or cleared at the source). *)
   let repair_scrub t i ~retries ~base_ns ~seed =
     let attempt () =
       tick t Repair_attempts 1;
-      try_reopen t i
-      &&
-      match t.shard_arr.(i) with
-      | None -> false
-      | Some s -> (
-        match P.scrub_salvage s.p with
-        | { Romulus.Engine.unrepairable = []; _ } -> true
-        | _ -> false
-        | exception Pmem.Region.Crash_point -> raise Pmem.Region.Crash_point
-        | exception _ -> false)
+      match
+        match t.shard_arr.(i) with
+        | Some s -> (P.scrub_salvage s.p).unrepairable
+        | None ->
+          let s, lost =
+            mount ~initial_buckets:t.proto.config.initial_buckets
+              t.region_arr.(i)
+          in
+          t.shard_arr.(i) <- Some s;
+          lost
+      with
+      | lost -> lost = []
+      | exception Pmem.Region.Crash_point -> raise Pmem.Region.Crash_point
+      | exception _ -> false
     in
     let rec go = function
       | [] -> attempt ()
@@ -2694,18 +1989,15 @@ module Make (P : SHARD_PTM) = struct
       &&
       try
         let region = Pmem.Region.load_from_file path in
-        let p, lost = P.open_salvage region in
-        let map =
-          Map_.open_or_create ~initial_buckets:t.proto.config.initial_buckets
-            p ~root:db_root
-        in
-        (match lost with
-        | [] ->
+        match
+          mount ~initial_buckets:t.proto.config.initial_buckets region
+        with
+        | s, [] ->
           t.region_arr.(i) <- region;
-          t.shard_arr.(i) <- Some { p; map; region };
+          t.shard_arr.(i) <- Some s;
           tick t Repair_snapshot_restores 1;
           true
-        | _ -> false)
+        | _ -> false
       with
       | Pmem.Region.Crash_point as e -> raise e
       | _ -> false)
@@ -2742,35 +2034,36 @@ module Make (P : SHARD_PTM) = struct
       invalid_arg "Sharded_db: cannot repair through a batch handle";
     let outcomes = ref [] in
     let changed = ref false in
+    let healed i outcome =
+      set_health ~persist:false t i Healthy;
+      changed := true;
+      outcome
+    in
     for i = 0 to shards t - 1 do
       match t.health_arr.(i) with
       | Healthy | Quarantined (Evacuated _) -> ()
       | Degraded cause | Quarantined cause ->
-        if repair_scrub t i ~retries ~base_ns ~seed:(seed + i) then begin
-          set_health ~persist:false t i Healthy;
-          changed := true;
-          outcomes := (i, Scrub_repaired) :: !outcomes
-        end
-        else if i <> 0 && repair_restore t i ~snapshot_base then begin
-          set_health ~persist:false t i Healthy;
-          changed := true;
-          outcomes := (i, Snapshot_restored) :: !outcomes
-        end
-        else begin
-          match
-            if
-              i = 0
-              || Option.is_none t.shard_arr.(i)
-              || read_root t 0 mig_slot <> 0
-            then None
-            else find_evac_target t i ~target
-          with
-          | Some tgt ->
-            let moved = start_evacuation t ~source:i ~target:tgt in
-            changed := true;
-            outcomes := (i, Evacuated_keys { target = tgt; moved }) :: !outcomes
-          | None -> outcomes := (i, Unrepaired cause) :: !outcomes
-        end
+        let outcome =
+          if repair_scrub t i ~retries ~base_ns ~seed:(seed + i) then
+            healed i Scrub_repaired
+          else if i <> 0 && repair_restore t i ~snapshot_base then
+            healed i Snapshot_restored
+          else
+            match
+              if
+                i = 0
+                || Option.is_none t.shard_arr.(i)
+                || migration_pending t
+              then None
+              else find_evac_target t i ~target
+            with
+            | Some tgt ->
+              let moved = start_evacuation t ~source:i ~target:tgt in
+              changed := true;
+              Evacuated_keys { target = tgt; moved }
+            | None -> Unrepaired cause
+        in
+        outcomes := (i, outcome) :: !outcomes
     done;
     if !changed then begin
       persist_health t;
@@ -2807,42 +2100,21 @@ module Make (P : SHARD_PTM) = struct
        cause — except shard 0, which anchors the routing table and the
        health record: without it there is no store to
        degrade, so its failure is the typed fatal {!Shard_open_failed}. *)
-    let open_engine region =
-      let p, lost = P.open_salvage region in
-      let map = Map_.open_or_create ~initial_buckets p ~root:db_root in
-      let s = { p; map; region } in
-      let h =
-        match lost with
-        | [] -> Healthy
-        | (offset, state) :: _ -> Degraded (Unrepairable_media { offset; state })
-      in
-      (s, h)
-    in
     let shard_arr = Array.make n None in
     let health_arr = Array.make n Healthy in
-    (match open_engine regions.(0) with
-    | s, h ->
-      shard_arr.(0) <- Some s;
-      health_arr.(0) <- h
-    | exception (Pmem.Region.Crash_point as e) -> raise e
-    | exception e -> raise (Shard_open_failed { shard = 0; cause = e }));
-    for i = 1 to n - 1 do
-      match open_engine regions.(i) with
-      | s, h ->
+    let verdict =
+      verdict ~doing:"while opening" ~other:(fun e ->
+          Quarantined (Open_failed (Printexc.to_string e)))
+    in
+    for i = 0 to n - 1 do
+      match mount ~initial_buckets regions.(i) with
+      | s, lost ->
         shard_arr.(i) <- Some s;
-        health_arr.(i) <- h
+        health_arr.(i) <- verdict (Ok lost)
       | exception (Pmem.Region.Crash_point as e) -> raise e
-      | exception Romulus.Engine.Unrepairable { offset; state } ->
-        health_arr.(i) <- Quarantined (Unrepairable_media { offset; state })
-      | exception Romulus.Engine.Recovery_error msg ->
-        health_arr.(i) <- Quarantined (Open_failed msg)
-      | exception Pmem.Region.Media_error { offset; _ } ->
-        health_arr.(i) <-
-          Quarantined
-            (Open_failed
-               (Printf.sprintf "media error at offset %d while opening" offset))
-      | exception e ->
-        health_arr.(i) <- Quarantined (Open_failed (Printexc.to_string e))
+      | exception e when i = 0 ->
+        raise (Shard_open_failed { shard = 0; cause = e })
+      | exception e -> health_arr.(i) <- verdict (Error e)
     done;
     let config =
       { initial_buckets; chunk_bytes; spill_threshold; admission_budget;
@@ -2865,33 +2137,21 @@ module Make (P : SHARD_PTM) = struct
     (* Merge the durable record: every verdict above was freshly
        recomputed from the media (rot is persistent), so only the
        non-recomputable [Evacuated] verdict is taken from disk. *)
-    let saved = load_health t in
-    (match saved with
-    | None -> ()
-    | Some sv ->
-      Array.iteri
-        (fun i h ->
-          if i < n then
-            match h with
-            | Quarantined (Evacuated _) -> t.health_arr.(i) <- h
-            | _ -> ())
-        sv);
+    let saved =
+      Option.value (R.Health.read (raw t 0).p) ~default:(Array.make n Healthy)
+    in
+    Array.iteri
+      (fun i h ->
+        match h with
+        | Quarantined (Evacuated _) when i < n -> t.health_arr.(i) <- h
+        | _ -> ())
+      saved;
     Array.iter
-      (fun h ->
-        if h <> Healthy then begin
-          count_health t h;
-          Fault.hit
-            (match h with
-            | Degraded _ -> fp_health_degraded
-            | _ -> fp_health_quarantined)
-        end)
+      (fun h -> if h <> Healthy then Fault.hit (count_health t h))
       t.health_arr;
     (* refresh the durable record when the medium disagrees with it
        (fresh stores with all shards healthy stay metadata-free) *)
-    (match saved with
-    | None -> if Array.exists (fun h -> h <> Healthy) t.health_arr then
-        persist_health t
-    | Some sv -> if sv <> t.health_arr then persist_health t);
+    if saved <> t.health_arr then persist_health t;
     reconcile t;
     t
 

@@ -162,25 +162,6 @@ val default_spill_threshold : int
 val default_admission_budget : int
 val default_clear_flush_threshold : int
 
-(** Pure chunk-chain codec used for mirror payloads; exposed so the
-    round-trip and corruption-rejection properties are testable without
-    a store. *)
-module Chunk : sig
-  (** CRC-32 of a piece, as stored in its chunk record. *)
-  val crc : string -> int
-
-  (** Cut a payload into pieces of at most [chunk_bytes] bytes, in
-      order; the last piece may be shorter and an empty payload is one
-      empty piece.  Raises [Invalid_argument] when [chunk_bytes <= 0]. *)
-  val split : chunk_bytes:int -> string -> string list
-
-  (** Reassemble a chain read back as [(piece, stored_crc)] pairs in
-      chain order.  [Error] when any piece fails its CRC or the total
-      length differs from [expect_len] (truncated or over-long chain). *)
-  val join :
-    expect_len:int -> (string * int) list -> (string, string) result
-end
-
 (** Any of the Romulus front-ends: the PTM signature plus the recovery /
     scrub / diagnostics hooks every shard needs. *)
 module type SHARD_PTM = sig

@@ -603,6 +603,109 @@ let test_legacy_intent_refused () =
       (Sd.get db (key i))
   done
 
+(* ---- hostile records ----
+
+   Each row corrupts one field of one sharded record in a seeded image,
+   through one committed transaction on that shard, so the twins and the
+   media CRCs agree and only the record is wrong.  The store must then
+   open with [check] returning [Ok], or refuse the image with a typed
+   error naming the record — never an untyped exception, never a hang. *)
+module Rec = Kv.Shard_records.Make (Romulus.Logged)
+module L = Romulus.Logged
+
+(* Four shards holding every record kind: a pinned routing table,
+   mirrors and a flip parked by the lazy CLEAR, and — from a split of
+   shard 1 onto a fifth region, killed after its first move batch — a
+   migration intent and a cursor.  Crashed, not reopened. *)
+let hostile_image () =
+  with_disarm @@ fun () ->
+  let rs, db = open_sharded () in
+  seed db 64;
+  run_batch db;
+  let rs = Array.append rs [| region () |] in
+  Fault.arm "sharded.migrate.batch_moved" (fun () -> R.kill rs.(0));
+  (match Sd.split_shard db ~source:1 rs.(4) with
+   | _ -> Alcotest.fail "the split was not killed"
+   | exception R.Crash_point -> ());
+  crash_all rs R.Drop_all;
+  rs
+
+(* one committed transaction on the first shard whose root [slot] is
+   set: [f p off] with [off] that root *)
+let corrupt rs slot f =
+  let rec go i =
+    if i = Array.length rs then
+      Alcotest.failf "no shard sets root slot %d" slot;
+    let p = L.open_region rs.(i) in
+    match L.read_tx p (fun () -> L.get_root p slot) with
+    | 0 -> go (i + 1)
+    | off -> L.update_tx p (fun () -> f p off)
+  in
+  go 0;
+  crash_all rs R.Drop_all
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let beyond rs = R.size rs.(0) + 4096
+
+let hostile_rows =
+  [ ( "route root past the region", "routing table",
+      fun rs ->
+        corrupt rs Rec.route_slot (fun p _ ->
+            L.set_root p Rec.route_slot (beyond rs)) );
+    ( "mirror chunk head past the region", "mirror chunk",
+      fun rs ->
+        corrupt rs Rec.mirror_slot (fun p m ->
+            L.store p (m + Rec.Mirror.m_chunks) (beyond rs)) );
+    ( "self-linked mirror list", "mirror",
+      fun rs -> corrupt rs Rec.mirror_slot (fun p m -> L.store p m m) );
+    ( "self-linked flip list", "flip",
+      fun rs -> corrupt rs Rec.flip_slot (fun p f -> L.store p f f) );
+    ( "health length past the region", "health",
+      (* on shard 0 (the routing table's shard): a health record is
+         planted, then its length broken *)
+      fun rs ->
+        corrupt rs Rec.route_slot (fun p _ ->
+            Rec.Health.write p (Array.make 4 Kv.Shard_records.Healthy);
+            L.store p (L.get_root p Rec.health_slot) (beyond rs)) );
+    ( "migration intent slot count", "migration intent",
+      (* the slot count is the intent's fifth word *)
+      fun rs ->
+        corrupt rs Rec.mig_slot (fun p o -> L.store p (o + 32) (1 lsl 40)) );
+    ( "migration cursor length", "migration cursor",
+      fun rs ->
+        corrupt rs Rec.cursor_slot (fun p o ->
+            L.store p (o + Rec.c_len) (1 lsl 40)) ) ]
+
+let test_hostile_records () =
+  List.iter
+    (fun (row, record, damage) ->
+      let rs = hostile_image () in
+      damage rs;
+      let named msg =
+        if not (contains msg ("sharded " ^ record ^ " record")) then
+          Alcotest.failf "%s: refusal does not name the %s record: %s" row
+            record msg
+      in
+      match Sd.open_db ~initial_buckets:8 rs with
+      | db -> (
+        match Sd.check db with
+        | Ok () -> ()
+        | Error e -> Alcotest.failf "%s: opened, but check fails: %s" row e)
+      | exception
+          ( Romulus.Engine.Recovery_error msg
+          | Kv.Sharded_db.Shard_open_failed
+              { cause = Romulus.Engine.Recovery_error msg; _ } ) ->
+        named msg
+      | exception e ->
+        Alcotest.failf "%s: untyped %s" row (Printexc.to_string e))
+    hostile_rows
+
 (* ---- §10 regression: a single-key write racing an aborting batch ----
 
    The racing put durably invalidates the batch's undo image for the key
@@ -894,7 +997,7 @@ let test_snapshot_roundtrip () =
 
 (* ---- chunked mirror streaming, spills, admission control ---- *)
 
-module Ck = Kv.Sharded_db.Chunk
+module Ck = Kv.Shard_records.Chunk
 
 let big_value tag n = String.init n (fun i -> Char.chr ((tag + i) land 0xff))
 
@@ -2599,6 +2702,30 @@ module Open_pass (P : Kv.Sharded_db.SHARD_PTM) = struct
            (Printf.sprintf "media error at offset %d while opening" offset))
     | Error e -> Quarantined (Open_failed (Printexc.to_string e))
 
+  (* R1 on a Quarantined shard: header rot refuses shard 3's open, the
+     rot then clears at the source, and one repair attempt remounts the
+     shard — the remount's own recovery scrub is the attempt's only pass
+     over its lines *)
+  let test_r1_scrub_once () =
+    let rs, spans = settled () in
+    crash_all rs R.Drop_all;
+    let rot r =
+      R.corrupt_bits r ~seed:5 ~off:0 ~len:(R.line_size r) ~flips:3
+    in
+    rot rs.(3);
+    let db = S.open_db ~initial_buckets:8 rs in
+    (match S.health db 3 with
+     | Kv.Sharded_db.Quarantined _ -> ()
+     | _ -> Alcotest.fail "header rot should quarantine shard 3");
+    rot rs.(3);
+    let before = scrubbed rs.(3) in
+    (match S.repair ~retries:0 db with
+     | [ (3, S.Scrub_repaired) ] -> ()
+     | _ -> Alcotest.fail "one R1 attempt should remount shard 3");
+    Alcotest.(check int) "shard 3 lines scrubbed by one R1 attempt"
+      (audited rs.(3) spans.(3))
+      (scrubbed rs.(3) - before)
+
   let test_verdicts_match_rescrub () =
     let old = Array.map rescrubbed (rotted ()) in
     let fresh = Array.map single_pass (rotted ()) in
@@ -2736,8 +2863,12 @@ let suite =
         [ tc ("open_db scrubs each shard once: " ^ P.name) `Quick
             O.test_scrub_once;
           tc ("open_db verdicts match open + rescrub: " ^ P.name) `Quick
-            O.test_verdicts_match_rescrub ])
+            O.test_verdicts_match_rescrub;
+          tc ("one R1 attempt on a Quarantined shard scrubs each line once: "
+              ^ P.name) `Quick O.test_r1_scrub_once ])
       [ (module Romulus.Basic); (module Romulus.Logged); (module Romulus.Lr);
         (module Baselines.Redolog); (module Baselines.Undolog) ]
+  @ [ tc "hostile records opened or refused by name" `Quick
+        test_hostile_records ]
 
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]
