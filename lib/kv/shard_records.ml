@@ -4,7 +4,8 @@
    in records hung off reserved root slots of its shards.  This module
    owns every one of them: the root slot it hangs off, its fields with
    their offsets, its size, one writer and one bounded reader.
-   [Sharded_db] never touches a record word itself.
+   [Sharded_db] and the [Shard_*] modules under it never touch a record
+   word themselves.
 
    A persistent image is opened or refused by name.  Every reader checks
    each offset and length it loads against the shard's region before it
@@ -30,6 +31,19 @@ type health =
 (* A routing table has [slots_per_shard] slots per shard the store was
    created with. *)
 let slots_per_shard = 8
+
+(* A key's routing slot is [route_hash k mod] the table's slot count, so
+   the table routes only under this exact hash: FNV-1a (the map's bucket
+   hash) plus an avalanche step, so the shard route is independent of
+   the bucket index even when the shard count shares factors with the
+   bucket count. *)
+let route_hash s =
+  let h = ref 0x4bf29ce484222325 in
+  String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) s;
+  let h = !h in
+  let h = h lxor (h lsr 33) in
+  let h = h * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land max_int
 
 (* ---- chunk chains (PTM-independent) ----
 

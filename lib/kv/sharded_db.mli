@@ -127,11 +127,6 @@ exception Shard_open_failed of { shard : int; cause : exn }
     resize yet) is bit-for-bit the original hash-modulo route. *)
 val slots_per_shard : int
 
-(** Defaults of {!with_overload_retry}. *)
-val default_overload_retries : int
-
-val default_overload_base_ns : int
-
 (** The exact backoff schedule {!with_overload_retry} uses: [retries]
     waits, exponentially growing from [base_ns] with deterministic
     xorshift jitter seeded by [seed].  Pure — equal arguments give the
@@ -142,7 +137,8 @@ val overload_backoff_schedule :
 (** Run [f], retrying up to [retries] times when it raises {!Overloaded}
     (any other exception propagates), waiting out the schedule above
     between attempts; [on_wait] observes each wait (for tests).  The
-    final attempt's [Overloaded] propagates.  Used by migration move
+    final attempt's [Overloaded] propagates.  [retries] defaults to 5,
+    [base_ns] to 20,000 and [seed] to 0.  Used by migration move
     batches against the target's admission budget, and by clients whose
     batches race an admission limit or an open migration window. *)
 val with_overload_retry :
@@ -156,11 +152,6 @@ val with_overload_retry :
 (** Smallest accepted [chunk_bytes] (the floor the redo-log-overflow
     retry shrinks toward). *)
 val min_chunk_bytes : int
-
-val default_chunk_bytes : int
-val default_spill_threshold : int
-val default_admission_budget : int
-val default_clear_flush_threshold : int
 
 (** Any of the Romulus front-ends: the PTM signature plus the recovery /
     scrub / diagnostics hooks every shard needs. *)
@@ -230,15 +221,14 @@ module Make (P : SHARD_PTM) : sig
       recovered as usual, then any protocol state left by a crash is
       reconciled.
 
-      [chunk_bytes] (default {!default_chunk_bytes}) bounds each mirror
-      payload chunk — and therefore each streamed PREPARE transaction;
-      [spill_threshold] (default {!default_spill_threshold}) is the
-      undo-image size above which the pre-image is spilled into its own
-      record; [admission_budget] (default {!default_admission_budget})
+      [chunk_bytes] (default 16 KiB) bounds each mirror payload chunk —
+      and therefore each streamed PREPARE transaction; [spill_threshold]
+      (default 4 KiB) is the undo-image size above which the pre-image
+      is spilled into its own record; [admission_budget] (default 4 MiB)
       caps each shard's in-flight cross-shard payload bytes (see
-      {!Overloaded}); [clear_flush_threshold] (default
-      {!default_clear_flush_threshold}) bounds the lazy-CLEAR queues
-      (see {!val-flush_clears}).
+      {!Overloaded}); [clear_flush_threshold] (default 32 records) bounds
+      the lazy-CLEAR queues (see {!val-flush_clears}); [initial_buckets]
+      (default 1024) sizes each shard's key map when it is created.
 
       Raises {!Invalid_shards} on an empty array or more than 63,
       {!Romulus_db.Invalid_buckets} when [initial_buckets] is not
@@ -401,7 +391,7 @@ module Make (P : SHARD_PTM) : sig
 
       + scrub retries under the jittered-exponential backoff schedule
         of {!overload_backoff_schedule} ([retries]/[base_ns]/[seed],
-        attempts counted in [Repair_attempts]);
+        default 5/20,000/0, attempts counted in [Repair_attempts]);
       + restore from the shard's snapshot file under [snapshot_base]
         (as written by {!save_to_files}), adopted only after a clean
         validating scrub;

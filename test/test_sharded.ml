@@ -653,39 +653,61 @@ let contains s sub =
 
 let beyond rs = R.size rs.(0) + 4096
 
+(* [run_batch] over a 4-shard store seeded with 12 keys, killed after
+   its last mirror is applied: every participant holds a sealed mirror
+   and the coordinator no flip, a presumed abort.  Crashed, not
+   reopened. *)
+let preflip_image () =
+  with_disarm @@ fun () ->
+  let rs, db = open_sharded () in
+  seed db 12;
+  let parts = d_participants db in
+  Fault.arm ~skip:(List.length parts - 1) "sharded.d.mirror_applied"
+    (fun () -> R.kill rs.(List.hd parts));
+  (match run_batch db with
+   | () -> Alcotest.fail "kill did not fire"
+   | exception R.Crash_point -> ());
+  crash_all rs R.Keep_all;
+  rs
+
 let hostile_rows =
-  [ ( "route root past the region", "routing table",
-      fun rs ->
+  let row ?(image = hostile_image) name record damage =
+    (name, record, image, damage)
+  in
+  [ row "route root past the region" "routing table" (fun rs ->
         corrupt rs Rec.route_slot (fun p _ ->
-            L.set_root p Rec.route_slot (beyond rs)) );
-    ( "mirror chunk head past the region", "mirror chunk",
-      fun rs ->
+            L.set_root p Rec.route_slot (beyond rs)));
+    row "mirror chunk head past the region" "mirror chunk" (fun rs ->
         corrupt rs Rec.mirror_slot (fun p m ->
-            L.store p (m + Rec.Mirror.m_chunks) (beyond rs)) );
-    ( "self-linked mirror list", "mirror",
-      fun rs -> corrupt rs Rec.mirror_slot (fun p m -> L.store p m m) );
-    ( "self-linked flip list", "flip",
-      fun rs -> corrupt rs Rec.flip_slot (fun p f -> L.store p f f) );
-    ( "health length past the region", "health",
+            L.store p (m + Rec.Mirror.m_chunks) (beyond rs)));
+    row "self-linked mirror list" "mirror" (fun rs ->
+        corrupt rs Rec.mirror_slot (fun p m -> L.store p m m));
+    row "self-linked flip list" "flip" (fun rs ->
+        corrupt rs Rec.flip_slot (fun p f -> L.store p f f));
+    row "health length past the region" "health"
       (* on shard 0 (the routing table's shard): a health record is
          planted, then its length broken *)
-      fun rs ->
+      (fun rs ->
         corrupt rs Rec.route_slot (fun p _ ->
             Rec.Health.write p (Array.make 4 Kv.Shard_records.Healthy);
-            L.store p (L.get_root p Rec.health_slot) (beyond rs)) );
-    ( "migration intent slot count", "migration intent",
+            L.store p (L.get_root p Rec.health_slot) (beyond rs)));
+    row "migration intent slot count" "migration intent"
       (* the slot count is the intent's fifth word *)
-      fun rs ->
-        corrupt rs Rec.mig_slot (fun p o -> L.store p (o + 32) (1 lsl 40)) );
-    ( "migration cursor length", "migration cursor",
-      fun rs ->
+      (fun rs ->
+        corrupt rs Rec.mig_slot (fun p o -> L.store p (o + 32) (1 lsl 40)));
+    row "migration cursor length" "migration cursor" (fun rs ->
         corrupt rs Rec.cursor_slot (fun p o ->
-            L.store p (o + Rec.c_len) (1 lsl 40)) ) ]
+            L.store p (o + Rec.c_len) (1 lsl 40)));
+    (* rolled back, not reclaimed: the presumed abort reads the chain *)
+    row ~image:preflip_image "pre-flip mirror chunk head past the region"
+      "mirror chunk" (fun rs ->
+        corrupt rs Rec.mirror_slot (fun p m ->
+            L.store p (m + Rec.Mirror.m_chunks) (beyond rs))) ]
 
 let test_hostile_records () =
   List.iter
-    (fun (row, record, damage) ->
-      let rs = hostile_image () in
+    (fun (row, record, image, damage) ->
+      let rs = image () in
       damage rs;
       let named msg =
         if not (contains msg ("sharded " ^ record ^ " record")) then
@@ -705,6 +727,26 @@ let test_hostile_records () =
       | exception e ->
         Alcotest.failf "%s: untyped %s" row (Printexc.to_string e))
     hostile_rows
+
+(* Reopening a pre-flip crash image (every mirror hooked, no flip)
+   resolves each mirror by presumed abort.  Pinned: the access counts of
+   the reopen, summed over the shards. *)
+let test_preflip_reopen_counts () =
+  let rs = preflip_image () in
+  let past = Array.map (fun r -> Pmem.Stats.snapshot (R.stats r)) rs in
+  let db = Sd.open_db ~initial_buckets:8 rs in
+  let st =
+    Pmem.Stats.aggregate
+      (List.mapi
+         (fun i r -> Pmem.Stats.since ~now:(R.stats r) ~past:past.(i))
+         (Array.to_list rs))
+  in
+  Alcotest.(check bool) "presumed abort" false
+    (assert_all_or_nothing "pre-flip reopen" db);
+  Alcotest.(check string) "reopen access counts"
+    "loads=398 stores=186 pwbs=97 pfences=9"
+    (Printf.sprintf "loads=%d stores=%d pwbs=%d pfences=%d" st.Pmem.Stats.loads
+       st.stores st.pwbs st.pfences)
 
 (* ---- §10 regression: a single-key write racing an aborting batch ----
 
@@ -2869,6 +2911,7 @@ let suite =
       [ (module Romulus.Basic); (module Romulus.Logged); (module Romulus.Lr);
         (module Baselines.Redolog); (module Baselines.Undolog) ]
   @ [ tc "hostile records opened or refused by name" `Quick
-        test_hostile_records ]
+        test_hostile_records;
+      tc "pre-flip reopen access counts" `Quick test_preflip_reopen_counts ]
 
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]
