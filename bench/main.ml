@@ -13,8 +13,6 @@ let experiments : (string * string * (Common.scale -> unit)) list =
     ("recovery", "recovery cost (6.5)", Recovery.run);
     ("pwbhist", "pwb-per-transaction histograms (6.2)", Pwbhist.run);
     ("ablation", "design-choice ablations", Ablation.run);
-    ("commit_path", "commit-path write-set ablation (BENCH_commit_path.json)",
-     Commit_path.run);
     ("scrub", "media-scrub overhead (BENCH_scrub.json)", Scrub.run);
     ("shards", "Sharded_db shard scaling (BENCH_shards.json)", Shards.run);
     ("micro", "bechamel microbenchmarks", Micro.run) ]
@@ -23,9 +21,7 @@ let experiments : (string * string * (Common.scale -> unit)) list =
    default "all" set.  The smoke runs write their JSON to a temporary
    file and check its shape, so they never overwrite a BENCH_*.json. *)
 let hidden : (string * string * (Common.scale -> unit)) list =
-  [ ("commit_path_smoke", "commit-path ablation, tiny parameters (CI smoke)",
-     fun _ -> Commit_path.smoke ());
-    ("scrub_smoke", "media-scrub overhead, tiny parameters (CI smoke)",
+  [ ("scrub_smoke", "media-scrub overhead, tiny parameters (CI smoke)",
      fun _ -> Scrub.smoke ());
     ("shards_smoke", "shard scaling, tiny parameters (CI smoke)",
      fun _ -> Shards.smoke ());

@@ -467,7 +467,7 @@ let open_region r =
   let arena_base, log_base, log_capacity = layout r in
   let s =
     { Shared.r;
-      stm = Tinystm.create ();
+      stm = Tinystm.create r;
       ctxs = Array.make Tid.max_threads None;
       log_base;
       log_capacity;
@@ -620,56 +620,22 @@ let root_addr i =
 let get_root t i = Shared.load t.s (root_addr i)
 let set_root t i v = Shared.store t.s (root_addr i) v
 
-(* Detection-only media scrub: the redo-log region too keeps a single
-   copy of every line — a sidecar CRC miss is always
-   [Romulus.Engine.Unrepairable] (state "none").  The walk covers the
-   header, roots and used arena span. *)
-let media_frontier t =
-  let arena_base, _, _ = layout t.s.Shared.r in
-  arena_base + Alloc.used_bytes t.arena
+include Single_copy.Make (struct
+  type nonrec t = t
 
-let scrub_with ~salvage t =
-  let r = t.s.Shared.r in
-  let stats = Pmem.Region.stats r in
-  let line = Pmem.Region.line_size r in
-  let last = (media_frontier t - 1) / line in
-  let scrubbed = ref 0 in
-  let lost = ref [] in
-  for l = 0 to last do
-    incr scrubbed;
-    stats.Pmem.Stats.scrubbed_lines <- stats.Pmem.Stats.scrubbed_lines + 1;
-    if Pmem.Region.line_is_clean r ~line:l
-       && not (Pmem.Region.media_ok r ~line:l)
-    then begin
-      stats.Pmem.Stats.unrepairable_lines <-
-        stats.Pmem.Stats.unrepairable_lines + 1;
-      (* single copy: never repairable.  Salvage mode records the loss
-         and keeps walking — a later read of the line still raises
-         [Media_error], so nothing is silently blessed. *)
-      if salvage then lost := (l * line, "none") :: !lost
-      else
-        raise
-          (Romulus.Engine.Unrepairable { offset = l * line; state = "none" })
-    end
-  done;
-  { Romulus.Engine.scrubbed = !scrubbed; repaired = 0;
-    unrepairable = List.rev !lost }
+  let open_region = open_region
+  let region = region
+  let recover = recover
 
-let scrub t = scrub_with ~salvage:false t
-let scrub_salvage t = scrub_with ~salvage:true t
+  let frontier t =
+    let arena_base, _, _ = layout t.s.Shared.r in
+    arena_base + Alloc.used_bytes t.arena
 
-(* The open does not scrub (recovery replays the log without a media
-   pass), so the verdict takes one salvage scrub after it. *)
-let open_salvage r =
-  let t = open_region r in
-  (t, (scrub_salvage t).Romulus.Engine.unrepairable)
+  let guard _ = ()
+end)
 
-let recover_salvage t =
-  let report = scrub_with ~salvage:true t in
-  recover t;
-  report.Romulus.Engine.unrepairable
-
-let media_spans t = [ (0, media_frontier t) ]
+(* the arena ends where the redo log begins *)
+let heap_end t = t.s.Shared.log_base
 
 (* test hooks *)
 let allocator_check t = Alloc.check t.arena

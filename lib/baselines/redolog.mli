@@ -18,27 +18,11 @@ exception Log_full
     state). *)
 val recover : t -> unit
 
-(** Detection-only media scrub: verify per-line sidecar CRCs over the
-    used span.  No twin copy exists, so any CRC miss raises
-    [Romulus.Engine.Unrepairable] with state ["none"].  *)
-val scrub : t -> Romulus.Engine.scrub_report
+(** The detection-only media scrub ({!Single_copy.S}). *)
+include Single_copy.S with type t := t
 
-(** Salvage-mode scrub: collect every CRC miss (offset, ["none"]) into
-    [unrepairable] instead of raising on the first.  Reads of a lost
-    line still raise [Pmem.Region.Media_error]. *)
-val scrub_salvage : t -> Romulus.Engine.scrub_report
-
-(** [open_region] followed by {!scrub_salvage}: the opened store and
-    its tolerated data-loss lines. *)
-val open_salvage : Pmem.Region.t -> t * (int * string) list
-
-(** Salvage scrub followed by {!recover}; returns the lost lines.  The
-    replay itself may still raise [Pmem.Region.Media_error] if the log
-    area is damaged. *)
-val recover_salvage : t -> (int * string) list
-
-(** Fault-campaign target range: the single used span. *)
-val media_spans : t -> (int * int) list
+(** End of the allocator arena, where the log begins. *)
+val heap_end : t -> int
 
 (** Structural check of the persistent allocator. *)
 val allocator_check : t -> (unit, string) result

@@ -1,0 +1,81 @@
+(* Detection-only media scrub of the single-copy baselines ({!Undolog},
+   {!Redolog}).  Such a region keeps one copy of every line, so a sidecar
+   CRC miss has no twin to repair from: it is always
+   [Romulus.Engine.Unrepairable] with state "none".  The walk covers the
+   header, the roots and the used arena span, [0, frontier). *)
+
+module type S = sig
+  type t
+
+  (** Verify the used span's sidecar CRCs; a miss raises
+      [Romulus.Engine.Unrepairable] with state ["none"]. *)
+  val scrub : t -> Romulus.Engine.scrub_report
+
+  (** Salvage-mode scrub: collect every CRC miss (offset, ["none"]) into
+      [unrepairable] instead of raising on the first.  Reads of a lost
+      line still raise [Pmem.Region.Media_error]. *)
+  val scrub_salvage : t -> Romulus.Engine.scrub_report
+
+  (** [open_region] followed by {!scrub_salvage}: the opened store and
+      its tolerated data-loss lines. *)
+  val open_salvage : Pmem.Region.t -> t * (int * string) list
+
+  (** Salvage scrub, then log recovery (which may still raise
+      [Pmem.Region.Media_error] on a damaged log); returns the lost
+      lines. *)
+  val recover_salvage : t -> (int * string) list
+
+  (** Fault-campaign target range: the single used span. *)
+  val media_spans : t -> (int * int) list
+end
+
+module Make (P : sig
+  type t
+
+  val open_region : Pmem.Region.t -> t
+  val region : t -> Pmem.Region.t
+  val recover : t -> unit
+  val frontier : t -> int (* end of the used arena span *)
+  val guard : t -> unit (* refuses a scrub the PTM's state forbids *)
+end) : S with type t := P.t = struct
+  let scrub_with ~salvage t =
+    P.guard t;
+    let r = P.region t in
+    let stats = Pmem.Region.stats r in
+    let line = Pmem.Region.line_size r in
+    let last = (P.frontier t - 1) / line in
+    let lost = ref [] in
+    for l = 0 to last do
+      stats.Pmem.Stats.scrubbed_lines <- stats.Pmem.Stats.scrubbed_lines + 1;
+      if Pmem.Region.line_is_clean r ~line:l
+         && not (Pmem.Region.media_ok r ~line:l)
+      then begin
+        stats.Pmem.Stats.unrepairable_lines <-
+          stats.Pmem.Stats.unrepairable_lines + 1;
+        (* salvage mode records the loss and keeps walking; nothing is
+           silently blessed, as a later read still raises [Media_error] *)
+        if salvage then lost := (l * line, "none") :: !lost
+        else
+          raise
+            (Romulus.Engine.Unrepairable { offset = l * line; state = "none" })
+      end
+    done;
+    { Romulus.Engine.scrubbed = last + 1; repaired = 0;
+      unrepairable = List.rev !lost }
+
+  let scrub t = scrub_with ~salvage:false t
+  let scrub_salvage t = scrub_with ~salvage:true t
+
+  (* the open does not scrub (recovery replays the log without a media
+     pass), so the verdict takes one salvage scrub after it *)
+  let open_salvage r =
+    let t = P.open_region r in
+    (t, (scrub_salvage t).Romulus.Engine.unrepairable)
+
+  let recover_salvage t =
+    let report = scrub_salvage t in
+    P.recover t;
+    report.Romulus.Engine.unrepairable
+
+  let media_spans t = [ (0, P.frontier t) ]
+end

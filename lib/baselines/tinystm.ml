@@ -22,10 +22,12 @@ type t = {
   mutable aborts : int; (* stats; racy, indicative only *)
 }
 
-let default_bits = 16
-
-let create ?(bits = default_bits) () =
-  let n = 1 lsl bits in
+(* One stripe per cache line of the guarded region, as a power of two of
+   at most 2^16: the table is volatile, so its size moves no byte. *)
+let create r =
+  let lines = Pmem.Region.size r / Pmem.Region.line_size r in
+  let rec pow2 n = if n >= lines || n = 1 lsl 16 then n else pow2 (2 * n) in
+  let n = pow2 1 in
   { clock = Atomic.make 0;
     locks = Array.init n (fun _ -> Atomic.make 0);
     mask = n - 1;

@@ -14,7 +14,9 @@ exception Contention_exhausted of { attempts : int }
 
 type t
 
-val create : ?bits:int -> unit -> t
+(** A clock and a lock table for the region [r]: one stripe per cache
+    line of [r] (rounded up to a power of two), at most 2{^16}. *)
+val create : Pmem.Region.t -> t
 
 (** Stripe index for a word address. *)
 val stripe : t -> int -> int

@@ -325,63 +325,36 @@ let set_root t i v =
   check_not_read_only ();
   Ctx.store t.ctx (root_addr i) v
 
-(* Detection-only media scrub: an undo-log region keeps a single copy of
-   every line, so a sidecar CRC miss has no twin to repair from — it is
-   always [Romulus.Engine.Unrepairable] (state "none").  The walk covers
-   the header, roots and used arena span. *)
-let media_frontier t =
-  let arena_base, _, _ = layout t.ctx.Ctx.r in
-  arena_base + Alloc.used_bytes t.arena
+module Media = Single_copy.Make (struct
+  type nonrec t = t
 
-let scrub_with ~salvage t =
-  if t.ctx.Ctx.in_tx then invalid_arg "Undolog.scrub: transaction in progress";
-  let r = t.ctx.Ctx.r in
-  let stats = Pmem.Region.stats r in
-  let line = Pmem.Region.line_size r in
-  let last = (media_frontier t - 1) / line in
-  let scrubbed = ref 0 in
-  let lost = ref [] in
-  for l = 0 to last do
-    incr scrubbed;
-    stats.Pmem.Stats.scrubbed_lines <- stats.Pmem.Stats.scrubbed_lines + 1;
-    if Pmem.Region.line_is_clean r ~line:l
-       && not (Pmem.Region.media_ok r ~line:l)
-    then begin
-      stats.Pmem.Stats.unrepairable_lines <-
-        stats.Pmem.Stats.unrepairable_lines + 1;
-      (* single copy: never repairable.  Salvage mode records the loss
-         and keeps walking — a later read of the line still raises
-         [Media_error], so nothing is silently blessed. *)
-      if salvage then lost := (l * line, "none") :: !lost
-      else
-        raise
-          (Romulus.Engine.Unrepairable { offset = l * line; state = "none" })
-    end
-  done;
-  { Romulus.Engine.scrubbed = !scrubbed; repaired = 0;
-    unrepairable = List.rev !lost }
+  let open_region = open_region
+  let region = region
+  let recover = recover
 
-let scrub t = scrub_with ~salvage:false t
-let scrub_salvage t = scrub_with ~salvage:true t
+  let frontier t =
+    let arena_base, _, _ = layout t.ctx.Ctx.r in
+    arena_base + Alloc.used_bytes t.arena
 
-(* The open does not scrub (recovery replays the log without a media
-   pass), so the verdict takes one salvage scrub after it. *)
-let open_salvage r =
-  let t = open_region r in
-  (t, (scrub_salvage t).Romulus.Engine.unrepairable)
+  (* the in-place stores of a live transaction are not durable yet *)
+  let guard t =
+    if t.ctx.Ctx.in_tx then
+      invalid_arg "Undolog.scrub: transaction in progress"
+end)
+
+include Media
+
+(* the arena ends where the undo log begins *)
+let heap_end t = t.ctx.Ctx.log_base
 
 let recover_salvage t =
   (* Post-crash entry point: a crash inside [update_tx] leaves the shared
      context's volatile [in_tx] flag set (the machine died mid-transaction,
-     so there was no abort to clear it).  The scrub guard below would
-     mistake that stale flag for a live writer, so reset it first — the
-     recovery rollback that follows is what actually settles the log. *)
+     so there was no abort to clear it).  The scrub guard would mistake
+     that stale flag for a live writer, so reset it first — the recovery
+     rollback that follows is what actually settles the log. *)
   t.ctx.Ctx.in_tx <- false;
-  let report = scrub_with ~salvage:true t in
-  recover t;
-  report.Romulus.Engine.unrepairable
-
-let media_spans t = [ (0, media_frontier t) ]
+  Media.recover_salvage t
 
 (* test hook *)
 let allocator_check t = Alloc.check t.arena

@@ -132,5 +132,6 @@ module Make (Config : CONFIG) = struct
   let scrub t = Engine.scrub t.e
   let scrub_salvage t = Engine.scrub_salvage t.e
   let media_spans t = Engine.media_spans t.e
+  let heap_end t = Engine.heap_end t.e
   let allocator_check t = Engine.allocator_check t.e
 end

@@ -32,6 +32,7 @@ module Make (_ : CONFIG) : sig
 
   (** Fault-campaign target ranges (see {!Engine.media_spans}). *)
   val media_spans : t -> (int * int) list
+  val heap_end : t -> int
 
   (** Structural check of the persistent allocator. *)
   val allocator_check : t -> (unit, string) result

@@ -21,8 +21,9 @@
    exactly once, right before the CPY fence, so a transaction that stores
    repeatedly into the same line pays one pwb instead of one per store.
    Algorithm 1's ordering is preserved — every main pwb still precedes
-   the fence that publishes state = CPY.  ([configure ~eager_pwb:true]
-   restores the pwb-per-store schedule for ablation.)
+   the fence that publishes state = CPY.  In Logged mode the redo log is
+   coalesced into maximal intervals before replication, so back receives
+   exactly the logged ranges with one copy per interval.
 
    The allocator runs over the same interposed memory, so its metadata
    rolls back with the transaction (§4.4). *)
@@ -102,7 +103,6 @@ module Mem = struct
     mutable log : Redo_log.t option;
     dirty : Pmem.Line_set.t;    (* lines with deferred write-backs *)
     line_shift : int;
-    mutable eager_pwb : bool;   (* ablation: pwb at every store (seed) *)
   }
 
   let make r =
@@ -111,8 +111,7 @@ module Mem = struct
     let line_shift = log2 line 0 in
     { r; log = None;
       dirty = Pmem.Line_set.create ~lines:(Pmem.Region.size r lsr line_shift);
-      line_shift;
-      eager_pwb = false }
+      line_shift }
 
   let mark_dirty m off len =
     if len > 0 then begin
@@ -125,12 +124,18 @@ module Mem = struct
 
   let load m off = Pmem.Region.load m.r off
 
-  let store m off v =
+  (* The write step of every interposed store (word, blob, root), taken
+     before the in-place store: log the range, so an overflowing log
+     aborts with main untouched, and mark its lines for write-back. *)
+  let write m off len =
     (match m.log with
-     | Some l -> Redo_log.add l ~off ~len:8
+     | Some l -> Redo_log.add l ~off ~len
      | None -> ());
-    Pmem.Region.store m.r off v;
-    if m.eager_pwb then Pmem.Region.pwb m.r off else mark_dirty m off 8
+    mark_dirty m off len
+
+  let store m off v =
+    write m off 8;
+    Pmem.Region.store m.r off v
 
   (* Issue the deferred write-backs: one pwb per dirty line.  Must run
      before the next fence that orders main against the state word. *)
@@ -155,7 +160,6 @@ type t = {
   main_size : int;
   arena_base : int;
   mutable in_tx : bool;
-  mutable coalesce : bool;  (* merge log ranges before replicating *)
 }
 
 let main_start = header_bytes
@@ -174,15 +178,10 @@ let region t = t.r
 let main_size t = t.main_size
 let mode t = t.mode
 
-(* Ablation knobs for the commit-path write-set optimizations; the
-   defaults (deferred write-backs, coalesced log) are the fast path. *)
-let configure ?eager_pwb ?coalesce ?redo_capacity t =
-  Option.iter (fun b -> t.mem.Mem.eager_pwb <- b) eager_pwb;
-  Option.iter (fun b -> t.coalesce <- b) coalesce;
-  Option.iter (fun c -> Redo_log.set_capacity t.log c) redo_capacity
+let set_redo_capacity t c = Redo_log.set_capacity t.log c
 
-let eager_pwb t = t.mem.Mem.eager_pwb
-let coalesce_enabled t = t.coalesce
+(* End of main: no main offset a reader may dereference lies past it. *)
+let heap_end t = t.main_start + t.main_size
 
 (* Bytes of main that are meaningful: header-relative span from the start
    of main to the allocator frontier. *)
@@ -388,7 +387,7 @@ let open_salvage ~mode r =
     let lost = recover_raw ~salvage:true r ~main_size ~arena_base in
     let arena = A.attach mem ~base:arena_base in
     ( { r; mem; arena; mode; log = Redo_log.create ();
-        main_start; main_size; arena_base; in_tx = false; coalesce = true },
+        main_start; main_size; arena_base; in_tx = false },
       lost )
   end
   else begin
@@ -398,7 +397,7 @@ let open_salvage ~mode r =
     let arena = A.init mem ~base:arena_base ~size:arena_size in
     let t =
       { r; mem; arena; mode; log = Redo_log.create ();
-        main_start; main_size; arena_base; in_tx = false; coalesce = true }
+        main_start; main_size; arena_base; in_tx = false }
     in
     Pmem.Region.store r o_state st_idl;
     let span = used_span t in
@@ -495,7 +494,7 @@ let replicate t =
      Pmem.Region.pwb_range t.r (t.main_start + t.main_size) span
    | Logged ->
      (* one copy + one pwb_range per maximal interval, not per raw entry *)
-     if t.coalesce then Redo_log.coalesce t.log;
+     Redo_log.coalesce t.log;
      Redo_log.iter t.log (fun ~off ~len ->
          Pmem.Region.copy t.r ~src:off ~dst:(off + t.main_size) ~len;
          Pmem.Region.pwb_range t.r (off + t.main_size) len));
@@ -590,12 +589,8 @@ let store_bytes t off str =
   if not t.in_tx then raise Store_outside_transaction;
   let len = String.length str in
   check_main t off len "store_bytes";
-  (match t.mem.log with
-   | Some l -> Redo_log.add l ~off ~len
-   | None -> ());
+  Mem.write t.mem off len;
   Pmem.Region.store_bytes t.r off str;
-  if t.mem.eager_pwb then Pmem.Region.pwb_range t.r off len
-  else Mem.mark_dirty t.mem off len;
   let s = Pmem.Region.stats t.r in
   s.Pmem.Stats.user_bytes <- s.Pmem.Stats.user_bytes + len
 

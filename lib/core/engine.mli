@@ -108,19 +108,14 @@ val region : t -> Pmem.Region.t
 val main_size : t -> int
 val mode : t -> mode
 
-(** Ablation knobs for the commit-path write-set optimizations.
-    [eager_pwb] (default [false]) issues a pwb at every interposed store
-    instead of deferring line write-backs to [commit_main]; [coalesce]
-    (default [true]) merges the redo log into maximal intervals before
-    replication; [redo_capacity] bounds the volatile redo log's entry
-    count (default [Redo_log.default_capacity]) — an update transaction
-    that exceeds it aborts with {!Tx_aborted} carrying
-    {!Redo_log.Overflow}. *)
-val configure :
-  ?eager_pwb:bool -> ?coalesce:bool -> ?redo_capacity:int -> t -> unit
+(** Bound the volatile redo log's entry count (default
+    [Redo_log.default_capacity]): an update transaction that exceeds it
+    aborts with {!Tx_aborted} carrying {!Redo_log.Overflow}. *)
+val set_redo_capacity : t -> int -> unit
 
-val eager_pwb : t -> bool
-val coalesce_enabled : t -> bool
+(** End of main, read without a load: a back reader adds {!main_size}
+    to an offset below it. *)
+val heap_end : t -> int
 
 (** Bytes of main in use (what a Full_copy commit replicates). *)
 val used_span : t -> int
@@ -133,8 +128,8 @@ val begin_tx : t -> unit
     on main. *)
 val commit_main : t -> unit
 
-(** Copy the modified span/ranges from main to back; pwb per line;
-    pfence. *)
+(** Copy the modified span ([Full_copy]) or the redo log's coalesced
+    ranges ([Logged]) from main to back; pwb per line; pfence. *)
 val replicate : t -> unit
 
 (** state <- IDL; leave the transaction. *)
@@ -166,8 +161,8 @@ val load_bytes : t -> int -> int -> string
 val load_bytes_off : t -> int -> int -> int -> string
 
 (** Interposed store: log (in [Logged] mode) + in-place store + deferred
-    dirty-line tracking (or an immediate pwb under [~eager_pwb:true]).
-    Raises {!Store_outside_transaction} outside [begin_tx]/[end_tx]. *)
+    dirty-line tracking, flushed by [commit_main].  Raises
+    {!Store_outside_transaction} outside [begin_tx]/[end_tx]. *)
 val store : t -> int -> int -> unit
 
 val store_bytes : t -> int -> string -> unit

@@ -12,4 +12,5 @@ val recover_salvage : t -> (int * string) list
 val scrub : t -> Engine.scrub_report
 val scrub_salvage : t -> Engine.scrub_report
 val media_spans : t -> (int * int) list
+val heap_end : t -> int
 val allocator_check : t -> (unit, string) result

@@ -171,6 +171,7 @@ let recover_salvage t =
 let scrub t = Engine.scrub t.e
 let scrub_salvage t = Engine.scrub_salvage t.e
 let media_spans t = Engine.media_spans t.e
+let heap_end t = Engine.heap_end t.e
 let allocator_check t = Engine.allocator_check t.e
 
 (* debug hook: the calling domain's current synthetic-pointer offset *)

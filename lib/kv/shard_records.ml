@@ -8,13 +8,15 @@
    word themselves.
 
    A persistent image is opened or refused by name.  Every reader checks
-   each offset and length it loads against the shard's region before it
-   uses it, every list walk stops after as many records as the region
-   can hold, and every payload decoder checks each length against the
-   bytes it holds.  A failed check raises [Romulus.Engine.Recovery_error]
-   through [refuse], whose message names the shard, the root slot, the
-   record and the field.  The checks load and store nothing, so a valid
-   image sees exactly the loads and stores of the protocol itself. *)
+   each offset and length it loads against the end of the shard's heap
+   (not of the region: a RomulusLR back reader adds [main_size] to each
+   offset) before it uses it, every list walk stops after as many
+   records as the heap can hold, and every payload decoder checks each
+   length against the bytes it holds.  A failed check raises
+   [Romulus.Engine.Recovery_error] through [refuse], whose message names
+   the shard, the root slot, the record and the field.  The checks load
+   and store nothing, so a valid image sees exactly the loads and stores
+   of the protocol itself. *)
 
 (* The per-shard health verdicts of [Sharded_db] (documented there),
    declared here for the health record's codec. *)
@@ -101,7 +103,12 @@ module Chunk = struct
     go pieces
 end
 
-module Make (P : Romulus.Ptm_intf.S) = struct
+module Make (P : sig
+  include Romulus.Ptm_intf.S
+
+  val heap_end : t -> int (* read without a load *)
+end) =
+struct
   (* ---- the root-slot map ----
 
      Slot [db_root] anchors the key map, as in [Romulus_db].  The
@@ -140,14 +147,12 @@ module Make (P : Romulus.Ptm_intf.S) = struct
                 shard r.slot field msg)))
       fmt
 
-  let region_size p = Pmem.Region.size (P.region p)
-
-  (* [off, off + len) lies inside the region; offset 0 is null *)
+  (* [off, off + len) lies inside the heap; offset 0 is null *)
   let inside p r i field off len =
-    let size = region_size p in
-    if off <= 0 || len < 0 || off > size - len then
-      refuse r i field "[%d, %d + %d) is outside the %d-byte region" off off
-        len size
+    let heap_end = P.heap_end p in
+    if off <= 0 || len < 0 || off > heap_end - len then
+      refuse r i field "[%d, %d + %d) is outside the heap ending at %d" off
+        off len heap_end
 
   (* [f o] on the record [o] at root slot [r.slot] of shard [i], in its
      own read transaction; None when the slot is empty *)
@@ -165,12 +170,12 @@ module Make (P : Romulus.Ptm_intf.S) = struct
      A listed record keeps its successor's offset in its first word.  The
      one walk: [f off] visits the record at [off] and returns the
      successor (0 ends the walk), so a visitor that frees the record
-     loads the link first.  A list longer than the region can hold is a
+     loads the link first.  A list longer than the heap can hold is a
      cycle. *)
   let next p off = P.load p off
 
   let walk p r i head f =
-    let limit = region_size p / r.size in
+    let limit = P.heap_end p / r.size in
     let rec go n off =
       if off <> 0 then begin
         if n = limit then
@@ -464,7 +469,7 @@ module Make (P : Romulus.Ptm_intf.S) = struct
     o
 
   (* the bytes of the record at [o] and their stored CRC, the length
-     bounded by [max] and by the region *)
+     bounded by [max] and by the heap *)
   let read_crc p r i o ~max =
     inside p r i "header" o r.size;
     let len = P.load p (o + c_len) in
@@ -561,8 +566,8 @@ module Make (P : Romulus.Ptm_intf.S) = struct
        list walk produced, or one this process hooked. *)
     let read p i ~shards o =
       let plen = P.load p (o + m_plen) in
-      if plen < 0 || plen > region_size p then
-        refuse r i "payload length" "%d is outside the region" plen;
+      if plen < 0 || plen > P.heap_end p then
+        refuse r i "payload length" "%d is outside the heap" plen;
       let pieces = ref [] in
       walk p chunk i
         (P.load p (o + m_chunks))

@@ -99,6 +99,7 @@ module type SHARD_PTM = sig
   val scrub : t -> Romulus.Engine.scrub_report
   val scrub_salvage : t -> Romulus.Engine.scrub_report
   val media_spans : t -> (int * int) list
+  val heap_end : t -> int
   val allocator_check : t -> (unit, string) result
 end
 

@@ -178,6 +178,10 @@ module type SHARD_PTM = sig
   val scrub_salvage : t -> Romulus.Engine.scrub_report
 
   val media_spans : t -> (int * int) list
+
+  (** End of the heap, read without a load: every record lies below it. *)
+  val heap_end : t -> int
+
   val allocator_check : t -> (unit, string) result
 end
 

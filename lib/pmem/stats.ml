@@ -8,7 +8,8 @@
    [copy_calls]/[replicated_bytes] break out the region-internal copies
    (twin-copy replication plus recovery), and [commits] is ticked by a PTM
    engine once per durably committed transaction, which is what makes
-   per-transaction rates such as [pwbs_per_tx] derivable from raw counters.
+   per-transaction rates (pwbs per commit, say) derivable from raw
+   counters.
 
    [delay_ns] accumulates the virtual latency injected by the active fence
    profile; benchmark harnesses add it to wall-clock time so that emulated
@@ -95,14 +96,6 @@ let fences t = t.pfences + t.psyncs
 let write_amplification t =
   if t.user_bytes = 0 then nan
   else float_of_int t.nvm_bytes /. float_of_int t.user_bytes
-
-let per_commit count t =
-  if t.commits = 0 then nan
-  else float_of_int count /. float_of_int t.commits
-
-let pwbs_per_tx t = per_commit t.pwbs t
-let copies_per_tx t = per_commit t.copy_calls t
-let replicated_bytes_per_tx t = per_commit t.replicated_bytes t
 
 let pp ppf t =
   List.iter (fun (name, get, _) -> Format.fprintf ppf "%s=%d " name (get t))

@@ -43,11 +43,4 @@ val fences : t -> int
 (** [nvm_bytes / user_bytes]; [nan] when no user bytes were credited. *)
 val write_amplification : t -> float
 
-(** Per-committed-transaction rates; [nan] when no transaction committed
-    in the counted window. *)
-val pwbs_per_tx : t -> float
-
-val copies_per_tx : t -> float
-val replicated_bytes_per_tx : t -> float
-
 val pp : Format.formatter -> t -> unit

@@ -126,7 +126,7 @@ let test_redo_log_overflow_typed () =
         P.set_root p 0 o;
         o)
   in
-  Romulus.Engine.configure ~redo_capacity:4 (P.engine p);
+  Romulus.Engine.set_redo_capacity (P.engine p) 4;
   (match
      P.update_tx p (fun () ->
          (* n disjoint line-distant ranges: cannot coalesce below the
@@ -149,7 +149,7 @@ let test_redo_log_overflow_typed () =
       i
       (P.read_tx p (fun () -> P.load p (obj + (stride * i))))
   done;
-  Romulus.Engine.configure ~redo_capacity:(1 lsl 20) (P.engine p);
+  Romulus.Engine.set_redo_capacity (P.engine p) (1 lsl 20);
   P.update_tx p (fun () -> P.store p obj 42);
   Alcotest.(check int) "usable after overflow" 42
     (P.read_tx p (fun () -> P.load p obj))

@@ -670,9 +670,34 @@ let preflip_image () =
   crash_all rs R.Keep_all;
   rs
 
+module Lr_sd = Kv.Sharded_db.Make (Romulus.Lr)
+
+(* A crashed 2-shard RomulusLR store whose shard 0 has its route root
+   [back] bytes short of the region's end: an offset into the back twin,
+   which a back reader would carry past the region. *)
+let lr_route_root back () =
+  let rs = regions 2 in
+  Lr_sd.put (Lr_sd.open_db ~initial_buckets:8 rs) (key 0) (value 0);
+  crash_all rs R.Drop_all;
+  let p = Romulus.Lr.open_region rs.(0) in
+  Romulus.Lr.update_tx p (fun () ->
+      Romulus.Lr.set_root p Rec.route_slot (R.size rs.(0) - back));
+  crash_all rs R.Drop_all;
+  rs
+
+(* open a damaged image, returning its [check] *)
+let open_logged rs =
+  let db = Sd.open_db ~initial_buckets:8 rs in
+  fun () -> Sd.check db
+
+let open_lr rs =
+  let db = Lr_sd.open_db ~initial_buckets:8 rs in
+  fun () -> Lr_sd.check db
+
 let hostile_rows =
-  let row ?(image = hostile_image) name record damage =
-    (name, record, image, damage)
+  let row ?(image = hostile_image) ?(open_db = open_logged) name record
+      damage =
+    (name, record, image, open_db, damage)
   in
   [ row "route root past the region" "routing table" (fun rs ->
         corrupt rs Rec.route_slot (fun p _ ->
@@ -703,10 +728,17 @@ let hostile_rows =
       "mirror chunk" (fun rs ->
         corrupt rs Rec.mirror_slot (fun p m ->
             L.store p (m + Rec.Mirror.m_chunks) (beyond rs))) ]
+  @ List.map
+      (fun back ->
+        row ~image:(lr_route_root back) ~open_db:open_lr
+          (Printf.sprintf "romLR route root %d B short of the region's end"
+             back)
+          "routing table" ignore)
+      [ 32; 4096; 100_000 ]
 
 let test_hostile_records () =
   List.iter
-    (fun (row, record, image, damage) ->
+    (fun (row, record, image, open_db, damage) ->
       let rs = image () in
       damage rs;
       let named msg =
@@ -714,9 +746,9 @@ let test_hostile_records () =
           Alcotest.failf "%s: refusal does not name the %s record: %s" row
             record msg
       in
-      match Sd.open_db ~initial_buckets:8 rs with
-      | db -> (
-        match Sd.check db with
+      match open_db rs with
+      | check -> (
+        match check () with
         | Ok () -> ()
         | Error e -> Alcotest.failf "%s: opened, but check fails: %s" row e)
       | exception
@@ -1428,7 +1460,7 @@ module TightLogged = struct
 
   let open_salvage r =
     let t, lost = open_salvage r in
-    Romulus.Engine.configure ~redo_capacity:tight_capacity (engine t);
+    Romulus.Engine.set_redo_capacity (engine t) tight_capacity;
     (t, lost)
 
   let open_region r = fst (open_salvage r)

@@ -182,70 +182,73 @@ let coalesce_prop =
       mark ranges = mark out)
 
 (* Each store marks its line dirty; commit_main write-backs every dirty
-   line exactly once, so a transaction touching few lines issues far
-   fewer pwbs than the seed's pwb-per-store path. *)
+   line exactly once, so a transaction pays one pwb per line it touched,
+   however many stores it issued into that line. *)
 let test_deferred_flush_fewer_pwbs () =
-  let run eager =
-    let r = Pmem.Region.create ~size:(1 lsl 16) () in
-    let e = Romulus.Engine.create ~mode:Romulus.Engine.Logged r in
-    Romulus.Engine.configure ~eager_pwb:eager e;
-    let s = Pmem.Region.stats r in
+  let r = Pmem.Region.create ~size:(1 lsl 16) () in
+  let e = Romulus.Engine.create ~mode:Romulus.Engine.Logged r in
+  let s = Pmem.Region.stats r in
+  let pwbs tx =
     let before = Pmem.Stats.snapshot s in
     Romulus.Engine.begin_tx e;
-    let obj = Romulus.Engine.alloc e 64 in
-    for i = 0 to 7 do
-      Romulus.Engine.store e (obj + (8 * i)) (100 + i)
-    done;
-    Romulus.Engine.set_root e 0 obj;
+    tx ();
     Romulus.Engine.end_tx e;
-    let d = Pmem.Stats.since ~now:s ~past:before in
-    (* same durable result either way *)
-    Pmem.Region.crash r Pmem.Region.Drop_all;
-    Romulus.Engine.recover e;
-    Alcotest.(check int) "durable" 107
-      (Romulus.Engine.load e (Romulus.Engine.get_root e 0 + 56));
-    d.Pmem.Stats.pwbs
+    (Pmem.Stats.since ~now:s ~past:before).Pmem.Stats.pwbs
   in
-  let eager = run true and deferred = run false in
-  if deferred >= eager then
-    Alcotest.failf "deferred flushing issued %d pwbs, eager %d" deferred eager
+  let first =
+    pwbs (fun () ->
+        let obj = Romulus.Engine.alloc e 64 in
+        for i = 0 to 7 do
+          Romulus.Engine.store e (obj + (8 * i)) (100 + i)
+        done;
+        Romulus.Engine.set_root e 0 obj)
+  in
+  Alcotest.(check int) "pwbs of the allocating tx" 12 first;
+  Pmem.Region.crash r Pmem.Region.Drop_all;
+  Romulus.Engine.recover e;
+  Alcotest.(check int) "durable" 107
+    (Romulus.Engine.load e (Romulus.Engine.get_root e 0 + 56));
+  (* differential: eight stores into one line cost what one store does *)
+  let line = Pmem.Region.line_size r in
+  let obj = ref 0 in
+  ignore (pwbs (fun () -> obj := Romulus.Engine.alloc e (2 * line)) : int);
+  let base = (!obj + line - 1) land lnot (line - 1) in
+  let stores n () =
+    for i = 0 to n - 1 do
+      Romulus.Engine.store e (base + (8 * i)) i
+    done
+  in
+  Alcotest.(check int) "8 stores into one line = 1 store" (pwbs (stores 1))
+    (pwbs (stores 8))
 
-(* In Logged mode, replicate does one Region.copy per log entry; after
-   coalescing, adjacent word entries collapse so it does one copy per
-   maximal interval. *)
+(* In Logged mode, replicate coalesces the redo log first: adjacent word
+   entries collapse, so it does one copy per maximal interval. *)
 let test_coalesced_replication_fewer_copies () =
-  let run coalesce =
-    let r = Pmem.Region.create ~size:(1 lsl 16) () in
-    let e = Romulus.Engine.create ~mode:Romulus.Engine.Logged r in
-    Romulus.Engine.configure ~coalesce e;
-    Romulus.Engine.begin_tx e;
-    let obj = Romulus.Engine.alloc e 64 in
-    Romulus.Engine.set_root e 0 obj;
-    Romulus.Engine.end_tx e;
-    let s = Pmem.Region.stats r in
-    let before = Pmem.Stats.snapshot s in
-    Romulus.Engine.begin_tx e;
-    for i = 0 to 7 do
-      Romulus.Engine.store e (obj + (8 * i)) i
-    done;
-    Romulus.Engine.end_tx e;
+  let r = Pmem.Region.create ~size:(1 lsl 16) () in
+  let e = Romulus.Engine.create ~mode:Romulus.Engine.Logged r in
+  Romulus.Engine.begin_tx e;
+  let obj = Romulus.Engine.alloc e 64 in
+  Romulus.Engine.set_root e 0 obj;
+  Romulus.Engine.end_tx e;
+  let s = Pmem.Region.stats r in
+  let before = Pmem.Stats.snapshot s in
+  Romulus.Engine.begin_tx e;
+  for i = 0 to 7 do
+    Romulus.Engine.store e (obj + (8 * i)) i
+  done;
+  Romulus.Engine.end_tx e;
+  Alcotest.(check int) "one copy for the whole interval" 1
     (Pmem.Stats.since ~now:s ~past:before).Pmem.Stats.copy_calls
-  in
-  let raw = run false and coalesced = run true in
-  Alcotest.(check int) "raw: one copy per word entry" 8 raw;
-  Alcotest.(check int) "coalesced: one copy for the whole interval" 1
-    coalesced
 
-(* Crash-point sweep over the commit path in all four write-back/coalesce
-   configurations: whatever the schedule of pwbs and copies, every crash
-   point must recover to either the pre- or post-state. *)
-let test_engine_crash_sweep_config ~eager_pwb ~coalesce () =
+(* Crash-point sweep over the commit path: whatever the schedule of
+   deferred pwbs and coalesced copies, every crash point must recover to
+   either the pre- or post-state. *)
+let test_engine_crash_sweep () =
   let k = ref 0 in
   let completed = ref false in
   while not !completed do
     let r = Pmem.Region.create ~size:(1 lsl 16) () in
     let e = Romulus.Engine.create ~mode:Romulus.Engine.Logged r in
-    Romulus.Engine.configure ~eager_pwb ~coalesce e;
     Romulus.Engine.begin_tx e;
     let obj = Romulus.Engine.alloc e 128 in
     Romulus.Engine.store e obj 1;
@@ -274,7 +277,7 @@ let test_engine_crash_sweep_config ~eager_pwb ~coalesce () =
      | a, b, c ->
        Alcotest.failf "point %d: torn state (%d, %d, %d)" !k a b c);
     incr k;
-    if !k > 20_000 then Alcotest.fail "config crash sweep did not terminate"
+    if !k > 20_000 then Alcotest.fail "commit-path crash sweep did not terminate"
   done
 
 (* ---- Fence profiles ---- *)
@@ -541,14 +544,8 @@ let suite =
       test_deferred_flush_fewer_pwbs;
     tc "engine: coalesced replication issues fewer copies" `Quick
       test_coalesced_replication_fewer_copies;
-    tc "engine: crash sweep (eager, raw)" `Slow
-      (test_engine_crash_sweep_config ~eager_pwb:true ~coalesce:false);
-    tc "engine: crash sweep (eager, coalesced)" `Slow
-      (test_engine_crash_sweep_config ~eager_pwb:true ~coalesce:true);
-    tc "engine: crash sweep (deferred, raw)" `Slow
-      (test_engine_crash_sweep_config ~eager_pwb:false ~coalesce:false);
     tc "engine: crash sweep (deferred, coalesced)" `Slow
-      (test_engine_crash_sweep_config ~eager_pwb:false ~coalesce:true);
+      test_engine_crash_sweep;
     tc "fence: by_name" `Quick test_fence_by_name;
     tc "fence: semantics flags" `Quick test_fence_semantics_flags;
     tc "keygen: deterministic" `Quick test_keygen_deterministic;
