@@ -23,11 +23,67 @@ let threads_axis = function
 
 (* measurement effort *)
 let measure_ops = function Quick -> 2_000 | Full -> 20_000
-let measure_runs = function Quick -> 3 | Full -> 5
 
 let sim_duration_ns = function Quick -> 2e7 | Full -> 2e8
 
 (* ---- output ---- *)
+
+module Json = E2e_bench.Json
+
+(* record fields: a count, and [x] rounded to [d] decimals the way
+   printf's %.*f rounds *)
+let jint n = Json.Num (float_of_int n)
+let jfix d x = Json.Num (float_of_string (Printf.sprintf "%.*f" d x))
+
+(* the shortest decimal that reads back as [f]; JSON has no nan *)
+let json_num f =
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else
+    let rec go p =
+      let s = Printf.sprintf "%.*g" p f in
+      if p >= 17 || float_of_string s = f then s else go (p + 1)
+    in
+    go 1
+
+(* a container of scalars (or of scalar arrays) prints on one line *)
+let json_flat v =
+  let rec scalar = function
+    | Json.Obj _ -> false
+    | Arr l -> List.for_all scalar l
+    | _ -> true
+  in
+  match v with
+  | Json.Obj fs -> List.for_all (fun (_, x) -> scalar x) fs
+  | Arr l -> List.for_all scalar l
+  | _ -> true
+
+let rec json_text indent v =
+  let inner = indent ^ "  " in
+  let block o c items =
+    if json_flat v then o ^ String.concat ", " items ^ c
+    else
+      o ^ "\n"
+      ^ String.concat ",\n" (List.map (( ^ ) inner) items)
+      ^ "\n" ^ indent ^ c
+  in
+  match v with
+  | Json.Num f -> json_num f
+  | Arr l -> block "[" "]" (List.map (json_text inner) l)
+  | Obj fs ->
+    block "{" "}"
+      (List.map
+         (fun (k, x) -> Json.to_string (Str k) ^ ": " ^ json_text inner x)
+         fs)
+  | v -> Json.to_string v
+
+(* A BENCH_*.json record: one member per line down to the rows, each
+   row on one line. *)
+let write_json path v =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (json_text "" v);
+      output_char oc '\n');
+  Printf.printf "wrote %s\n%!" path
 
 (* Smoke runs write their JSON to a temporary file, never over a
    committed BENCH_*.json row, and check only that it has [keys]. *)
@@ -38,10 +94,10 @@ let smoke_json ~name ~keys emit =
     (fun () ->
       emit path;
       let got =
-        match E2e_bench.Json.of_file path with
+        match Json.of_file path with
         | Obj fields -> List.map fst fields
         | _ -> failwith (name ^ ": not a JSON object")
-        | exception E2e_bench.Json.Parse_error e ->
+        | exception Json.Parse_error e ->
           failwith (Printf.sprintf "%s: malformed (%s)" name e)
       in
       if got <> keys then
@@ -80,6 +136,38 @@ let ns v =
   else if v >= 1e6 then Printf.sprintf "%.2fms" (v /. 1e6)
   else if v >= 1e3 then Printf.sprintf "%.2fus" (v /. 1e3)
   else Printf.sprintf "%.0fns" v
+
+(* A record value as tables: an array of rows headed by their field
+   names, an object of containers member by member.  Times (fields with
+   an "ns" part) print as times, throughputs in SI. *)
+let rec json_cell k = function
+  | Json.Num f when List.mem "ns" (String.split_on_char '_' k) -> ns f
+  | Num f when String.starts_with ~prefix:"updates_per_sec" k -> si f
+  | Num f -> json_num f
+  | Str s -> s
+  | Arr l -> String.concat " " (List.map (json_cell k) l)
+  | v -> Json.to_string v
+
+let json_table = function
+  | Json.Obj fs :: _ as l ->
+    let column (k, _) =
+      let c = k :: List.map (fun r -> json_cell k (Json.member k r)) l in
+      let w = List.fold_left (fun w s -> max w (String.length s)) 0 c in
+      List.map (Printf.sprintf "%*s" w) c
+    in
+    let cols = List.map column fs in
+    let line i _ =
+      print_endline (String.concat "  " (List.map (Fun.flip List.nth i) cols))
+    in
+    List.iteri line (List.hd cols)
+  | l -> List.iter (fun v -> print_endline (json_cell "" v)) l
+
+let rec print_json v =
+  match v with
+  | Json.Arr l -> json_table l
+  | Obj fs when not (json_flat v) ->
+    List.iter (fun (k, x) -> Printf.printf "[%s]\n" k; print_json x) fs
+  | v -> json_table [ v ]
 
 (* per-thread think time between operations in the simulator *)
 let think_ns = 25.

@@ -23,18 +23,8 @@ let experiments : (string * string * (Common.scale -> unit)) list =
 let hidden : (string * string * (Common.scale -> unit)) list =
   [ ("scrub_smoke", "media-scrub overhead, tiny parameters (CI smoke)",
      fun _ -> Scrub.smoke ());
-    ("shards_smoke", "shard scaling, tiny parameters (CI smoke)",
-     fun _ -> Shards.smoke ());
-    ("shards_cross", "cross-batch commit-protocol regression check (CI smoke)",
-     fun _ -> Shards.cross_smoke ());
-    ("shards_large", "chunked large-batch regression check (CI smoke)",
-     fun _ -> Shards.large_smoke ());
-    ("shards_elastic", "online split/merge regression check (CI smoke)",
-     fun _ -> Shards.elastic_smoke ());
-    ("shards_health", "fault isolation & self-healing check (CI smoke)",
-     fun _ -> Shards.health_smoke ());
-    ("shards_group", "async group-commit regression check (CI smoke)",
-     fun _ -> Shards.group_smoke ()) ]
+    ("shards_smoke", "every shard section and its checks, tiny (CI smoke)",
+     fun _ -> Shards.smoke ()) ]
 
 let usage () =
   print_endline "usage: main.exe [--full] [EXPERIMENT]...";

@@ -15,26 +15,19 @@
 module P = Romulus.Logged
 module H = Pds.Hash_map.Make (P)
 
-(* [runs] timings of one call: median, fastest and slowest *)
-type timing = { median_ns : float; min_ns : float; max_ns : float }
+let jint, jfix = Common.(jint, jfix)
 
-let timed ~region ~runs f =
+(* [runs] timings of one call: the median, and the record fields
+   [name]_ns (the median), [name]_min_ns and [name]_max_ns *)
+let timed name ~region ~runs f =
   let samples = Workload.Bench_clock.sorted_ns_per_op ~region ~runs ~ops:1 f in
-  { median_ns = List.nth samples (runs / 2);
-    min_ns = List.hd samples;
-    max_ns = List.nth samples (runs - 1) }
+  let median = List.nth samples (runs / 2) in
+  ( median,
+    [ (name ^ "_ns", jfix 1 median);
+      (name ^ "_min_ns", jfix 1 (List.hd samples));
+      (name ^ "_max_ns", jfix 1 (List.nth samples (runs - 1))) ] )
 
-type row = {
-  keys : int;
-  span_bytes : int;
-  lines : int;
-  runs : int;
-  clean : timing;
-  ns_per_line : float;
-  rotten : int;
-  repair : timing;
-}
-
+(* one record row *)
 let measure ~keys ~runs =
   let r = Pmem.Region.create ~size:(1 lsl 21) () in
   let p = P.open_region r in
@@ -51,8 +44,8 @@ let measure ~keys ~runs =
   let span_bytes =
     match P.media_spans p with (_, span) :: _ -> span | [] -> 0
   in
-  let clean =
-    timed ~region:r ~runs (fun () ->
+  let clean_ns, clean =
+    timed "clean_pass" ~region:r ~runs (fun () ->
         ignore (P.scrub p : Romulus.Engine.scrub_report))
   in
   (* rot a spread of main-copy lines, then time the repairing pass *)
@@ -61,68 +54,31 @@ let measure ~keys ~runs =
   let first = (mbase + line_size - 1) / line_size in
   let last = (mbase + mspan - 1) / line_size in
   let rotten = min 32 (last - first + 1) in
-  let repair =
-    timed ~region:r ~runs (fun () ->
+  let _, repair =
+    timed "repair_pass" ~region:r ~runs (fun () ->
         for i = 0 to rotten - 1 do
           Pmem.Region.corrupt_line r
             ~line:(first + (i * (last - first) / max 1 rotten))
         done;
         ignore (P.scrub p : Romulus.Engine.scrub_report))
   in
-  { keys;
-    span_bytes;
-    lines;
-    runs;
-    clean;
-    ns_per_line =
-      (if lines = 0 then nan else clean.median_ns /. float_of_int lines);
-    rotten;
-    repair }
-
-let emit_json ~scale ~path rows =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "{\n";
-  Buffer.add_string b "  \"bench\": \"scrub\",\n";
-  Printf.bprintf b "  \"scale\": \"%s\",\n" scale;
-  Buffer.add_string b "  \"ptm\": \"romL\",\n";
-  Buffer.add_string b "  \"results\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "    {\"keys\": %d, \"span_bytes\": %d, \"lines_scrubbed\": %d, \
-         \"runs\": %d, \"clean_pass_ns\": %.1f, \"clean_pass_min_ns\": %.1f, \
-         \"clean_pass_max_ns\": %.1f, \"ns_per_line\": %.2f, \
-         \"rotten_lines\": %d, \"repair_pass_ns\": %.1f, \
-         \"repair_pass_min_ns\": %.1f, \"repair_pass_max_ns\": %.1f}%s\n"
-        r.keys r.span_bytes r.lines r.runs r.clean.median_ns r.clean.min_ns
-        r.clean.max_ns r.ns_per_line r.rotten r.repair.median_ns
-        r.repair.min_ns r.repair.max_ns
-        (if i = n - 1 then "" else ","))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc b);
-  Printf.printf "wrote %s (%d rows)\n%!" path n
+  let ns_per_line =
+    if lines = 0 then nan else clean_ns /. float_of_int lines
+  in
+  Common.Json.Obj
+    ([ ("keys", jint keys); ("span_bytes", jint span_bytes);
+       ("lines_scrubbed", jint lines); ("runs", jint runs) ]
+    @ clean
+    @ [ ("ns_per_line", jfix 2 ns_per_line); ("rotten_lines", jint rotten) ]
+    @ repair)
 
 let run_rows ~scale ~key_axis ~runs ~path =
   let rows = List.map (fun keys -> measure ~keys ~runs) key_axis in
-  Common.table ~header:"keys"
-    ~cols:[ "span"; "lines"; "clean pass"; "ns/line"; "repair pass" ]
-    ~rows:
-      (List.map
-         (fun r ->
-           ( string_of_int r.keys,
-             [ float_of_int r.span_bytes;
-               float_of_int r.lines;
-               r.clean.median_ns;
-               r.ns_per_line;
-               r.repair.median_ns ] ))
-         rows)
-    Common.si;
-  emit_json ~scale ~path rows
+  Common.print_json (Arr rows);
+  Common.write_json path
+    (Obj
+       [ ("bench", Str "scrub"); ("scale", Str scale); ("ptm", Str "romL");
+         ("results", Arr rows) ])
 
 let run scale =
   Common.section "scrub overhead (RomulusLog, CRC-32 sidecar audit)";

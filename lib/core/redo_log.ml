@@ -37,8 +37,6 @@ let create ?(capacity = default_capacity) () =
   { offs = Array.make 64 0; lens = Array.make 64 0; n = 0; capacity;
     words = Array.make initial_table_size 0; word_count = 0 }
 
-let capacity t = t.capacity
-
 let set_capacity t c =
   if c < 1 then invalid_arg "Redo_log.set_capacity: capacity < 1";
   t.capacity <- c

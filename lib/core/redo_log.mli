@@ -13,8 +13,6 @@ exception Overflow of { capacity : int }
 val create : ?capacity:int -> unit -> t
 val clear : t -> unit
 
-val capacity : t -> int
-
 (** Adjust the entry cap (takes effect on the next {!add}). *)
 val set_capacity : t -> int -> unit
 

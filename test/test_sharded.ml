@@ -760,25 +760,46 @@ let test_hostile_records () =
         Alcotest.failf "%s: untyped %s" row (Printexc.to_string e))
     hostile_rows
 
-(* Reopening a pre-flip crash image (every mirror hooked, no flip)
-   resolves each mirror by presumed abort.  Pinned: the access counts of
-   the reopen, summed over the shards. *)
-let test_preflip_reopen_counts () =
-  let rs = preflip_image () in
+(* the access counts of [f ()] summed over the shards [rs], and its
+   result *)
+let access_counts rs f =
   let past = Array.map (fun r -> Pmem.Stats.snapshot (R.stats r)) rs in
-  let db = Sd.open_db ~initial_buckets:8 rs in
+  let x = f () in
   let st =
     Pmem.Stats.aggregate
       (List.mapi
          (fun i r -> Pmem.Stats.since ~now:(R.stats r) ~past:past.(i))
          (Array.to_list rs))
   in
+  ( Printf.sprintf "loads=%d stores=%d pwbs=%d pfences=%d" st.Pmem.Stats.loads
+      st.stores st.pwbs st.pfences,
+    x )
+
+(* Reopening a pre-flip crash image (every mirror hooked, no flip)
+   resolves each mirror by presumed abort.  Pinned: the access counts of
+   the reopen, summed over the shards. *)
+let test_preflip_reopen_counts () =
+  let rs = preflip_image () in
+  let counts, db =
+    access_counts rs (fun () -> Sd.open_db ~initial_buckets:8 rs)
+  in
   Alcotest.(check bool) "presumed abort" false
     (assert_all_or_nothing "pre-flip reopen" db);
   Alcotest.(check string) "reopen access counts"
-    "loads=398 stores=186 pwbs=97 pfences=9"
-    (Printf.sprintf "loads=%d stores=%d pwbs=%d pfences=%d" st.Pmem.Stats.loads
-       st.stores st.pwbs st.pfences)
+    "loads=398 stores=186 pwbs=97 pfences=9" counts
+
+(* A cross-shard batch over a seeded store reads each key's pre-batch
+   image twice: once to size its admission charge, and again for its
+   mirror just before that participant's PREPARE, so a write made after
+   admission is the image a rollback restores.  Pinned: the access
+   counts of [run_batch], summed over the shards. *)
+let test_batch_counts () =
+  let rs, db = open_sharded () in
+  seed db 12;
+  let counts, () = access_counts rs (fun () -> run_batch db) in
+  Alcotest.(check bool) "applied" true (assert_all_or_nothing "batch" db);
+  Alcotest.(check string) "batch access counts"
+    "loads=307 stores=192 pwbs=111 pfences=12" counts
 
 (* ---- §10 regression: a single-key write racing an aborting batch ----
 
@@ -787,14 +808,18 @@ let test_preflip_reopen_counts () =
    abort) nor recovery (crash) may overwrite it with the stale
    pre-image. *)
 
-let assert_raced_rollback what db =
+let assert_raced_rollback ?(raced = key 1) what db =
   check_ok what db;
   Alcotest.(check (option string)) (what ^ ": racing write survives")
-    (Some "raced") (Sd.get db (key 1));
+    (Some "raced") (Sd.get db raced);
   List.iter
     (fun (k, _) ->
-      if k <> key 1 then begin
-        let want = if k = key 2 then Some (value 2) else None in
+      if k <> raced then begin
+        let want =
+          if k = key 1 then Some (value 1)
+          else if k = key 2 then Some (value 2)
+          else None
+        in
         if Sd.get db k <> want then
           Alcotest.failf "%s: batch key %s not rolled back" what k
       end)
@@ -837,6 +862,51 @@ let test_d_lost_update_crash_recovery () =
   crash_all rs R.Drop_all;
   let db = Sd.open_db ~initial_buckets:8 rs in
   assert_raced_rollback "lost-update (crash recovery)" db;
+  Alcotest.(check int) "mirrors reclaimed" 0 (Sd.pending_intents db)
+
+(* The same race, one step earlier: the put lands on a later
+   participant's key right after the first mirror is hooked, before that
+   participant captures its undo images, so it is not yet pending.  The
+   later mirror must record the raced value as the key's pre-image;
+   then the batch fails at the last participant, by a runtime abort or a
+   crash, and the rollback must restore the raced value. *)
+let early_race db ~fail =
+  let parts = d_participants db in
+  let nparts = List.length parts in
+  let last = List.nth parts (nparts - 1) in
+  let raced, _ =
+    List.find (fun (k, _) -> Sd.shard_of_key db k = last) batch_ops
+  in
+  Fault.arm "sharded.d.mirror_applied" (fun () ->
+      Sd.put db raced "raced";
+      Fault.arm ~skip:(nparts - 2) "sharded.d.mirror_applied" fail);
+  raced
+
+let test_d_early_race_runtime_abort () =
+  with_disarm @@ fun () ->
+  let _, db = open_sharded () in
+  seed db 12;
+  let raced =
+    early_race db ~fail:(fun () -> raise (Fault.Injected "raced"))
+  in
+  (match run_batch db with
+   | () -> Alcotest.fail "injected fault did not surface"
+   | exception Romulus.Engine.Tx_aborted { cause = Fault.Injected _; _ } -> ());
+  assert_raced_rollback ~raced "early race (runtime abort)" db;
+  Alcotest.(check int) "no record left hooked" 0 (Sd.pending_intents db)
+
+let test_d_early_race_crash_recovery () =
+  with_disarm @@ fun () ->
+  let rs, db = open_sharded () in
+  seed db 12;
+  let coord = List.hd (d_participants db) in
+  let raced = early_race db ~fail:(fun () -> R.kill rs.(coord)) in
+  (match run_batch db with
+   | () -> Alcotest.fail "kill did not fire"
+   | exception R.Crash_point -> ());
+  crash_all rs R.Drop_all;
+  let db = Sd.open_db ~initial_buckets:8 rs in
+  assert_raced_rollback ~raced "early race (crash recovery)" db;
   Alcotest.(check int) "mirrors reclaimed" 0 (Sd.pending_intents db)
 
 (* ---- recovery: parallel fan-out, idempotence, crashes within ---- *)
@@ -2944,6 +3014,11 @@ let suite =
         (module Baselines.Redolog); (module Baselines.Undolog) ]
   @ [ tc "hostile records opened or refused by name" `Quick
         test_hostile_records;
-      tc "pre-flip reopen access counts" `Quick test_preflip_reopen_counts ]
+      tc "pre-flip reopen access counts" `Quick test_preflip_reopen_counts;
+      tc "cross-shard batch access counts" `Quick test_batch_counts;
+      tc "decentralized: early race vs runtime abort" `Quick
+        test_d_early_race_runtime_abort;
+      tc "decentralized: early race vs crash recovery" `Quick
+        test_d_early_race_crash_recovery ]
 
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]
