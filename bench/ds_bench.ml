@@ -177,21 +177,6 @@ let calibrate ?(ops = 2_000) t =
    when few readers run, while starving once many do (Figure 7). *)
 let think_of c = Float.max Common.think_ns (0.5 *. c.read_pair_ns)
 
-(* DES cost records for each PTM family, from a calibration *)
-let sim_costs c ~for_model =
-  let open Simsched.Sync_model in
-  match for_model with
-  | `Fc (* rom, romL, romLR *) ->
-    { read_ns = c.read_pair_ns;
-      update_work_ns = c.pair_work_ns;
-      batch_fixed_ns = c.batch_fixed_ns;
-      think_ns = think_of c }
-  | `Single_tx (* mne, pmdk: no combining *) ->
-    { read_ns = c.read_pair_ns;
-      update_work_ns = c.update_pair_ns;
-      batch_fixed_ns = 0.;
-      think_ns = think_of c }
-
 (* Serialized cost of one RMW on a contended cache line (the PMDK
    wrapper's shared reader counter). *)
 let rw_atomic_ns = 40.
@@ -203,21 +188,39 @@ let rw_atomic_ns = 40.
    system. *)
 let stm_commit_serial_ns = 100.
 
-(* the synchronization model each PTM uses, with workload-dependent STM
-   conflict probabilities (DESIGN.md) *)
-let model_for ~ptm ~conflict_p ~read_conflict_p ~costs =
+(* The synchronization model each PTM uses, with its DES costs from a
+   calibration: the flat-combining PTMs (rom, romL, romLR) pay a batch's
+   fixed cost once plus each pair's marginal work, the others one
+   transaction per pair.  [conflict] is the workload's (update, read)
+   STM conflict probability pair (DESIGN.md). *)
+let model ~ptm ~conflict:(conflict_p, read_conflict_p) c =
   let open Simsched.Sync_model in
-  ignore costs;
+  let costs ~work ~fixed =
+    { read_ns = c.read_pair_ns; update_work_ns = work; batch_fixed_ns = fixed;
+      think_ns = think_of c }
+  in
+  let combining = costs ~work:c.pair_work_ns ~fixed:c.batch_fixed_ns
+  and single_tx = costs ~work:c.update_pair_ns ~fixed:0. in
   match ptm with
-  | "rom" | "romL" -> Fc_crwwp
-  | "romLR" -> Fc_left_right
-  | "pmdk" -> Rw_reader_pref { atomic_ns = rw_atomic_ns }
+  | "rom" | "romL" -> (Fc_crwwp, combining)
+  | "romLR" -> (Fc_left_right, combining)
+  | "pmdk" -> (Rw_reader_pref { atomic_ns = rw_atomic_ns }, single_tx)
   | "mne" ->
-    Stm
-      { conflict_p; read_conflict_p;
-        commit_serial_ns = stm_commit_serial_ns }
+    ( Stm
+        { conflict_p; read_conflict_p;
+          commit_serial_ns = stm_commit_serial_ns },
+      single_tx )
   | other -> failwith ("no sync model for " ^ other)
 
-let kind_for = function
-  | "rom" | "romL" | "romLR" -> `Fc
-  | _ -> `Single_tx
+(* The DES thread axis of Figs. 4-7: [readers] and [writers] threads of
+   [ptm] under [calib], as (read TX/s, update TX/s) — one op-pair is two
+   transactions (§6.2). *)
+let simulate ~scale ~seed ~ptm ~conflict calib ~readers ~writers =
+  let model, costs = model ~ptm ~conflict calib in
+  let r =
+    Simsched.Sync_model.run
+      { Simsched.Sync_model.model; costs; readers; writers;
+        duration_ns = Common.sim_duration_ns scale; seed }
+  in
+  ( 2. *. Simsched.Sync_model.reads_per_sec r,
+    2. *. Simsched.Sync_model.updates_per_sec r )

@@ -33,19 +33,6 @@ let structures =
       build = (fun m -> Ds_bench.make_tree m ~fence ~keys ~region_size ());
       conflict = (0.05, 0.005) } ]
 
-let throughput ~scale ~ptm ~costs ~conflict ~readers ~writers =
-  let conflict_p, read_conflict_p = conflict in
-  let model = Ds_bench.model_for ~ptm ~conflict_p ~read_conflict_p ~costs in
-  let c = Ds_bench.sim_costs costs ~for_model:(Ds_bench.kind_for ptm) in
-  let r =
-    Simsched.Sync_model.run
-      { Simsched.Sync_model.model; costs = c; readers; writers;
-        duration_ns = Common.sim_duration_ns scale; seed = 7 }
-  in
-  (* one op-pair = two transactions, as in §6.2 *)
-  ( 2. *. Simsched.Sync_model.reads_per_sec r,
-    2. *. Simsched.Sync_model.updates_per_sec r )
-
 let run scale =
   Common.section
     "Figure 4: throughput on 1,000-key structures (TX/s; measured 1-thread \
@@ -71,8 +58,8 @@ let run scale =
                  List.map
                    (fun (ptm, costs) ->
                      snd
-                       (throughput ~scale ~ptm ~costs ~conflict:s.conflict
-                          ~readers:0 ~writers:n))
+                       (Ds_bench.simulate ~scale ~seed:7 ~ptm
+                          ~conflict:s.conflict costs ~readers:0 ~writers:n))
                    calibrated ))
              threads)
         Common.si;
@@ -86,8 +73,8 @@ let run scale =
                  List.map
                    (fun (ptm, costs) ->
                      fst
-                       (throughput ~scale ~ptm ~costs ~conflict:s.conflict
-                          ~readers:n ~writers:0))
+                       (Ds_bench.simulate ~scale ~seed:7 ~ptm
+                          ~conflict:s.conflict costs ~readers:n ~writers:0))
                    calibrated ))
              threads)
         Common.si)

@@ -15,16 +15,11 @@ let ptms = [ "romL"; "mne"; "pmdk" ]
 let fence = Pmem.Fence.stt
 let conflict = (0.01, 0.001) (* no shared counter: conflicts are rare *)
 
-let updates_per_sec ~scale ~ptm ~costs n =
-  let conflict_p, read_conflict_p = conflict in
-  let model = Ds_bench.model_for ~ptm ~conflict_p ~read_conflict_p ~costs in
-  let c = Ds_bench.sim_costs costs ~for_model:(Ds_bench.kind_for ptm) in
-  let r =
-    Simsched.Sync_model.run
-      { Simsched.Sync_model.model; costs = c; readers = 0; writers = n;
-        duration_ns = Common.sim_duration_ns scale; seed = 11 }
-  in
-  Simsched.Sync_model.updates_per_sec r
+(* update TX/s of [n] writers *)
+let updates ~scale ~ptm calib n =
+  snd
+    (Ds_bench.simulate ~scale ~seed:11 ~ptm ~conflict calib ~readers:0
+       ~writers:n)
 
 let run scale =
   Common.section
@@ -45,13 +40,12 @@ let run scale =
           ptms
       in
       let baseline =
-        let pmdk = List.assoc "pmdk" calibrated in
-        updates_per_sec ~scale ~ptm:"pmdk" ~costs:pmdk 1
+        updates ~scale ~ptm:"pmdk" (List.assoc "pmdk" calibrated) 1
       in
       Common.subsection
         (Printf.sprintf "%d-byte values (speedup vs PMDK@1 = %s TX/s)"
            value_bytes
-           (Common.si (2. *. baseline)));
+           (Common.si baseline));
       Common.table ~header:"threads" ~cols:ptms
         ~rows:
           (List.map
@@ -59,8 +53,8 @@ let run scale =
                ( string_of_int n,
                  List.map
                    (fun ptm ->
-                     let costs = List.assoc ptm calibrated in
-                     updates_per_sec ~scale ~ptm ~costs n /. baseline)
+                     updates ~scale ~ptm (List.assoc ptm calibrated) n
+                     /. baseline)
                    ptms ))
              threads)
         (fun v -> Printf.sprintf "%.2f" v))

@@ -18,17 +18,6 @@ let sizes = function
 
 let region_size_for keys = (keys * 128) + (1 lsl 23)
 
-let updates_per_sec ~scale ~ptm ~costs n =
-  let conflict_p, read_conflict_p = conflict in
-  let model = Ds_bench.model_for ~ptm ~conflict_p ~read_conflict_p ~costs in
-  let c = Ds_bench.sim_costs costs ~for_model:(Ds_bench.kind_for ptm) in
-  let r =
-    Simsched.Sync_model.run
-      { Simsched.Sync_model.model; costs = c; readers = 0; writers = n;
-        duration_ns = Common.sim_duration_ns scale; seed = 13 }
-  in
-  2. *. Simsched.Sync_model.updates_per_sec r
-
 let run scale =
   Common.section
     "Figure 6: resizable hash map, update-only, growing key counts (TX/s)";
@@ -57,8 +46,9 @@ let run scale =
                ( string_of_int n,
                  List.map
                    (fun ptm ->
-                     updates_per_sec ~scale ~ptm
-                       ~costs:(List.assoc ptm calibrated) n)
+                     snd
+                       (Ds_bench.simulate ~scale ~seed:13 ~ptm ~conflict
+                          (List.assoc ptm calibrated) ~readers:0 ~writers:n))
                    ptms ))
              threads)
         Common.si)

@@ -8,18 +8,6 @@ let keys = 1_000
 let conflict = (1.0, 0.02)
 let fence = Pmem.Fence.stt
 
-let rates ~scale ~ptm ~costs ~readers ~writers =
-  let conflict_p, read_conflict_p = conflict in
-  let model = Ds_bench.model_for ~ptm ~conflict_p ~read_conflict_p ~costs in
-  let c = Ds_bench.sim_costs costs ~for_model:(Ds_bench.kind_for ptm) in
-  let r =
-    Simsched.Sync_model.run
-      { Simsched.Sync_model.model; costs = c; readers; writers;
-        duration_ns = Common.sim_duration_ns scale; seed = 17 }
-  in
-  ( 2. *. Simsched.Sync_model.reads_per_sec r,
-    2. *. Simsched.Sync_model.updates_per_sec r )
-
 let run scale =
   Common.section "Figure 7: read-dominated workloads, 1,000-key hash map";
   let threads = Common.threads_axis scale in
@@ -45,8 +33,8 @@ let run scale =
                List.map
                  (fun ptm ->
                    pick
-                     (rates ~scale ~ptm ~costs:(List.assoc ptm calibrated)
-                        ~readers:n ~writers))
+                     (Ds_bench.simulate ~scale ~seed:17 ~ptm ~conflict
+                        (List.assoc ptm calibrated) ~readers:n ~writers))
                  names ))
            threads)
       Common.si

@@ -67,7 +67,7 @@ type t = {
   tainted : Bytes.t;
   stats : Stats.t;
   mutable media_checks : bool;
-  mutable fence : Fence.profile;
+  fence : Fence.profile;
   mutable trap : int; (* -1 = disabled *)
   mutable dead : bool;
 }
@@ -99,7 +99,6 @@ let size t = Bytes.length t.vol
 let line_size t = t.line
 let stats t = t.stats
 let fence_profile t = t.fence
-let set_fence_profile t p = t.fence <- p
 
 let set_trap t k = t.trap <- k
 let clear_trap t = t.trap <- -1
@@ -339,11 +338,6 @@ let crash t policy =
   t.dead <- false
 
 let unpersisted_lines t = Line_set.cardinal t.lines
-
-(* Test-only peek at the persistent image. *)
-let persistent_load t off =
-  check_range t off 8 "persistent_load";
-  Int64.to_int (Bytes.get_int64_le t.per off)
 
 (* Test-only copy of the whole persistent image (recovery-idempotence
    checks compare these byte for byte). *)

@@ -52,7 +52,6 @@ val size : t -> int
 val line_size : t -> int
 val stats : t -> Stats.t
 val fence_profile : t -> Fence.profile
-val set_fence_profile : t -> Fence.profile -> unit
 
 (** Arm the crash trap: the [k]-th subsequent persistence-relevant
     primitive (store / pwb / pfence / psync / copy) raises {!Crash_point}
@@ -101,9 +100,6 @@ val crash : t -> policy -> unit
 
 (** Number of lines whose volatile and persistent copies may differ. *)
 val unpersisted_lines : t -> int
-
-(** Test-only: read a word from the persistent image. *)
-val persistent_load : t -> int -> int
 
 (** Test-only: a copy of the whole persistent image, for byte-identical
     comparisons (e.g. recovery idempotence). *)

@@ -1,8 +1,9 @@
 (* A small discrete-event simulator: a binary min-heap of timestamped
    events with a deterministic PRNG.  Used to extrapolate multi-thread
-   throughput figures from measured single-thread costs — this container
-   has one CPU, so the paper's 64-thread scalability shapes cannot be
-   reproduced with wall-clock runs (see DESIGN.md).
+   throughput figures from measured single-thread costs — the
+   measurement host has 2 shared vCPUs ([nproc] = 2), so the paper's
+   64-thread scalability shapes cannot be reproduced with wall-clock runs
+   (see DESIGN.md).
 
    Events scheduled at equal times fire in scheduling order (a sequence
    number breaks ties), which keeps runs fully deterministic. *)

@@ -1,7 +1,7 @@
 (** Discrete-event simulator: a timestamped event queue with a
     deterministic PRNG, used to extrapolate multi-thread throughput from
-    measured single-thread costs (this container has one CPU core; see
-    DESIGN.md). *)
+    measured single-thread costs (the measurement host has 2 shared
+    vCPUs, [nproc] = 2; see DESIGN.md). *)
 
 type t
 

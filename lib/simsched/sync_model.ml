@@ -1,18 +1,20 @@
 (* Synchronization models for the throughput extrapolation (DESIGN.md):
-   virtual threads execute a closed loop of operations whose costs were
-   measured from the real single-threaded code; each model reproduces the
-   blocking/aggregation/abort semantics of one PTM family.
+   virtual threads execute a closed loop of operations ([simulate])
+   whose costs were measured from the real single-threaded code; each
+   model reproduces the blocking/aggregation/abort semantics of one PTM
+   family.  sync_model.mli documents each model's parameters.
 
    - Fc_crwwp: flat combining + C-RW-WP writer-preference lock
-     (Romulus, RomulusLog).  One combiner executes the whole queue of
-     pending updates in a single durable transaction: batch cost =
-     batch_fixed + B * update_work.  Readers step aside for writers.
-   - Fc_left_right: same single combiner, but readers never block; the
+     (Romulus, RomulusLog), one combiner [station].  The combiner
+     executes the whole queue of pending updates in a single durable
+     transaction: batch cost = batch_fixed + B * update_work.  Readers
+     step aside for writers.
+   - Fc_left_right: the same station, but readers never block; the
      writer pays up to one read duration per toggle (twice per batch) to
      drain readers (RomulusLR).
-   - Fc_sharded: N independent Fc_crwwp instances, one per hash shard
-     of the sharded store.  Each operation routes to a uniformly random
-     shard, so single-key updates on different shards combine and commit
+   - Fc_sharded: one C-RW-WP station per hash shard of the sharded
+     store.  Each operation routes to a uniformly random shard, so
+     single-key updates on different shards combine and commit
      concurrently.  A cross-shard batch (probability cross_p) follows
      the store's commit protocol: the per-shard intent mirrors are
      written *concurrently* (each participant's mirror+apply is one
@@ -21,6 +23,8 @@
      there — stale records are reclaimed inside later protocol
      transactions at no extra slot.  The chain carries a fixed cost
      (payload encoding, undo capture) and counts as one update.
+   - Fc_group: the group-commit front-end's submission queues, drained
+     in windows settled as one engine round each.
    - Rw_reader_pref: a plain reader-preference RW lock, one transaction
      per lock acquisition (the paper's PMDK setup).  Writers wait for a
      moment with zero active readers, which becomes rarer as readers are
@@ -36,10 +40,10 @@
    permanently, when in reality writers slip in during the gaps. *)
 
 type costs = {
-  read_ns : float;         (* one read-only transaction *)
-  update_work_ns : float;  (* in-transaction cost of one update *)
-  batch_fixed_ns : float;  (* per-transaction fixed cost (fences, sync) *)
-  think_ns : float;        (* gap between operations of a thread *)
+  read_ns : float;
+  update_work_ns : float;
+  batch_fixed_ns : float;
+  think_ns : float;
 }
 
 type large_batch = {
@@ -49,25 +53,12 @@ type large_batch = {
   streamed : bool;
 }
 
-(* Background shard migration: an intent tx through shard 0, then
-   [move_batches] dependent source-tx/target-tx pairs (the target is an
-   extra combiner carrying no foreground traffic), then the epoch-flip
-   tx through shard 0 — the move stream rides the ordinary combiner
-   queues, so foreground load on the source pays the occupancy. *)
 type resize = {
   move_batches : int;
   move_tx_ns : float;
   start_frac : float;
 }
 
-(* How the group-commit front-end acknowledges a submission (Fc_group).
-   Ack_sync is the per-transaction baseline: the submitter blocks and
-   every logical transaction is settled in its own engine round, so
-   every committer pays the full fence budget alone — "today's"
-   serving path.  Ack_batch_txs/Ack_async let the submitter continue
-   after enqueue; the queue drains in windows, amortizing one fence
-   sequence (and, on the cross queue, one shared intent record) over
-   the whole group. *)
 type group_ack =
   | Ack_sync
   | Ack_batch_txs of int
@@ -79,52 +70,22 @@ type model =
   | Fc_sharded of {
       shards : int;
       cross_p : float;
-      (** probability that a writer's operation is a cross-shard batch
-          (two participating shards) rather than a single-key update *)
       intent_fixed_ns : float;
-      (** serialized extra cost of the commit protocol's bookkeeping:
-          payload encoding, undo capture, record management — measured
-          by the bench calibration *)
       large : large_batch option;
-      (** multi-chunk payload element: with probability [large_p] a
-          cross-shard batch carries [chunks] chunk transactions per
-          participant, [chunk_tx_ns] each.  [streamed] runs them as
-          separate dependent combiner slots (the chunked PREPARE
-          chain); otherwise the whole payload holds one monolithic
-          combiner slot and everything queued behind it waits *)
       resize : resize option;
-      (** background online shard migration through the combiners *)
     }
   | Fc_group of {
       shards : int;
       window : int;
-      (** max logical transactions coalesced into one engine round *)
       ack : group_ack;
       cross_p : float;
-      (** probability a submission is a cross-shard batch, routed to the
-          shared cross queue instead of a per-shard queue *)
       intent_fixed_ns : float;
-      (** serialized bookkeeping of one shared intent record (paid once
-          per cross-queue drain, not once per merged batch) *)
     }
-    (** the group-commit front-end over the sharded store: per-shard
-        submission queues plus one cross-shard queue, each drained in
-        windows of up to [window] logical transactions settled as one
-        engine round — batch_fixed (the fence sequence) is paid per
-        round, update_work per logical transaction.  A cross-queue
-        round pays one mirror transaction per participant (modeled as
-        two) and one coordinator flip for the whole merged group. *)
   | Rw_reader_pref of { atomic_ns : float }
-    (** [atomic_ns]: serialized cost of one RMW on the lock's shared
-        reader counter — the cache line bounces between cores, so total
-        read throughput saturates near [1 / (2 * atomic_ns)] regardless
-        of the thread count (every read does arrive + depart). *)
   | Stm of {
       conflict_p : float;
       read_conflict_p : float;
       commit_serial_ns : float;
-      (** durable-commit section (log persist + write-back + fences),
-          serialized over the shared persistent log *)
     }
 
 type config = {
@@ -155,200 +116,200 @@ let updates_per_sec r = float_of_int r.updates_done /. (r.elapsed_ns *. 1e-9)
 let ops_per_sec r =
   float_of_int (r.reads_done + r.updates_done) /. (r.elapsed_ns *. 1e-9)
 
-(* ---- Flat combining + C-RW-WP / Left-Right ---- *)
+(* ---- the closed loop every model runs ---- *)
 
-let run_fc ~left_right cfg =
-  let sim = Des.create ~seed:cfg.seed () in
-  let c = cfg.costs in
-  let reads_done = ref 0 and updates_done = ref 0 in
-  (* lock state *)
-  let combiner_active = ref false in
-  let writer_pending = ref false in
-  let readers_active = ref 0 in
-  let pending_updates = Queue.create () in (* completion callbacks *)
-  let waiting_readers = Queue.create () in
-  let rec try_start_batch () =
-    if (not !combiner_active) && not (Queue.is_empty pending_updates) then begin
-      if left_right then start_batch ()
-      else begin
-        (* C-RW-WP: the writer first drains the readers *)
-        writer_pending := true;
-        if !readers_active = 0 then start_batch ()
-        (* else: the last departing reader calls [reader_departed] *)
-      end
-    end
-  and start_batch () =
-    combiner_active := true;
-    writer_pending := false;
-    let batch = Queue.create () in
-    Queue.transfer pending_updates batch;
-    let b = float_of_int (Queue.length batch) in
-    let drain =
-      (* LR waits out the readers on each of its two toggles; readers all
-         run for read_ns, so a full drain costs at most one read *)
-      if left_right && !readers_active > 0 then 2. *. c.read_ns else 0.
-    in
-    let cost = c.batch_fixed_ns +. (b *. c.update_work_ns) +. drain in
-    Des.schedule sim cost (fun () ->
-        Queue.iter
-          (fun finish ->
-            incr updates_done;
-            finish ())
-          batch;
-        combiner_active := false;
-        (* release blocked readers *)
-        Queue.iter (fun resume -> resume ()) waiting_readers;
-        Queue.clear waiting_readers;
-        try_start_batch ())
-  and reader_departed () =
-    readers_active := !readers_active - 1;
-    if !readers_active = 0 && !writer_pending && not !combiner_active then
-      start_batch ()
-  in
-  let rec reader_loop () =
-    Des.schedule sim (jitter sim c.think_ns) (fun () ->
-        if left_right then begin
-          (* wait-free: never blocks *)
-          readers_active := !readers_active + 1;
-          Des.schedule sim c.read_ns (fun () ->
-              incr reads_done;
-              readers_active := !readers_active - 1;
-              reader_loop ())
-        end
-        else if !combiner_active || !writer_pending then
-          (* writer preference: stand aside until the writer releases *)
-          Queue.add
-            (fun () ->
-              readers_active := !readers_active + 1;
-              Des.schedule sim c.read_ns (fun () ->
-                  incr reads_done;
-                  reader_departed ();
-                  reader_loop ()))
-            waiting_readers
-        else begin
-          readers_active := !readers_active + 1;
-          Des.schedule sim c.read_ns (fun () ->
-              incr reads_done;
-              reader_departed ();
-              reader_loop ())
-        end)
-  in
-  let rec writer_loop () =
-    Des.schedule sim (jitter sim c.think_ns) (fun () ->
-        Queue.add (fun () -> writer_loop ()) pending_updates;
-        try_start_batch ())
-  in
+(* One simulation run: the simulator, the costs, and the counters the
+   models' thread loops feed. *)
+type loop = {
+  sim : Des.t;
+  c : costs;
+  mutable reads : int;
+  mutable updates : int;
+  (* single-key update completion latency (submission to durable
+     finish), for the models that track it *)
+  mutable small_n : int;
+  mutable small_sum : float;
+  mutable small_max : float;
+}
+
+let loop cfg =
+  { sim = Des.create ~seed:cfg.seed (); c = cfg.costs; reads = 0;
+    updates = 0; small_n = 0; small_sum = 0.; small_max = 0. }
+
+(* one completed single-key update submitted at [t0] *)
+let small_done l t0 =
+  let lat = Des.now l.sim -. t0 in
+  l.small_n <- l.small_n + 1;
+  l.small_sum <- l.small_sum +. lat;
+  if lat > l.small_max then l.small_max <- lat
+
+(* a thread's jittered gap before its next operation *)
+let after_think l f = Des.schedule l.sim (jitter l.sim l.c.think_ns) f
+
+(* The delay until one [d]-long use of a serialized resource completes
+   — the resource is busy until [!free] — reserving it for that use. *)
+let serial_use l free d =
+  let start = max (Des.now l.sim) !free in
+  let finish = start +. d in
+  free := finish;
+  finish -. Des.now l.sim
+
+(* a uniformly random shard out of [shards] *)
+let pick_shard l shards =
+  min (shards - 1) (int_of_float (Des.random l.sim *. float_of_int shards))
+
+(* Start [cfg.readers] reader threads, then [cfg.writers] writer
+   threads, then the optional [background] job, and run the clock to the
+   horizon. *)
+let simulate ?(background = ignore) cfg l ~reader ~writer =
   for _ = 1 to cfg.readers do
-    reader_loop ()
+    reader ()
   done;
   for _ = 1 to cfg.writers do
-    writer_loop ()
+    writer ()
   done;
-  Des.run sim ~until:cfg.duration_ns;
-  { reads_done = !reads_done; updates_done = !updates_done;
-    elapsed_ns = cfg.duration_ns; small_mean_ns = 0.; small_max_ns = 0. }
+  background ();
+  Des.run l.sim ~until:cfg.duration_ns;
+  { reads_done = l.reads; updates_done = l.updates;
+    elapsed_ns = cfg.duration_ns;
+    small_mean_ns =
+      (if l.small_n = 0 then 0. else l.small_sum /. float_of_int l.small_n);
+    small_max_ns = l.small_max }
+
+(* ---- the flat-combining station (Fc_crwwp/_left_right/_sharded) ---- *)
+
+(* One combiner lock with its queue of pending requests.  A request is
+   (extra_ns, finish): extra_ns is payload work beyond the uniform
+   per-update cost, and [finish] runs once the combiner has durably
+   applied it.  The combiner executes the whole queue as one batch
+   costing batch_fixed + B * update_work + the extras.  Under C-RW-WP the
+   combiner first drains the readers, and arriving readers stand aside
+   until it releases; under Left-Right ([lr]) readers never block and
+   the combiner instead waits them out on each of its two toggles —
+   readers all run for read_ns, so a full drain costs at most one read
+   per toggle. *)
+type station = {
+  l : loop;
+  lr : bool;
+  mutable combiner_active : bool;
+  mutable writer_pending : bool;  (* never set under Left-Right *)
+  mutable readers_active : int;
+  pending : (float * (unit -> unit)) Queue.t;
+  waiting_readers : (unit -> unit) Queue.t;
+}
+
+let station l ~lr =
+  { l; lr; combiner_active = false; writer_pending = false;
+    readers_active = 0; pending = Queue.create ();
+    waiting_readers = Queue.create () }
+
+let rec try_start_batch st =
+  if (not st.combiner_active) && not (Queue.is_empty st.pending) then begin
+    if st.lr then start_batch st
+    else begin
+      st.writer_pending <- true;
+      if st.readers_active = 0 then start_batch st
+      (* else: the last departing reader starts it *)
+    end
+  end
+
+and start_batch st =
+  let c = st.l.c in
+  st.combiner_active <- true;
+  st.writer_pending <- false;
+  let batch = Queue.create () in
+  Queue.transfer st.pending batch;
+  let b = float_of_int (Queue.length batch) in
+  let extra = Queue.fold (fun acc (e, _) -> acc +. e) 0. batch in
+  let drain =
+    if st.lr && st.readers_active > 0 then 2. *. c.read_ns else 0.
+  in
+  let cost = c.batch_fixed_ns +. (b *. c.update_work_ns) +. extra +. drain in
+  Des.schedule st.l.sim cost (fun () ->
+      Queue.iter (fun (_, finish) -> finish ()) batch;
+      st.combiner_active <- false;
+      (* release the readers that stood aside *)
+      Queue.iter (fun resume -> resume ()) st.waiting_readers;
+      Queue.clear st.waiting_readers;
+      try_start_batch st)
+
+let reader_departed st =
+  st.readers_active <- st.readers_active - 1;
+  if st.readers_active = 0 && st.writer_pending && not st.combiner_active
+  then start_batch st
+
+(* one read-only transaction at [st]; [k] runs once it has completed *)
+let read st k =
+  let start () =
+    st.readers_active <- st.readers_active + 1;
+    Des.schedule st.l.sim st.l.c.read_ns (fun () ->
+        st.l.reads <- st.l.reads + 1;
+        reader_departed st;
+        k ())
+  in
+  if (not st.lr) && (st.combiner_active || st.writer_pending) then
+    Queue.add start st.waiting_readers
+  else start ()
+
+(* enqueue one request on [st]; [finish] runs when it is durable *)
+let submit ?(extra = 0.) st finish =
+  Queue.add (extra, finish) st.pending;
+  try_start_batch st
+
+(* ---- flat combining + C-RW-WP / Left-Right (one station) ---- *)
+
+let run_fc ~lr cfg =
+  let l = loop cfg in
+  let st = station l ~lr in
+  let rec reader () = after_think l (fun () -> read st reader) in
+  let rec writer () =
+    after_think l (fun () ->
+        submit st (fun () ->
+            l.updates <- l.updates + 1;
+            writer ()))
+  in
+  simulate cfg l ~reader ~writer
 
 (* ---- sharded flat combining (Sharded_db) ---- *)
 
-(* N independent Fc_crwwp instances.  Single-key operations route to a
-   uniformly random shard and follow exactly the run_fc machinery, just
-   per shard.  A cross-shard batch is a dependency graph of sub-requests,
-   each riding the target shard's ordinary combining queue, plus
-   [intent_fixed_ns] of serialized protocol bookkeeping (the graph is
-   the commit protocol's, see the header).  The whole graph counts as
-   one update. *)
+(* One station per shard.  Single-key operations route to a uniformly
+   random shard.  A cross-shard batch is a dependency graph of
+   sub-requests, each riding the target shard's ordinary combining
+   queue, plus [intent_fixed_ns] of serialized protocol bookkeeping (the
+   graph is the commit protocol's, see the header).  The whole graph
+   counts as one update.  A resize adds one more station: the migration
+   target's combiner, which takes no foreground traffic during the
+   stream. *)
 let run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~large ~resize cfg =
   if shards < 1 then invalid_arg "Sync_model: shards < 1";
-  let sim = Des.create ~seed:cfg.seed () in
-  let c = cfg.costs in
-  let reads_done = ref 0 and updates_done = ref 0 in
-  (* single-key update completion latency (submission to durable finish):
-     the figure the streamed-vs-monolithic large-batch ablation is about *)
-  let small_n = ref 0 in
-  let small_sum = ref 0. in
-  let small_max = ref 0. in
-  (* per-shard C-RW-WP + flat-combining state; a pending sub-request is
-     (extra_ns, finish) — extra_ns is payload work beyond the uniform
-     per-update cost (chunk streaming, monolithic payloads).  A resize
-     adds one more station: the migration target's combiner, which takes
-     no foreground traffic during the stream. *)
+  let l = loop cfg in
+  let sim = l.sim in
   let stations = shards + (match resize with Some _ -> 1 | None -> 0) in
-  let combiner_active = Array.make stations false in
-  let writer_pending = Array.make stations false in
-  let readers_active = Array.make stations 0 in
-  let pending = Array.init stations (fun _ -> Queue.create ()) in
-  let waiting_readers = Array.init stations (fun _ -> Queue.create ()) in
-  let rec try_start_batch s =
-    if (not combiner_active.(s)) && not (Queue.is_empty pending.(s)) then begin
-      writer_pending.(s) <- true;
-      if readers_active.(s) = 0 then start_batch s
-      (* else: the last departing reader calls [reader_departed] *)
-    end
-  and start_batch s =
-    combiner_active.(s) <- true;
-    writer_pending.(s) <- false;
-    let batch = Queue.create () in
-    Queue.transfer pending.(s) batch;
-    let b = float_of_int (Queue.length batch) in
-    let extra = Queue.fold (fun acc (e, _) -> acc +. e) 0. batch in
-    let cost = c.batch_fixed_ns +. (b *. c.update_work_ns) +. extra in
-    Des.schedule sim cost (fun () ->
-        Queue.iter (fun (_, finish) -> finish ()) batch;
-        combiner_active.(s) <- false;
-        Queue.iter (fun resume -> resume ()) waiting_readers.(s);
-        Queue.clear waiting_readers.(s);
-        try_start_batch s)
-  and reader_departed s =
-    readers_active.(s) <- readers_active.(s) - 1;
-    if readers_active.(s) = 0 && writer_pending.(s)
-       && not combiner_active.(s)
-    then start_batch s
-  in
-  (* enqueue one sub-request on shard [s]; [finish] runs when the shard's
-     combiner has durably applied it *)
-  let submit ?(extra = 0.) s finish =
-    Queue.add (extra, finish) pending.(s);
-    try_start_batch s
-  in
+  let st = Array.init stations (fun _ -> station l ~lr:false) in
   (* one participant's PREPARE when the batch carries a large payload:
      streamed — [chunks] dependent combiner slots, one chunk each, so
      other requests on the shard interleave between them (the last slot
      is the seal+apply); monolithic — the whole payload holds a single
      slot and everything queued behind it waits the payload out *)
-  let prepare_large l s k =
-    if l.streamed then begin
+  let prepare_large lb s k =
+    if lb.streamed then begin
       let rec chain n =
         if n = 0 then k ()
-        else submit ~extra:l.chunk_tx_ns s (fun () -> chain (n - 1))
+        else submit ~extra:lb.chunk_tx_ns st.(s) (fun () -> chain (n - 1))
       in
-      chain l.chunks
+      chain lb.chunks
     end
     else
-      submit ~extra:(float_of_int l.chunks *. l.chunk_tx_ns) s (fun () ->
-          k ())
+      submit ~extra:(float_of_int lb.chunks *. lb.chunk_tx_ns) st.(s) k
   in
-  let pick_shard () =
-    min (shards - 1) (int_of_float (Des.random sim *. float_of_int shards))
+  let rec reader () =
+    after_think l (fun () -> read st.(pick_shard l shards) reader)
   in
-  let rec reader_loop () =
-    Des.schedule sim (jitter sim c.think_ns) (fun () ->
-        let s = pick_shard () in
-        if combiner_active.(s) || writer_pending.(s) then
-          (* writer preference: stand aside until the combiner releases *)
-          Queue.add (fun () -> start_read s) waiting_readers.(s)
-        else start_read s)
-  and start_read s =
-    readers_active.(s) <- readers_active.(s) + 1;
-    Des.schedule sim c.read_ns (fun () ->
-        incr reads_done;
-        reader_departed s;
-        reader_loop ())
-  in
-  let rec writer_loop () =
-    Des.schedule sim (jitter sim c.think_ns) (fun () ->
+  let rec writer () =
+    after_think l (fun () ->
         if shards > 1 && cross_p > 0. && Des.random sim < cross_p then begin
           (* cross-shard batch over two distinct shards *)
-          let a = pick_shard () in
+          let a = pick_shard l shards in
           let b =
             (a + 1
              + min (shards - 2)
@@ -357,22 +318,22 @@ let run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~large ~resize cfg =
           in
           let finish () =
             Des.schedule sim intent_fixed_ns (fun () ->
-                incr updates_done;
-                writer_loop ())
+                l.updates <- l.updates + 1;
+                writer ())
           in
           (* the payload size is a property of the batch, not of one
              participant: decide once *)
           let batch_large =
             match large with
-            | Some l when l.large_p > 0. && Des.random sim < l.large_p ->
-              Some l
+            | Some lb when lb.large_p > 0. && Des.random sim < lb.large_p ->
+              Some lb
             | _ -> None
           in
           let coord = min a b in
           let prepare s k =
             match batch_large with
-            | Some l -> prepare_large l s k
-            | None -> submit s (fun () -> k ())
+            | Some lb -> prepare_large lb s k
+            | None -> submit st.(s) k
           in
           (* mirrors+applies run concurrently, one tx per participant (a
              chain of chunk transactions when the batch is large and
@@ -381,54 +342,41 @@ let run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~large ~resize cfg =
           let left = ref 2 in
           let mirror_done () =
             decr left;
-            if !left = 0 then submit coord finish
+            if !left = 0 then submit st.(coord) finish
           in
           prepare a mirror_done;
           prepare b mirror_done
         end
         else begin
           let t0 = Des.now sim in
-          submit (pick_shard ()) (fun () ->
-              let lat = Des.now sim -. t0 in
-              incr small_n;
-              small_sum := !small_sum +. lat;
-              if lat > !small_max then small_max := lat;
-              incr updates_done;
-              writer_loop ())
+          submit st.(pick_shard l shards) (fun () ->
+              small_done l t0;
+              l.updates <- l.updates + 1;
+              writer ())
         end)
   in
-  for _ = 1 to cfg.readers do
-    reader_loop ()
-  done;
-  for _ = 1 to cfg.writers do
-    writer_loop ()
-  done;
   (* the background migration: intent on shard 0, a dependent chain of
      source-tx/target-tx move pairs (source is shard 0, the protocol
      anchor; the target is the extra station), and the epoch flip back
      through shard 0 — every slot queued like any other request, which
      is exactly why foreground throughput dips while the stream runs *)
-  (match resize with
-   | None -> ()
-   | Some r ->
-     if r.move_batches < 0 then invalid_arg "Sync_model: move_batches < 0";
-     let tgt = shards in
-     Des.schedule sim (r.start_frac *. cfg.duration_ns) (fun () ->
-         submit 0 (fun () ->
-             let rec move n =
-               if n = 0 then submit 0 (fun () -> ())
-               else
-                 submit ~extra:r.move_tx_ns 0 (fun () ->
-                     submit ~extra:r.move_tx_ns tgt (fun () ->
-                         move (n - 1)))
-             in
-             move r.move_batches)));
-  Des.run sim ~until:cfg.duration_ns;
-  { reads_done = !reads_done; updates_done = !updates_done;
-    elapsed_ns = cfg.duration_ns;
-    small_mean_ns =
-      (if !small_n = 0 then 0. else !small_sum /. float_of_int !small_n);
-    small_max_ns = !small_max }
+  let background () =
+    match resize with
+    | None -> ()
+    | Some r ->
+      if r.move_batches < 0 then invalid_arg "Sync_model: move_batches < 0";
+      let src = st.(0) and tgt = st.(shards) in
+      Des.schedule sim (r.start_frac *. cfg.duration_ns) (fun () ->
+          submit src (fun () ->
+              let rec move n =
+                if n = 0 then submit src ignore
+                else
+                  submit ~extra:r.move_tx_ns src (fun () ->
+                      submit ~extra:r.move_tx_ns tgt (fun () -> move (n - 1)))
+              in
+              move r.move_batches))
+  in
+  simulate ~background cfg l ~reader ~writer
 
 (* ---- group-commit front-end (Group_commit over Sharded_db) ---- *)
 
@@ -448,10 +396,8 @@ let run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~large ~resize cfg =
 let run_fc_group ~shards ~window ~ack ~cross_p ~intent_fixed_ns cfg =
   if shards < 1 then invalid_arg "Sync_model: shards < 1";
   if window < 1 then invalid_arg "Sync_model: window < 1";
-  let sim = Des.create ~seed:cfg.seed () in
-  let c = cfg.costs in
-  let reads_done = ref 0 and updates_done = ref 0 in
-  let small_n = ref 0 and small_sum = ref 0. and small_max = ref 0. in
+  let l = loop cfg in
+  let sim = l.sim and c = l.c in
   let stations = shards + 1 in
   let cross = shards in
   let take_sz, threshold =
@@ -483,13 +429,8 @@ let run_fc_group ~shards ~window ~ack ~cross_p ~intent_fixed_ns cfg =
       Des.schedule sim cost (fun () ->
           Array.iter
             (fun (t0, finish) ->
-              incr updates_done;
-              if s <> cross then begin
-                let lat = Des.now sim -. t0 in
-                incr small_n;
-                small_sum := !small_sum +. lat;
-                if lat > !small_max then small_max := lat
-              end;
+              l.updates <- l.updates + 1;
+              if s <> cross then small_done l t0;
               match finish with Some resume -> resume () | None -> ())
             batch;
           draining.(s) <- false;
@@ -512,46 +453,31 @@ let run_fc_group ~shards ~window ~ack ~cross_p ~intent_fixed_ns cfg =
       if not blocking then resume ()
     end
   in
-  let pick_shard () =
-    min (shards - 1) (int_of_float (Des.random sim *. float_of_int shards))
-  in
   let blocking = ack = Ack_sync in
-  let rec writer_loop () =
-    Des.schedule sim (jitter sim c.think_ns) (fun () ->
+  let rec writer () =
+    after_think l (fun () ->
         let s =
           if shards > 1 && cross_p > 0. && Des.random sim < cross_p then
             cross
-          else pick_shard ()
+          else pick_shard l shards
         in
-        submit s ~blocking writer_loop)
+        submit s ~blocking writer)
   in
   (* reads bypass the queues (the front-end is read-your-writes without
      forcing a drain), so a reader just pays the store's read cost *)
-  let rec reader_loop () =
-    Des.schedule sim (jitter sim c.think_ns) (fun () ->
+  let rec reader () =
+    after_think l (fun () ->
         Des.schedule sim c.read_ns (fun () ->
-            incr reads_done;
-            reader_loop ()))
+            l.reads <- l.reads + 1;
+            reader ()))
   in
-  for _ = 1 to cfg.readers do
-    reader_loop ()
-  done;
-  for _ = 1 to cfg.writers do
-    writer_loop ()
-  done;
-  Des.run sim ~until:cfg.duration_ns;
-  { reads_done = !reads_done; updates_done = !updates_done;
-    elapsed_ns = cfg.duration_ns;
-    small_mean_ns =
-      (if !small_n = 0 then 0. else !small_sum /. float_of_int !small_n);
-    small_max_ns = !small_max }
+  simulate cfg l ~reader ~writer
 
 (* ---- reader-preference RW lock (PMDK setup) ---- *)
 
 let run_rw_reader_pref ~atomic_ns cfg =
-  let sim = Des.create ~seed:cfg.seed () in
-  let c = cfg.costs in
-  let reads_done = ref 0 and updates_done = ref 0 in
+  let l = loop cfg in
+  let sim = l.sim and c = l.c in
   let writer_holding = ref false in
   let readers_active = ref 0 in
   let waiting_writers = Queue.create () in
@@ -559,12 +485,7 @@ let run_rw_reader_pref ~atomic_ns cfg =
   let update_cost = c.batch_fixed_ns +. c.update_work_ns in
   (* the shared reader counter: RMWs on its cache line serialize *)
   let counter_free = ref 0. in
-  let counter_hop () =
-    let start = max (Des.now sim) !counter_free in
-    let finish = start +. atomic_ns in
-    counter_free := finish;
-    finish -. Des.now sim
-  in
+  let counter_hop () = serial_use l counter_free atomic_ns in
   let rec maybe_admit_writer () =
     (* a writer may proceed only at an instant with no active readers and
        no writer holding; merely-waiting writers do not block readers *)
@@ -574,7 +495,7 @@ let run_rw_reader_pref ~atomic_ns cfg =
       writer_holding := true;
       let finish = Queue.take waiting_writers in
       Des.schedule sim update_cost (fun () ->
-          incr updates_done;
+          l.updates <- l.updates + 1;
           writer_holding := false;
           (* release: admit everyone who queued behind the writer *)
           let rs = Queue.copy waiting_readers in
@@ -584,10 +505,10 @@ let run_rw_reader_pref ~atomic_ns cfg =
           finish ())
     end
   in
-  let rec reader_loop () =
-    Des.schedule sim (jitter sim c.think_ns) (fun () ->
+  let rec reader () =
+    after_think l (fun () ->
         if !writer_holding then
-          Queue.add (fun () -> start_read ()) waiting_readers
+          Queue.add start_read waiting_readers
         else start_read ())
   and start_read () =
     (* reader preference: the reader counts as arrived immediately (so a
@@ -597,70 +518,56 @@ let run_rw_reader_pref ~atomic_ns cfg =
     Des.schedule sim (counter_hop ()) (fun () ->
         Des.schedule sim c.read_ns (fun () ->
             Des.schedule sim (counter_hop ()) (fun () ->
-                incr reads_done;
+                l.reads <- l.reads + 1;
                 readers_active := !readers_active - 1;
                 maybe_admit_writer ();
-                reader_loop ())))
+                reader ())))
   in
-  let rec writer_loop () =
-    Des.schedule sim (jitter sim c.think_ns) (fun () ->
-        Queue.add (fun () -> writer_loop ()) waiting_writers;
+  let rec writer () =
+    after_think l (fun () ->
+        Queue.add writer waiting_writers;
         maybe_admit_writer ())
   in
-  for _ = 1 to cfg.readers do
-    reader_loop ()
-  done;
-  for _ = 1 to cfg.writers do
-    writer_loop ()
-  done;
-  Des.run sim ~until:cfg.duration_ns;
-  { reads_done = !reads_done; updates_done = !updates_done;
-    elapsed_ns = cfg.duration_ns; small_mean_ns = 0.; small_max_ns = 0. }
+  simulate cfg l ~reader ~writer
 
 (* ---- optimistic STM (Mnemosyne setup) ---- *)
 
 let run_stm ~conflict_p ~read_conflict_p ~commit_serial_ns cfg =
-  let sim = Des.create ~seed:cfg.seed () in
-  let c = cfg.costs in
-  let reads_done = ref 0 and updates_done = ref 0 in
+  let l = loop cfg in
+  let sim = l.sim and c = l.c in
   let commit_count = ref 0 in
   let update_cost =
     max 0. (c.batch_fixed_ns +. c.update_work_ns -. commit_serial_ns)
   in
   (* the durable phase persists the redo log: serialized across threads *)
   let commit_free = ref 0. in
-  let commit_slot () =
-    let start = max (Des.now sim) !commit_free in
-    let finish = start +. commit_serial_ns in
-    commit_free := finish;
-    finish -. Des.now sim
-  in
+  let commit_slot () = serial_use l commit_free commit_serial_ns in
   let abort_probability p started =
     let overlapping = !commit_count - started in
     if overlapping <= 0 || p <= 0. then 0.
     else 1. -. ((1. -. p) ** float_of_int overlapping)
   in
-  let rec reader_loop attempt =
+  (* a retry waits a think time growing with its attempts, capped at 8x *)
+  let after_backoff attempt f =
     let delay =
       if attempt = 0 then c.think_ns
       else c.think_ns *. float_of_int (min attempt 8)
     in
-    Des.schedule sim (jitter sim delay) (fun () ->
+    Des.schedule sim (jitter sim delay) f
+  in
+  let rec reader_loop attempt =
+    after_backoff attempt (fun () ->
         let started = !commit_count in
         Des.schedule sim c.read_ns (fun () ->
             if Des.random sim < abort_probability read_conflict_p started
             then reader_loop (attempt + 1)
             else begin
-              incr reads_done;
+              l.reads <- l.reads + 1;
               reader_loop 0
             end))
   in
   let rec writer_loop attempt =
-    let delay =
-      if attempt = 0 then c.think_ns
-      else c.think_ns *. float_of_int (min attempt 8)
-    in
-    Des.schedule sim (jitter sim delay) (fun () ->
+    after_backoff attempt (fun () ->
         let started = !commit_count in
         Des.schedule sim update_cost (fun () ->
             if Des.random sim < abort_probability conflict_p started then
@@ -669,28 +576,21 @@ let run_stm ~conflict_p ~read_conflict_p ~commit_serial_ns cfg =
               (* survived validation: enter the serialized durable phase *)
               Des.schedule sim (commit_slot ()) (fun () ->
                   incr commit_count;
-                  incr updates_done;
+                  l.updates <- l.updates + 1;
                   writer_loop 0)))
   in
-  for _ = 1 to cfg.readers do
-    reader_loop 0
-  done;
-  for _ = 1 to cfg.writers do
-    writer_loop 0
-  done;
-  Des.run sim ~until:cfg.duration_ns;
-  { reads_done = !reads_done; updates_done = !updates_done;
-    elapsed_ns = cfg.duration_ns; small_mean_ns = 0.; small_max_ns = 0. }
+  simulate cfg l
+    ~reader:(fun () -> reader_loop 0)
+    ~writer:(fun () -> writer_loop 0)
 
 let run cfg =
   match cfg.model with
-  | Fc_crwwp -> run_fc ~left_right:false cfg
-  | Fc_left_right -> run_fc ~left_right:true cfg
+  | Fc_crwwp -> run_fc ~lr:false cfg
+  | Fc_left_right -> run_fc ~lr:true cfg
   | Fc_sharded { shards; cross_p; intent_fixed_ns; large; resize } ->
     run_fc_sharded ~shards ~cross_p ~intent_fixed_ns ~large ~resize cfg
   | Fc_group { shards; window; ack; cross_p; intent_fixed_ns } ->
-    run_fc_group ~shards ~window ~ack ~cross_p ~intent_fixed_ns
-      cfg
+    run_fc_group ~shards ~window ~ack ~cross_p ~intent_fixed_ns cfg
   | Rw_reader_pref { atomic_ns } -> run_rw_reader_pref ~atomic_ns cfg
   | Stm { conflict_p; read_conflict_p; commit_serial_ns } ->
     run_stm ~conflict_p ~read_conflict_p ~commit_serial_ns cfg

@@ -105,8 +105,10 @@ type model =
   | Rw_reader_pref of { atomic_ns : float }
       (** plain reader-preference RW lock (the paper's PMDK setup).
           [atomic_ns] is the serialized cost of one RMW on the shared
-          reader counter, which caps total read throughput; writers wait
-          for a zero-reader instant and starve under many readers *)
+          reader counter, which caps total read throughput near
+          [1 / (2 * atomic_ns)] (every read arrives and departs);
+          writers wait for a zero-reader instant and starve under many
+          readers *)
   | Stm of {
       conflict_p : float;
       read_conflict_p : float;
@@ -132,7 +134,8 @@ type result = {
   elapsed_ns : float;
   small_mean_ns : float;
       (** mean single-key-update completion latency (submission to
-          durable finish); tracked by {!Fc_sharded} only, 0 elsewhere *)
+          durable finish); tracked by {!Fc_sharded} and {!Fc_group}
+          (entries of the per-shard queues), 0 for the other models *)
   small_max_ns : float;
       (** worst single-key-update completion latency — the tail the
           streamed-vs-monolithic large-batch ablation measures *)

@@ -185,6 +185,90 @@ let test_stm_disjoint_scales () =
     true
     (ratio > 6.)
 
+(* ---- pinned outputs ---- *)
+
+(* Exact outputs of every model constructor at fixed configurations.
+   The models are deterministic functions of the seed, so a change that
+   moves one random draw or one scheduled event moves these numbers: a
+   refactor that claims to keep the models' behaviour must pass this
+   unchanged, with no tolerance.  Floats are hex literals compared with
+   [=]. *)
+let pin_models =
+  let open Sync_model in
+  let large streamed =
+    Some { large_p = 0.2; chunks = 8; chunk_tx_ns = 300.; streamed }
+  in
+  let sharded ?(shards = 4) ?(cross_p = 0.) ?large ?resize () =
+    Fc_sharded { shards; cross_p; intent_fixed_ns = 500.; large; resize }
+  in
+  let group ack =
+    Fc_group
+      { shards = 4; window = 16; ack; cross_p = 0.1; intent_fixed_ns = 500. }
+  in
+  [ ("crwwp", Fc_crwwp);
+    ("lr", Fc_left_right);
+    ("sharded1", sharded ~shards:1 ~cross_p:0.3 ());
+    ("sharded", sharded ());
+    ("cross", sharded ~cross_p:0.25 ());
+    ("streamed", sharded ~cross_p:0.3 ?large:(large true) ());
+    ("mono", sharded ~cross_p:0.3 ?large:(large false) ());
+    ( "resize",
+      sharded ~cross_p:0.1
+        ~resize:{ move_batches = 50; move_tx_ns = 800.; start_frac = 0.3 }
+        () );
+    ("g_sync", group Ack_sync);
+    ("g_batch", group (Ack_batch_txs 4));
+    ("g_async", group Ack_async);
+    ("rwpref", Rw_reader_pref { atomic_ns = 40. });
+    ( "stm",
+      Stm { conflict_p = 0.3; read_conflict_p = 0.02; commit_serial_ns = 100. }
+    ) ]
+
+(* (model, readers, writers, reads_done, updates_done, small_mean_ns,
+   small_max_ns) at seed 1 over 5 ms of virtual time *)
+let pins =
+  [ ("crwwp", 8, 2, 21054, 5262, 0x0p+0, 0x0p+0);
+    ("crwwp", 1, 6, 1163, 6972, 0x0p+0, 0x0p+0);
+    ("lr", 8, 2, 121208, 3124, 0x0p+0, 0x0p+0);
+    ("lr", 1, 6, 15150, 5461, 0x0p+0, 0x0p+0);
+    ("sharded1", 8, 2, 21054, 5262, 0x1.d381449ac119p+10, 0x1.d92444c9b7bb5p+10);
+    ("sharded1", 1, 6, 1163, 6972, 0x1.0ae1a84f06aacp+12, 0x1.0c92a51255a93p+12);
+    ("sharded", 8, 2, 63948, 7384, 0x1.4afa1bccacf9dp+10, 0x1.6a748b46aacp+11);
+    ("sharded", 1, 6, 5258, 15471, 0x1.dd26a9c1d04e4p+10, 0x1.926369156d8p+12);
+    ("cross", 8, 2, 62409, 5219, 0x1.5141995650416p+10, 0x1.6a7b29de174p+11);
+    ("cross", 1, 6, 5073, 10776, 0x1.f44a27756a5f6p+10, 0x1.d2c3a6a3eccp+12);
+    ("streamed", 8, 2, 53695, 3342, 0x1.6e5bffbec8fe6p+10, 0x1.b573d005b9p+11);
+    ("streamed", 1, 6, 4015, 6365, 0x1.3865b46bd5d36p+11, 0x1.0ecb350a34b8p+13);
+    ("mono", 8, 2, 55331, 4344, 0x1.6187538acc864p+10, 0x1.47d6d5ee894p+12);
+    ("mono", 1, 6, 4104, 8283, 0x1.28eabbf8dc6d3p+11, 0x1.7325cea32a78p+13);
+    ("resize", 8, 2, 63022, 6371, 0x1.4e896dfa5163ep+10, 0x1.ba01a45c2dp+11);
+    ("resize", 1, 6, 5096, 13048, 0x1.ed0a9ffba09f3p+10, 0x1.be63d5456ebp+12);
+    ("g_sync", 8, 2, 121206, 7297, 0x1.13984a7e9f0e3p+10, 0x1.f3fc3e1e518p+10);
+    ("g_sync", 1, 6, 15152, 14052, 0x1.91f769332acbp+10, 0x1.7407d3c0622p+12);
+    ("g_batch", 8, 2, 121215, 33708, 0x1.1cbdabde99ec7p+14, 0x1.d3669a420aa8p+14);
+    ("g_batch", 1, 6, 15152, 34371, 0x1.33585a2db1a3fp+14, 0x1.d4cp+14);
+    ("g_async", 8, 2, 121215, 33152, 0x1.4de8408fcb458p+14, 0x1.07336ee4722cp+15);
+    ("g_async", 1, 6, 15148, 33424, 0x1.5adc9cd81cbadp+14, 0x1.1c84da75d69p+15);
+    ("rwpref", 8, 2, 62497, 0, 0x0p+0, 0x0p+0);
+    ("rwpref", 1, 6, 3623, 3623, 0x0p+0, 0x0p+0);
+    ("stm", 8, 2, 120158, 7731, 0x0p+0, 0x0p+0);
+    ("stm", 1, 6, 14883, 14403, 0x0p+0, 0x0p+0) ]
+
+let test_pinned_outputs () =
+  let outputs =
+    Alcotest.testable
+      (fun ppf (r, u, mean, max) -> Format.fprintf ppf "%d %d %h %h" r u mean max)
+      ( = )
+  in
+  List.iter
+    (fun (name, readers, writers, reads, updates, mean, max) ->
+      let r = run ~duration:5e6 (List.assoc name pin_models) ~readers ~writers in
+      Alcotest.check outputs
+        (Printf.sprintf "%s, %d readers, %d writers" name readers writers)
+        (reads, updates, mean, max)
+        Sync_model.(r.reads_done, r.updates_done, r.small_mean_ns, r.small_max_ns))
+    pins
+
 let suite =
   let tc = Alcotest.test_case in
   [ tc "des: time ordering" `Quick test_des_ordering;
@@ -206,7 +290,8 @@ let suite =
     tc "reader-pref: writer starvation" `Quick
       test_reader_pref_starves_writers;
     tc "STM: conflicts collapse" `Quick test_stm_conflicts_collapse_throughput;
-    tc "STM: disjoint scales" `Quick test_stm_disjoint_scales ]
+    tc "STM: disjoint scales" `Quick test_stm_disjoint_scales;
+    tc "model: pinned outputs" `Quick test_pinned_outputs ]
 
 
 (* shapes of the two serialized resources in the models *)

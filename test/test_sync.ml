@@ -1,6 +1,6 @@
-(* Real-domain tests for the synchronization substrate.  The container has
-   a single core, so these exercise correctness under preemptive
-   interleaving rather than parallel speedup. *)
+(* Real-domain tests for the synchronization substrate.  The measurement
+   host has 2 shared vCPUs (nproc = 2), so these exercise correctness
+   under preemptive interleaving rather than parallel speedup. *)
 
 open Sync_prims
 
