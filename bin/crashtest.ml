@@ -5,10 +5,11 @@
    row builds its stores and workload, then each round runs crash steps:
    an instruction trap on a named region or a failpoint kill with a skip,
    the power-off of every region under the line-fate policy, an optional
-   crash inside recovery, and the step's oracle.  One driver runs every
-   row.  It alone owns the rng, the policy of every power-off, the
-   failures, the crash counts, the fired (site, policy) pairs, the printed
-   row with its wall time and the exit code, and it fails a row that
+   crash inside recovery, and the step's oracle.  The steps and the
+   row's state — the rng, the policy of every power-off, the failures,
+   the crash counts, the fired (site, policy) pairs — come from the
+   Crash_driver library the test suites share; [run_row] below prints
+   the row with its wall time, sets the exit code, and fails a row that
    misses a pair its campaign requires.
 
      crashtest --ptm romLR --workload tree --rounds 500 --seed 7
@@ -22,6 +23,7 @@
    A flag the selected campaign does not read is refused (exit 2). *)
 
 open Cmdliner
+open Crash_driver
 
 module type PTM = Kv.Sharded_db.SHARD_PTM
 
@@ -41,9 +43,7 @@ let counted set c = Kv.Sharded_db.Counters.get set c
 let shard_regions n =
   Array.init n (fun _ -> Pmem.Region.create ~size:(1 lsl 19) ())
 
-(* ---- the driver ---- *)
-
-type pinned = [ `Drop | `Keep | `Random | `Torn ]
+(* ---- the campaigns' configuration ---- *)
 
 type cfg = {
   rounds : int;
@@ -56,190 +56,6 @@ type cfg = {
   nshards : int;
   verbose : bool;
 }
-
-(* The driver's state for one printed row. *)
-type run = {
-  cfg : cfg;
-  rng : Workload.Keygen.t;
-  firings : (string, int) Hashtbl.t;
-  pairs : (string * string, unit) Hashtbl.t;
-  spans : (int, int) Hashtbl.t;  (** crash_in_recovery's work, per region *)
-  mutable crashes : int;
-  mutable rec_crashes : int;
-  mutable failures : string list;
-  mutable tallies : (string * int) list;
-}
-
-let fail r fmt = Printf.ksprintf (fun s -> r.failures <- s :: r.failures) fmt
-let draw r n = Workload.Keygen.int r.rng n
-
-(* a campaign-specific count printed on the row *)
-let tally r name n =
-  if List.mem_assoc name r.tallies then
-    r.tallies <-
-      List.map (fun (k, v) -> if k = name then (k, v + n) else (k, v)) r.tallies
-  else r.tallies <- r.tallies @ [ (name, n) ]
-
-let policy_name = function
-  | Pmem.Region.Drop_all -> "drop"
-  | Pmem.Region.Keep_all -> "keep"
-  | Pmem.Region.Random_subset _ -> "random"
-  | Pmem.Region.Torn_words _ -> "torn"
-
-let rotation : pinned array = [| `Drop; `Keep; `Random; `Torn |]
-
-(* the line-fate policy [p] names, seeded with [salt] *)
-let region_policy salt : pinned -> Pmem.Region.policy = function
-  | `Drop -> Drop_all
-  | `Keep -> Keep_all
-  | `Random -> Random_subset salt
-  | `Torn -> Torn_words salt
-
-let pinned_name p = policy_name (region_policy 0 p)
-
-let firings r site = Option.value ~default:0 (Hashtbl.find_opt r.firings site)
-
-(* The line-fate policy of the next power-off at [site]: the pinned one,
-   or under mix the rotation's k-th policy for the site's k-th firing, so
-   a site placed once a round meets every policy in four rounds whatever
-   the rng draws.  The random and torn seeds vary with every power-off. *)
-let policy_at r site =
-  let k = firings r site in
-  region_policy
-    (r.cfg.seed + (31 * (r.crashes + r.rec_crashes)) + k)
-    (match r.cfg.policy with `Mix -> rotation.(k mod 4) | #pinned as p -> p)
-
-(* The pairs a row requires of [sites] placed at least once a round: the
-   pinned policy, or under mix the rotation's first [rounds] policies. *)
-let rotated cfg sites =
-  let pols =
-    match cfg.policy with
-    | `Mix -> List.filteri (fun i _ -> i < cfg.rounds) (Array.to_list rotation)
-    | #pinned as p -> [ p ]
-  in
-  List.concat_map (fun s -> List.map (fun p -> (s, pinned_name p)) pols) sites
-
-let crash_all rs p = Array.iter (fun x -> Pmem.Region.crash x p) rs
-
-let record r site pname =
-  Hashtbl.replace r.firings site (firings r site + 1);
-  Hashtbl.replace r.pairs (site, pname) ()
-
-(* [site] fired: power every region of [rs] off under [p] (default: the
-   policy for [site]) and record its pair and, unless [~counted:false],
-   the crash. *)
-let fired_at r ?(recovery = false) ?(counted = true) ?p site rs =
-  let p = match p with Some p -> p | None -> policy_at r site in
-  record r site (policy_name p);
-  if recovery then r.rec_crashes <- r.rec_crashes + 1
-  else if counted then r.crashes <- r.crashes + 1;
-  crash_all rs p
-
-(* A power-off with nothing fired (the operation completed first, or the
-   damage is at rest), recorded as the pair of "off:<label>": a rotation
-   of its own, so under mix these too take every policy in turn. *)
-let power_off r label rs = fired_at r ("off:" ^ label) rs ~counted:false
-
-type inject =
-  | Trap of int * int  (** region index, primitives let run first *)
-  | Kill of string * int * int option
-      (** failpoint site, visits skipped, region index powered off;
-          [None] crashes at the site itself *)
-
-let site_of = function Trap _ -> "trap" | Kill (site, _, _) -> site
-
-(* Run [op] with [inj] armed on [rs]: whether it fired, and [op]'s result
-   if it returned (a kill past a durability point may let it return). *)
-let armed rs inj op =
-  let hit = ref false in
-  (match inj with
-   | Trap (i, n) -> Pmem.Region.set_trap rs.(i) n
-   | Kill (site, skip, victim) ->
-     Fault.arm ~skip site (fun () ->
-         hit := true;
-         match victim with
-         | Some i -> Pmem.Region.kill rs.(i)
-         | None -> raise Pmem.Region.Crash_point));
-  let res =
-    match op () with v -> Some v | exception Pmem.Region.Crash_point -> None
-  in
-  Array.iter Pmem.Region.clear_trap rs;
-  Fault.disarm ();
-  ((match inj with Trap _ -> Option.is_none res | Kill _ -> !hit), res)
-
-(* One crash step: run [op] with [inj] armed on [rs], then power every
-   region off — also when [op] completed first, unless [~always:false].
-   Returns whether the injection fired. *)
-let crash_step r ?(always = true) rs inj op =
-  let fired, _ = armed rs inj op in
-  if fired then fired_at r (site_of inj) rs
-  else if always then power_off r (site_of inj) rs;
-  fired
-
-(* Recover with [inj] armed inside the recovery: if it fires, the crash is
-   resolved and recovery rerun — it must be idempotent.  Returns whether
-   it fired and the recovered store. *)
-let recover_crashed r ?site ?p rs inj reopen =
-  let site = Option.value site ~default:(site_of inj) in
-  match armed rs inj reopen with
-  | false, Some db -> (false, db)
-  | _ ->
-    fired_at r ~recovery:true ?p site rs;
-    (true, reopen ())
-
-(* the primitives a region's crash trap counts *)
-let primitives x =
-  let s = Pmem.Region.stats x in
-  s.Pmem.Stats.stores + s.copy_calls + s.pwbs + s.pfences + s.psyncs
-
-(* per-region primitives [f] spends on [rs] *)
-let measure rs f =
-  let before = Array.map primitives rs in
-  f ();
-  Array.mapi (fun i x -> primitives x - before.(i)) rs
-
-(* Crash [op] at a trap on [region], then crash its recovery, both placed
-   by measurement on identical control stores from [fresh].  The first
-   trap lands on a primitive of [op]'s work on [region] (measured once a
-   row): from a random one onward in eighths of that work, the first
-   whose control, crashed there under the same policy, has recovery work.
-   The second lands on a random primitive of that work, on a region where
-   it is non-zero.  [recover ~control] may take a path that does the same
-   per-region work.  Returns the store's state and its recovered handle. *)
-let crash_in_recovery r ~fresh ~op ~recover region =
-  let span =
-    match Hashtbl.find_opt r.spans region with
-    | Some n -> n
-    | None ->
-      let rs, c = fresh () in
-      let n = max 1 (measure rs (fun () -> op c)).(region) in
-      Hashtbl.replace r.spans region n;
-      n
-  in
-  let crashed inj =
-    let rs, v = fresh () in
-    (rs, v, fst (armed rs inj (fun () -> op v)))
-  in
-  let rec place k tries =
-    let inj = Trap (region, k mod span) and p = policy_at r "trap" in
-    let crs, c, _ = crashed inj in
-    crash_all crs p;
-    let work = measure crs (fun () -> ignore (recover ~control:true crs c)) in
-    if Array.for_all (( = ) 0) work && tries < 8 then
-      place (k + max 1 (span / 8)) (tries + 1)
-    else (inj, p, work)
-  in
-  let inj, p, work = place (draw r span) 1 in
-  let rs, v, fired = crashed inj in
-  if fired then fired_at r ~p "trap" rs else crash_all rs p;
-  let recover () = recover ~control:false rs v in
-  let work = List.mapi (fun i n -> (i, n)) (Array.to_list work) in
-  match List.filter (fun (_, n) -> n > 0) work with
-  | [] -> (v, recover ())
-  | work ->
-    let i, n = List.nth work (draw r (List.length work)) in
-    let inj = Trap (i, draw r n) in
-    (v, snd (recover_crashed r ~site:"recovery-trap" rs inj recover))
 
 (* ---- the list/tree/map workload ---- *)
 
@@ -339,14 +155,16 @@ let crash_rows ~ptm:_ (module P : PTM) cfg =
   List.map
     (fun (wname, kind) ->
       ( wname,
-        (if cfg.failpoint = None then rotated cfg [ "trap" ] else []),
+        (if cfg.failpoint = None then
+           rotated cfg.policy ~rounds:cfg.rounds [ "trap" ]
+         else []),
         fun r ->
           let module W = Ds (P) in
           let region = Pmem.Region.create ~size:(1 lsl 20) () in
           let p = P.open_region region in
           let w = W.create kind p in
           let rec recover_nested level =
-            if level < r.cfg.recovery_crashes then
+            if level < cfg.recovery_crashes then
               match
                 armed [| region |] (Trap (0, draw r 60)) (fun () -> P.recover p)
               with
@@ -358,7 +176,7 @@ let crash_rows ~ptm:_ (module P : PTM) cfg =
           in
           fun round ->
             let inj =
-              match r.cfg.failpoint with
+              match cfg.failpoint with
               | None -> Trap (0, draw r 400)
               | Some site -> Kill (site, draw r 8, Some 0)
             in
@@ -438,7 +256,7 @@ let inject_rows ~ptm (module P : PTM) cfg =
     let attempts = ref 0 in
     fun round ->
       let injected = ref false in
-      while (not !injected) && !attempts < r.cfg.rounds * 50 do
+      while (not !injected) && !attempts < cfg.rounds * 50 do
         incr attempts;
         Fault.arm ~skip:(draw r 2) site (fun () -> raise (Fault.Injected site));
         for _ = 1 to 4 do
@@ -488,7 +306,7 @@ let inject_rows ~ptm (module P : PTM) cfg =
         if P.read_tx p (fun () -> P.get_root p 63) <> round then
           fail r "round %d: follow-up transaction not visible" round
       end;
-      if round = r.cfg.rounds && !fired_rounds < round then
+      if round = cfg.rounds && !fired_rounds < round then
         fail r "site %s fired only %d/%d times in %d attempts" site
           !fired_rounds round !attempts
   in
@@ -522,7 +340,7 @@ let scrub_rows ~ptm:_ (module P : PTM) cfg =
   in
   let window = [ "engine.scrub.bad_line"; "engine.scrub.repaired"; "trap" ] in
   let required =
-    if twin then rotated { cfg with policy = `Mix; rounds = 4 } window else []
+    if twin then rotated `Mix ~rounds:4 window else []
   in
   (* Build a region and run 64 deterministic update operations.  Identical
      [wseed] => byte-identical images. *)
@@ -563,7 +381,7 @@ let scrub_rows ~ptm:_ (module P : PTM) cfg =
   in
   let snapshot = Pmem.Region.persistent_snapshot in
   let round kind r round =
-    let wseed = r.cfg.seed + (1009 * round) in
+    let wseed = cfg.seed + (1009 * round) in
     (* ---- rot differential, one run per rate ---- *)
     List.iteri
       (fun ri rate ->
@@ -628,7 +446,7 @@ let scrub_rows ~ptm:_ (module P : PTM) cfg =
                    diverged with no typed error"
                   round rate rotted)
         end)
-      r.cfg.rot_rates;
+      cfg.rot_rates;
     (* ---- crashes inside the repair window (twin-copy designs) ---- *)
     if twin then begin
       let vregion, victim, _ = build kind ~wseed in
@@ -705,7 +523,8 @@ type window = {
          must stay applied).  chunked: mid-chain, at a spill, in the seal
          window (a complete but unsealed chain is presumed-abort garbage)
          and after the flip (roll-forward with parked chains); the skip
-         moves the kill along the chain and across participants;
+         moves the kill along the chain and across participants.  A
+         second recovery of the reopened store must keep the outcome;
      (c) a crash inside the recovery fan-out, at a trap placed inside the
          work an identical control's recovery measures;
      (d) a kill in a pre-flip window once the mirrors are hooked, then a
@@ -897,10 +716,13 @@ let batch_rows ~chunked ~ptm:_ (module P : PTM) cfg =
              (fun () -> run_batch db)
         then begin
           let reopened = open_db rs in
-          oracle r (Printf.sprintf "round %d %s" round site) reopened
-            ~expect:(Some forward);
+          let what = Printf.sprintf "round %d %s" round site in
+          oracle r what reopened ~expect:(Some forward);
           if counted (SD.counters (if parked then db else reopened)) counter = 0
-          then fail r "round %d %s: protocol counters did not move" round site
+          then fail r "%s: protocol counters did not move" what;
+          (* reconciliation converged: another pass changes nothing *)
+          SD.recover ~parallel:false reopened;
+          oracle r (what ^ ", recovered again") reopened ~expect:(Some forward)
         end
         else fail r "round %d: %s did not fire" round site)
       windows;
@@ -931,7 +753,7 @@ let batch_rows ~chunked ~ptm:_ (module P : PTM) cfg =
       ~expect:(Some false)
   in
   [ ( Printf.sprintf "%d-shard" cfg.nshards,
-      rotated cfg required,
+      rotated cfg.policy ~rounds:cfg.rounds required,
       fun r ->
         let coordinator, nparts = sanity r in
         round r ~coordinator ~nparts ) ]
@@ -1187,7 +1009,8 @@ let migrate_rows ~ptm:_ (module P : PTM) cfg =
     else fail r "round %d: merge %s did not fire" round site
   in
   [ ( Printf.sprintf "%d-shard" nshards,
-      rotated cfg (("trap" :: mig_sites) @ [ "sharded.migrate.resumed" ]),
+      rotated cfg.policy ~rounds:cfg.rounds
+        (("trap" :: mig_sites) @ [ "sharded.migrate.resumed" ]),
       round ) ]
 
 (* ---- quarantine: shard fault isolation and self-healing ---- *)
@@ -1469,7 +1292,7 @@ let quarantine_rows ~ptm:_ (module P : PTM) cfg =
           if SD.pending_intents db <> 0 then
             fail r "%s: records left hooked after a crashed repair" what)
         evac_sites;
-      if round = r.cfg.rounds then begin
+      if round = cfg.rounds then begin
         if !restores = 0 then fail r "snapshot-restore path never exercised";
         if !evacs = 0 then fail r "evacuation path never exercised"
       end
@@ -1477,7 +1300,7 @@ let quarantine_rows ~ptm:_ (module P : PTM) cfg =
   (* every power-off above runs once a round *)
   let rots = List.map (( ^ ) "rot.") ("restore" :: "evacuate" :: evac_sites) in
   [ ( Printf.sprintf "%d-shard" nshards,
-      rotated cfg
+      rotated cfg.policy ~rounds:cfg.rounds
         (("sharded.health.degraded" :: evac_sites)
         @ List.map (( ^ ) "off:") ("evacuated" :: rots)),
       setup ) ]
@@ -1701,7 +1524,9 @@ let group_rows ~ptm:_ (module P : PTM) cfg =
     in
     check_streams what db (floors fe (Array.make (nshards + 1) 0)) subs
   in
-  [ (Printf.sprintf "%d-shard" nshards, rotated cfg [ "recovery-trap" ], round) ]
+  [ ( Printf.sprintf "%d-shard" nshards,
+      rotated cfg.policy ~rounds:cfg.rounds [ "recovery-trap" ],
+      round ) ]
 
 (* ---- the campaign table ---- *)
 
@@ -1740,12 +1565,7 @@ let campaigns =
 let run_row cfg ~campaign ~ptm (label, required, setup) =
   Printf.printf "%-6s x %s %s: %!" ptm campaign label;
   let t0 = Workload.Bench_clock.now_ns () in
-  let r =
-    { cfg; rng = Workload.Keygen.create ~seed:cfg.seed ();
-      firings = Hashtbl.create 16; pairs = Hashtbl.create 16;
-      spans = Hashtbl.create 4; crashes = 0;
-      rec_crashes = 0; failures = []; tallies = [] }
-  in
+  let r = start ~seed:cfg.seed ~policy:cfg.policy ~rounds:cfg.rounds in
   let round = setup r in
   for i = 1 to cfg.rounds do
     round i;

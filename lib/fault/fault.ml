@@ -69,11 +69,6 @@ let arm ?(skip = 0) name action =
 
 let disarm () = current := None
 
-let armed_site () = Option.map (fun a -> a.name) !current
-
-let fired = ref 0
-let fire_count () = !fired
-
 let hit name =
   match !current with
   | Some a when String.equal a.name name ->
@@ -81,7 +76,6 @@ let hit name =
       (* disarm before running the action: the action usually raises, and
          recovery must be able to cross this site again *)
       current := None;
-      incr fired;
       a.action ()
     end
     else a.remaining <- a.remaining - 1

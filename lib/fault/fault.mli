@@ -46,11 +46,5 @@ val arm : ?skip:int -> string -> (unit -> unit) -> unit
 
 val disarm : unit -> unit
 
-(** Name currently armed, if any. *)
-val armed_site : unit -> string option
-
 (** Visit a site: runs (and consumes) the armed action when it matches. *)
 val hit : site -> unit
-
-(** Total failpoint firings in this process (diagnostics). *)
-val fire_count : unit -> int

@@ -60,10 +60,6 @@ type ack_mode =
   | Batch_sync of { txs : int; bytes : int }
   | Async
 
-(** Default drain window (max logical transactions coalesced into one
-    engine transaction / shared intent). *)
-val default_window : int
-
 (** The front-end's own counters, one set per {!Make.attach}ed front-end
     (see {!Counter_set} for their lifetime).  {!Counters.table} gives
     each one's printed name and meaning. *)
@@ -86,7 +82,7 @@ module Make (P : Sharded_db.SHARD_PTM) : sig
 
   (** Attach a front-end to an open store.  [window] bounds the number
       of logical transactions coalesced per engine round (default
-      {!default_window}); [ack] defaults to [Sync], which — with an
+      32); [ack] defaults to [Sync], which — with an
       empty backlog — behaves exactly like the bare store, one fence
       sequence per transaction. *)
   val attach : ?window:int -> ?ack:ack_mode -> db -> t

@@ -98,7 +98,6 @@ let create ?(line_size = 64) ?(fence = Fence.dram) ~size () =
 let size t = Bytes.length t.vol
 let line_size t = t.line
 let stats t = t.stats
-let fence_profile t = t.fence
 
 let set_trap t k = t.trap <- k
 let clear_trap t = t.trap <- -1

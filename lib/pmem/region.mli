@@ -51,7 +51,6 @@ val create : ?line_size:int -> ?fence:Fence.profile -> size:int -> unit -> t
 val size : t -> int
 val line_size : t -> int
 val stats : t -> Stats.t
-val fence_profile : t -> Fence.profile
 
 (** Arm the crash trap: the [k]-th subsequent persistence-relevant
     primitive (store / pwb / pfence / psync / copy) raises {!Crash_point}
@@ -137,9 +136,6 @@ val line_is_clean : t -> line:int -> bool
 (** True once any media fault was injected (or restored from a snapshot):
     loads verify sidecar CRCs. *)
 val media_faults_armed : t -> bool
-
-(** Number of cache lines in the region. *)
-val line_count : t -> int
 
 (** Write the persistent image to a file: equivalent to a clean shutdown.
     Unfenced volatile state is (correctly) not included.  The snapshot

@@ -113,8 +113,6 @@ let jitter sim base = base *. (0.5 +. Des.random sim)
 
 let reads_per_sec r = float_of_int r.reads_done /. (r.elapsed_ns *. 1e-9)
 let updates_per_sec r = float_of_int r.updates_done /. (r.elapsed_ns *. 1e-9)
-let ops_per_sec r =
-  float_of_int (r.reads_done + r.updates_done) /. (r.elapsed_ns *. 1e-9)
 
 (* ---- the closed loop every model runs ---- *)
 

@@ -145,7 +145,6 @@ val run : config -> result
 
 val reads_per_sec : result -> float
 val updates_per_sec : result -> float
-val ops_per_sec : result -> float
 
 (** Plausible defaults for tests. *)
 val default_costs : costs

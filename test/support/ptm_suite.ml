@@ -4,6 +4,7 @@
    adversarial cache-line policies. *)
 
 module R = Pmem.Region
+module D = Crash_driver
 
 module type VARIANT = sig
   include Romulus.Ptm_intf.S
@@ -275,9 +276,7 @@ module Make (P : VARIANT) = struct
      and the early crash points must actually roll back. *)
   let test_uncommitted_tx_rolls_back () =
     let rollbacks = ref 0 in
-    let completed = ref false in
-    let k = ref 0 in
-    while not !completed do
+    let fresh () =
       let r, p = open_fresh () in
       let obj =
         P.update_tx p (fun () ->
@@ -286,33 +285,30 @@ module Make (P : VARIANT) = struct
             P.set_root p 0 obj;
             obj)
       in
-      R.set_trap r !k;
-      (match
-         P.update_tx p (fun () ->
-             P.store p obj 999;
-             P.store p (obj + 8) 888)
-       with
-       | exception R.Crash_point -> ()
-       | () ->
-         R.clear_trap r;
-         completed := true);
-      (* Drop_all: nothing un-fenced persists, so recovery must reach a
-         state in which the first transaction's effect is intact or the
-         second committed whole *)
-      R.crash r R.Drop_all;
-      P.recover p;
-      let a, b =
-        P.read_tx p (fun () ->
-            let o = P.get_root p 0 in
-            (P.load p o, P.load p (o + 8)))
-      in
-      (match (a, b) with
-       | 1, _ -> incr rollbacks
-       | 999, 888 -> ()
-       | _ -> Alcotest.failf "torn state at crash point %d: a=%d b=%d" !k a b);
-      incr k;
-      if !k > 20_000 then Alcotest.fail "rollback sweep did not terminate"
-    done;
+      ([| r |], (p, obj))
+    in
+    (* Drop_all: nothing un-fenced persists, so recovery must reach a
+       state in which the first transaction's effect is intact or the
+       second committed whole *)
+    ignore
+      (D.sweep ~name:"rollback sweep" ~policy:(fun _ -> R.Drop_all) ~fresh
+         ~op:(fun (p, obj) ->
+           P.update_tx p (fun () ->
+               P.store p obj 999;
+               P.store p (obj + 8) 888))
+         (fun k (p, _) _ ->
+           P.recover p;
+           let a, b =
+             P.read_tx p (fun () ->
+                 let o = P.get_root p 0 in
+                 (P.load p o, P.load p (o + 8)))
+           in
+           match (a, b) with
+           | 1, _ -> incr rollbacks
+           | 999, 888 -> ()
+           | _ ->
+             Alcotest.failf "torn state at crash point %d: a=%d b=%d" k a b)
+        : int);
     Alcotest.(check bool) "some crash points rolled back" true (!rollbacks > 0)
 
   (* ---- fence accounting ---- *)
@@ -402,46 +398,41 @@ module Make (P : VARIANT) = struct
     | R.Random_subset seed -> Printf.sprintf "random(%d)" seed
     | R.Torn_words seed -> Printf.sprintf "torn(%d)" seed
 
+  (* the crash region as a sweep's fresh state *)
+  let fresh_crash_region () =
+    let r, p, n1, n2 = setup_crash_region () in
+    ([| r |], (r, p, n1, n2))
+
+  let mutate_region (_, p, n1, n2) = mutate p n1 n2
+
+  (* the number of crash points the trap fired at *)
   let crash_at_every_point policy =
-    let completed = ref false in
-    let k = ref 0 in
-    while not !completed do
-      let r, p, n1, n2 = setup_crash_region () in
-      R.set_trap r !k;
-      (match mutate p n1 n2 with
-       | () ->
-         R.clear_trap r;
-         completed := true
-       | exception R.Crash_point -> ());
-      R.crash r policy;
-      P.recover p;
-      (match observe p n1 n2 with
-       | Pre | Post -> ()
-       | Torn s ->
-         Alcotest.failf "torn state at crash point %d (%s): %s" !k
-           (policy_name policy) s);
-      if !completed then begin
-        match observe p n1 n2 with
-        | Post -> ()
-        | Pre | Torn _ -> Alcotest.fail "committed tx lost after crash"
-      end;
-      (match P.allocator_check p with
-       | Ok () -> ()
-       | Error e -> Alcotest.failf "allocator broken at point %d: %s" !k e);
-      P.update_tx p (fun () ->
-          let x = P.alloc p 16 in
-          P.store p x 5;
-          P.set_root p 3 x);
-      Alcotest.(check int) "post-recovery tx works" 5
-        (P.read_tx p (fun () -> P.load p (P.get_root p 3)));
-      incr k;
-      if !k > 20_000 then Alcotest.fail "crash loop did not terminate"
-    done;
-    !k
+    D.sweep ~name:"crash loop" ~policy:(fun _ -> policy)
+      ~fresh:fresh_crash_region ~op:mutate_region (fun k (_, p, n1, n2) res ->
+        P.recover p;
+        (match observe p n1 n2 with
+         | Pre | Post -> ()
+         | Torn s ->
+           Alcotest.failf "torn state at crash point %d (%s): %s" k
+             (policy_name policy) s);
+        if Option.is_some res then begin
+          match observe p n1 n2 with
+          | Post -> ()
+          | Pre | Torn _ -> Alcotest.fail "committed tx lost after crash"
+        end;
+        (match P.allocator_check p with
+         | Ok () -> ()
+         | Error e -> Alcotest.failf "allocator broken at point %d: %s" k e);
+        P.update_tx p (fun () ->
+            let x = P.alloc p 16 in
+            P.store p x 5;
+            P.set_root p 3 x);
+        Alcotest.(check int) "post-recovery tx works" 5
+          (P.read_tx p (fun () -> P.load p (P.get_root p 3))))
 
   let test_crash_injection_drop_all () =
-    let points = crash_at_every_point R.Drop_all in
-    Alcotest.(check bool) "covered many crash points" true (points > 10)
+    let crashes = crash_at_every_point R.Drop_all in
+    Alcotest.(check bool) "covered many crash points" true (crashes >= 10)
 
   let test_crash_injection_keep_all () =
     ignore (crash_at_every_point R.Keep_all)
@@ -461,23 +452,20 @@ module Make (P : VARIANT) = struct
 
   let test_crash_during_recovery () =
     let r, p, n1, n2 = setup_crash_region () in
-    R.set_trap r 12;
-    (match mutate p n1 n2 with
-     | exception R.Crash_point -> ()
-     | () -> Alcotest.fail "trap did not fire");
+    let fired, _ =
+      D.armed [| r |] (D.Trap (0, 12)) (fun () -> mutate p n1 n2)
+    in
+    if not fired then Alcotest.fail "trap did not fire";
     R.crash r (R.Random_subset 9);
-    let k = ref 0 in
-    let finished = ref false in
-    while not !finished do
-      R.set_trap r !k;
-      (match P.recover p with
-       | () ->
-         R.clear_trap r;
-         finished := true
-       | exception R.Crash_point -> R.crash r (R.Random_subset (!k + 100)));
-      incr k;
-      if !k > 20_000 then Alcotest.fail "recovery loop did not terminate"
-    done;
+    (* the same region every point: each crashed recovery is recovered
+       by the next *)
+    ignore
+      (D.sweep ~name:"recovery loop" ~always:false
+         ~policy:(fun k -> R.Random_subset (k + 100))
+         ~fresh:(fun () -> ([| r |], ()))
+         ~op:(fun () -> P.recover p)
+         (fun _ () _ -> ())
+        : int);
     match observe p n1 n2 with
     | Pre -> ()
     | Post -> Alcotest.fail "uncommitted tx became visible"
@@ -494,35 +482,25 @@ module Make (P : VARIANT) = struct
     in
     List.iter
       (fun policy ->
-        let k = ref 0 in
-        let completed = ref false in
-        while not !completed do
-          let r, p, n1, n2 = setup_crash_region () in
-          R.set_trap r !k;
-          (match mutate p n1 n2 with
-           | () ->
-             R.clear_trap r;
-             completed := true
-           | exception R.Crash_point -> ());
-          R.crash r policy;
-          P.recover p;
-          let once = R.persistent_snapshot r in
-          P.recover p;
-          let twice = R.persistent_snapshot r in
-          if not (String.equal once twice) then
-            Alcotest.failf "recover not idempotent at point %d (%s)" !k
-              (policy_name policy);
-          (* a no-op reopen runs the recovery path once more *)
-          let p2 = P.open_region r in
-          ignore (P.read_tx p2 (fun () -> P.get_root p2 0));
-          let reopened = R.persistent_snapshot r in
-          if not (String.equal once reopened) then
-            Alcotest.failf "reopen changed the image at point %d (%s)" !k
-              (policy_name policy);
-          k := !k + 7;
-          if !k > 20_000 then
-            Alcotest.fail "idempotence sweep did not terminate"
-        done)
+        ignore
+          (D.sweep ~name:"idempotence sweep" ~stride:7 ~policy:(fun _ -> policy)
+             ~fresh:fresh_crash_region ~op:mutate_region
+             (fun k (r, p, _, _) _ ->
+               P.recover p;
+               let once = R.persistent_snapshot r in
+               P.recover p;
+               let twice = R.persistent_snapshot r in
+               if not (String.equal once twice) then
+                 Alcotest.failf "recover not idempotent at point %d (%s)" k
+                   (policy_name policy);
+               (* a no-op reopen runs the recovery path once more *)
+               let p2 = P.open_region r in
+               ignore (P.read_tx p2 (fun () -> P.get_root p2 0));
+               let reopened = R.persistent_snapshot r in
+               if not (String.equal once reopened) then
+                 Alcotest.failf "reopen changed the image at point %d (%s)" k
+                   (policy_name policy))
+            : int))
       policies
 
   (* Blob atomicity: a transaction rewrites a 96-byte blob and bumps a
@@ -530,11 +508,8 @@ module Make (P : VARIANT) = struct
      never expose a version/blob mismatch or a torn blob. *)
   let test_blob_crash_atomicity () =
     let blob_for v = String.make 96 (Char.chr (65 + (v mod 26))) in
-    let k = ref 0 in
-    let completed = ref false in
-    while not !completed do
-      let r = region () in
-      let p = P.open_region r in
+    let fresh () =
+      let r, p = open_fresh () in
       let obj =
         P.update_tx p (fun () ->
             let o = P.alloc p 112 in
@@ -543,26 +518,24 @@ module Make (P : VARIANT) = struct
             P.set_root p 0 o;
             o)
       in
-      R.set_trap r !k;
-      (match
-         P.update_tx p (fun () ->
-             P.store_bytes p (obj + 8) (blob_for 1);
-             P.store p obj 1)
-       with
-       | () ->
-         R.clear_trap r;
-         completed := true
-       | exception R.Crash_point -> ());
-      R.crash r (R.Random_subset (!k + 77));
-      P.recover p;
-      let v, blob =
-        P.read_tx p (fun () -> (P.load p obj, P.load_bytes p (obj + 8) 96))
-      in
-      if blob <> blob_for v then
-        Alcotest.failf "torn blob at crash point %d: version %d" !k v;
-      incr k;
-      if !k > 20_000 then Alcotest.fail "blob crash loop did not terminate"
-    done
+      ([| r |], (p, obj))
+    in
+    ignore
+      (D.sweep ~name:"blob crash loop"
+         ~policy:(fun k -> R.Random_subset (k + 77))
+         ~fresh
+         ~op:(fun (p, obj) ->
+           P.update_tx p (fun () ->
+               P.store_bytes p (obj + 8) (blob_for 1);
+               P.store p obj 1))
+         (fun k (p, obj) _ ->
+           P.recover p;
+           let v, blob =
+             P.read_tx p (fun () -> (P.load p obj, P.load_bytes p (obj + 8) 96))
+           in
+           if blob <> blob_for v then
+             Alcotest.failf "torn blob at crash point %d: version %d" k v)
+        : int)
 
   (* Allocator churn under crashes: interleave allocations and frees with
      random crash points; after every recovery the arena must pass its
@@ -584,20 +557,19 @@ module Make (P : VARIANT) = struct
     done;
     for round = 1 to 60 do
       let i = Random.State.int rng slots in
-      R.set_trap r (Random.State.int rng 120);
+      let trap = Random.State.int rng 120 in
       (match
-         P.update_tx p (fun () ->
-             (* replace the block in slot i *)
-             P.free p (P.get_root p (10 + i));
-             let o = P.alloc p (16 + (16 * Random.State.int rng 8)) in
-             P.store p o (i * 1_000);
-             P.set_root p (10 + i) o;
-             o)
+         D.armed [| r |] (D.Trap (0, trap)) (fun () ->
+             P.update_tx p (fun () ->
+                 (* replace the block in slot i *)
+                 P.free p (P.get_root p (10 + i));
+                 let o = P.alloc p (16 + (16 * Random.State.int rng 8)) in
+                 P.store p o (i * 1_000);
+                 P.set_root p (10 + i) o;
+                 o))
        with
-       | o ->
-         R.clear_trap r;
-         live.(i) <- o
-       | exception R.Crash_point ->
+       | _, Some o -> live.(i) <- o
+       | _, None ->
          R.crash r (R.Random_subset round);
          P.recover p;
          (* the replacement either committed or not: trust the root *)
@@ -621,67 +593,60 @@ module Make (P : VARIANT) = struct
   let test_crash_inside_abort_path () =
     List.iter
       (fun policy ->
-        let k = ref 0 in
-        let completed = ref false in
-        while not !completed do
-          let r, p, n1, n2 = setup_crash_region () in
-          R.set_trap r !k;
-          (match
-             P.update_tx p (fun () ->
-                 P.store p n1 10;
-                 P.store p (n1 + 8) 20;
-                 let n3 = P.alloc p 24 in
-                 P.store p n3 99;
-                 P.set_root p 1 n3;
-                 P.free p n2;
-                 P.set_root p 2 0;
-                 raise Exit)
-           with
-           | exception Romulus.Engine.Tx_aborted { cause = Exit; _ } ->
-             R.clear_trap r;
-             completed := true
-           | exception R.Crash_point -> ()
-           | exception e ->
-             Alcotest.failf "point %d (%s): unexpected %s" !k
-               (policy_name policy) (Printexc.to_string e)
-           | () -> Alcotest.fail "raising tx must not commit");
-          if not !completed then begin
-            R.crash r policy;
-            P.recover p
-          end;
-          (match observe p n1 n2 with
-           | Pre -> ()
-           | Post ->
-             Alcotest.failf "aborted tx visible at point %d (%s)" !k
-               (policy_name policy)
-           | Torn s ->
-             Alcotest.failf "torn abort at point %d (%s): %s" !k
-               (policy_name policy) s);
-          (match P.allocator_check p with
-           | Ok () -> ()
-           | Error e ->
-             Alcotest.failf "arena broken at point %d (%s): %s" !k
-               (policy_name policy) e);
-          if !completed then begin
-            (* trap never fired: the abort ran to completion and must have
-               left nothing for recovery to redo *)
-            let s = R.persistent_snapshot r in
-            P.recover p;
-            if not (String.equal s (R.persistent_snapshot r)) then
-              Alcotest.failf "recovery after clean abort not a no-op (%s)"
-                (policy_name policy)
-          end;
-          (* the system keeps working *)
-          P.update_tx p (fun () ->
-              let x = P.alloc p 16 in
-              P.store p x 5;
-              P.set_root p 3 x);
-          Alcotest.(check int) "post-abort-crash tx works" 5
-            (P.read_tx p (fun () -> P.load p (P.get_root p 3)));
-          incr k;
-          if !k > 20_000 then
-            Alcotest.fail "abort crash sweep did not terminate"
-        done)
+        let abort (_, p, n1, n2) =
+          match
+            P.update_tx p (fun () ->
+                P.store p n1 10;
+                P.store p (n1 + 8) 20;
+                let n3 = P.alloc p 24 in
+                P.store p n3 99;
+                P.set_root p 1 n3;
+                P.free p n2;
+                P.set_root p 2 0;
+                raise Exit)
+          with
+          | exception Romulus.Engine.Tx_aborted { cause = Exit; _ } -> ()
+          | exception R.Crash_point -> raise R.Crash_point
+          | exception e ->
+            Alcotest.failf "%s: unexpected %s" (policy_name policy)
+              (Printexc.to_string e)
+          | () -> Alcotest.fail "raising tx must not commit"
+        in
+        ignore
+          (D.sweep ~name:"abort crash sweep" ~always:false
+             ~policy:(fun _ -> policy) ~fresh:fresh_crash_region ~op:abort
+             (fun k (r, p, n1, n2) res ->
+               if Option.is_none res then P.recover p;
+               (match observe p n1 n2 with
+                | Pre -> ()
+                | Post ->
+                  Alcotest.failf "aborted tx visible at point %d (%s)" k
+                    (policy_name policy)
+                | Torn s ->
+                  Alcotest.failf "torn abort at point %d (%s): %s" k
+                    (policy_name policy) s);
+               (match P.allocator_check p with
+                | Ok () -> ()
+                | Error e ->
+                  Alcotest.failf "arena broken at point %d (%s): %s" k
+                    (policy_name policy) e);
+               if Option.is_some res then begin
+                 (* trap never fired: the abort ran to completion and must
+                    have left nothing for recovery to redo *)
+                 let s = R.persistent_snapshot r in
+                 P.recover p;
+                 if not (String.equal s (R.persistent_snapshot r)) then
+                   Alcotest.failf "recovery after clean abort not a no-op (%s)"
+                     (policy_name policy)
+               end;
+               (* the system keeps working *)
+               P.update_tx p (fun () ->
+                   let x = P.alloc p 16 in
+                   P.store p x 5;
+                   P.set_root p 3 x);
+               Alcotest.(check int) "post-abort-crash tx works" 5
+                 (P.read_tx p (fun () -> P.load p (P.get_root p 3))))
+            : int))
       [ R.Drop_all; R.Keep_all; R.Random_subset 7; R.Torn_words 113 ]
 
   (* ---- allocator surgery under crashes and aborts ---- *)
@@ -781,34 +746,31 @@ module Make (P : VARIANT) = struct
   let test_allocator_surgery_crashes () =
     List.iter
       (fun policy ->
-        let k = ref 0 in
-        let completed = ref false in
-        while not !completed do
-          let r, p = setup_surgery_region () in
-          R.set_trap r !k;
-          (match P.update_tx p (fun () -> surgery_body p) with
-           | () ->
-             R.clear_trap r;
-             completed := true
-           | exception R.Crash_point -> ());
-          R.crash r policy;
-          P.recover p;
-          let where = Printf.sprintf "point %d (%s)" !k (policy_name policy) in
-          (match observe_surgery p with
-           | Post -> check_mask r p ~expect:post_mask where
-           | Pre when not !completed -> check_mask r p ~expect:pre_mask where
-           | Pre -> Alcotest.failf "%s: committed surgery lost" where
-           | Torn s -> Alcotest.failf "%s: torn surgery: %s" where s);
-          check_arena p where;
-          (* the recovered arena keeps working *)
-          P.update_tx p (fun () ->
-              let x = P.alloc p 40 in
-              P.store p x 5;
-              P.free p x);
-          check_arena p (where ^ ", after a follow-up tx");
-          incr k;
-          if !k > 20_000 then Alcotest.fail "surgery sweep did not terminate"
-        done)
+        ignore
+          (D.sweep ~name:"surgery sweep" ~policy:(fun _ -> policy)
+             ~fresh:(fun () ->
+               let r, p = setup_surgery_region () in
+               ([| r |], (r, p)))
+             ~op:(fun (_, p) -> P.update_tx p (fun () -> surgery_body p))
+             (fun k (r, p) res ->
+               P.recover p;
+               let where =
+                 Printf.sprintf "point %d (%s)" k (policy_name policy)
+               in
+               (match observe_surgery p with
+                | Post -> check_mask r p ~expect:post_mask where
+                | Pre when Option.is_none res ->
+                  check_mask r p ~expect:pre_mask where
+                | Pre -> Alcotest.failf "%s: committed surgery lost" where
+                | Torn s -> Alcotest.failf "%s: torn surgery: %s" where s);
+               check_arena p where;
+               (* the recovered arena keeps working *)
+               P.update_tx p (fun () ->
+                   let x = P.alloc p 40 in
+                   P.store p x 5;
+                   P.free p x);
+               check_arena p (where ^ ", after a follow-up tx"))
+            : int))
       [ R.Drop_all; R.Keep_all; R.Random_subset 7; R.Torn_words 113 ]
 
   (* The surgery aborted by an exception leaves the arena exactly as it
@@ -1036,9 +998,9 @@ module Make (P : VARIANT) = struct
             done
           with R.Crash_point -> (* the machine died under us *) ())
     in
-    R.set_trap r 2_000;
-    let ds = List.init 3 (fun _ -> Domain.spawn worker) in
-    List.iter Domain.join ds;
+    ignore
+      (D.armed [| r |] (D.Trap (0, 2_000)) (fun () ->
+           List.iter Domain.join (List.init 3 (fun _ -> Domain.spawn worker))));
     R.crash r R.Drop_all;
     P.recover p;
     let v = P.read_tx p (fun () -> P.load p obj) in
@@ -1179,16 +1141,14 @@ module Make (P : VARIANT) = struct
         let model = Array.init 10 (fun i -> i) in
         let next = Array.copy model in
         List.iter (fun (slot, v) -> next.(slot) <- v) ops;
-        R.set_trap r trap;
         let committed =
-          match
-            P.update_tx p (fun () ->
-                List.iter (fun (slot, v) -> P.store p (arr + (8 * slot)) v) ops)
-          with
-          | () ->
-            R.clear_trap r;
-            true
-          | exception R.Crash_point -> false
+          Option.is_some
+            (snd
+               (D.armed [| r |] (D.Trap (0, trap)) (fun () ->
+                    P.update_tx p (fun () ->
+                        List.iter
+                          (fun (slot, v) -> P.store p (arr + (8 * slot)) v)
+                          ops))))
         in
         let policy =
           match pol with

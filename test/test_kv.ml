@@ -123,14 +123,13 @@ let test_db_write_batch_atomic () =
   Db.put db "balance_a" "100";
   Db.put db "balance_b" "0";
   (* a transfer as a write batch, crashed in the middle *)
-  R.set_trap r 25;
-  (match
-     Db.write_batch db (fun db ->
-         Db.put db "balance_a" "0";
-         Db.put db "balance_b" "100")
-   with
-   | () -> Alcotest.fail "trap did not fire"
-   | exception R.Crash_point -> ());
+  let transfer () =
+    Db.write_batch db (fun db ->
+        Db.put db "balance_a" "0";
+        Db.put db "balance_b" "100")
+  in
+  if not (fst (Crash_driver.armed [| r |] (Trap (0, 25)) transfer)) then
+    Alcotest.fail "trap did not fire";
   R.crash r R.Drop_all;
   let db2 = Db.open_db r in
   let a = Option.get (Db.get db2 "balance_a") in
@@ -454,13 +453,11 @@ let prop_sorted_db_crash =
       for i = 0 to 39 do
         Sdb.put db (Printf.sprintf "k%03d" i) "committed"
       done;
-      R.set_trap r (5 + trap);
-      (try
-         for i = 40 to 80 do
-           Sdb.put db (Printf.sprintf "k%03d" i) "maybe"
-         done;
-         R.clear_trap r
-       with R.Crash_point -> ());
+      ignore
+        (Crash_driver.armed [| r |] (Trap (0, 5 + trap)) (fun () ->
+             for i = 40 to 80 do
+               Sdb.put db (Printf.sprintf "k%03d" i) "maybe"
+             done));
       let policy =
         match pol with
         | 0 -> R.Drop_all
@@ -494,13 +491,11 @@ let prop_db_crash_atomicity =
       for i = 1 to 10 do
         Db.put db (Printf.sprintf "k%02d" i) (String.make 20 'a')
       done;
-      R.set_trap r trap;
       let committed =
-        match Db.put db "victim" (String.make 40 'B') with
-        | () ->
-          R.clear_trap r;
-          true
-        | exception R.Crash_point -> false
+        Option.is_some
+          (snd
+             (Crash_driver.armed [| r |] (Trap (0, trap)) (fun () ->
+                  Db.put db "victim" (String.make 40 'B'))))
       in
       let policy =
         match pol with
@@ -532,13 +527,10 @@ let prop_db_crash_overwrite_delete =
       let r = region ~size:(1 lsl 18) () in
       let db = Db.open_db ~initial_buckets:8 r in
       Db.put db "x" "old-value";
-      R.set_trap r trap;
-      (match
-         if do_delete then ignore (Db.delete db "x")
-         else Db.put db "x" "new-value"
-       with
-       | () -> R.clear_trap r
-       | exception R.Crash_point -> ());
+      ignore
+        (Crash_driver.armed [| r |] (Trap (0, trap)) (fun () ->
+             if do_delete then ignore (Db.delete db "x")
+             else Db.put db "x" "new-value"));
       let policy =
         match pol with
         | 0 -> R.Drop_all

@@ -269,13 +269,11 @@ module Make (P : PTM) = struct
         for k = 1 to 20 do
           ignore (Tree.put t k k)
         done;
-        R.set_trap r (20 + trap);
-        (try
-           for k = 21 to 60 do
-             ignore (Tree.put t k k)
-           done;
-           R.clear_trap r
-         with R.Crash_point -> ());
+        ignore
+          (Crash_driver.armed [| r |] (Trap (0, 20 + trap)) (fun () ->
+               for k = 21 to 60 do
+                 ignore (Tree.put t k k)
+               done));
         let policy =
           match pol with
           | 0 -> R.Drop_all

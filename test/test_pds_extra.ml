@@ -271,13 +271,11 @@ module Make (P : PTM) = struct
           for k = 1 to 40 do
             ignore (T.put b (C.key k) (C.value k))
           done;
-          R.set_trap r (15 + trap);
-          (try
-             for k = 41 to 90 do
-               ignore (T.put b (C.key k) (C.value k))
-             done;
-             R.clear_trap r
-           with R.Crash_point -> ());
+          ignore
+            (Crash_driver.armed [| r |] (Trap (0, 15 + trap)) (fun () ->
+                 for k = 41 to 90 do
+                   ignore (T.put b (C.key k) (C.value k))
+                 done));
           let policy =
             match pol with
             | 0 -> R.Drop_all

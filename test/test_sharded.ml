@@ -1,15 +1,18 @@
 (* Conformance matrix for the sharded RomulusDB, mirroring the PTM
    suite's categories at the KV level: abort semantics, crash sweeps at
    every instruction boundary under all four crash policies, recovery
-   idempotence (including crashes during recovery), scrub
-   repair-or-refuse — against shards=1 (which must be bit-for-bit
-   equivalent to Romulus_db over the same operations) and shards=4 —
-   plus the cross-shard commit protocol's own crash windows (per-shard
-   intent mirrors, coordinator flip, lazy CLEAR), including the
-   CORRECTNESS.md §10 lost-update regression where a single-key write
-   races an aborting batch on the same key. *)
+   idempotence, scrub repair-or-refuse — against shards=1 (which must be
+   bit-for-bit equivalent to Romulus_db over the same operations) and
+   shards=4 — plus the crash windows no campaign row covers: the
+   CORRECTNESS.md §10 lost-update regressions, where a single-key write
+   races an aborting batch on the same key, and a kill at every
+   migration failpoint with the exact resume count.  Traps and kills are
+   armed through Crash_driver (the early race re-arms its own failpoint
+   from inside the window); the windows a tier-1 crashtest row runs on
+   all five PTMs (sharded, chunked, migrate, group) are left to it. *)
 
 module R = Pmem.Region
+module D = Crash_driver
 module Db = Kv.Romulus_db.Default
 module Sd = Kv.Sharded_db.Default
 module Sc = Kv.Sharded_db.Counters
@@ -33,6 +36,13 @@ let crash_all rs policy = Array.iter (fun r -> R.crash r policy) rs
 (* every test must leave the global failpoint registry clean *)
 let with_disarm f =
   Fun.protect ~finally:(fun () -> Fault.disarm ()) f
+
+(* run [op] with [inj] armed on [rs]; the test fails unless it fired and
+   the crash reached the caller *)
+let must_fire ?hook what rs inj op =
+  match D.armed ?hook rs inj op with
+  | true, None -> ()
+  | _ -> Alcotest.failf "%s did not fire" what
 
 let check_ok what db =
   match Sd.check db with
@@ -252,10 +262,8 @@ module Golden (P : Kv.Sharded_db.SHARD_PTM) = struct
      | () -> Alcotest.fail "golden: runtime abort did not fire"
      | exception Romulus.Engine.Tx_aborted _ -> ());
     Fault.disarm ();
-    R.set_trap rs.(2) 40;
-    (match batch db [ (on db 0 2, "t0"); (on db 2 2, "t2") ] with
-     | () -> Alcotest.fail "golden: trap did not fire"
-     | exception R.Crash_point -> ());
+    must_fire "golden: trap" rs (D.Trap (2, 40)) (fun () ->
+        batch db [ (on db 0 2, "t0"); (on db 2 2, "t2") ]);
     crash_all rs R.Drop_all;
     let db = reopen () in
     batch db [ (on db 1 2, "p1"); (on db 3 2, "p3") ];
@@ -395,26 +403,19 @@ let test_raising_closure_discards_buffer () =
    checks.  This is the KV-level analogue of the PTM suite's
    crash_at_every_point. *)
 let crash_sweep_policy policy =
-  let crashes = ref 0 in
-  for target = 0 to 3 do
-    let continue = ref true in
-    let trap = ref 1 in
-    while !continue do
-      let rs, db = open_sharded () in
-      seed db 12;
-      R.set_trap rs.(target) !trap;
-      (match run_batch db with
-       | () ->
-         R.clear_trap rs.(target);
-         continue := false
-       | exception R.Crash_point -> incr crashes);
-      crash_all rs policy;
-      let db = Sd.open_db ~initial_buckets:8 rs in
-      ignore (assert_all_or_nothing "crash sweep" db : bool);
-      trap := !trap + 1
-    done
-  done;
-  !crashes
+  let fresh () =
+    let rs, db = open_sharded () in
+    seed db 12;
+    (rs, (rs, db))
+  in
+  List.fold_left ( + ) 0
+    (List.init 4 (fun region ->
+         D.sweep ~name:"crash sweep" ~first:1 ~region
+           ~policy:(fun _ -> policy) ~fresh
+           ~op:(fun (_, db) -> run_batch db)
+           (fun _ (rs, _) _ ->
+             let db = Sd.open_db ~initial_buckets:8 rs in
+             ignore (assert_all_or_nothing "crash sweep" db : bool))))
 
 let test_crash_sweep_drop_all () =
   let n = crash_sweep_policy R.Drop_all in
@@ -470,59 +471,6 @@ let test_d_runtime_abort () =
   Alcotest.(check bool) "batch applies cleanly afterwards" true
     (assert_all_or_nothing "clean retry" db)
 
-(* kill the coordinator before its flip is written — after the first
-   mirror and after the last: surviving mirrors with a clean coordinator
-   flip list are a presumed abort, recovery rolls them back *)
-let test_d_preflip_presumed_abort () =
-  with_disarm @@ fun () ->
-  let parts = snd (open_sharded ()) |> d_participants in
-  let nparts = List.length parts in
-  Alcotest.(check bool) "batch spans shards" true (nparts >= 2);
-  List.iter
-    (fun skip ->
-      let rs, db = open_sharded () in
-      seed db 12;
-      let coord = List.hd (d_participants db) in
-      Fault.arm ~skip "sharded.d.mirror_applied" (fun () ->
-          R.kill rs.(coord));
-      (match run_batch db with
-       | () -> Alcotest.fail "kill did not fire"
-       | exception R.Crash_point -> ());
-      crash_all rs R.Keep_all;
-      let db = Sd.open_db ~initial_buckets:8 rs in
-      Alcotest.(check bool)
-        (Printf.sprintf "presumed abort (skip=%d)" skip)
-        false
-        (assert_all_or_nothing "preflip window" db);
-      Alcotest.(check int) "mirrors reclaimed" 0 (Sd.pending_intents db);
-      Alcotest.(check bool) "rollbacks counted" true
-        (counted db Rolled_back > 0))
-    [ 0; nparts - 1 ]
-
-let test_d_postflip_rolls_forward () =
-  with_disarm @@ fun () ->
-  let rs, db = open_sharded () in
-  seed db 12;
-  (* power off the coordinator right after the flip becomes durable: the
-     batch reached its durability point with every mirror still hooked
-     (lazy CLEAR), recovery must keep the applied slices *)
-  let coord = List.hd (d_participants db) in
-  Fault.arm "sharded.d.flip_written" (fun () -> R.kill rs.(coord));
-  (match run_batch db with
-   | () -> ()
-   | exception R.Crash_point -> ());
-  crash_all rs R.Drop_all;
-  let db = Sd.open_db ~initial_buckets:8 rs in
-  Alcotest.(check bool) "rolled forward from the flip" true
-    (assert_all_or_nothing "postflip window" db);
-  Alcotest.(check int) "mirrors and flip reclaimed" 0 (Sd.pending_intents db);
-  Alcotest.(check bool) "roll-forwards counted" true
-    (counted db Rolled_forward > 0);
-  (* reconciliation already converged: another pass changes nothing *)
-  Sd.recover ~parallel:false db;
-  Alcotest.(check bool) "idempotent after roll-forward" true
-    (assert_all_or_nothing "post-recover" db)
-
 (* lazy CLEAR: a committed batch parks its mirrors and flip; the next
    batch over the same shards reclaims all of them piggybacked on its
    own protocol transactions *)
@@ -548,29 +496,6 @@ let test_deferred_clear_reclamation () =
     (Sd.pending_intents db);
   Alcotest.(check bool) "data untouched" true
     (assert_all_or_nothing "after drain" db)
-
-(* crash in the middle of the reconciliation pass itself: the next
-   recovery must converge to the same all-or-nothing verdict *)
-let test_d_crash_during_reconciliation () =
-  with_disarm @@ fun () ->
-  let rs, db = open_sharded () in
-  seed db 12;
-  let target = Sd.shard_of_key db "batch-a" in
-  R.set_trap rs.(target) 40;
-  (match run_batch db with
-   | () -> Alcotest.fail "trap did not fire"
-   | exception R.Crash_point -> ());
-  crash_all rs R.Drop_all;
-  (* kill a shard right after recovery resolves the first mirror *)
-  Fault.arm "sharded.recover.mirror_resolved" (fun () -> R.kill rs.(target));
-  (match Sd.open_db ~initial_buckets:8 rs with
-   | (_ : Sd.t) -> ()
-   | exception R.Crash_point -> ());
-  Fault.disarm ();
-  crash_all rs R.Drop_all;
-  let db = Sd.open_db ~initial_buckets:8 rs in
-  ignore (assert_all_or_nothing "crashed reconciliation" db : bool);
-  Alcotest.(check int) "reconciliation converged" 0 (Sd.pending_intents db)
 
 (* An image holding a record of the removed shard-0 intent protocol
    (shard 0's last root slot set) is refused at open with the typed
@@ -623,10 +548,8 @@ let hostile_image () =
   seed db 64;
   run_batch db;
   let rs = Array.append rs [| region () |] in
-  Fault.arm "sharded.migrate.batch_moved" (fun () -> R.kill rs.(0));
-  (match Sd.split_shard db ~source:1 rs.(4) with
-   | _ -> Alcotest.fail "the split was not killed"
-   | exception R.Crash_point -> ());
+  must_fire "split kill" rs (D.Kill ("sharded.migrate.batch_moved", 0, Some 0))
+    (fun () -> Sd.split_shard db ~source:1 rs.(4));
   crash_all rs R.Drop_all;
   rs
 
@@ -662,11 +585,10 @@ let preflip_image () =
   let rs, db = open_sharded () in
   seed db 12;
   let parts = d_participants db in
-  Fault.arm ~skip:(List.length parts - 1) "sharded.d.mirror_applied"
-    (fun () -> R.kill rs.(List.hd parts));
-  (match run_batch db with
-   | () -> Alcotest.fail "kill did not fire"
-   | exception R.Crash_point -> ());
+  let last, coord = (List.length parts - 1, List.hd parts) in
+  must_fire "kill" rs
+    (D.Kill ("sharded.d.mirror_applied", last, Some coord))
+    (fun () -> run_batch db);
   crash_all rs R.Keep_all;
   rs
 
@@ -853,12 +775,11 @@ let test_d_lost_update_crash_recovery () =
   let coord = List.hd (d_participants db) in
   (* same race, but the batch dies before its flip: recovery's presumed
      abort must honor the invalidated undo entry *)
-  Fault.arm ~skip:(nparts - 1) "sharded.d.mirror_applied" (fun () ->
-      Sd.put db (key 1) "raced";
-      R.kill rs.(coord));
-  (match run_batch db with
-   | () -> Alcotest.fail "kill did not fire"
-   | exception R.Crash_point -> ());
+  must_fire "kill"
+    ~hook:(fun () -> Sd.put db (key 1) "raced")
+    rs
+    (D.Kill ("sharded.d.mirror_applied", nparts - 1, Some coord))
+    (fun () -> run_batch db);
   crash_all rs R.Drop_all;
   let db = Sd.open_db ~initial_buckets:8 rs in
   assert_raced_rollback "lost-update (crash recovery)" db;
@@ -915,10 +836,7 @@ let test_parallel_recovery () =
   let rs, db = open_sharded () in
   seed db 12;
   (* leave a mid-commit wreck on one shard and mirrors hooked on others *)
-  R.set_trap rs.(2) 40;
-  (match run_batch db with
-   | () -> Alcotest.fail "trap did not fire"
-   | exception R.Crash_point -> ());
+  must_fire "trap" rs (D.Trap (2, 40)) (fun () -> run_batch db);
   crash_all rs (R.Random_subset 7);
   let db = Sd.open_db ~initial_buckets:8 rs in
   ignore (assert_all_or_nothing "after reopen" db : bool);
@@ -954,25 +872,6 @@ let test_parallel_recovery_releases_slots () =
   done;
   Alcotest.(check (option string)) "store intact" (Some "value")
     (Mne_sd.get db "key")
-
-let test_crash_during_recovery () =
-  let rs, db = open_sharded () in
-  seed db 12;
-  (* [batch_ops] touch shard 0, so the trap lands inside the batch *)
-  R.set_trap rs.(0) 30;
-  (match run_batch db with
-   | () -> Alcotest.fail "trap did not fire"
-   | exception R.Crash_point -> ());
-  crash_all rs R.Drop_all;
-  (* now crash again in the middle of recovery itself: the second
-     recovery must still converge (recovery is idempotent) *)
-  R.set_trap rs.(3) 10;
-  (match Sd.open_db ~initial_buckets:8 rs with
-   | _ -> R.clear_trap rs.(3)
-   | exception R.Crash_point -> ());
-  crash_all rs R.Drop_all;
-  let db = Sd.open_db ~initial_buckets:8 rs in
-  ignore (assert_all_or_nothing "crashed recovery" db : bool)
 
 (* ---- scrub: repair-or-refuse per shard, aggregated report ---- *)
 
@@ -1032,30 +931,7 @@ let test_scrub_salvages_double_fault () =
         Alcotest.(check int) (Printf.sprintf "shard %d stays clean" i) 0 n)
     (Sd.scrub_shards db)
 
-(* ---- qcheck: random crash points over cross-shard batches ---- *)
-
-let prop_sharded_crash_batch =
-  let open QCheck in
-  Test.make ~count:40 ~name:"sharded: crashed cross-shard batch is atomic"
-    (triple small_nat (int_bound 3) (int_bound 3))
-    (fun (trap, pol, target) ->
-      let rs, db = open_sharded () in
-      seed db 12;
-      R.set_trap rs.(target) (trap + 1);
-      (match run_batch db with
-       | () -> R.clear_trap rs.(target)
-       | exception R.Crash_point -> ());
-      let policy =
-        match pol with
-        | 0 -> R.Drop_all
-        | 1 -> R.Keep_all
-        | 2 -> R.Random_subset (trap + 3)
-        | _ -> R.Torn_words (trap + 13)
-      in
-      crash_all rs policy;
-      let db = Sd.open_db ~initial_buckets:8 rs in
-      ignore (assert_all_or_nothing "qcheck sweep" db : bool);
-      true)
+(* ---- qcheck: a racing write vs a crashed cross-shard batch ---- *)
 
 (* Mixing a racing single-key write with a crashing cross-shard batch
    under all four policies: the coordinator is killed in a random mirror
@@ -1074,14 +950,13 @@ let prop_d_racing_mix =
       let rs, db = open_sharded () in
       seed db 12;
       let parts = d_participants db in
-      let coord = List.hd parts in
-      Fault.arm ~skip:(skip mod List.length parts) "sharded.d.mirror_applied"
-        (fun () ->
-          if raced then Sd.put db (key 1) "raced";
-          R.kill rs.(coord));
-      (match run_batch db with
-       | () -> Alcotest.fail "kill did not fire"
-       | exception R.Crash_point -> ());
+      must_fire "kill"
+        ~hook:(fun () -> if raced then Sd.put db (key 1) "raced")
+        rs
+        (D.Kill
+           ("sharded.d.mirror_applied", skip mod List.length parts,
+            Some (List.hd parts)))
+        (fun () -> run_batch db);
       let policy =
         match pol with
         | 0 -> R.Drop_all
@@ -1280,84 +1155,6 @@ let test_chunked_racing_invalidation () =
     big_keys;
   check_ok "chunked racing invalidation" db;
   Alcotest.(check int) "no record left hooked" 0 (Sd.pending_intents db)
-
-(* a batch of fresh 700-byte values at chunk_bytes=256: every
-   participant streams a multi-chunk chain *)
-let fresh_big_batch db =
-  Sd.write_batch db (fun b ->
-      for i = 0 to 7 do
-        Sd.put b (Printf.sprintf "cb%02d" i) (big_value 5 700)
-      done)
-
-let fresh_big_coord db =
-  List.fold_left min max_int
-    (List.init 8 (fun i -> Sd.shard_of_key db (Printf.sprintf "cb%02d" i)))
-
-let assert_fresh_big_rolled_back what db =
-  for i = 0 to 7 do
-    if Sd.get db (Printf.sprintf "cb%02d" i) <> None then
-      Alcotest.failf "%s: cb%02d leaked from an unsealed chain" what i
-  done;
-  for i = 0 to 11 do
-    if Sd.get db (key i) <> Some (value i) then
-      Alcotest.failf "%s: lost committed key %s" what (key i)
-  done;
-  Alcotest.(check int) (what ^ ": nothing left hooked") 0
-    (Sd.pending_intents db);
-  check_ok what db
-
-let test_chunk_midchain_kill () =
-  with_disarm @@ fun () ->
-  let rs, db = open_sharded ~chunk_bytes:256 () in
-  seed db 12;
-  let coord = fresh_big_coord db in
-  (* power off after the second streamed chunk commits: the crash leaves
-     an unsealed chain for recovery to collect as presumed abort *)
-  Fault.arm ~skip:1 "sharded.chunk.written" (fun () -> R.kill rs.(coord));
-  (match fresh_big_batch db with
-   | () -> Alcotest.fail "kill did not fire"
-   | exception R.Crash_point -> ());
-  crash_all rs R.Keep_all;
-  let db = Sd.open_db ~initial_buckets:8 ~chunk_bytes:256 rs in
-  assert_fresh_big_rolled_back "mid-chain kill" db;
-  Alcotest.(check bool) "chain GC counted as presumed abort" true
-    (counted db Rolled_back > 0)
-
-let test_chunk_seal_window_kill () =
-  with_disarm @@ fun () ->
-  let rs, db = open_sharded ~chunk_bytes:256 () in
-  seed db 12;
-  let coord = fresh_big_coord db in
-  (* the whole chain is durable but the seal never runs: without the
-     seal the chain is invalid and must be collected, not replayed *)
-  Fault.arm "sharded.chunk.seal_window" (fun () -> R.kill rs.(coord));
-  (match fresh_big_batch db with
-   | () -> Alcotest.fail "kill did not fire"
-   | exception R.Crash_point -> ());
-  crash_all rs R.Keep_all;
-  let db = Sd.open_db ~initial_buckets:8 ~chunk_bytes:256 rs in
-  assert_fresh_big_rolled_back "seal-window kill" db
-
-let test_crash_during_chain_gc () =
-  with_disarm @@ fun () ->
-  let rs, db = open_sharded ~chunk_bytes:256 () in
-  seed db 12;
-  let coord = fresh_big_coord db in
-  Fault.arm "sharded.chunk.seal_window" (fun () -> R.kill rs.(coord));
-  (match fresh_big_batch db with
-   | () -> Alcotest.fail "kill did not fire"
-   | exception R.Crash_point -> ());
-  crash_all rs R.Keep_all;
-  (* recovery dies right after collecting the unsealed chain; the next
-     recovery must converge on the same verdict *)
-  Fault.arm "sharded.chunk.gc" (fun () -> R.kill rs.(coord));
-  (match Sd.open_db ~initial_buckets:8 ~chunk_bytes:256 rs with
-   | (_ : Sd.t) -> Alcotest.fail "chain-GC kill did not fire"
-   | exception R.Crash_point -> ());
-  Fault.disarm ();
-  crash_all rs R.Keep_all;
-  let db = Sd.open_db ~initial_buckets:8 ~chunk_bytes:256 rs in
-  assert_fresh_big_rolled_back "crash during chain GC" db
 
 let test_admission_overload_immediate () =
   let _, db = open_sharded ~admission_budget:256 () in
@@ -1596,47 +1393,6 @@ let test_flush_clears () =
   Alcotest.(check bool) "data intact after auto-flush" true
     (assert_all_or_nothing "auto flush" db2)
 
-(* random crash points over a chunked+spilled cross-shard batch: the
-   chain-level all-or-nothing must hold under every policy *)
-let prop_chunked_crash_batch =
-  let open QCheck in
-  Test.make ~count:25
-    ~name:"sharded: crashed chunked batch is atomic"
-    (triple small_nat (int_bound 3) (int_bound 3))
-    (fun (trap, pol, target) ->
-      let rs, db = open_sharded ~chunk_bytes:256 ~spill_threshold:128 () in
-      seed db 12;
-      seed_big db;
-      R.set_trap rs.(target) ((trap * 7) + 1);
-      (match overwrite_big_batch db with
-       | () -> R.clear_trap rs.(target)
-       | exception R.Crash_point -> ());
-      let policy =
-        match pol with
-        | 0 -> R.Drop_all
-        | 1 -> R.Keep_all
-        | 2 -> R.Random_subset (trap + 3)
-        | _ -> R.Torn_words (trap + 13)
-      in
-      crash_all rs policy;
-      let db =
-        Sd.open_db ~initial_buckets:8 ~chunk_bytes:256 ~spill_threshold:128 rs
-      in
-      check_ok "chunked qcheck" db;
-      let applied = Sd.get db (List.hd big_keys) = Some (big_value 9 900) in
-      List.iter
-        (fun k ->
-          let want = if applied then big_value 9 900 else big_value 3 700 in
-          if Sd.get db k <> Some want then
-            Alcotest.failf "half-applied chunked batch at %s (applied=%b)" k
-              applied)
-        big_keys;
-      for i = 0 to 11 do
-        if Sd.get db (key i) <> Some (value i) then
-          Alcotest.failf "lost committed key %s" (key i)
-      done;
-      true)
-
 (* ---- elastic sharding: online split/merge with live migration ---- *)
 
 (* every seeded key present exactly once, value intact *)
@@ -1767,13 +1523,10 @@ let test_split_crash_at_failpoints () =
               ()
           in
           seed db 60;
-          let r2 = region () in
-          if resumes then Fault.arm site (fun () -> R.kill rs.(0))
-          else Fault.arm site (fun () -> raise R.Crash_point);
-          (match Sd.split_shard db ~source:0 r2 with
-           | (_ : int) -> Alcotest.failf "%s: kill did not fire" site
-           | exception R.Crash_point -> ());
-          let rs = Array.append rs [| r2 |] in
+          let rs = Array.append rs [| region () |] in
+          must_fire (site ^ ": kill") rs
+            (D.Kill (site, 0, if resumes then Some 0 else None))
+            (fun () -> Sd.split_shard db ~source:0 rs.(2));
           crash_all rs policy;
           let crashed = db in
           let db = Sd.open_db ~initial_buckets:8 rs in
@@ -1794,8 +1547,8 @@ let test_split_crash_at_failpoints () =
 
 (* a single-key write racing the move stream: fired between the source
    and target transactions of the first move batch, the raced key (in a
-   moving slot) must carry the racing value after the split — and also
-   after a kill + recovery *)
+   moving slot) must carry the racing value after the split (the same
+   race followed by a kill is the migrate campaign's step (c)) *)
 let test_racing_write_during_split () =
   let moving_key db target =
     let rec find i =
@@ -1847,32 +1600,7 @@ let test_racing_write_during_split () =
           None (Sd.get db !deleted);
       if !deleted = "" then Alcotest.fail "no seeded key moves to shard 2";
       Alcotest.(check bool) "double-read served the window" true
-        (!double_read >= 1));
-  (* same race, then kill the source before the target tx of a later
-     batch; recovery must keep the racing values *)
-  List.iter
-    (fun policy ->
-      with_disarm @@ fun () ->
-      let rs, db =
-        open_sharded ~shards:2 ~chunk_bytes:Kv.Sharded_db.min_chunk_bytes ()
-      in
-      seed db 40;
-      let raced = ref "" in
-      Fault.arm "sharded.migrate.batch_moved" (fun () ->
-          raced := moving_key db 2;
-          Sd.put db !raced "raced-crash";
-          R.kill rs.(0));
-      let r2 = region () in
-      (match Sd.split_shard db ~source:0 r2 with
-       | (_ : int) -> Alcotest.fail "kill did not fire"
-       | exception R.Crash_point -> ());
-      let rs = Array.append rs [| r2 |] in
-      crash_all rs policy;
-      let db = Sd.open_db ~initial_buckets:8 rs in
-      assert_exactly_once "racing crash" db 40;
-      Alcotest.(check (option string)) "raced put survives recovery"
-        (Some "raced-crash") (Sd.get db !raced))
-    [ R.Drop_all; R.Keep_all; R.Torn_words 5 ]
+        (!double_read >= 1))
 
 (* a cross-shard batch touching a moving slot is refused with the typed
    Overloaded while the window is open, and succeeds on retry once the
@@ -2617,57 +2345,6 @@ let test_group_barrier_ordering () =
   Gc.flush fe;
   Alcotest.(check (option string)) "delete durable" None (Sd.get db "ord")
 
-(* Async losses are a clean watermark prefix, never a torn suffix: crash
-   mid-drain, reopen the bare store, and check every shard's survivors
-   form a prefix of that shard's submission order. *)
-let test_group_crash_prefix () =
-  let rs, db = open_sharded () in
-  let fe = Gc.attach ~window:4 ~ack:Kv.Group_commit.Async db in
-  (* per-shard submission order of the keys we enqueue *)
-  let order = Array.make 4 [] in
-  for i = 0 to 11 do
-    Gc.put fe (key i) (value i);
-    let s = Sd.shard_of_key db (key i) in
-    order.(s) <- key i :: order.(s)
-  done;
-  Gc.flush fe;
-  for i = 12 to 23 do
-    Gc.put fe (key i) (value i);
-    let s = Sd.shard_of_key db (key i) in
-    order.(s) <- key i :: order.(s)
-  done;
-  (* kill one region mid-flush: the engine transaction in flight is
-     torn, everything after it never starts *)
-  R.set_trap rs.(1) 40;
-  (match Gc.flush fe with
-   | () -> ()  (* trap may land after the last drain *)
-   | exception R.Crash_point -> ());
-  crash_all rs (R.Torn_words 7);
-  let db = Sd.open_db ~initial_buckets:8 rs in
-  check_ok "after group crash" db;
-  Array.iteri
-    (fun s ks ->
-      let ks = List.rev ks in
-      let rec check_prefix seen_missing = function
-        | [] -> ()
-        | k :: rest ->
-          (match Sd.get db k with
-           | Some _ when seen_missing ->
-             Alcotest.failf
-               "shard %d: %s survived after an earlier loss (torn suffix)"
-               s k
-           | Some _ -> check_prefix false rest
-           | None -> check_prefix true rest)
-      in
-      check_prefix false ks)
-    order;
-  (* the first flush fully drained before the trap was armed: its keys
-     are below the watermark and must all survive *)
-  for i = 0 to 11 do
-    if Sd.get db (key i) <> Some (value i) then
-      Alcotest.failf "settled-before-crash key %s lost" (key i)
-  done
-
 (* QCheck: the durability watermark is monotone and the acked set is
    prefix-closed across all three modes, and a final flush converges the
    front-end onto the bare store's contents (model-checked replay). *)
@@ -2911,20 +2588,13 @@ let suite =
     tc "crash sweep random-subset" `Slow test_crash_sweep_random_subset;
     tc "crash sweep torn-words" `Slow test_crash_sweep_torn_words;
     tc "decentralized runtime abort" `Quick test_d_runtime_abort;
-    tc "decentralized pre-flip presumed abort" `Quick
-      test_d_preflip_presumed_abort;
-    tc "decentralized post-flip rolls forward" `Quick
-      test_d_postflip_rolls_forward;
     tc "lazy CLEAR reclamation" `Quick test_deferred_clear_reclamation;
     tc "legacy shard-0 intent refused" `Quick test_legacy_intent_refused;
-    tc "crash during reconciliation" `Quick
-      test_d_crash_during_reconciliation;
     tc "lost update: runtime abort race" `Quick
       test_d_lost_update_runtime_abort;
     tc "lost update: crash recovery race" `Quick
       test_d_lost_update_crash_recovery;
     tc "parallel recovery" `Quick test_parallel_recovery;
-    tc "crash during recovery" `Quick test_crash_during_recovery;
     tc "scrub repairs a shard" `Quick test_scrub_repairs_shard;
     tc "scrub salvages double fault" `Quick test_scrub_salvages_double_fault;
     tc "snapshot round trip" `Quick test_snapshot_roundtrip;
@@ -2933,11 +2603,6 @@ let suite =
       test_chunked_batch_commits;
     tc "chunked racing invalidation refreshes CRC" `Quick
       test_chunked_racing_invalidation;
-    tc "mid-chain kill collects unsealed chain" `Quick
-      test_chunk_midchain_kill;
-    tc "seal-window kill is presumed abort" `Quick
-      test_chunk_seal_window_kill;
-    tc "crash during chain GC converges" `Quick test_crash_during_chain_gc;
     tc "admission: over-budget batch refused" `Quick
       test_admission_overload_immediate;
     tc "admission: concurrent batches degrade" `Quick
@@ -2983,14 +2648,9 @@ let suite =
     tc "group: raiser fails alone in its window" `Quick
       test_group_raiser_fails_alone_in_window;
     tc "group: cross queue is a sequencing barrier" `Quick
-      test_group_barrier_ordering;
-    tc "group: crash loses only a watermark prefix" `Quick
-      test_group_crash_prefix ]
-  @ List.map QCheck_alcotest.to_alcotest
-      [ prop_sharded_crash_batch; prop_d_racing_mix; prop_chunk_roundtrip;
-        prop_chunked_crash_batch; prop_epoch0_matches_fnv;
-        prop_route_stable_across_reopen; prop_route_uniform;
-        prop_scrub_attribution; prop_group_watermark ]
+      test_group_barrier_ordering ]
+  (* the two blocks before the QCheck properties keep the routing
+     properties at indices 64-66, which their printed names carry *)
   @ [ tc "repair: snapshot restore keeps the shard's counts" `Quick
         test_restore_keeps_counts;
       tc "group: group_size_max is the largest group" `Quick
@@ -3001,6 +2661,18 @@ let suite =
         (check_counter_table (module Kv.Group_commit.Counters));
       tc "parallel recoveries on mne release their thread slots" `Quick
         test_parallel_recovery_releases_slots ]
+  @ [ tc "hostile records opened or refused by name" `Quick
+        test_hostile_records;
+      tc "pre-flip reopen access counts" `Quick test_preflip_reopen_counts;
+      tc "cross-shard batch access counts" `Quick test_batch_counts;
+      tc "decentralized: early race vs runtime abort" `Quick
+        test_d_early_race_runtime_abort;
+      tc "decentralized: early race vs crash recovery" `Quick
+        test_d_early_race_crash_recovery ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_d_racing_mix; prop_chunk_roundtrip; prop_epoch0_matches_fnv;
+        prop_route_stable_across_reopen; prop_route_uniform;
+        prop_scrub_attribution; prop_group_watermark ]
   @ List.concat_map
       (fun (module P : Kv.Sharded_db.SHARD_PTM) ->
         let module O = Open_pass (P) in
@@ -3012,13 +2684,5 @@ let suite =
               ^ P.name) `Quick O.test_r1_scrub_once ])
       [ (module Romulus.Basic); (module Romulus.Logged); (module Romulus.Lr);
         (module Baselines.Redolog); (module Baselines.Undolog) ]
-  @ [ tc "hostile records opened or refused by name" `Quick
-        test_hostile_records;
-      tc "pre-flip reopen access counts" `Quick test_preflip_reopen_counts;
-      tc "cross-shard batch access counts" `Quick test_batch_counts;
-      tc "decentralized: early race vs runtime abort" `Quick
-        test_d_early_race_runtime_abort;
-      tc "decentralized: early race vs crash recovery" `Quick
-        test_d_early_race_crash_recovery ]
 
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]

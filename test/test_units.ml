@@ -244,9 +244,7 @@ let test_coalesced_replication_fewer_copies () =
    deferred pwbs and coalesced copies, every crash point must recover to
    either the pre- or post-state. *)
 let test_engine_crash_sweep () =
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
+  let fresh () =
     let r = Pmem.Region.create ~size:(1 lsl 16) () in
     let e = Romulus.Engine.create ~mode:Romulus.Engine.Logged r in
     Romulus.Engine.begin_tx e;
@@ -255,30 +253,28 @@ let test_engine_crash_sweep () =
     Romulus.Engine.store e (obj + 64) 2;
     Romulus.Engine.set_root e 0 obj;
     Romulus.Engine.end_tx e;
-    Pmem.Region.set_trap r !k;
-    (match
-       Romulus.Engine.begin_tx e;
-       Romulus.Engine.store e obj 10;
-       Romulus.Engine.store e (obj + 8) 11;
-       Romulus.Engine.store e (obj + 64) 20;
-       Romulus.Engine.end_tx e
-     with
-     | () ->
-       Pmem.Region.clear_trap r;
-       completed := true
-     | exception Pmem.Region.Crash_point -> ());
-    Pmem.Region.crash r (Pmem.Region.Random_subset (!k + 3));
-    Romulus.Engine.recover e;
-    let base = Romulus.Engine.get_root e 0 in
-    let g d = Romulus.Engine.load e (base + d) in
-    (match (g 0, g 8, g 64) with
-     | 1, _, 2 -> () (* rolled back *)
-     | 10, 11, 20 -> () (* committed *)
-     | a, b, c ->
-       Alcotest.failf "point %d: torn state (%d, %d, %d)" !k a b c);
-    incr k;
-    if !k > 20_000 then Alcotest.fail "commit-path crash sweep did not terminate"
-  done
+    ([| r |], (e, obj))
+  in
+  ignore
+    (Crash_driver.sweep ~name:"commit-path crash sweep"
+       ~policy:(fun k -> Pmem.Region.Random_subset (k + 3))
+       ~fresh
+       ~op:(fun (e, obj) ->
+         Romulus.Engine.begin_tx e;
+         Romulus.Engine.store e obj 10;
+         Romulus.Engine.store e (obj + 8) 11;
+         Romulus.Engine.store e (obj + 64) 20;
+         Romulus.Engine.end_tx e)
+       (fun k (e, _) _ ->
+         Romulus.Engine.recover e;
+         let base = Romulus.Engine.get_root e 0 in
+         let g d = Romulus.Engine.load e (base + d) in
+         match (g 0, g 8, g 64) with
+         | 1, _, 2 -> () (* rolled back *)
+         | 10, 11, 20 -> () (* committed *)
+         | a, b, c ->
+           Alcotest.failf "point %d: torn state (%d, %d, %d)" k a b c)
+      : int)
 
 (* ---- Fence profiles ---- *)
 
@@ -386,9 +382,7 @@ let test_engine_rejects_nested_begin () =
    sizes its raw copy from the consistent copy's frontier, which differs
    before and after the transaction. *)
 let test_engine_shrinking_top_crash_atomic mode () =
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
+  let fresh () =
     let r = Pmem.Region.create ~size:(1 lsl 16) () in
     let e = Romulus.Engine.create ~mode r in
     (* committed state: a small object and a big frontier chunk *)
@@ -400,39 +394,37 @@ let test_engine_shrinking_top_crash_atomic mode () =
     Romulus.Engine.store e big 9;
     Romulus.Engine.set_root e 1 big;
     Romulus.Engine.end_tx e;
-    let span_before = Romulus.Engine.used_span e in
-    (* the transaction under test frees the frontier chunk (top shrinks)
-       and updates the small object *)
-    Pmem.Region.set_trap r !k;
-    (match
-       Romulus.Engine.begin_tx e;
-       Romulus.Engine.free e big;
-       Romulus.Engine.set_root e 1 0;
-       Romulus.Engine.store e small 8;
-       Romulus.Engine.end_tx e
-     with
-     | () ->
-       Pmem.Region.clear_trap r;
-       completed := true
-     | exception Pmem.Region.Crash_point -> ());
-    Pmem.Region.crash r (Pmem.Region.Random_subset (!k + 3));
-    Romulus.Engine.recover e;
-    let v = Romulus.Engine.load e (Romulus.Engine.get_root e 0) in
-    let root1 = Romulus.Engine.get_root e 1 in
-    (match (v, root1) with
-     | 7, b when b = big ->
-       if Romulus.Engine.load e big <> 9 then
-         Alcotest.failf "point %d: pre-state lost the big chunk" !k;
-       if Romulus.Engine.used_span e < span_before then
-         Alcotest.failf "point %d: rolled back but frontier shrank" !k
-     | 8, 0 -> () (* post-state: chunk freed *)
-     | v, b -> Alcotest.failf "point %d: torn (v=%d root1=%d)" !k v b);
-    (match Romulus.Engine.allocator_check e with
-     | Ok () -> ()
-     | Error msg -> Alcotest.failf "point %d: allocator: %s" !k msg);
-    incr k;
-    if !k > 20_000 then Alcotest.fail "shrink-crash loop did not terminate"
-  done
+    ([| r |], (e, small, big, Romulus.Engine.used_span e))
+  in
+  (* the transaction under test frees the frontier chunk (top shrinks)
+     and updates the small object *)
+  let shrink (e, small, big, _) =
+    Romulus.Engine.begin_tx e;
+    Romulus.Engine.free e big;
+    Romulus.Engine.set_root e 1 0;
+    Romulus.Engine.store e small 8;
+    Romulus.Engine.end_tx e
+  in
+  ignore
+    (Crash_driver.sweep ~name:"shrink-crash loop"
+       ~policy:(fun k -> Pmem.Region.Random_subset (k + 3))
+       ~fresh ~op:shrink
+       (fun k (e, _, big, span_before) _ ->
+         Romulus.Engine.recover e;
+         let v = Romulus.Engine.load e (Romulus.Engine.get_root e 0) in
+         let root1 = Romulus.Engine.get_root e 1 in
+         (match (v, root1) with
+          | 7, b when b = big ->
+            if Romulus.Engine.load e big <> 9 then
+              Alcotest.failf "point %d: pre-state lost the big chunk" k;
+            if Romulus.Engine.used_span e < span_before then
+              Alcotest.failf "point %d: rolled back but frontier shrank" k
+          | 8, 0 -> () (* post-state: chunk freed *)
+          | v, b -> Alcotest.failf "point %d: torn (v=%d root1=%d)" k v b);
+         match Romulus.Engine.allocator_check e with
+         | Ok () -> ()
+         | Error msg -> Alcotest.failf "point %d: allocator: %s" k msg)
+      : int)
 
 (* ---- RomulusLR synthetic pointers ---- *)
 
@@ -496,10 +488,11 @@ let test_ptm_survives_file_round_trip () =
   in
   (* die mid-transaction, save the (persistent) state the disk would
      hold, and reopen it elsewhere *)
-  Pmem.Region.set_trap r 6;
-  (match P.update_tx p (fun () -> P.store p obj 999) with
-   | () -> Alcotest.fail "trap did not fire"
-   | exception Pmem.Region.Crash_point -> ());
+  let fired, _ =
+    Crash_driver.armed [| r |] (Trap (0, 6)) (fun () ->
+        P.update_tx p (fun () -> P.store p obj 999))
+  in
+  if not fired then Alcotest.fail "trap did not fire";
   Pmem.Region.crash r Pmem.Region.Drop_all;
   Pmem.Region.save_to_file r path;
   let r2 = Pmem.Region.load_from_file path in
