@@ -10,36 +10,10 @@
 
 (* ---- (a) volatile log vs whole-span copy ---- *)
 
-let swap_array (module P : Common.PTM) ~fence ~words ~txs =
-  let r = Pmem.Region.create ~fence ~size:((words * 32) + (1 lsl 20)) () in
-  let p = P.open_region r in
-  let arr =
-    P.update_tx p (fun () ->
-        let a = P.alloc p (8 * words) in
-        P.set_root p 0 a;
-        a)
-  in
-  let chunk = 1_024 in
-  let i = ref 0 in
-  while !i < words do
-    let stop = min words (!i + chunk) in
-    let start = !i in
-    P.update_tx p (fun () ->
-        for j = start to stop - 1 do
-          P.store p (arr + (8 * j)) j
-        done);
-    i := stop
-  done;
-  let rng = Workload.Keygen.create ~seed:3 () in
-  let tx () =
-    P.update_tx p (fun () ->
-        for _ = 1 to 4 do
-          let i = arr + (8 * Workload.Keygen.int rng words) in
-          let j = arr + (8 * Workload.Keygen.int rng words) in
-          let a = P.load p i and b = P.load p j in
-          P.store p i b;
-          P.store p j a
-        done)
+let swap_array ptm ~fence ~words ~txs =
+  let r, tx =
+    Ds_bench.swap_array ptm ~fence ~size:((words * 32) + (1 lsl 20)) ~words
+      ~seed:3 ~swaps:4
   in
   for _ = 1 to 20 do
     tx ()

@@ -143,6 +143,45 @@ let make_tree (module P : Common.PTM) ?fence ~keys ~region_size () =
   { ds = "rb-tree"; ptm = P.name; region = r; read_pair;
     update_pair = update_one; update_batch }
 
+(* The swap-array microbenchmark of Fig. 9 and the log-vs-copy ablation:
+   an array of [words] integers behind root 0, populated in 1,024-word
+   transactions (the STM baseline's persistent log and the undo log are
+   bounded), and a transaction that swaps [swaps] random pairs drawn from
+   [seed].  Returns the region and that transaction; each caller warms
+   it up and times it its own way. *)
+let swap_array (module P : Common.PTM) ~fence ~size ~words ~seed ~swaps =
+  let r = Pmem.Region.create ~fence ~size () in
+  let p = P.open_region r in
+  let arr =
+    P.update_tx p (fun () ->
+        let a = P.alloc p (8 * words) in
+        P.set_root p 0 a;
+        a)
+  in
+  let chunk = 1_024 in
+  let i = ref 0 in
+  while !i < words do
+    let stop = min words (!i + chunk) in
+    let start = !i in
+    P.update_tx p (fun () ->
+        for j = start to stop - 1 do
+          P.store p (arr + (8 * j)) j
+        done);
+    i := stop
+  done;
+  let rng = Workload.Keygen.create ~seed () in
+  let tx () =
+    P.update_tx p (fun () ->
+        for _ = 1 to swaps do
+          let i = arr + (8 * Workload.Keygen.int rng words) in
+          let j = arr + (8 * Workload.Keygen.int rng words) in
+          let a = P.load p i and b = P.load p j in
+          P.store p i b;
+          P.store p j a
+        done)
+  in
+  (r, tx)
+
 (* ---- calibration ---- *)
 
 let calibrate ?(ops = 2_000) t =

@@ -20,38 +20,10 @@ let profiles =
 
 let swap_budget = function Common.Quick -> 8_192 | Common.Full -> 131_072
 
-let swaps_per_us (module P : Common.PTM) ~fence ~swaps_per_tx ~budget =
-  let r = Pmem.Region.create ~fence ~size:(1 lsl 21) () in
-  let p = P.open_region r in
-  let arr =
-    P.update_tx p (fun () ->
-        let a = P.alloc p (8 * array_words) in
-        P.set_root p 0 a;
-        a)
-  in
-  (* populate in bounded chunks: the STM baseline's persistent log and
-     the undo log are bounded *)
-  let chunk = 1_024 in
-  let i = ref 0 in
-  while !i < array_words do
-    let stop = min array_words (!i + chunk) in
-    let start = !i in
-    P.update_tx p (fun () ->
-        for j = start to stop - 1 do
-          P.store p (arr + (8 * j)) j
-        done);
-    i := stop
-  done;
-  let rng = Workload.Keygen.create ~seed:99 () in
-  let tx () =
-    P.update_tx p (fun () ->
-        for _ = 1 to swaps_per_tx do
-          let i = arr + (8 * Workload.Keygen.int rng array_words) in
-          let j = arr + (8 * Workload.Keygen.int rng array_words) in
-          let a = P.load p i and b = P.load p j in
-          P.store p i b;
-          P.store p j a
-        done)
+let swaps_per_us ptm ~fence ~swaps_per_tx ~budget =
+  let r, tx =
+    Ds_bench.swap_array ptm ~fence ~size:(1 lsl 21) ~words:array_words
+      ~seed:99 ~swaps:swaps_per_tx
   in
   (* warm up *)
   tx ();

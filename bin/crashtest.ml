@@ -1561,24 +1561,36 @@ let campaigns =
     { name = "group"; min_shards = 2; rows = group_rows; reads = sharded } ]
 
 (* Run one row: its rounds, then its required pairs.  Prints the row with
-   its wall time and fired pairs; returns whether it passed. *)
+   its wall time and fired pairs; returns whether it passed.  An exception
+   escaping a round fails the row: every failpoint is disarmed ([armed]
+   has cleared the traps), the row's remaining rounds and its pair check
+   are skipped, and the later rows still run. *)
 let run_row cfg ~campaign ~ptm (label, required, setup) =
   Printf.printf "%-6s x %s %s: %!" ptm campaign label;
   let t0 = Workload.Bench_clock.now_ns () in
   let r = start ~seed:cfg.seed ~policy:cfg.policy ~rounds:cfg.rounds in
   let round = setup r in
-  for i = 1 to cfg.rounds do
-    round i;
-    if cfg.verbose then
-      Printf.printf "  ... %d/%d rounds, %d crashes (%d inside recovery)\n%!" i
-        cfg.rounds r.crashes r.rec_crashes
-  done;
-  List.iter
-    (fun (site, p) ->
-      if not (Hashtbl.mem r.pairs (site, p)) then
-        fail r "%s campaign, %s: required pair %s/%s did not fire" campaign ptm
-          site p)
-    required;
+  let rec rounds i =
+    i > cfg.rounds
+    ||
+    match round i with
+    | () ->
+      if cfg.verbose then
+        Printf.printf "  ... %d/%d rounds, %d crashes (%d inside recovery)\n%!"
+          i cfg.rounds r.crashes r.rec_crashes;
+      rounds (i + 1)
+    | exception e ->
+      Fault.disarm ();
+      fail r "round %d: uncaught %s" i (Printexc.to_string e);
+      false
+  in
+  if rounds 1 then
+    List.iter
+      (fun (site, p) ->
+        if not (Hashtbl.mem r.pairs (site, p)) then
+          fail r "%s campaign, %s: required pair %s/%s did not fire" campaign
+            ptm site p)
+      required;
   let secs = (Workload.Bench_clock.now_ns () -. t0) /. 1e9 in
   let tallies =
     String.concat ""

@@ -564,12 +564,7 @@ let update_tx t f =
         c.Shared.active <- false;
         let st = Pmem.Region.stats t.s.Shared.r in
         st.Pmem.Stats.tx_aborts <- st.Pmem.Stats.tx_aborts + 1;
-        (match e with
-         | Pmem.Region.Crash_point | Romulus.Engine.Tx_aborted _ -> raise e
-         | _ ->
-           raise
-             (Romulus.Engine.Tx_aborted
-                { cause = e; backtrace = Printexc.get_backtrace () }))
+        Romulus.Engine.raise_abort e (Printexc.get_backtrace ())
     in
     attempt 1
   end

@@ -2,9 +2,12 @@
     persistent redo log written at commit (4 fences per update
     transaction, 64-byte log records, load interposition through the
     write set).  Conflicting transactions abort and re-execute their
-    closure, so closures must be re-executable. *)
+    closure, so closures must be re-executable.  The media scrub is
+    detection-only ({!Single_copy}); [recover] replays a committed log and
+    resets the volatile STM state, and [heap_end] is where the log
+    begins. *)
 
-include Romulus.Ptm_intf.S
+include Romulus.Recoverable.S
 
 (** Raised when a transaction overflows the persistent redo log.  The
     transaction aborts cleanly (stripes released, buffered writes
@@ -13,19 +16,6 @@ include Romulus.Ptm_intf.S
     many consecutive conflict aborts the typed exhaustion error is
     raised raw instead of retrying forever. *)
 exception Log_full
-
-(** Re-run crash recovery (replay a committed log, reset volatile STM
-    state). *)
-val recover : t -> unit
-
-(** The detection-only media scrub ({!Single_copy.S}). *)
-include Single_copy.S with type t := t
-
-(** End of the allocator arena, where the log begins. *)
-val heap_end : t -> int
-
-(** Structural check of the persistent allocator. *)
-val allocator_check : t -> (unit, string) result
 
 (** Aborts observed so far (indicative; racy under domains). *)
 val aborts : t -> int

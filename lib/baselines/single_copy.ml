@@ -1,33 +1,10 @@
 (* Detection-only media scrub of the single-copy baselines ({!Undolog},
    {!Redolog}).  Such a region keeps one copy of every line, so a sidecar
    CRC miss has no twin to repair from: it is always
-   [Romulus.Engine.Unrepairable] with state "none".  The walk covers the
-   header, the roots and the used arena span, [0, frontier). *)
-
-module type S = sig
-  type t
-
-  (** Verify the used span's sidecar CRCs; a miss raises
-      [Romulus.Engine.Unrepairable] with state ["none"]. *)
-  val scrub : t -> Romulus.Engine.scrub_report
-
-  (** Salvage-mode scrub: collect every CRC miss (offset, ["none"]) into
-      [unrepairable] instead of raising on the first.  Reads of a lost
-      line still raise [Pmem.Region.Media_error]. *)
-  val scrub_salvage : t -> Romulus.Engine.scrub_report
-
-  (** [open_region] followed by {!scrub_salvage}: the opened store and
-      its tolerated data-loss lines. *)
-  val open_salvage : Pmem.Region.t -> t * (int * string) list
-
-  (** Salvage scrub, then log recovery (which may still raise
-      [Pmem.Region.Media_error] on a damaged log); returns the lost
-      lines. *)
-  val recover_salvage : t -> (int * string) list
-
-  (** Fault-campaign target range: the single used span. *)
-  val media_spans : t -> (int * int) list
-end
+   [Romulus.Engine.Unrepairable] with state "none", and a salvage scrub
+   collects every miss instead of raising on the first.  The walk covers
+   the header, the roots and the used arena span, [0, frontier), which is
+   also the single media span. *)
 
 module Make (P : sig
   type t
@@ -37,7 +14,7 @@ module Make (P : sig
   val recover : t -> unit
   val frontier : t -> int (* end of the used arena span *)
   val guard : t -> unit (* refuses a scrub the PTM's state forbids *)
-end) : S with type t := P.t = struct
+end) : Romulus.Recoverable.MEDIA with type t := P.t = struct
   let scrub_with ~salvage t =
     P.guard t;
     let r = P.region t in

@@ -226,16 +226,16 @@ let abort_tx t =
   t.ctx.Ctx.log_len <- 0;
   Hashtbl.reset t.ctx.Ctx.logged
 
-let in_update_key : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
-let read_depth_key : int Domain.DLS.key = Domain.DLS.new_key (fun () -> 0)
+(* this PTM's own nesting keys *)
+let nest = Romulus.Nesting.create ()
 
 let update_tx t f =
-  if Domain.DLS.get in_update_key then f ()
+  if Romulus.Nesting.in_update nest then f ()
   else
     Rwlock_rp.with_write_lock t.lock (fun () ->
-        Domain.DLS.set in_update_key true;
+        Romulus.Nesting.enter_update nest;
         Fun.protect
-          ~finally:(fun () -> Domain.DLS.set in_update_key false)
+          ~finally:(fun () -> Romulus.Nesting.leave_update nest)
           (fun () ->
             begin_tx t;
             match f () with
@@ -245,24 +245,19 @@ let update_tx t f =
             | exception e ->
               let backtrace = Printexc.get_backtrace () in
               (match e with
-               | Pmem.Region.Crash_point -> raise e (* machine is dead *)
+               | Pmem.Region.Crash_point -> () (* machine is dead *)
                | _ ->
                  abort_tx t;
                  let st = Pmem.Region.stats t.ctx.Ctx.r in
-                 st.Pmem.Stats.tx_aborts <- st.Pmem.Stats.tx_aborts + 1;
-                 (match e with
-                  | Romulus.Engine.Tx_aborted _ -> raise e
-                  | _ ->
-                    raise
-                      (Romulus.Engine.Tx_aborted { cause = e; backtrace })))))
+                 st.Pmem.Stats.tx_aborts <- st.Pmem.Stats.tx_aborts + 1);
+              Romulus.Engine.raise_abort e backtrace))
 
 let read_tx t f =
-  if Domain.DLS.get in_update_key || Domain.DLS.get read_depth_key > 0 then
-    f ()
+  if Romulus.Nesting.nested nest then f ()
   else begin
-    Domain.DLS.set read_depth_key 1;
+    Romulus.Nesting.enter_read nest;
     Fun.protect
-      ~finally:(fun () -> Domain.DLS.set read_depth_key 0)
+      ~finally:(fun () -> Romulus.Nesting.leave_read nest)
       (fun () -> Rwlock_rp.with_read_lock t.lock f)
   end
 
@@ -271,21 +266,14 @@ let read_tx t f =
 let load t off = Pmem.Region.load t.ctx.Ctx.r off
 let load_bytes t off len = Pmem.Region.load_bytes t.ctx.Ctx.r off len
 
-(* A domain inside a read-only transaction must never store, even while
-   a writer elsewhere has the shared context's [in_tx] set. *)
-let check_not_read_only () =
-  if Domain.DLS.get read_depth_key > 0
-     && not (Domain.DLS.get in_update_key) then
-    raise Romulus.Engine.Store_outside_transaction
-
 let store t off v =
-  check_not_read_only ();
+  Romulus.Nesting.check_not_read_only nest;
   Ctx.store t.ctx off v;
   let s = Pmem.Region.stats t.ctx.Ctx.r in
   s.Pmem.Stats.user_bytes <- s.Pmem.Stats.user_bytes + 8
 
 let store_bytes t off str =
-  check_not_read_only ();
+  Romulus.Nesting.check_not_read_only nest;
   let c = t.ctx in
   if not c.Ctx.in_tx then raise Romulus.Engine.Store_outside_transaction;
   (* snapshot the covered words, then store the blob in place *)
@@ -303,13 +291,13 @@ let store_bytes t off str =
   s.Pmem.Stats.user_bytes <- s.Pmem.Stats.user_bytes + len
 
 let alloc t n =
-  check_not_read_only ();
+  Romulus.Nesting.check_not_read_only nest;
   if not t.ctx.Ctx.in_tx then
     raise Romulus.Engine.Store_outside_transaction;
   Alloc.alloc t.arena n
 
 let free t p =
-  check_not_read_only ();
+  Romulus.Nesting.check_not_read_only nest;
   if not t.ctx.Ctx.in_tx then
     raise Romulus.Engine.Store_outside_transaction;
   Alloc.free t.arena p
@@ -322,7 +310,7 @@ let root_addr i =
 let get_root t i = Pmem.Region.load t.ctx.Ctx.r (root_addr i)
 
 let set_root t i v =
-  check_not_read_only ();
+  Romulus.Nesting.check_not_read_only nest;
   Ctx.store t.ctx (root_addr i) v
 
 module Media = Single_copy.Make (struct

@@ -1,15 +1,6 @@
 (** Romulus (basic): twin-copy engine with whole-span replication at
     commit, flat combining + C-RW-WP concurrency — the paper's "Rom". *)
 
-include Ptm_intf.S
-
-val open_salvage : Pmem.Region.t -> t * (int * string) list
+include Recoverable.S
 
 val engine : t -> Engine.t
-val recover : t -> unit
-val recover_salvage : t -> (int * string) list
-val scrub : t -> Engine.scrub_report
-val scrub_salvage : t -> Engine.scrub_report
-val media_spans : t -> (int * int) list
-val heap_end : t -> int
-val allocator_check : t -> (unit, string) result

@@ -42,6 +42,14 @@ exception Recovery_error of string
    re-raised wrapped here, with the backtrace captured at the abort. *)
 exception Tx_aborted of { cause : exn; backtrace : string }
 
+(* The typed abort, for every PTM and batch layer: a simulated crash and
+   an already-typed abort propagate as they are, anything else is
+   wrapped. *)
+let raise_abort cause backtrace =
+  match cause with
+  | Tx_aborted _ | Pmem.Region.Crash_point -> raise cause
+  | _ -> raise (Tx_aborted { cause; backtrace })
+
 (* A scrub found a line whose sidecar CRC fails and no twin can repair it:
    both copies of the line are bad, the line has no twin (headers,
    single-copy baselines), or the protocol state forbids trusting the
@@ -555,9 +563,7 @@ let abort_main t cause =
     Redo_log.clear t.log;
     let s = Pmem.Region.stats t.r in
     s.Pmem.Stats.tx_aborts <- s.Pmem.Stats.tx_aborts + 1;
-    match cause with
-    | Tx_aborted _ | Pmem.Region.Crash_point -> raise cause
-    | _ -> raise (Tx_aborted { cause; backtrace })
+    raise_abort cause backtrace
   end
 
 (* ---- interposed accesses ---- *)

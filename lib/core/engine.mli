@@ -27,6 +27,14 @@ exception Recovery_error of string
     the abort began (empty unless backtrace recording is on). *)
 exception Tx_aborted of { cause : exn; backtrace : string }
 
+(** [raise_abort cause backtrace] raises the typed abort of a transaction
+    (or batch) that [cause] ended: a simulated crash
+    ([Pmem.Region.Crash_point]) and an already-typed {!Tx_aborted}
+    propagate as they are, anything else is wrapped in {!Tx_aborted}
+    with [backtrace].  Every PTM and the sharded store's batches raise
+    their aborts through it. *)
+val raise_abort : exn -> string -> 'a
+
 (** A scrub found a line whose sidecar CRC fails and that no twin can
     repair: both copies bad, an untwinned line (protocol header,
     single-copy baselines), or a protocol state that forbids trusting the

@@ -7,7 +7,7 @@
    the commit and recovery windows.  Crash campaigns arm them by name via
    `crashtest --failpoint`. *)
 
-include Crwwp_front.Make (struct
+include Fc_front.Make (Fc_front.Crwwp_sync (struct
   let mode = Engine.Logged
   let name = "romL"
-end)
+end))

@@ -447,7 +447,7 @@ module Make (P : SHARD_PTM) = struct
           Fault.hit fp_rollback_undone)
         !applied;
       unregister ();
-      wrap_abort e backtrace
+      Romulus.Engine.raise_abort e backtrace
 
   (* ---- admission control ----
 

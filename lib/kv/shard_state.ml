@@ -77,31 +77,13 @@ let backoff_walk ~retries ~base_ns ~seed ?(on_wait = ignore) attempt =
   in
   go (overload_backoff_schedule ~retries ~base_ns ~seed)
 
-(* the typed abort of a batch: [e] wrapped in [Tx_aborted] unless it is
-   one already or a simulated crash *)
-let wrap_abort e backtrace =
-  match e with
-  | Romulus.Engine.Tx_aborted _ | Pmem.Region.Crash_point -> raise e
-  | e -> raise (Romulus.Engine.Tx_aborted { cause = e; backtrace })
-
 let min_chunk_bytes = 128
 let default_chunk_bytes = 16 * 1024
 let default_spill_threshold = 4 * 1024
 let default_admission_budget = 4 * 1024 * 1024
 let default_clear_flush_threshold = 32
 
-module type SHARD_PTM = sig
-  include Romulus.Ptm_intf.S
-
-  val open_salvage : Pmem.Region.t -> t * (int * string) list
-  val recover : t -> unit
-  val recover_salvage : t -> (int * string) list
-  val scrub : t -> Romulus.Engine.scrub_report
-  val scrub_salvage : t -> Romulus.Engine.scrub_report
-  val media_spans : t -> (int * int) list
-  val heap_end : t -> int
-  val allocator_check : t -> (unit, string) result
-end
+module type SHARD_PTM = Romulus.Recoverable.S
 
 (* ---- counters ----
 

@@ -272,7 +272,7 @@ module Make (P : SHARD_PTM) = struct
       | exception e ->
         (* the buffered operations are simply discarded; surface the same
            typed abort a Romulus_db batch (one update_tx) would *)
-        wrap_abort e (Printexc.get_backtrace ()))
+        Romulus.Engine.raise_abort e (Printexc.get_backtrace ()))
 
   let pending_intents = C.pending_intents
   let flush_clears = C.flush_clears

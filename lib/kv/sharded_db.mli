@@ -153,37 +153,9 @@ val with_overload_retry :
     retry shrinks toward). *)
 val min_chunk_bytes : int
 
-(** Any of the Romulus front-ends: the PTM signature plus the recovery /
-    scrub / diagnostics hooks every shard needs. *)
-module type SHARD_PTM = sig
-  include Romulus.Ptm_intf.S
-
-  (** [open_region], also returning the data-loss lines a salvage scrub
-      of the opened shard would report (see
-      {!Romulus.Engine.open_salvage}).  The twin-copy PTMs take them from
-      the open's own recovery scrub, so the medium is read once; the
-      baselines, whose open does not scrub, run one {!scrub_salvage}. *)
-  val open_salvage : Pmem.Region.t -> t * (int * string) list
-
-  val recover : t -> unit
-
-  (** Salvage-mode recovery: returns the tolerated IDL data-loss lines
-      instead of refusing the mount over them (see
-      {!Romulus.Engine.recover_salvage}). *)
-  val recover_salvage : t -> (int * string) list
-
-  val scrub : t -> Romulus.Engine.scrub_report
-
-  (** Salvage-mode scrub (see {!Romulus.Engine.scrub_salvage}). *)
-  val scrub_salvage : t -> Romulus.Engine.scrub_report
-
-  val media_spans : t -> (int * int) list
-
-  (** End of the heap, read without a load: every record lies below it. *)
-  val heap_end : t -> int
-
-  val allocator_check : t -> (unit, string) result
-end
+(** Any PTM a shard runs on: the recoverable-PTM signature, which every
+    Romulus variant and both baselines provide. *)
+module type SHARD_PTM = Romulus.Recoverable.S
 
 (** The store's own counters: the cross-shard commit protocol, chunked
     mirrors, migration and shard health, one set per open store (see

@@ -23,7 +23,8 @@ let site_of = function Trap _ -> "trap" | Kill (site, _, _) -> site
 
 (* Run [op] with [inj] armed on [rs]: whether it fired, and [op]'s result
    if it returned (a kill past a durability point may let it return).  A
-   kill runs [hook] at its site first — a racing write, say. *)
+   kill runs [hook] at its site first — a racing write, say.  The
+   injection is disarmed however [op] ends, also when it raises. *)
 let armed ?(hook = ignore) rs inj op =
   let hit = ref false in
   (match inj with
@@ -35,9 +36,13 @@ let armed ?(hook = ignore) rs inj op =
          match victim with
          | Some i -> R.kill rs.(i)
          | None -> raise R.Crash_point));
-  let res = match op () with v -> Some v | exception R.Crash_point -> None in
-  Array.iter R.clear_trap rs;
-  Fault.disarm ();
+  let res =
+    Fun.protect
+      ~finally:(fun () ->
+        Array.iter R.clear_trap rs;
+        Fault.disarm ())
+      (fun () -> match op () with v -> Some v | exception R.Crash_point -> None)
+  in
   ((match inj with Trap _ -> Option.is_none res | Kill _ -> !hit), res)
 
 let crash_all rs p = Array.iter (fun x -> R.crash x p) rs

@@ -100,7 +100,23 @@ module Make (P : VARIANT) = struct
     let v2 =
       P.read_tx p (fun () -> P.read_tx p (fun () -> P.load p (P.get_root p 0)))
     in
-    Alcotest.(check int) "nested read" 7 v2
+    Alcotest.(check int) "nested read" 7 v2;
+    (* a read_tx nested in an update is part of the update: it may store,
+       and the store commits, or rolls back, with the update *)
+    let obj = P.read_tx p (fun () -> P.get_root p 0) in
+    let store_in_nested_read v () = P.read_tx p (fun () -> P.store p obj v) in
+    P.update_tx p (store_in_nested_read 9);
+    Alcotest.(check int) "store in a nested read commits" 9
+      (P.read_tx p (fun () -> P.load p obj));
+    (match
+       P.update_tx p (fun () ->
+           store_in_nested_read 10 ();
+           raise Exit)
+     with
+     | exception Romulus.Engine.Tx_aborted { cause = Exit; _ } -> ()
+     | () -> Alcotest.fail "the raising update must abort");
+    Alcotest.(check int) "store in a nested read rolls back" 9
+      (P.read_tx p (fun () -> P.load p obj))
 
   (* Every PTM in the repository aborts a transaction whose closure
      raises: partial effects are discarded and the exception re-raised

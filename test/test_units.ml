@@ -453,7 +453,12 @@ let test_lr_reader_addresses_back () =
   Alcotest.(check int) "reader reads the back copy" 123
     (Romulus.Lr.read_tx p (fun () -> Romulus.Lr.load p obj));
   Alcotest.(check int) "writer reads main" 77
-    (Romulus.Lr.update_tx p (fun () -> Romulus.Lr.load p obj))
+    (Romulus.Lr.update_tx p (fun () -> Romulus.Lr.load p obj));
+  (* a read_tx nested in an update is part of the update: no back offset *)
+  Alcotest.(check (pair int int)) "nested reader addresses main" (0, 77)
+    (Romulus.Lr.update_tx p (fun () ->
+         Romulus.Lr.read_tx p (fun () ->
+             (Romulus.Lr.current_delta (), Romulus.Lr.load p obj))))
 
 let test_lr_update_restores_back () =
   let r = Pmem.Region.create ~size:(1 lsl 16) () in
