@@ -25,6 +25,12 @@ let make_tests () =
   let module A = Palloc.Make (Mem) in
   let arena_region = Pmem.Region.create ~size:(1 lsl 20) () in
   let arena = A.init arena_region ~base:64 ~size:((1 lsl 20) - 64) in
+  (* the writer's drain with no reader present; this domain registered
+     once, as every domain that ever read does *)
+  let ri = Sync_prims.Read_indicator.create () in
+  let tid = Sync_prims.Tid.current () in
+  Sync_prims.Read_indicator.arrive ri tid;
+  Sync_prims.Read_indicator.depart ri tid;
   Test.make_grouped ~name:"romulus"
     [ Test.make ~name:"region load"
         (Staged.stage (fun () -> ignore (Pmem.Region.load r 4096)));
@@ -50,6 +56,14 @@ let make_tests () =
         (Staged.stage (fun () ->
              Romulus.Logged.read_tx p (fun () ->
                  ignore (Romulus.Logged.load p obj))));
+      Test.make ~name:"romL read_tx + 12 loads"
+        (Staged.stage (fun () ->
+             Romulus.Logged.read_tx p (fun () ->
+                 for i = 0 to 11 do
+                   ignore (Romulus.Logged.load p (obj + (8 * i)))
+                 done)));
+      Test.make ~name:"read-indicator drain, no readers"
+        (Staged.stage (fun () -> Sync_prims.Read_indicator.wait_empty ri));
       Test.make ~name:"romLR wait-free read"
         (Staged.stage (fun () ->
              Romulus.Lr.read_tx plr (fun () ->

@@ -229,9 +229,12 @@ let abort_tx t =
 (* this PTM's own nesting keys *)
 let nest = Romulus.Nesting.create ()
 
+(* an update inside this Domain's read_tx would wait for its own read
+   lock: refuse it before taking the write lock *)
 let update_tx t f =
   if Romulus.Nesting.in_update nest then f ()
-  else
+  else begin
+    Romulus.Nesting.check_not_read_only nest;
     Rwlock_rp.with_write_lock t.lock (fun () ->
         Romulus.Nesting.enter_update nest;
         Fun.protect
@@ -251,6 +254,7 @@ let update_tx t f =
                  let st = Pmem.Region.stats t.ctx.Ctx.r in
                  st.Pmem.Stats.tx_aborts <- st.Pmem.Stats.tx_aborts + 1);
               Romulus.Engine.raise_abort e backtrace))
+  end
 
 let read_tx t f =
   if Romulus.Nesting.nested nest then f ()

@@ -87,6 +87,10 @@ module Make (S : SYNC) = struct
 
   let region t = Engine.region t.e
 
+  let leave_read t token =
+    Nesting.leave_read nest;
+    S.depart t token
+
   (* Inside an update (combiner executing user code) everything runs
      directly; a nested read_tx arrives on the reader side only once. *)
   let read_tx t f =
@@ -94,16 +98,22 @@ module Make (S : SYNC) = struct
     else begin
       let token = S.arrive t in
       Nesting.enter_read nest;
-      Fun.protect
-        ~finally:(fun () ->
-          Nesting.leave_read nest;
-          S.depart t token)
-        f
+      match f () with
+      | v ->
+        leave_read t token;
+        v
+      | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        leave_read t token;
+        Printexc.raise_with_backtrace e bt
     end
 
+  (* An update inside this Domain's read_tx would wait, as combiner, for
+     its own reader arrival to drain: refuse it before publishing. *)
   let update_tx t f =
     if Nesting.in_update nest then f ()
     else begin
+      Nesting.check_not_read_only nest;
       let result = ref None in
       let request () =
         (* runs on the combiner's domain *)

@@ -23,7 +23,11 @@ module type S = sig
       persistent memory; attempting to [store] inside one raises
       [Engine.Store_outside_transaction] (and the read ingress — read
       indicator, Left-Right arrival — is still departed when the closure
-      raises). *)
+      raises).  An [update_tx] inside a [read_tx] of the same handle
+      raises [Engine.Store_outside_transaction] too, and commits nothing.
+      The documented exception is romSeq ([Seq_front]): its [read_tx] is
+      plain single-threaded code, so an [update_tx] there runs and
+      commits as if no read transaction were open. *)
   val read_tx : t -> (unit -> 'a) -> 'a
 
   (** Run an update transaction, durably: when [update_tx] returns, the

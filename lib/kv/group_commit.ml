@@ -294,23 +294,32 @@ module Make (P : Sharded_db.SHARD_PTM) = struct
     barrier_for_cross t;
     submit t (cross_q t) (Batch f)
 
+  (* Read unlocked, as [barrier_for_single] reads the cross queue: a
+     submitter always sees its own queued entries. *)
+  let rec shard_queues_empty qs qi =
+    qi < 0 || (qs.(qi).n = 0 && shard_queues_empty qs (qi - 1))
+
+  (* the newest buffered op on [k], newest-first *)
+  let rec buffered k = function
+    | [] -> None
+    | { op = Put (k', v); _ } :: _ when String.equal k k' -> Some (Some v)
+    | { op = Delete k'; _ } :: _ when String.equal k k' -> Some None
+    | _ :: rest -> buffered k rest
+
   (* Newest queued op on [k]'s shard queue wins (read-your-writes
      without forcing a drain); [Batch] closures never sit there — they
-     live on the cross queue, drained by the barrier above. *)
+     live on the cross queue, drained by the barrier above.  With every
+     shard queue empty the get goes straight to the store. *)
   let get t k =
     barrier_for_single t;
-    let q = t.qs.(SD.shard_of_key t.db k) in
-    let buffered =
-      locked q (fun () ->
-          List.find_map
-            (fun e ->
-              match e.op with
-              | Put (k', v) when String.equal k k' -> Some (Some v)
-              | Delete k' when String.equal k k' -> Some None
-              | _ -> None)
-            q.entries)
-    in
-    match buffered with Some r -> r | None -> SD.get t.db k
+    if shard_queues_empty t.qs (cross_q t - 1) then SD.get t.db k
+    else begin
+      let q = t.qs.(SD.shard_of_key t.db k) in
+      Sync_prims.Spinlock.lock q.lock;
+      let b = buffered k q.entries in
+      Sync_prims.Spinlock.unlock q.lock;
+      match b with Some r -> r | None -> SD.get t.db k
+    end
 
   let flush t =
     tick t Flushes 1;

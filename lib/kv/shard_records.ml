@@ -38,14 +38,14 @@ let slots_per_shard = 8
    the table routes only under this exact hash: FNV-1a (the map's bucket
    hash) plus an avalanche step, so the shard route is independent of
    the bucket index even when the shard count shares factors with the
-   bucket count. *)
-let route_hash s =
-  let h = ref 0x4bf29ce484222325 in
-  String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) s;
-  let h = !h in
+   bucket count.  [route_of_fnv] takes the raw [Pds.Codec.fnv1a], so a
+   get that needs the bucket hash too hashes the key once. *)
+let route_of_fnv h =
   let h = h lxor (h lsr 33) in
   let h = h * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 29)) land max_int
+
+let route_hash s = route_of_fnv (Pds.Codec.fnv1a s)
 
 (* ---- chunk chains (PTM-independent) ----
 

@@ -53,9 +53,10 @@ module Make (P : SHARD_PTM) = struct
   (* ---- the read path ----
 
      Kept here, routing inline, so a get calls no [Shard_*] module: only
-     the route hash of [Shard_records] and the map.  The read gate: Healthy and Degraded serve reads (Degraded
-     reads of an actually lost line still surface [Media_error] — damage
-     is never silently blessed).  During a transfer window a moving key
+     the route of [Shard_records] and the map, both from one FNV-1a pass
+     over the key.  The read gate: Healthy and Degraded serve reads
+     (Degraded reads of an actually lost line still surface
+     [Media_error] — damage is never silently blessed).  During a transfer window a moving key
      may not have reached the target yet, so a target miss consults the
      tombstones (a racing delete is authoritative) and then the
      source. *)
@@ -74,31 +75,25 @@ module Make (P : SHARD_PTM) = struct
     | Quarantined (Evacuated _) -> None
     | _ -> Some (live t i)
 
+  (* the map's bucket hash is Codec.Blob's: the FNV-1a without its sign
+     bit *)
   let underlying_get t k =
     let r = t.router in
-    let slot = Shard_records.route_hash k mod r.n_slots in
+    let h = Pds.Codec.fnv1a k in
+    let slot = Shard_records.route_of_fnv h mod r.n_slots in
+    let hash = h land max_int in
     match r.migration with
     | Some m when m.moving.(slot) -> (
-      match Map_.get (raw t m.mig_target).map k with
+      match Map_.get_hashed (raw t m.mig_target).map ~hash k with
       | Some _ as v -> v
       | None ->
         tick t Double_reads 1;
-        if Map_.mem m.mig_tomb k then None
-        else Map_.get (raw t m.mig_source).map k)
-    | _ -> Map_.get (live t r.assignment.(slot)).map k
+        if Option.is_some (Map_.get_hashed m.mig_tomb ~hash k) then None
+        else Map_.get_hashed (raw t m.mig_source).map ~hash k)
+    | _ -> Map_.get_hashed (live t r.assignment.(slot)).map ~hash k
 
-  let underlying_mem t k =
-    let r = t.router in
-    let slot = Shard_records.route_hash k mod r.n_slots in
-    match r.migration with
-    | Some m when m.moving.(slot) ->
-      Map_.mem (raw t m.mig_target).map k
-      || begin
-        tick t Double_reads 1;
-        (not (Map_.mem m.mig_tomb k))
-        && Map_.mem (raw t m.mig_source).map k
-      end
-    | _ -> Map_.mem (live t r.assignment.(slot)).map k
+  (* the map's [mem] is its [get] tested for a value *)
+  let underlying_mem t k = Option.is_some (underlying_get t k)
 
   let write_direct t k v =
     match t.router.migration with

@@ -23,6 +23,17 @@ module type S = sig
   module Make (P : Romulus.Ptm_intf.S) : OPS with type t = t and type ptm = P.t
 end
 
+(* FNV-1a over the bytes, deterministic across runs: the offset basis
+   truncated to 63 bits, the prime's products wrapping in OCaml's int.
+   A top-level recursion, so a hash allocates nothing. *)
+let rec fnv1a_from h s i =
+  if i = String.length s then h
+  else
+    let h = (h lxor Char.code (String.unsafe_get s i)) * 0x100000001b3 in
+    fnv1a_from h s (i + 1)
+
+let fnv1a s = fnv1a_from 0x4bf29ce484222325 s 0
+
 module Word = struct
   type t = int
 
@@ -87,11 +98,7 @@ module Blob = struct
     let separator p slot = alloc p (load p slot)
     let compare = String.compare
 
-    (* FNV-1a over the bytes; deterministic across runs *)
-    let hash s =
-      let h = ref 0x4bf29ce484222325 (* FNV offset basis, truncated to 63 bits *) in
-      String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) s;
-      !h land max_int
+    let hash s = fnv1a s land max_int
 
     let pp = Printf.sprintf "%S"
   end

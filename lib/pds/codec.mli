@@ -43,6 +43,12 @@ module type S = sig
   module Make (P : Romulus.Ptm_intf.S) : OPS with type t = t and type ptm = P.t
 end
 
+(** FNV-1a over a string's bytes in OCaml's 63-bit int (the offset basis
+    truncated to 63 bits).  {!Blob}'s [hash] is [fnv1a s land max_int],
+    and the sharded store derives its route from the same value, so a
+    caller that needs both hashes the bytes once. *)
+val fnv1a : string -> int
+
 (** The value sits inline in the slot.  [free] is a no-op and a separator
     is the key itself; [hash] is multiplicative. *)
 module Word : S with type t = int

@@ -38,7 +38,10 @@ module Of_codec (Cc : Codec.S) (P : Romulus.Ptm_intf.S) = struct
   let nbuckets t = P.load t.p (t.map + o_nbuckets)
   let count t = P.load t.p (t.map + o_count)
 
-  let bucket_addr ~buckets ~nbuckets k = buckets + (8 * (C.hash k mod nbuckets))
+  let bucket_of_hash ~buckets ~nbuckets h = buckets + (8 * (h mod nbuckets))
+
+  let bucket_addr ~buckets ~nbuckets k =
+    bucket_of_hash ~buckets ~nbuckets (C.hash k)
 
   let create ?(resizable = true) ?(initial_buckets = 16) p ~root =
     P.update_tx p (fun () ->
@@ -73,11 +76,16 @@ module Of_codec (Cc : Codec.S) (P : Romulus.Ptm_intf.S) = struct
     in
     walk slot_addr (P.load t.p slot_addr)
 
-  let get t k =
+  (* [hash] is [C.hash k], computed by a caller that needed it anyway *)
+  let get_hashed t ~hash k =
     P.read_tx t.p (fun () ->
-        let slot = bucket_addr ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
+        let slot =
+          bucket_of_hash ~buckets:(buckets t) ~nbuckets:(nbuckets t) hash
+        in
         let _, node = find_in_bucket t slot k in
         if node = 0 then None else Some (C.load t.p (node + n_value)))
+
+  let get t k = get_hashed t ~hash:(C.hash k) k
 
   let mem t k = get t k <> None
 

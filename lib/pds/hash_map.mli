@@ -19,6 +19,11 @@ module Of_codec (C : Codec.S) (P : Romulus.Ptm_intf.S) : sig
   val put : t -> C.t -> C.t -> bool
 
   val get : t -> C.t -> C.t option
+
+  (** [get_hashed t ~hash k] is [get t k] for a caller that already holds
+      [hash], which must be the codec's hash of [k]. *)
+  val get_hashed : t -> hash:int -> C.t -> C.t option
+
   val mem : t -> C.t -> bool
   val remove : t -> C.t -> bool
 

@@ -10,19 +10,16 @@ type t = {
 
 let create () = { wlock = Spinlock.create (); ri = Read_indicator.create () }
 
-let read_lock t tid =
-  let rec attempt () =
-    Read_indicator.arrive t.ri tid;
-    if Spinlock.is_locked t.wlock then begin
-      (* a writer is active or waiting: step aside (writer preference) *)
-      Read_indicator.depart t.ri tid;
-      while Spinlock.is_locked t.wlock do
-        Domain.cpu_relax ()
-      done;
-      attempt ()
-    end
-  in
-  attempt ()
+let rec read_lock t tid =
+  Read_indicator.arrive t.ri tid;
+  if Spinlock.is_locked t.wlock then begin
+    (* a writer is active or waiting: step aside (writer preference) *)
+    Read_indicator.depart t.ri tid;
+    while Spinlock.is_locked t.wlock do
+      Domain.cpu_relax ()
+    done;
+    read_lock t tid
+  end
 
 let read_unlock t tid = Read_indicator.depart t.ri tid
 

@@ -77,14 +77,6 @@ let run_rounds pending ~exec ~answer =
   in
   rounds pending
 
-(* Raise the watermark to cover [tid]; must complete before the request is
-   published so that no combiner can read a stale watermark that hides a
-   visible request. *)
-let rec cover t tid =
-  let cur = Atomic.get t.hi in
-  if tid >= cur && not (Atomic.compare_and_set t.hi cur (tid + 1)) then
-    cover t tid
-
 let combine t ~exec =
   Fun.protect ~finally:(fun () -> Spinlock.unlock t.lock) @@ fun () ->
   (* Only slots below the registration watermark can hold requests, and
@@ -116,7 +108,9 @@ let combine t ~exec =
 let apply t f ~exec =
   let tid = Tid.current () in
   let slot = t.slots.(tid) in
-  cover t tid;
+  (* must complete before the request is published, so that no combiner
+     can read a stale watermark that hides a visible request *)
+  Tid.cover t.hi tid;
   (* incremented before the request becomes visible, so a combiner that
      sees the request has also seen the count (never under-counts) *)
   Atomic.incr t.pending;

@@ -47,3 +47,10 @@ let current () =
     Domain.DLS.set key (Some tid);
     Domain.at_exit (fun () -> release_slot tid);
     tid
+
+(* A registration watermark over the slots is 1 + the highest slot that
+   registered; scans stop there.  Monotone: a CAS loop that only raises. *)
+let rec cover hi tid =
+  let cur = Atomic.get hi in
+  if tid >= cur && not (Atomic.compare_and_set hi cur (tid + 1)) then
+    cover hi tid

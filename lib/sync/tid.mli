@@ -11,3 +11,7 @@ val with_slot : (int -> 'a) -> 'a
 (** The current domain's slot, lazily acquired and kept until the domain
     exits. *)
 val current : unit -> int
+
+(** [cover hi tid] raises the registration watermark [hi] (1 + the
+    highest slot registered) to cover slot [tid].  It never lowers [hi]. *)
+val cover : int Atomic.t -> int -> unit

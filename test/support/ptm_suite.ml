@@ -86,6 +86,40 @@ module Make (P : VARIANT) = struct
     | exception Romulus.Engine.Store_outside_transaction -> ()
     | () -> Alcotest.fail "store in read_tx must raise"
 
+  (* An update inside a read-only transaction of the same handle must not
+     wait for its own reader (or read lock) to drain: it raises and
+     commits nothing, and the handle stays usable.  The single-threaded
+     API's read_tx is plain code, so there the update runs and commits. *)
+  let test_update_in_read_tx () =
+    let _, p = open_fresh () in
+    let obj =
+      P.update_tx p (fun () ->
+          let o = P.alloc p 16 in
+          P.store p o 1;
+          o)
+    in
+    let nested () =
+      P.read_tx p (fun () -> P.update_tx p (fun () -> P.store p obj 5))
+    in
+    if P.concurrent then begin
+      (match nested () with
+       | exception Romulus.Engine.Store_outside_transaction -> ()
+       | exception e ->
+         Alcotest.failf "expected Store_outside_transaction, got %s"
+           (Printexc.to_string e)
+       | () -> Alcotest.fail "update_tx in read_tx must raise");
+      Alcotest.(check int) "nothing committed" 1
+        (P.read_tx p (fun () -> P.load p obj))
+    end
+    else begin
+      nested ();
+      Alcotest.(check int) "the update committed" 5
+        (P.read_tx p (fun () -> P.load p obj))
+    end;
+    P.update_tx p (fun () -> P.store p obj 6);
+    Alcotest.(check int) "later update runs" 6
+      (P.read_tx p (fun () -> P.load p obj))
+
   let test_nested_txs_flatten () =
     let _, p = open_fresh () in
     let v =
@@ -1198,6 +1232,7 @@ module Make (P : VARIANT) = struct
       tc "store outside tx raises" `Quick test_store_outside_tx_raises;
       tc "store in read_tx raises" `Quick test_store_in_read_tx_raises;
       tc "nested txs flatten" `Quick test_nested_txs_flatten;
+      tc "update_tx in read_tx raises" `Quick test_update_in_read_tx;
       tc "exception semantics" `Quick test_exception_semantics;
       tc "raising read_tx departs ingress" `Quick test_read_tx_raise_departs;
       tc "invalid free is typed and aborts" `Quick test_invalid_free_typed;

@@ -35,7 +35,31 @@ let test_bounds () =
     (fun () -> ignore (R.load r 4089));
   Alcotest.check_raises "negative store"
     (Invalid_argument "Region.store: range [-8, 0) outside region of 4096 bytes")
-    (fun () -> R.store r (-8) 0)
+    (fun () -> R.store r (-8) 0);
+  Alcotest.check_raises "negative load"
+    (Invalid_argument "Region.load: range [-1, 7) outside region of 4096 bytes")
+    (fun () -> ignore (R.load r (-1)));
+  (* [off + 8] wraps: the range check passes and the word read refuses *)
+  Alcotest.check_raises "load at max_int"
+    (Invalid_argument "index out of bounds")
+    (fun () -> ignore (R.load r max_int));
+  Alcotest.check_raises "load_bytes past end"
+    (Invalid_argument
+       "Region.load_bytes: range [4090, 4100) outside region of 4096 bytes")
+    (fun () -> ignore (R.load_bytes r 4090 10));
+  Alcotest.check_raises "negative load_bytes length"
+    (Invalid_argument
+       "Region.load_bytes: range [8, 7) outside region of 4096 bytes")
+    (fun () -> ignore (R.load_bytes r 8 (-1)));
+  Alcotest.(check string) "empty load_bytes at the end" ""
+    (R.load_bytes r 4096 0);
+  (* a dead region refuses before it looks at the range *)
+  R.set_trap r 0;
+  (try R.store r 0 1 with R.Crash_point -> ());
+  Alcotest.check_raises "dead load" R.Crash_point
+    (fun () -> ignore (R.load r 4089));
+  Alcotest.check_raises "dead load_bytes" R.Crash_point
+    (fun () -> ignore (R.load_bytes r 0 8))
 
 let test_size_rounding () =
   let r = R.create ~size:100 () in

@@ -2685,4 +2685,71 @@ let suite =
       [ (module Romulus.Basic); (module Romulus.Logged); (module Romulus.Lr);
         (module Baselines.Redolog); (module Baselines.Undolog) ]
 
+(* ---- the per-get fixed cost ---- *)
+
+(* The minor words of one [f ()], averaged over [n] calls after a warm-up. *)
+let words_per_call ?(n = 1_000) f =
+  for _ = 1 to 100 do f () done;
+  let before = Stdlib.Gc.minor_words () in
+  for _ = 1 to n do f () done;
+  (Stdlib.Gc.minor_words () -. before) /. float_of_int n
+
+(* A get hit (16-byte key, 100-byte value) allocated 72 minor words
+   before the key was hashed once, with no closures on the path; it
+   measures 45 now (the value string, its option, the read_tx closure,
+   the bucket walk, and the stored key copied out to be compared).
+   A bounded [Region.load] allocates nothing. *)
+let test_get_allocation () =
+  let _, db = open_sharded () in
+  let k = "key-000000000042" and v = String.make 100 'v' in
+  Sd.put db k v;
+  Sd.put db "key-000000000043" v;
+  Alcotest.(check (option string)) "hit" (Some v) (Sd.get db k);
+  let get_words = words_per_call (fun () -> ignore (Sd.get db k)) in
+  if get_words > 48. then
+    Alcotest.failf "Sharded_db.get hit: %.1f minor words, at most 48 expected"
+      get_words;
+  let r = region () in
+  let load_words = words_per_call (fun () -> ignore (R.load r 4096)) in
+  if load_words > 0.01 then
+    Alcotest.failf "Region.load: %.2f minor words, none expected" load_words
+
+(* Routing and bucket placement are on-media: both hashes stay the
+   String.iter FNV-1a, and the hashed lookup the read path takes answers
+   exactly what [get] answers. *)
+let prop_one_hash_per_get =
+  let open QCheck in
+  let module Blob = Pds.Codec.Blob.Make (Romulus.Logged) in
+  let module M = Pds.Hash_map.Of_codec (Pds.Codec.Blob) (Romulus.Logged) in
+  let reference s =
+    let h = ref 0x4bf29ce484222325 in
+    String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001b3) s;
+    !h
+  in
+  let avalanche h =
+    let h = h lxor (h lsr 33) in
+    let h = h * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 29)) land max_int
+  in
+  let key = string_gen_of_size Gen.(0 -- 64) Gen.char in
+  Test.make ~count:100 ~name:"routing: one FNV-1a pass per get"
+    (pair (list_of_size Gen.(1 -- 20) key) (list_of_size Gen.(1 -- 20) key))
+    (fun (stored, probes) ->
+      let p = Romulus.Logged.open_region (region ~size:(1 lsl 16) ()) in
+      let m = M.create ~initial_buckets:4 p ~root:0 in
+      List.iter (fun k -> ignore (M.put m k (k ^ "!") : bool)) stored;
+      List.for_all
+        (fun k ->
+          let h = Pds.Codec.fnv1a k in
+          h = reference k
+          && Kv.Shard_records.route_hash k = avalanche (reference k)
+          && Blob.hash k = reference k land max_int
+          && M.get_hashed m ~hash:(h land max_int) k = M.get m k)
+        (stored @ probes))
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "get hit allocation pin" `Quick test_get_allocation;
+      QCheck_alcotest.to_alcotest prop_one_hash_per_get ]
+
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]

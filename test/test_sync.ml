@@ -80,6 +80,31 @@ let test_read_indicator () =
   Read_indicator.depart ri 3;
   Alcotest.(check bool) "empty again" true (Read_indicator.is_empty ri)
 
+(* A drain scans only the slots below the registration watermark: the
+   highest slot must still be seen, and a departed reader on a high slot
+   leaves the indicator empty. *)
+let test_read_indicator_watermark () =
+  let top = Tid.max_threads - 1 in
+  let ri = Read_indicator.create () in
+  Read_indicator.arrive ri 0;
+  Alcotest.(check bool) "first reader on slot 0" false
+    (Read_indicator.is_empty ri);
+  Read_indicator.depart ri 0;
+  Read_indicator.arrive ri top;
+  Alcotest.(check bool) "reader on the last slot" false
+    (Read_indicator.is_empty ri);
+  Read_indicator.depart ri top;
+  Alcotest.(check bool) "last slot departed" true (Read_indicator.is_empty ri);
+  let ri = Read_indicator.create () in
+  Read_indicator.arrive ri 100;
+  Read_indicator.depart ri 100;
+  Alcotest.(check bool) "slot 100 arrived and departed" true
+    (Read_indicator.is_empty ri);
+  Read_indicator.wait_empty ri;
+  Read_indicator.arrive ri 3;
+  Alcotest.(check bool) "reader below the watermark" false
+    (Read_indicator.is_empty ri)
+
 (* ---- C-RW-WP ---- *)
 
 (* The writer maintains the invariant a = b; readers must never observe a
@@ -359,6 +384,7 @@ let suite =
     tc "spinlock: mutual exclusion" `Quick test_spinlock_mutual_exclusion;
     tc "spinlock: try_lock" `Quick test_spinlock_try_lock;
     tc "read indicator: counting" `Quick test_read_indicator;
+    tc "read indicator: watermark" `Quick test_read_indicator_watermark;
     tc "crwwp: no torn reads" `Quick test_crwwp_no_torn_reads;
     tc "crwwp: writers exclude writers" `Quick test_crwwp_writer_excludes_writer;
     tc "flat combining: all requests once" `Quick test_flat_combining_counts;
