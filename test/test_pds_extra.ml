@@ -334,6 +334,7 @@ end
    after the removes. *)
 module GH = Pds.Hash_map.Make (Romulus.Logged)
 module GB = Pds.Bptree.Make (Romulus.Logged)
+module GT = Pds.Rb_tree.Make (Romulus.Logged)
 
 let check_golden what (digest, counts) run =
   let r = region ~size:(1 lsl 20) () in
@@ -371,7 +372,13 @@ let golden =
           ("af15c3bc9d977219a8cea00cdc482d59",
            "loads=2503 stores=710 copies=260 pwbs=956 pfences=200") (fun p ->
             let b = GB.create p ~root:0 in
-            golden_ops ~put:(GB.put b) ~remove:(GB.remove b))) ]
+            golden_ops ~put:(GB.put b) ~remove:(GB.remove b)));
+    tc "rb-tree golden image" `Quick (fun () ->
+        check_golden "rb-tree"
+          ("21c759baedc2a099fe675a167d9c1fd7",
+           "loads=3374 stores=1254 copies=532 pwbs=1608 pfences=200") (fun p ->
+            let t = GT.create p ~root:0 in
+            golden_ops ~put:(GT.put t) ~remove:(GT.remove t))) ]
 
 module On_logged = Make (Romulus.Logged)
 module On_lr = Make (Romulus.Lr)
