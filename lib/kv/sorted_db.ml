@@ -1,11 +1,11 @@
-(* Sorted RomulusDB: the LevelDB interface over a persistent B+tree — the
-   blob-keyed, blob-valued instance of {!Pds.Bptree} — instead of the
-   paper's hash map.  Scans run in key order (and
-   support ranges), matching LevelDB's iterator semantics that the
-   hash-ordered RomulusDB of §6.4 deliberately traded away. *)
+(* Sorted RomulusDB: the LevelDB interface over a persistent red-black
+   tree — the blob-keyed, blob-valued instance of {!Pds.Rb_tree} —
+   instead of the paper's hash map.  Scans run in key order (and support
+   ranges), matching LevelDB's iterator semantics that the hash-ordered
+   RomulusDB of §6.4 deliberately traded away. *)
 
 module Make (P : Romulus.Ptm_intf.S) = struct
-  module T = Pds.Bptree.Of_codec (Pds.Codec.Blob) (P)
+  module T = Pds.Rb_tree.Of_codec (Pds.Codec.Blob) (P)
 
   type t = { p : P.t; tree : T.t }
 
@@ -25,7 +25,7 @@ module Make (P : Romulus.Ptm_intf.S) = struct
   let write_batch t f = P.update_tx t.p (fun () -> f t)
 
   (* ascending-key scans, as LevelDB iterators produce them *)
-  let iter t f = T.iter t.tree f
+  let iter t f = T.fold t.tree (fun () k v -> f k v) ()
 
   (* inclusive range scan *)
   let iter_range t ~lo ~hi f =

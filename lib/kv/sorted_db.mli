@@ -1,6 +1,7 @@
-(** Sorted RomulusDB: the LevelDB interface over a persistent string
-    B+tree — key-ordered iteration and range scans, unlike the
-    hash-ordered RomulusDB of §6.4. *)
+(** Sorted RomulusDB: the LevelDB interface over a persistent red-black
+    tree of string keys and values ({!Pds.Rb_tree} on {!Pds.Codec.Blob})
+    — key-ordered iteration and range scans, unlike the hash-ordered
+    RomulusDB of §6.4. *)
 
 module Make (P : Romulus.Ptm_intf.S) : sig
   type t

@@ -11,7 +11,6 @@ module type OPS = sig
   val compare_at : ptm -> int -> t -> int
   val overwrite : ptm -> int -> t -> unit
   val free : ptm -> int -> unit
-  val separator : ptm -> int -> int
   val compare : t -> t -> int
   val hash : t -> int
   val pp : t -> string
@@ -47,7 +46,6 @@ module Word = struct
     let compare_at p slot k = Int.compare (P.load p slot) k
     let overwrite = P.store
     let free _ _ = ()
-    let separator = P.load
     let compare = Int.compare
     let hash k = (k * 0x2545F4914F6CDD1D) land max_int
     let pp = string_of_int
@@ -95,7 +93,6 @@ module Blob = struct
       end
 
     let free p slot = P.free p (P.load p slot)
-    let separator p slot = alloc p (load p slot)
     let compare = String.compare
 
     let hash s = fnv1a s land max_int

@@ -1,11 +1,11 @@
-(** Codecs for {!Hash_map} and {!Bptree}: how a key or a value lives in
+(** Codecs for {!Hash_map} and {!Rb_tree}: how a key or a value lives in
     one 8-byte slot of a node.  A container uses one codec for both its
     keys and its values.
 
     A codec owns what its slot points to.  Every operation takes the
-    slot's address, so a container only moves slot words around (bucket
-    chains, leaf shifts, splits) and calls its codec where a key or a
-    value is written, read, compared, replaced or dropped. *)
+    slot's address, so a container only links nodes (bucket chains,
+    rotations) and calls its codec where a key or a value is written,
+    read, compared, replaced or dropped. *)
 
 module type OPS = sig
   type t
@@ -28,10 +28,6 @@ module type OPS = sig
   (** Release what the slot owns (the slot itself is left as is). *)
   val free : ptm -> int -> unit
 
-  (** The word an internal node stores as a separator equal to the key
-      in [slot]; the separator is owned by the internal node. *)
-  val separator : ptm -> int -> int
-
   val compare : t -> t -> int
   val hash : t -> int
   val pp : t -> string
@@ -49,12 +45,12 @@ end
     caller that needs both hashes the bytes once. *)
 val fnv1a : string -> int
 
-(** The value sits inline in the slot.  [free] is a no-op and a separator
-    is the key itself; [hash] is multiplicative. *)
+(** The value sits inline in the slot.  [free] is a no-op; [hash] is
+    multiplicative. *)
 module Word : S with type t = int
 
 (** The slot points at a length-prefixed blob ([[0] length [8..] bytes]).
     [store] allocates it; [free] releases it; [overwrite] rewrites it in
-    place when the length is unchanged and reallocates it otherwise; a
-    separator is a fresh copy of the key blob; [hash] is FNV-1a. *)
+    place when the length is unchanged and reallocates it otherwise;
+    [hash] is FNV-1a. *)
 module Blob : S with type t = string

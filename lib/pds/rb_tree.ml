@@ -1,20 +1,27 @@
 (* Persistent red-black tree map (CLRS-style, with parent pointers and an
-   allocated nil sentinel), integer keys to word values.  The paper's
-   evaluation uses a red-black tree as its "many stores per transaction"
-   structure: an update transaction touches O(log n) nodes plus rotation
-   and recolouring stores (the two pwb-histogram peaks of §6.2).
+   allocated nil sentinel), over one codec for its keys and values (see
+   codec.mli).  The word instance ([Make]) is the tree of the paper's
+   evaluation, its "many stores per transaction" structure: an update
+   transaction touches O(log n) nodes plus rotation and recolouring
+   stores (the two pwb-histogram peaks of §6.2).  The blob instance is
+   the sorted RomulusDB's (Kv.Sorted_db).
 
    Layout:
 
      tree object:  [0] root  [8] nil  [16] count
-     node:         [0] key  [8] value  [16] left  [24] right
+     node:         [0] key slot  [8] value slot  [16] left  [24] right
                    [32] parent  [40] color (0 = red, 1 = black)
 
-   The nil sentinel is a real allocated node (offset 0 cannot be written
-   through the PTM): it is always black, and delete-fixup may temporarily
-   write its parent field, exactly as in CLRS. *)
+   The key and value slots are touched only through the codec; the tree
+   itself only relinks nodes.  The nil sentinel is a real allocated node
+   (offset 0 cannot be written through the PTM): it is always black, its
+   key and value slots are zero-filled words no codec reads, and
+   delete-fixup may temporarily write its parent field, exactly as in
+   CLRS. *)
 
-module Make (P : Romulus.Ptm_intf.S) = struct
+module Of_codec (Cc : Codec.S) (P : Romulus.Ptm_intf.S) = struct
+  module C = Cc.Make (P)
+
   type t = { p : P.t; tree : int }
 
   let o_root = 0
@@ -37,9 +44,8 @@ module Make (P : Romulus.Ptm_intf.S) = struct
   let root t = P.load t.p (t.tree + o_root)
   let nil t = P.load t.p (t.tree + o_nil)
   let set_root_node t n = P.store t.p (t.tree + o_root) n
-  let key t n = P.load t.p (n + n_key)
-  let value t n = P.load t.p (n + n_value)
-  let set_value t n v = P.store t.p (n + n_value) v
+  let key t n = C.load t.p (n + n_key)
+  let value t n = C.load t.p (n + n_value)
   let left t n = P.load t.p (n + n_left)
   let right t n = P.load t.p (n + n_right)
   let parent t n = P.load t.p (n + n_parent)
@@ -70,13 +76,18 @@ module Make (P : Romulus.Ptm_intf.S) = struct
     | 0 -> invalid_arg "Rb_tree.attach: empty root"
     | tree -> { p; tree }
 
+  let open_or_create p ~root =
+    match P.read_tx p (fun () -> P.get_root p root) with
+    | 0 -> create p ~root
+    | tree -> { p; tree }
+
   let find_node t k =
     let nil = nil t in
     let rec walk n =
       if n = nil then nil
       else
-        let nk = key t n in
-        if k = nk then n else if k < nk then walk (left t n) else walk (right t n)
+        let c = C.compare_at t.p (n + n_key) k in
+        if c = 0 then n else if c > 0 then walk (left t n) else walk (right t n)
     in
     walk (root t)
 
@@ -85,7 +96,7 @@ module Make (P : Romulus.Ptm_intf.S) = struct
         let n = find_node t k in
         if n = nil t then None else Some (value t n))
 
-  let mem t k = get t k <> None
+  let mem t k = Option.is_some (get t k)
 
   let length t = P.read_tx t.p (fun () -> P.load t.p (t.tree + o_count))
 
@@ -172,25 +183,25 @@ module Make (P : Romulus.Ptm_intf.S) = struct
         let rec descend n p =
           if n = nil then `Attach p
           else
-            let nk = key t n in
-            if k = nk then `Found n
-            else if k < nk then descend (left t n) n
+            let c = C.compare_at t.p (n + n_key) k in
+            if c = 0 then `Found n
+            else if c > 0 then descend (left t n) n
             else descend (right t n) n
         in
         match descend (root t) nil with
         | `Found n ->
-          set_value t n v;
+          C.overwrite t.p (n + n_value) v;
           false
         | `Attach p ->
           let z = P.alloc t.p node_bytes in
-          P.store t.p (z + n_key) k;
-          P.store t.p (z + n_value) v;
+          C.store t.p (z + n_key) k;
+          C.store t.p (z + n_value) v;
           set_left t z nil;
           set_right t z nil;
           set_parent t z p;
           set_color t z red;
           if p = nil then set_root_node t z
-          else if k < key t p then set_left t p z
+          else if C.compare_at t.p (p + n_key) k > 0 then set_left t p z
           else set_right t p z;
           insert_fixup t z;
           P.store t.p (t.tree + o_count) (P.load t.p (t.tree + o_count) + 1);
@@ -309,6 +320,8 @@ module Make (P : Romulus.Ptm_intf.S) = struct
             end
           in
           if !y_color = black then delete_fixup t x;
+          C.free t.p (z + n_key);
+          C.free t.p (z + n_value);
           P.free t.p z;
           P.store t.p (t.tree + o_count) (P.load t.p (t.tree + o_count) - 1);
           true
@@ -336,9 +349,12 @@ module Make (P : Romulus.Ptm_intf.S) = struct
           if n = nil then acc
           else begin
             let k = key t n in
-            let acc = if k > lo then walk (left t n) acc else acc in
-            let acc = if lo <= k && k <= hi then f acc k (value t n) else acc in
-            if k < hi then walk (right t n) acc else acc
+            let vs_lo = C.compare k lo and vs_hi = C.compare k hi in
+            let acc = if vs_lo > 0 then walk (left t n) acc else acc in
+            let acc =
+              if vs_lo >= 0 && vs_hi <= 0 then f acc k (value t n) else acc
+            in
+            if vs_hi < 0 then walk (right t n) acc else acc
           end
         in
         walk (root t) init)
@@ -351,7 +367,7 @@ module Make (P : Romulus.Ptm_intf.S) = struct
           if n = nil then best
           else
             let nk = key t n in
-            if nk >= k then walk (left t n) (Some (nk, value t n))
+            if C.compare nk k >= 0 then walk (left t n) (Some (nk, value t n))
             else walk (right t n) best
         in
         walk (root t) None)
@@ -359,7 +375,8 @@ module Make (P : Romulus.Ptm_intf.S) = struct
   let to_list t = List.rev (fold t (fun acc k v -> (k, v) :: acc) [])
 
   (* ---- invariant check (for property tests) ----
-     1. BST order; 2. root is black; 3. no red node has a red child;
+     1. BST order (strictly between the bounding ancestors' keys);
+     2. root is black; 3. no red node has a red child;
      4. every root-to-leaf path has the same black height;
      5. parent pointers are consistent; 6. count matches. *)
   let check t =
@@ -375,25 +392,30 @@ module Make (P : Romulus.Ptm_intf.S) = struct
           else begin
             incr count;
             let k = key t n in
-            if k <= lo || k >= hi then err "BST violation at key %d" k;
+            let above = function None -> true | Some b -> C.compare k b > 0 in
+            let below = function None -> true | Some b -> C.compare k b < 0 in
+            if not (above lo && below hi) then
+              err "BST violation at key %s" (C.pp k);
             if color t n = red then begin
               if color t (left t n) = red || color t (right t n) = red then
-                err "red node %d has red child" k
+                err "red node %s has red child" (C.pp k)
             end;
             if left t n <> nil && parent t (left t n) <> n then
-              err "bad parent pointer below %d (left)" k;
+              err "bad parent pointer below %s (left)" (C.pp k);
             if right t n <> nil && parent t (right t n) <> n then
-              err "bad parent pointer below %d (right)" k;
-            let bl = walk (left t n) lo k in
-            let br = walk (right t n) k hi in
-            if bl <> br then err "black-height mismatch at %d" k;
+              err "bad parent pointer below %s (right)" (C.pp k);
+            let bl = walk (left t n) lo (Some k) in
+            let br = walk (right t n) (Some k) hi in
+            if bl <> br then err "black-height mismatch at %s" (C.pp k);
             bl + (if color t n = black then 1 else 0)
           end
         in
-        ignore (walk (root t) min_int max_int);
+        ignore (walk (root t) None None);
         if P.load t.p (t.tree + o_count) <> !count then
           err "count %d but %d nodes" (P.load t.p (t.tree + o_count)) !count;
         match !errors with
         | [] -> Ok ()
         | es -> Error (String.concat "; " es))
 end
+
+module Make (P : Romulus.Ptm_intf.S) = Of_codec (Codec.Word) (P)

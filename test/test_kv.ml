@@ -300,7 +300,7 @@ let test_leveldb_replay_after_double_crash () =
   Alcotest.(check (option string)) "unsynced put lost again" None
     (Kv.Level_db.get db "lost2")
 
-(* ---- sorted store (string B+tree) ---- *)
+(* ---- sorted store (blob red-black tree) ---- *)
 
 module Sdb = Kv.Sorted_db.Default
 
@@ -369,19 +369,9 @@ let test_sorted_db_inplace_overwrite () =
 
 (* One fixed op sequence per store, pinned by the digest of the
    persistent image it leaves and by the exact region access counts it
-   costs: inserts (through bucket doublings / root splits), same-length
-   and different-length overwrites, removes of present and absent keys,
-   and inserts after the removes.  A refactor that claims to keep the
-   on-media layout and the access path must leave both unchanged. *)
-let golden_run run =
-  let r = region () in
-  run r;
-  let st = R.stats r in
-  ( Digest.to_hex (Digest.string (R.persistent_snapshot r)),
-    Printf.sprintf "loads=%d stores=%d copies=%d pwbs=%d pfences=%d"
-      st.Pmem.Stats.loads
-      st.stores st.copy_calls st.pwbs st.pfences )
-
+   costs (Golden_image): inserts (through bucket doublings / rebalancing),
+   same-length and different-length overwrites, removes of present and
+   absent keys, and inserts after the removes. *)
 let golden_ops ~put ~delete =
   let key i = Printf.sprintf "key%03d" i in
   for i = 0 to 39 do put (key i) (Printf.sprintf "v%03d" i) done;
@@ -390,22 +380,17 @@ let golden_ops ~put ~delete =
   for i = 10 to 19 do ignore (delete (key (3 * i)) : bool) done;
   for i = 40 to 44 do put (key i) (Printf.sprintf "v%03d" i) done
 
-let check_golden what (digest, counts) run =
-  let d, c = golden_run run in
-  Alcotest.(check string) (what ^ " image") digest d;
-  Alcotest.(check string) (what ^ " access counts") counts c
-
 let test_db_golden () =
-  check_golden "romulusdb"
+  Golden_image.check "romulusdb" ~size:(1 lsl 20)
     ("ffcaa4cc46468d00bc5a001a6e3af65a",
      "loads=3019 stores=1542 copies=435 pwbs=1336 pfences=215") (fun r ->
       let db = Db.open_db ~initial_buckets:4 r in
       golden_ops ~put:(Db.put db) ~delete:(Db.delete db))
 
 let test_sorted_db_golden () =
-  check_golden "sorted db"
-    ("d7326d793bfab8438ae17972fb77adfb",
-     "loads=4485 stores=1355 copies=474 pwbs=1377 pfences=215") (fun r ->
+  Golden_image.check "sorted db" ~size:(1 lsl 20)
+    ("13ddc1ff7f834afcdac510de91bc220a",
+     "loads=4942 stores=1871 copies=658 pwbs=1975 pfences=215") (fun r ->
       let db = Sdb.open_db r in
       golden_ops ~put:(Sdb.put db) ~delete:(Sdb.delete db))
 

@@ -1,6 +1,6 @@
 (* Tests for the extension containers (cell/array/string box, stack,
-   queue, B+tree): model-based behaviour, structural invariants, and
-   crash atomicity.  Run over RomulusLog, RomulusLR and the aborting STM
+   queue) and the blob red-black tree behind Kv.Sorted_db: model-based
+   behaviour, structural invariants, and crash atomicity.  Run over RomulusLog, RomulusLR and the aborting STM
    baseline (which additionally exercises closure re-execution). *)
 
 module R = Pmem.Region
@@ -17,7 +17,6 @@ module Make (P : PTM) = struct
   module B = Pds.Pbox.Make (P)
   module S = Pds.Pstack.Make (P)
   module Q = Pds.Pqueue.Make (P)
-  module Bt = Pds.Bptree.Make (P)
 
   (* ---- Pbox ---- *)
 
@@ -152,200 +151,151 @@ module Make (P : PTM) = struct
          | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
         Q.to_list q = List.of_seq (Queue.to_seq model))
 
-  (* ---- B+tree ---- *)
+  (* ---- blob red-black tree ---- *)
 
-  let test_bptree_basics () =
-    let r = region () in
+  (* The red-black tree on the blob codec, as Kv.Sorted_db runs it.
+     [key] is order-preserving, so the tree scans in the model's order. *)
+  module T = Pds.Rb_tree.Of_codec (Pds.Codec.Blob) (P)
+
+  let key = Printf.sprintf "key%04d"
+  let binding k v = (key k, string_of_int v)
+
+  let prop_tree_model =
+    let open QCheck in
+    Test.make ~count:30 ~name:(P.name ^ ": blob tree vs model")
+      (list (pair (int_bound 2) (int_bound 120)))
+      (fun ops ->
+        let r = region ~size:(1 lsl 20) () in
+        let p = P.open_region r in
+        let b = T.create p ~root:0 in
+        let model = Hashtbl.create 64 in
+        List.iter
+          (fun (op, k) ->
+            match op with
+            | 0 ->
+              ignore (T.put b (key k) (string_of_int (k * 3)));
+              Hashtbl.replace model k (k * 3)
+            | 1 ->
+              ignore (T.remove b (key k));
+              Hashtbl.remove model k
+            | _ ->
+              if
+                T.get b (key k)
+                <> Option.map string_of_int (Hashtbl.find_opt model k)
+              then QCheck.Test.fail_reportf "get %d disagreed" k)
+          ops;
+        (match T.check b with
+         | Ok () -> ()
+         | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
+        T.to_list b
+        = List.map
+            (fun (k, v) -> binding k v)
+            (List.sort compare
+               (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])))
+
+  (* Kv.Sorted_db.iter_range is this fold: an inclusive range, ascending,
+     over removes as well as inserts *)
+  let prop_tree_range_model =
+    let open QCheck in
+    Test.make ~count:30 ~name:(P.name ^ ": blob tree range vs model")
+      (quad (list (int_bound 100)) (list (int_bound 100)) (int_bound 100)
+         (int_bound 100))
+      (fun (keys, removed, a, b) ->
+        let lo = min a b and hi = max a b in
+        let r = region ~size:(1 lsl 20) () in
+        let p = P.open_region r in
+        let t = T.create p ~root:0 in
+        List.iter (fun k -> ignore (T.put t (key k) (string_of_int k))) keys;
+        List.iter (fun k -> ignore (T.remove t (key k))) removed;
+        let mine =
+          List.rev
+            (T.fold_range t ~lo:(key lo) ~hi:(key hi)
+               (fun acc k v -> (k, v) :: acc)
+               [])
+        in
+        let theirs =
+          List.sort_uniq compare
+            (List.filter
+               (fun k -> lo <= k && k <= hi && not (List.mem k removed))
+               keys)
+        in
+        mine = List.map (fun k -> binding k k) theirs)
+
+  let prop_tree_crash =
+    let open QCheck in
+    Test.make ~count:25 ~name:(P.name ^ ": blob tree crash recovery")
+      (pair small_nat (int_bound 2))
+      (fun (trap, pol) ->
+        let r = region ~size:(1 lsl 20) () in
+        let p = P.open_region r in
+        let b = T.create p ~root:0 in
+        for k = 1 to 40 do
+          ignore (T.put b (key k) (string_of_int k))
+        done;
+        ignore
+          (Crash_driver.armed [| r |] (Trap (0, 15 + trap)) (fun () ->
+               for k = 41 to 90 do
+                 ignore (T.put b (key k) (string_of_int k))
+               done));
+        let policy =
+          match pol with
+          | 0 -> R.Drop_all
+          | 1 -> R.Keep_all
+          | n -> R.Random_subset (n + trap)
+        in
+        R.crash r policy;
+        P.recover p;
+        let b = T.attach p ~root:0 in
+        (match T.check b with
+         | Ok () -> ()
+         | Error e -> QCheck.Test.fail_reportf "invariant after crash: %s" e);
+        (* puts are atomic and sequential: the survivors are a prefix *)
+        let n = List.length (T.to_list b) in
+        T.to_list b = List.init n (fun i -> binding (i + 1) (i + 1)) && n >= 40)
+
+  (* remove releases the key and value blobs: 2,000 put/remove rounds of
+     two 200-byte blobs each pass through an arena far smaller than
+     their sum *)
+  let test_tree_frees_blobs () =
+    let r = region ~size:(1 lsl 16) () in
     let p = P.open_region r in
-    let b = Bt.create p ~root:0 in
-    Alcotest.(check (option int)) "get empty" None (Bt.get b 5);
-    Alcotest.(check bool) "put" true (Bt.put b 5 50);
-    Alcotest.(check bool) "overwrite" false (Bt.put b 5 55);
-    Alcotest.(check (option int)) "get" (Some 55) (Bt.get b 5);
-    Alcotest.(check bool) "remove" true (Bt.remove b 5);
-    Alcotest.(check bool) "re-remove" false (Bt.remove b 5);
-    Alcotest.(check int) "empty again" 0 (Bt.length b);
-    match Bt.check b with Ok () -> () | Error e -> Alcotest.fail e
-
-  let test_bptree_splits_and_order () =
-    let r = region ~size:(1 lsl 20) () in
-    let p = P.open_region r in
-    let b = Bt.create p ~root:0 in
-    (* enough keys to force several levels of splits (fanout 8) *)
-    for i = 0 to 999 do
-      ignore (Bt.put b ((i * 7919) mod 1_000) i)
+    let t = T.create p ~root:0 in
+    ignore (T.put t "kept" "v");
+    for i = 1 to 2_000 do
+      let k = Printf.sprintf "%0200d" i in
+      ignore (T.put t k (String.make 200 'v'));
+      if not (T.remove t k) then Alcotest.failf "remove %d missed" i
     done;
-    (match Bt.check b with Ok () -> () | Error e -> Alcotest.fail e);
-    Alcotest.(check int) "all keys" 1_000 (Bt.length b);
-    let keys = List.map fst (Bt.to_list b) in
-    Alcotest.(check (list int)) "sorted scan" (List.init 1_000 Fun.id) keys;
-    (* range scan via the leaf chain *)
-    let range =
-      List.rev (Bt.fold_range b ~lo:100 ~hi:110 (fun acc k _ -> k :: acc) [])
-    in
-    Alcotest.(check (list int)) "range" (List.init 11 (fun i -> 100 + i)) range
-
-  let test_bptree_delete_heavy () =
-    let r = region ~size:(1 lsl 20) () in
-    let p = P.open_region r in
-    let b = Bt.create p ~root:0 in
-    for i = 0 to 499 do
-      ignore (Bt.put b i i)
-    done;
-    (* delete in an awkward order: evens, then all *)
-    for i = 0 to 249 do
-      ignore (Bt.remove b (2 * i))
-    done;
-    (match Bt.check b with Ok () -> () | Error e -> Alcotest.fail e);
-    Alcotest.(check int) "odds remain" 250 (Bt.length b);
-    for i = 0 to 499 do
-      Alcotest.(check bool)
-        (Printf.sprintf "mem %d" i)
-        (i land 1 = 1) (Bt.mem b i)
-    done;
-    for i = 0 to 249 do
-      ignore (Bt.remove b ((2 * i) + 1))
-    done;
-    (match Bt.check b with Ok () -> () | Error e -> Alcotest.fail e);
-    Alcotest.(check int) "empty" 0 (Bt.length b);
-    (* still usable after total drain *)
-    ignore (Bt.put b 42 42);
-    Alcotest.(check (option int)) "reusable" (Some 42) (Bt.get b 42)
-
-  (* The model and crash properties run on both codec instances: the
-     word tree and the blob tree behind Kv.Sorted_db.  [key] must be
-     order-preserving so both trees scan in the model's order. *)
-  module Bptree_props (C : sig
-    module Codec : Pds.Codec.S
-
-    val name : string
-    val key : int -> Codec.t
-    val value : int -> Codec.t
-  end) =
-  struct
-    module T = Pds.Bptree.Of_codec (C.Codec) (P)
-
-    let binding k v = (C.key k, C.value v)
-
-    let model =
-      let open QCheck in
-      Test.make ~count:30 ~name:(P.name ^ ": " ^ C.name ^ " vs model")
-        (list (pair (int_bound 2) (int_bound 120)))
-        (fun ops ->
-          let r = region ~size:(1 lsl 20) () in
-          let p = P.open_region r in
-          let b = T.create p ~root:0 in
-          let model = Hashtbl.create 64 in
-          List.iter
-            (fun (op, k) ->
-              match op with
-              | 0 ->
-                ignore (T.put b (C.key k) (C.value (k * 3)));
-                Hashtbl.replace model k (k * 3)
-              | 1 ->
-                ignore (T.remove b (C.key k));
-                Hashtbl.remove model k
-              | _ ->
-                if
-                  T.get b (C.key k)
-                  <> Option.map C.value (Hashtbl.find_opt model k)
-                then QCheck.Test.fail_reportf "get %d disagreed" k)
-            ops;
-          (match T.check b with
-           | Ok () -> ()
-           | Error e -> QCheck.Test.fail_reportf "invariant: %s" e);
-          T.to_list b
-          = List.map
-              (fun (k, v) -> binding k v)
-              (List.sort compare
-                 (Hashtbl.fold (fun k v acc -> (k, v) :: acc) model [])))
-
-    let crash =
-      let open QCheck in
-      Test.make ~count:25 ~name:(P.name ^ ": " ^ C.name ^ " crash recovery")
-        (pair small_nat (int_bound 2))
-        (fun (trap, pol) ->
-          let r = region ~size:(1 lsl 20) () in
-          let p = P.open_region r in
-          let b = T.create p ~root:0 in
-          for k = 1 to 40 do
-            ignore (T.put b (C.key k) (C.value k))
-          done;
-          ignore
-            (Crash_driver.armed [| r |] (Trap (0, 15 + trap)) (fun () ->
-                 for k = 41 to 90 do
-                   ignore (T.put b (C.key k) (C.value k))
-                 done));
-          let policy =
-            match pol with
-            | 0 -> R.Drop_all
-            | 1 -> R.Keep_all
-            | n -> R.Random_subset (n + trap)
-          in
-          R.crash r policy;
-          P.recover p;
-          let b = T.attach p ~root:0 in
-          (match T.check b with
-           | Ok () -> ()
-           | Error e -> QCheck.Test.fail_reportf "invariant after crash: %s" e);
-          (* puts are atomic and sequential: the survivors are a prefix *)
-          let n = List.length (T.to_list b) in
-          T.to_list b = List.init n (fun i -> binding (i + 1) (i + 1))
-          && n >= 40)
-  end
-
-  module Word_tree = Bptree_props (struct
-    module Codec = Pds.Codec.Word
-
-    let name = "b+tree"
-    let key = Fun.id
-    let value = Fun.id
-  end)
-
-  module Blob_tree = Bptree_props (struct
-    module Codec = Pds.Codec.Blob
-
-    let name = "string b+tree"
-    let key = Printf.sprintf "key%04d"
-    let value = string_of_int
-  end)
+    Alcotest.(check (list (pair string string)))
+      "only the kept binding" [ ("kept", "v") ] (T.to_list t);
+    match T.check t with Ok () -> () | Error e -> Alcotest.fail e
 
   let suite =
     let tc = Alcotest.test_case in
-    [ tc "b+tree basics" `Quick test_bptree_basics;
-      tc "b+tree splits and scans" `Quick test_bptree_splits_and_order;
-      tc "b+tree delete heavy" `Quick test_bptree_delete_heavy;
-      tc "cell" `Quick test_cell;
+    [ tc "cell" `Quick test_cell;
       tc "array" `Quick test_array;
       tc "string box" `Quick test_str_box;
       tc "stack" `Quick test_stack;
-      tc "queue" `Quick test_queue ]
+      tc "queue" `Quick test_queue;
+      tc "blob tree frees removed blobs" `Quick test_tree_frees_blobs ]
     @ List.map QCheck_alcotest.to_alcotest
-        [ prop_queue_model; Word_tree.model; Word_tree.crash; Blob_tree.model;
-          Blob_tree.crash ]
+        [ prop_queue_model; prop_tree_model; prop_tree_range_model;
+          prop_tree_crash ]
 end
 
 (* ---- golden images ---- *)
 
 (* One fixed op sequence per structure on RomulusLog, pinned by the
    digest of the persistent image it leaves and by the exact region
-   access counts it costs: inserts (through bucket doublings / root
-   splits), overwrites, removes of present and absent keys, and inserts
-   after the removes. *)
+   access counts it costs (Golden_image): inserts (through bucket
+   doublings / rebalancing), overwrites, removes of present and absent
+   keys, and inserts after the removes. *)
 module GH = Pds.Hash_map.Make (Romulus.Logged)
-module GB = Pds.Bptree.Make (Romulus.Logged)
 module GT = Pds.Rb_tree.Make (Romulus.Logged)
 
-let check_golden what (digest, counts) run =
-  let r = region ~size:(1 lsl 20) () in
-  run (Romulus.Logged.open_region r);
-  let st = R.stats r in
-  Alcotest.(check string) (what ^ " image") digest
-    (Digest.to_hex (Digest.string (R.persistent_snapshot r)));
-  Alcotest.(check string) (what ^ " access counts") counts
-    (Printf.sprintf "loads=%d stores=%d copies=%d pwbs=%d pfences=%d"
-      st.Pmem.Stats.loads
-       st.stores st.copy_calls st.pwbs st.pfences)
+let check_golden what pin run =
+  Golden_image.check what ~size:(1 lsl 20) pin (fun r ->
+      run (Romulus.Logged.open_region r))
 
 let golden_ops ~put ~remove =
   for k = 0 to 39 do ignore (put k (k * 10) : bool) done;
@@ -367,12 +317,6 @@ let golden =
            "loads=1888 stores=644 copies=212 pwbs=853 pfences=200") (fun p ->
             let m = GH.create ~resizable:false ~initial_buckets:8 p ~root:0 in
             golden_ops ~put:(GH.put m) ~remove:(GH.remove m)));
-    tc "b+tree golden image" `Quick (fun () ->
-        check_golden "b+tree"
-          ("af15c3bc9d977219a8cea00cdc482d59",
-           "loads=2503 stores=710 copies=260 pwbs=956 pfences=200") (fun p ->
-            let b = GB.create p ~root:0 in
-            golden_ops ~put:(GB.put b) ~remove:(GB.remove b)));
     tc "rb-tree golden image" `Quick (fun () ->
         check_golden "rb-tree"
           ("21c759baedc2a099fe675a167d9c1fd7",

@@ -281,9 +281,7 @@ module Golden (P : Kv.Sharded_db.SHARD_PTM) = struct
     (match S.check db with
      | Ok () -> ()
      | Error e -> Alcotest.failf "golden: %s" e);
-    Digest.to_hex
-      (Digest.string
-         (String.concat "" (Array.to_list (Array.map R.persistent_snapshot rs))))
+    Golden_image.digest rs
 end
 
 let golden_romL = "229070dfe3563555c2a182cd1a4ffdc3"
