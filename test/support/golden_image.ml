@@ -16,10 +16,10 @@ let counts r =
   Printf.sprintf "loads=%d stores=%d copies=%d pwbs=%d pfences=%d"
     st.Pmem.Stats.loads st.stores st.copy_calls st.pwbs st.pfences
 
-(* [check what ~size (digest, counts) run] runs [run] on a fresh region
-   of [size] bytes and checks its image digest, then its access counts *)
-let check what ~size (want_digest, want_counts) run =
-  let r = R.create ~size () in
+(* [check what (digest, counts) run] runs [run] on a fresh 1-MiB region
+   and checks its image digest, then its access counts *)
+let check what (want_digest, want_counts) run =
+  let r = R.create ~size:(1 lsl 20) () in
   run r;
   Alcotest.(check string) (what ^ " image") want_digest (digest [| r |]);
   Alcotest.(check string) (what ^ " access counts") want_counts (counts r)

@@ -381,14 +381,14 @@ let golden_ops ~put ~delete =
   for i = 40 to 44 do put (key i) (Printf.sprintf "v%03d" i) done
 
 let test_db_golden () =
-  Golden_image.check "romulusdb" ~size:(1 lsl 20)
+  Golden_image.check "romulusdb"
     ("ffcaa4cc46468d00bc5a001a6e3af65a",
      "loads=3019 stores=1542 copies=435 pwbs=1336 pfences=215") (fun r ->
       let db = Db.open_db ~initial_buckets:4 r in
       golden_ops ~put:(Db.put db) ~delete:(Db.delete db))
 
 let test_sorted_db_golden () =
-  Golden_image.check "sorted db" ~size:(1 lsl 20)
+  Golden_image.check "sorted db"
     ("13ddc1ff7f834afcdac510de91bc220a",
      "loads=4942 stores=1871 copies=658 pwbs=1975 pfences=215") (fun r ->
       let db = Sdb.open_db r in

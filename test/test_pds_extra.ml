@@ -1,7 +1,8 @@
 (* Tests for the extension containers (cell/array/string box, stack,
    queue) and the blob red-black tree behind Kv.Sorted_db: model-based
-   behaviour, structural invariants, and crash atomicity.  Run over RomulusLog, RomulusLR and the aborting STM
-   baseline (which additionally exercises closure re-execution). *)
+   behaviour, structural invariants, and crash atomicity.  Run over
+   RomulusLog, RomulusLR and the aborting STM baseline (which
+   additionally exercises closure re-execution). *)
 
 module R = Pmem.Region
 
@@ -294,7 +295,7 @@ module GH = Pds.Hash_map.Make (Romulus.Logged)
 module GT = Pds.Rb_tree.Make (Romulus.Logged)
 
 let check_golden what pin run =
-  Golden_image.check what ~size:(1 lsl 20) pin (fun r ->
+  Golden_image.check what pin (fun r ->
       run (Romulus.Logged.open_region r))
 
 let golden_ops ~put ~remove =
