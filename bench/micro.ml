@@ -12,6 +12,27 @@ let make_tests () =
   let obj =
     Romulus.Logged.update_tx p (fun () -> Romulus.Logged.alloc p 256)
   in
+  let obj64 =
+    Romulus.Logged.update_tx p (fun () -> Romulus.Logged.alloc p 512)
+  in
+  (* a mixed redo log of 256 entries: scattered words, short records
+     and blob-sized ranges, added in random order (fixed seed) *)
+  let log = Romulus.Redo_log.create () in
+  let st = Random.State.make [| 7 |] in
+  let log_offs = Array.init 256 (fun _ -> 8 * Random.State.int st 8192) in
+  let log_lens =
+    Array.init 256 (fun i ->
+        match i mod 4 with
+        | 0 | 1 -> 8
+        | 2 -> 1 + Random.State.int st 64
+        | _ -> 1 + Random.State.int st 4096)
+  in
+  let fill_log () =
+    Romulus.Redo_log.clear log;
+    for i = 0 to 255 do
+      Romulus.Redo_log.add log ~off:log_offs.(i) ~len:log_lens.(i)
+    done
+  in
   let rlr = Pmem.Region.create ~size:(1 lsl 20) () in
   let plr = Romulus.Lr.open_region rlr in
   let obj_lr = Romulus.Lr.update_tx plr (fun () -> Romulus.Lr.alloc plr 64) in
@@ -34,6 +55,8 @@ let make_tests () =
   Test.make_grouped ~name:"romulus"
     [ Test.make ~name:"region load"
         (Staged.stage (fun () -> ignore (Pmem.Region.load r 4096)));
+      Test.make ~name:"region store"
+        (Staged.stage (fun () -> Pmem.Region.store r 4096 42));
       Test.make ~name:"region store+pwb"
         (Staged.stage (fun () ->
              Pmem.Region.store r 4096 42;
@@ -52,6 +75,20 @@ let make_tests () =
                  for i = 0 to 7 do
                    Romulus.Logged.store p (obj + (8 * i)) i
                  done)));
+      Test.make ~name:"romL 64-store tx"
+        (Staged.stage (fun () ->
+             Romulus.Logged.update_tx p (fun () ->
+                 for i = 0 to 63 do
+                   Romulus.Logged.store p (obj64 + (8 * i)) i
+                 done)));
+      (* coalescing consumes the log, so each run refills it first: the
+         fill row alone is what the coalesce row adds to *)
+      Test.make ~name:"redo log fill, 256 mixed ranges"
+        (Staged.stage fill_log);
+      Test.make ~name:"redo log coalesce, 256 mixed ranges"
+        (Staged.stage (fun () ->
+             fill_log ();
+             Romulus.Redo_log.coalesce log));
       Test.make ~name:"romL read_tx load"
         (Staged.stage (fun () ->
              Romulus.Logged.read_tx p (fun () ->
@@ -90,6 +127,6 @@ let run _scale =
         | Some (e :: _) -> Printf.sprintf "%10.1f ns" e
         | _ -> "?"
       in
-      Printf.printf "%-28s %s\n" name est)
+      Printf.printf "%-36s %s\n" name est)
     (List.sort compare rows);
   flush stdout

@@ -23,7 +23,11 @@
    Algorithm 1's ordering is preserved — every main pwb still precedes
    the fence that publishes state = CPY.  In Logged mode the redo log is
    coalesced into maximal intervals before replication, so back receives
-   exactly the logged ranges with one copy per interval.
+   exactly the logged ranges with one copy per interval.  Those intervals
+   are the connected components of the logged bytes, unique whatever
+   order the stores came in and however the log sorts them, so the
+   copies, pwbs and fences of a commit, and the bytes they persist, are
+   fixed by the set of bytes the transaction wrote.
 
    The allocator runs over the same interposed memory, so its metadata
    rolls back with the transaction (§4.4). *)
@@ -111,6 +115,9 @@ module Mem = struct
     mutable log : Redo_log.t option;
     dirty : Pmem.Line_set.t;    (* lines with deferred write-backs *)
     line_shift : int;
+    pwb_dirty : int -> bool -> unit;
+        (* the write-back of one deferred line, built once so a commit
+           allocates no closure to drain the set *)
   }
 
   let make r =
@@ -119,7 +126,8 @@ module Mem = struct
     let line_shift = log2 line 0 in
     { r; log = None;
       dirty = Pmem.Line_set.create ~lines:(Pmem.Region.size r lsr line_shift);
-      line_shift }
+      line_shift;
+      pwb_dirty = (fun line _ -> Pmem.Region.pwb r (line lsl line_shift)) }
 
   let mark_dirty m off len =
     if len > 0 then begin
@@ -147,9 +155,7 @@ module Mem = struct
 
   (* Issue the deferred write-backs: one pwb per dirty line.  Must run
      before the next fence that orders main against the state word. *)
-  let flush_dirty m =
-    Pmem.Line_set.drain_all m.dirty (fun line _ ->
-        Pmem.Region.pwb m.r (line lsl m.line_shift))
+  let flush_dirty m = Pmem.Line_set.drain_all m.dirty m.pwb_dirty
 
   (* Forget the deferred write-backs without issuing them (the caller has
      flushed the covering ranges explicitly, or a crash made them moot). *)
@@ -168,6 +174,10 @@ type t = {
   main_size : int;
   arena_base : int;
   mutable in_tx : bool;
+  to_back : off:int -> len:int -> unit;
+  to_main : off:int -> len:int -> unit;
+      (* the per-range steps of Logged replication and abort, built once
+         so a commit hands {!Redo_log.iter} no fresh closure *)
 }
 
 let main_start = header_bytes
@@ -181,6 +191,22 @@ let layout r =
   if main_size < roots_bytes + Palloc.meta_bytes + 4096 then
     invalid_arg "Engine: region too small for twin copies";
   (main_size, arena_base)
+
+(* Copy one logged range of main to back (replication), or back to main
+   (a Logged abort), and write the destination back. *)
+let copy_to_back r main_size ~off ~len =
+  Pmem.Region.copy r ~src:off ~dst:(off + main_size) ~len;
+  Pmem.Region.pwb_range r (off + main_size) len
+
+let copy_to_main r main_size ~off ~len =
+  Pmem.Region.copy r ~src:(off + main_size) ~dst:off ~len;
+  Pmem.Region.pwb_range r off len
+
+let make r mem arena ~mode ~main_size ~arena_base =
+  { r; mem; arena; mode; log = Redo_log.create ();
+    main_start; main_size; arena_base; in_tx = false;
+    to_back = copy_to_back r main_size;
+    to_main = copy_to_main r main_size }
 
 let region t = t.r
 let main_size t = t.main_size
@@ -394,19 +420,14 @@ let open_salvage ~mode r =
        sound, so they are the open's whole media verdict. *)
     let lost = recover_raw ~salvage:true r ~main_size ~arena_base in
     let arena = A.attach mem ~base:arena_base in
-    ( { r; mem; arena; mode; log = Redo_log.create ();
-        main_start; main_size; arena_base; in_tx = false },
-      lost )
+    (make r mem arena ~mode ~main_size ~arena_base, lost)
   end
   else begin
     (* format: initialize main, replicate to back, then publish the magic
        last so that a crash mid-format reformats from scratch *)
     let arena_size = main_start + main_size - arena_base in
     let arena = A.init mem ~base:arena_base ~size:arena_size in
-    let t =
-      { r; mem; arena; mode; log = Redo_log.create ();
-        main_start; main_size; arena_base; in_tx = false }
-    in
+    let t = make r mem arena ~mode ~main_size ~arena_base in
     Pmem.Region.store r o_state st_idl;
     let span = used_span t in
     Pmem.Region.copy r ~src:main_start ~dst:(main_start + main_size)
@@ -503,9 +524,7 @@ let replicate t =
    | Logged ->
      (* one copy + one pwb_range per maximal interval, not per raw entry *)
      Redo_log.coalesce t.log;
-     Redo_log.iter t.log (fun ~off ~len ->
-         Pmem.Region.copy t.r ~src:off ~dst:(off + t.main_size) ~len;
-         Pmem.Region.pwb_range t.r (off + t.main_size) len));
+     Redo_log.iter t.log t.to_back);
   Fault.hit fp_replicate_copied;
   Pmem.Region.pfence t.r
 
@@ -549,9 +568,7 @@ let abort_main t cause =
          ~dst:t.main_start ~len:span;
        Pmem.Region.pwb_range t.r t.main_start span
      | Logged ->
-       Redo_log.iter t.log (fun ~off ~len ->
-           Pmem.Region.copy t.r ~src:(off + t.main_size) ~dst:off ~len;
-           Pmem.Region.pwb_range t.r off len));
+       Redo_log.iter t.log t.to_main);
     Fault.hit fp_abort_restored;
     Pmem.Region.pfence t.r;
     Pmem.Region.store t.r o_state st_idl;

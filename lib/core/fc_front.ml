@@ -51,19 +51,27 @@ module Crwwp_sync (Config : CONFIG) = struct
 
   let depart t tid = Crwwp.read_unlock t.lock tid
 
+  (* The lock is released through [match … with exception], not a
+     closure, so a commit allocates nothing for it. *)
   let exec t run_batch =
-    Crwwp.with_write_lock t.lock (fun () ->
-        (* a raising request (or injected fault, even one inside
-           begin_tx itself) aborts the whole attempt — partial effects
-           of the batch must not commit; the combiner answers the raiser
-           with the Tx_aborted and retries the survivors in a fresh exec
-           round *)
-        try
-          Engine.begin_tx t.e;
-          run_batch ();
-          Fault.hit fp_batch_ran;
-          Engine.end_tx t.e
-        with e -> Engine.abort_main t.e e)
+    Crwwp.write_lock t.lock;
+    match
+      (* a raising request (or injected fault, even one inside begin_tx
+         itself) aborts the whole attempt — partial effects of the batch
+         must not commit; the combiner answers the raiser with the
+         Tx_aborted and retries the survivors in a fresh exec round *)
+      try
+        Engine.begin_tx t.e;
+        run_batch ();
+        Fault.hit fp_batch_ran;
+        Engine.end_tx t.e
+      with e -> Engine.abort_main t.e e
+    with
+    | () -> Crwwp.write_unlock t.lock
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Crwwp.write_unlock t.lock;
+      Printexc.raise_with_backtrace e bt
 
   let load t off = Engine.load t.e off
   let load_bytes t off len = Engine.load_bytes t.e off len
@@ -118,9 +126,14 @@ module Make (S : SYNC) = struct
       let request () =
         (* runs on the combiner's domain *)
         Nesting.enter_update nest;
-        Fun.protect
-          ~finally:(fun () -> Nesting.leave_update nest)
-          (fun () -> result := Some (f ()))
+        match f () with
+        | v ->
+          Nesting.leave_update nest;
+          result := Some v
+        | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Nesting.leave_update nest;
+          Printexc.raise_with_backtrace e bt
       in
       Flat_combining.apply t.fc request ~exec:(S.exec t);
       match !result with

@@ -11,7 +11,14 @@
    path (a boxed [Hashtbl] allocated a bucket cell on every insert,
    which showed up directly in the per-store cost).  Slots hold
    [offset + 1] so that 0 can mean "empty" without special-casing
-   offset 0. *)
+   offset 0.
+
+   At commit, {!coalesce} turns the entries into the replication plan:
+   the maximal intervals of their union, sorted.  That list is canonical
+   (the connected components of a set of bytes are unique), so it does
+   not depend on the order the entries were added in or on how they are
+   sorted, and neither do the copies, write-backs and media bytes the
+   engine derives from it. *)
 
 exception Overflow of { capacity : int }
 
@@ -60,13 +67,15 @@ let hash_off off =
   let h = off * 0x2545F4914F6CDD1D in
   (h lxor (h lsr 29)) land max_int
 
+(* The probe loops are top-level recursions, not local closures: a local
+   [probe] capturing the table would allocate on every store. *)
+let rec insert_probe words mask key i =
+  let v = Array.unsafe_get words i in
+  if v = 0 then Array.unsafe_set words i key
+  else if v <> key then insert_probe words mask key ((i + 1) land mask)
+
 let word_insert words mask key =
-  let rec probe i =
-    let v = Array.unsafe_get words i in
-    if v = 0 then Array.unsafe_set words i key
-    else if v <> key then probe ((i + 1) land mask)
-  in
-  probe (hash_off key land mask)
+  insert_probe words mask key (hash_off key land mask)
 
 let grow_words t =
   let old = t.words in
@@ -81,22 +90,22 @@ let grow_words t =
 
 (* Membership test + insert in one probe sequence; returns [true] iff
    [off] was newly inserted.  Load factor kept below 1/2. *)
+let rec add_probe t words mask key i =
+  let v = Array.unsafe_get words i in
+  if v = 0 then begin
+    Array.unsafe_set words i key;
+    t.word_count <- t.word_count + 1;
+    true
+  end
+  else if v = key then false
+  else add_probe t words mask key ((i + 1) land mask)
+
 let word_add t off =
   if 2 * (t.word_count + 1) > Array.length t.words then grow_words t;
   let key = off + 1 in
   let words = t.words in
   let mask = Array.length words - 1 in
-  let rec probe i =
-    let v = Array.unsafe_get words i in
-    if v = 0 then begin
-      Array.unsafe_set words i key;
-      t.word_count <- t.word_count + 1;
-      true
-    end
-    else if v = key then false
-    else probe ((i + 1) land mask)
-  in
-  probe (hash_off key land mask)
+  add_probe t words mask key (hash_off key land mask)
 
 let append t off len =
   (* raised before anything is recorded: the log still covers exactly the
@@ -125,35 +134,117 @@ let iter t f =
     f ~off:t.offs.(i) ~len:t.lens.(i)
   done
 
+(* ---- coalescing ----
+
+   Sorting runs in place on the two parallel arrays, by offset, with the
+   comparison inlined on [int]s: no index permutation, no copies, no
+   comparison closure, so a commit allocates nothing here and pays a few
+   nanoseconds per entry instead of a closure call per comparison.  Runs
+   of at most [insertion_cutoff] entries take an insertion sort; longer
+   ones a median-of-three quicksort that recurses into the smaller part
+   and loops on the larger, so its stack stays O(log n).  A log that is
+   already ascending (frontier allocations, sequential fills) is detected
+   in one pass and not sorted at all.  The sort need not be stable, nor
+   order equal offsets in any way: the intervals are canonical (see the
+   top of the file). *)
+
+let insertion_cutoff = 32
+
+let swap (offs : int array) (lens : int array) i j =
+  let o = Array.unsafe_get offs i and l = Array.unsafe_get lens i in
+  Array.unsafe_set offs i (Array.unsafe_get offs j);
+  Array.unsafe_set lens i (Array.unsafe_get lens j);
+  Array.unsafe_set offs j o;
+  Array.unsafe_set lens j l
+
+(* Sort [offs.(lo..hi)] (inclusive) by offset, moving [lens] alongside. *)
+let insertion_sort (offs : int array) (lens : int array) lo hi =
+  for i = lo + 1 to hi do
+    let o = Array.unsafe_get offs i and l = Array.unsafe_get lens i in
+    let j = ref (i - 1) in
+    while !j >= lo && Array.unsafe_get offs !j > o do
+      Array.unsafe_set offs (!j + 1) (Array.unsafe_get offs !j);
+      Array.unsafe_set lens (!j + 1) (Array.unsafe_get lens !j);
+      decr j
+    done;
+    Array.unsafe_set offs (!j + 1) o;
+    Array.unsafe_set lens (!j + 1) l
+  done
+
+let rec quicksort (offs : int array) (lens : int array) lo hi =
+  if hi - lo < insertion_cutoff then insertion_sort offs lens lo hi
+  else begin
+    (* median of three into [mid]: sorted and reverse-sorted runs split
+       evenly *)
+    let mid = lo + ((hi - lo) lsr 1) in
+    if Array.unsafe_get offs mid < Array.unsafe_get offs lo then
+      swap offs lens mid lo;
+    if Array.unsafe_get offs hi < Array.unsafe_get offs lo then
+      swap offs lens hi lo;
+    if Array.unsafe_get offs hi < Array.unsafe_get offs mid then
+      swap offs lens hi mid;
+    let pivot = Array.unsafe_get offs mid in
+    (* Hoare partition: stops on keys equal to the pivot from both sides,
+       so a run of duplicate offsets splits in the middle *)
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while Array.unsafe_get offs !i < pivot do incr i done;
+      while Array.unsafe_get offs !j > pivot do decr j done;
+      if !i <= !j then begin
+        swap offs lens !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    if !j - lo < hi - !i then begin
+      quicksort offs lens lo !j;
+      quicksort offs lens !i hi
+    end
+    else begin
+      quicksort offs lens !i hi;
+      quicksort offs lens lo !j
+    end
+  end
+
+let rec ascending (offs : int array) i n =
+  i >= n
+  || (Array.unsafe_get offs (i - 1) <= Array.unsafe_get offs i
+      && ascending offs (i + 1) n)
+
 (* Merge the logged ranges into maximal intervals: sort by offset, then
-   fuse every overlapping or adjacent pair.  Replication afterwards does
-   one copy + one pwb_range per interval instead of per entry, which is
-   where repeated neighbouring stores (allocator metadata, struct fields)
-   stop costing one write-back each.
+   fuse every overlapping or adjacent pair in one pass over the sorted
+   arrays, writing the intervals back from the front ([m <= i], so each
+   entry is read before its slot is reused).  Replication afterwards
+   does one copy + one pwb_range per interval instead of per entry,
+   which is where repeated neighbouring stores (allocator metadata,
+   struct fields) stop costing one write-back each.
 
    Entries already appended stay deduplicated in [words]; an interval
    covering a word is at least as large as its original range, so later
    appends of the same word remain redundant. *)
 let coalesce t =
-  if t.n > 1 then begin
-    let order = Array.init t.n (fun i -> i) in
-    Array.sort (fun a b -> compare t.offs.(a) t.offs.(b)) order;
-    let offs = Array.map (fun i -> t.offs.(i)) order in
-    let lens = Array.map (fun i -> t.lens.(i)) order in
-    let m = ref 0 in
-    for i = 0 to t.n - 1 do
-      let off = offs.(i) and len = lens.(i) in
-      if !m > 0 && off <= t.offs.(!m - 1) + t.lens.(!m - 1) then begin
-        let cur_end = t.offs.(!m - 1) + t.lens.(!m - 1) in
-        if off + len > cur_end then
-          t.lens.(!m - 1) <- off + len - t.offs.(!m - 1)
+  let n = t.n in
+  if n > 1 then begin
+    let offs = t.offs and lens = t.lens in
+    if not (ascending offs 1 n) then quicksort offs lens 0 (n - 1);
+    let m = ref 1 in
+    let cur_off = ref (Array.unsafe_get offs 0) in
+    let cur_end = ref (!cur_off + Array.unsafe_get lens 0) in
+    for i = 1 to n - 1 do
+      let off = Array.unsafe_get offs i in
+      let e = off + Array.unsafe_get lens i in
+      if off <= !cur_end then begin
+        if e > !cur_end then cur_end := e
       end
       else begin
-        t.offs.(!m) <- off;
-        t.lens.(!m) <- len;
+        Array.unsafe_set lens (!m - 1) (!cur_end - !cur_off);
+        Array.unsafe_set offs !m off;
+        cur_off := off;
+        cur_end := e;
         incr m
       end
     done;
+    Array.unsafe_set lens (!m - 1) (!cur_end - !cur_off);
     t.n <- !m
   end
 

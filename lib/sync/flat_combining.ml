@@ -77,8 +77,7 @@ let run_rounds pending ~exec ~answer =
   in
   rounds pending
 
-let combine t ~exec =
-  Fun.protect ~finally:(fun () -> Spinlock.unlock t.lock) @@ fun () ->
+let serve_pending t ~exec =
   (* Only slots below the registration watermark can hold requests, and
      at most [pending] of them do: stop as soon as that many have been
      collected instead of walking the remaining empty slots.  A request
@@ -104,6 +103,16 @@ let combine t ~exec =
   t.combined <- t.combined + List.length !batch;
   run_rounds !batch ~exec
     ~answer:(fun i r -> Atomic.set t.slots.(i) (Done r))
+
+(* The combiner lock is released through [match … with exception], not
+   [Fun.protect], so a round allocates no closures for it. *)
+let combine t ~exec =
+  match serve_pending t ~exec with
+  | () -> Spinlock.unlock t.lock
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Spinlock.unlock t.lock;
+    Printexc.raise_with_backtrace e bt
 
 let apply t f ~exec =
   let tid = Tid.current () in

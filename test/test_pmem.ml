@@ -53,13 +53,30 @@ let test_bounds () =
     (fun () -> ignore (R.load_bytes r 8 (-1)));
   Alcotest.(check string) "empty load_bytes at the end" ""
     (R.load_bytes r 4096 0);
+  Alcotest.check_raises "store past end"
+    (Invalid_argument
+       "Region.store: range [4089, 4097) outside region of 4096 bytes")
+    (fun () -> R.store r 4089 0);
+  (* [off + 8] wraps: the range check passes and the word write refuses *)
+  Alcotest.check_raises "store at max_int"
+    (Invalid_argument "index out of bounds")
+    (fun () -> R.store r max_int 0);
+  R.store r 4088 7;
+  Alcotest.(check int) "store at the last word" 7 (R.load r 4088);
   (* a dead region refuses before it looks at the range *)
   R.set_trap r 0;
   (try R.store r 0 1 with R.Crash_point -> ());
   Alcotest.check_raises "dead load" R.Crash_point
     (fun () -> ignore (R.load r 4089));
   Alcotest.check_raises "dead load_bytes" R.Crash_point
-    (fun () -> ignore (R.load_bytes r 0 8))
+    (fun () -> ignore (R.load_bytes r 0 8));
+  Alcotest.check_raises "dead store" R.Crash_point (fun () -> R.store r 8 1);
+  (* a store checks its range before the trap, so on a dead region an
+     out-of-range store still names the range *)
+  Alcotest.check_raises "dead store out of range"
+    (Invalid_argument
+       "Region.store: range [4089, 4097) outside region of 4096 bytes")
+    (fun () -> R.store r 4089 1)
 
 let test_size_rounding () =
   let r = R.create ~size:100 () in

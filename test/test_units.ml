@@ -147,14 +147,70 @@ let test_coalesce_keeps_disjoint_and_is_idempotent () =
   Alcotest.(check bool) "empty log is a no-op" true
     (Romulus.Redo_log.is_empty l)
 
-(* Property: coalescing yields a sorted list of pairwise disjoint,
-   non-adjacent intervals covering exactly the union of the added
-   ranges. *)
+(* The reference plan: a stable list sort by offset, then one fold that
+   fuses every overlapping or adjacent pair — the sort-then-merge
+   [coalesce] always specified, written with no shared code. *)
+let coalesce_model ranges =
+  List.stable_sort (fun (a, _) (b, _) -> compare a b) ranges
+  |> List.fold_left
+       (fun acc (off, len) ->
+         match acc with
+         | (o, l) :: tl when off <= o + l -> (o, max l (off + len - o)) :: tl
+         | _ -> (off, len) :: acc)
+       []
+  |> List.rev
+
+(* Logs of up to 2,000 ranges in the shapes commits produce: ascending
+   frontier fills (and a few stray metadata stores among them),
+   descending, random words and records, duplicate offsets with unequal
+   lengths, small ranges inside large ones, blob-sized ranges up to
+   4 KiB, and the short low-offset logs of a single operation. *)
+let coalesce_case =
+  let gen st =
+    let int b = Random.State.int st b in
+    let ascending n =
+      let stride = 8 * (1 + int 8) in
+      List.init n (fun i -> (64 + (i * stride), 1 + int stride))
+    in
+    match int 8 with
+    | 0 -> ("ascending", ascending (1 + int 2000))
+    | 1 -> ("descending", List.rev (ascending (1 + int 2000)))
+    | 2 ->
+      ( "nearly ascending",
+        List.map
+          (fun r -> if int 20 = 0 then (8 * int 8192, 8) else r)
+          (ascending (1 + int 2000)) )
+    | 3 ->
+      ( "random",
+        List.init (1 + int 2000) (fun _ ->
+            (8 * int 65536, if int 2 = 0 then 8 else 1 + int 64)) )
+    | 4 ->
+      ( "duplicate offsets",
+        List.init (1 + int 2000) (fun _ ->
+            (8 * int 32, if int 2 = 0 then 8 else 1 + int 40)) )
+    | 5 ->
+      ( "contained",
+        List.init (1 + int 2000) (fun i ->
+            if i mod 16 = 0 then (int 65536, 1 + int 4096)
+            else (int 65536, 1 + int 16)) )
+    | 6 ->
+      ( "blobs",
+        List.init (1 + int 2000) (fun _ -> (int (1 lsl 20), 1 + int 4096)) )
+    | _ ->
+      ("short", List.init (1 + int 40) (fun _ -> (int 501, 1 + int 64)))
+  in
+  QCheck.make gen ~print:(fun (shape, ranges) ->
+      Printf.sprintf "%s, %d ranges: %s" shape (List.length ranges)
+        (String.concat " "
+           (List.map (fun (o, l) -> Printf.sprintf "(%d,%d)" o l) ranges)))
+
+(* Property: coalescing yields exactly the reference plan — a sorted list
+   of pairwise disjoint, non-adjacent intervals covering exactly the
+   union of the added ranges. *)
 let coalesce_prop =
-  let range = QCheck.(pair (int_bound 500) (int_range 1 64)) in
-  QCheck.Test.make ~count:500 ~name:"redo log: coalesce covers the union"
-    QCheck.(list_of_size Gen.(int_range 1 40) range)
-    (fun ranges ->
+  QCheck.Test.make ~count:400 ~name:"redo log: coalesce covers the union"
+    coalesce_case
+    (fun (_, ranges) ->
       let l = Romulus.Redo_log.create () in
       List.iter (fun (off, len) -> Romulus.Redo_log.add l ~off ~len) ranges;
       Romulus.Redo_log.coalesce l;
@@ -168,18 +224,52 @@ let coalesce_prop =
       if not (well_formed out) then
         QCheck.Test.fail_report "output not sorted/disjoint/non-adjacent";
       (* exact byte-set cover *)
-      let bound = 600 in
+      let bound =
+        List.fold_left (fun m (off, len) -> max m (off + len)) 0 ranges
+      in
       let mark ranges =
-        let bs = Array.make bound false in
-        List.iter
-          (fun (off, len) ->
-            for i = off to off + len - 1 do
-              bs.(i) <- true
-            done)
-          ranges;
+        let bs = Bytes.make bound '\000' in
+        List.iter (fun (off, len) -> Bytes.fill bs off len '\001') ranges;
         bs
       in
-      mark ranges = mark out)
+      if not (Bytes.equal (mark ranges) (mark out)) then
+        QCheck.Test.fail_report "output does not cover exactly the union";
+      if out <> coalesce_model ranges then
+        QCheck.Test.fail_report "output differs from the reference plan";
+      true)
+
+(* Coalescing sorts and merges in place: 10,000 refills and coalesces of
+   a 256-entry log (scattered words, short records and blob ranges)
+   allocate nothing once the log's arrays have grown. *)
+let test_coalesce_allocates_nothing () =
+  let n = 256 in
+  let st = Random.State.make [| 7 |] in
+  let offs =
+    Array.init n (fun _ -> 8 * Random.State.int st 8192)
+  and lens =
+    Array.init n (fun i ->
+        match i mod 4 with
+        | 0 | 1 -> 8
+        | 2 -> 1 + Random.State.int st 64
+        | _ -> 1 + Random.State.int st 4096)
+  in
+  let l = Romulus.Redo_log.create () in
+  let round () =
+    Romulus.Redo_log.clear l;
+    for i = 0 to n - 1 do
+      Romulus.Redo_log.add l ~off:offs.(i) ~len:lens.(i)
+    done;
+    Romulus.Redo_log.coalesce l
+  in
+  round ();
+  let calls = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    round ()
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= float_of_int calls then
+    Alcotest.failf "%.0f minor words for %d coalesces" words calls
 
 (* Each store marks its line dirty; commit_main write-backs every dirty
    line exactly once, so a transaction pays one pwb per line it touched,
@@ -509,6 +599,31 @@ let test_ptm_survives_file_round_trip () =
   Alcotest.(check int) "usable after reopen" 315
     (P.read_tx p2 (fun () -> P.load p2 obj))
 
+(* A RomulusLog update transaction of eight word stores allocates only
+   its front's per-request bookkeeping: the redo log, the dirty-line
+   drain, the fences, the replication and the lock release allocate
+   nothing.  69 minor words measured, 5 of them the body closure. *)
+let test_update_tx_allocation_pin () =
+  let module P = Romulus.Logged in
+  let p = P.open_region (Pmem.Region.create ~size:(1 lsl 20) ()) in
+  let obj = P.update_tx p (fun () -> P.alloc p 64) in
+  let tx () =
+    P.update_tx p (fun () ->
+        for i = 0 to 7 do
+          P.store p (obj + (8 * i)) i
+        done)
+  in
+  tx ();
+  let n = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    tx ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  if words > 69. then
+    Alcotest.failf "romL 8-store update_tx: %.1f minor words, at most 69 \
+                    expected" words
+
 (* ---- Stats ---- *)
 
 let test_stats_write_amplification () =
@@ -538,6 +653,8 @@ let suite =
     tc "redo log: coalesce disjoint + idempotent" `Quick
       test_coalesce_keeps_disjoint_and_is_idempotent;
     QCheck_alcotest.to_alcotest coalesce_prop;
+    tc "coalesce allocates no OCaml memory" `Quick
+      test_coalesce_allocates_nothing;
     tc "engine: deferred flush issues fewer pwbs" `Quick
       test_deferred_flush_fewer_pwbs;
     tc "engine: coalesced replication issues fewer copies" `Quick
@@ -564,6 +681,8 @@ let suite =
     tc "lr: update restores back" `Quick test_lr_update_restores_back;
     tc "ptm survives file round-trip" `Quick
       test_ptm_survives_file_round_trip;
-    tc "stats: write amplification" `Quick test_stats_write_amplification ]
+    tc "stats: write amplification" `Quick test_stats_write_amplification;
+    tc "engine: romL 8-store update_tx allocation pin" `Quick
+      test_update_tx_allocation_pin ]
 
 let () = Alcotest.run "units" [ ("units", suite) ]
