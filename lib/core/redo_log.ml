@@ -142,11 +142,11 @@ let iter t f =
    nanoseconds per entry instead of a closure call per comparison.  Runs
    of at most [insertion_cutoff] entries take an insertion sort; longer
    ones a median-of-three quicksort that recurses into the smaller part
-   and loops on the larger, so its stack stays O(log n).  A log that is
-   already ascending (frontier allocations, sequential fills) is detected
-   in one pass and not sorted at all.  The sort need not be stable, nor
-   order equal offsets in any way: the intervals are canonical (see the
-   top of the file). *)
+   and loops on the larger, so its stack stays O(log n).  An already
+   ascending log needs no separate check: the insertion sort is linear on
+   it, and the median of three splits it evenly.  The sort need not be
+   stable, nor order equal offsets in any way: the intervals are
+   canonical (see the top of the file). *)
 
 let insertion_cutoff = 32
 
@@ -206,11 +206,6 @@ let rec quicksort (offs : int array) (lens : int array) lo hi =
     end
   end
 
-let rec ascending (offs : int array) i n =
-  i >= n
-  || (Array.unsafe_get offs (i - 1) <= Array.unsafe_get offs i
-      && ascending offs (i + 1) n)
-
 (* Merge the logged ranges into maximal intervals: sort by offset, then
    fuse every overlapping or adjacent pair in one pass over the sorted
    arrays, writing the intervals back from the front ([m <= i], so each
@@ -226,7 +221,7 @@ let coalesce t =
   let n = t.n in
   if n > 1 then begin
     let offs = t.offs and lens = t.lens in
-    if not (ascending offs 1 n) then quicksort offs lens 0 (n - 1);
+    quicksort offs lens 0 (n - 1);
     let m = ref 1 in
     let cur_off = ref (Array.unsafe_get offs 0) in
     let cur_end = ref (!cur_off + Array.unsafe_get lens 0) in

@@ -60,16 +60,15 @@ let set_clean t line = Bytes.unsafe_set t.marks line clean
 
 let is_clean t line = mark t line = Clean
 
-(* Call [f x line] for every pending line and mark it clean; dirty lines
-   are kept.  Compacts the member stack in place.  [x] is passed through
-   so a caller with a top-level [f] allocates no closure per flush. *)
-let flush_pending t f x =
+(* Call [f line] for every pending line and mark it clean; dirty lines are
+   kept.  Compacts the member stack in place. *)
+let flush_pending t f =
   let kept = ref 0 in
   for i = 0 to t.n - 1 do
     let line = t.members.(i) in
     match mark t line with
     | Pending ->
-      f x line;
+      f line;
       Bytes.unsafe_set t.marks line clean
     | Dirty ->
       t.members.(!kept) <- line;

@@ -21,9 +21,9 @@ val set_clean : t -> int -> unit
     persistent copies agree (modulo media faults). *)
 val is_clean : t -> int -> bool
 
-(** [flush_pending t f x] calls [f x line] for every pending line, marking
-    it clean; dirty lines are kept for later. *)
-val flush_pending : t -> ('a -> int -> unit) -> 'a -> unit
+(** [flush_pending t f] calls [f line] for every pending line, marking it
+    clean; dirty lines are kept for later. *)
+val flush_pending : t -> (int -> unit) -> unit
 
 (** [drain_all t f] calls [f line was_pending] for every non-clean line and
     clears the whole set.  Used when simulating a crash, where both pending

@@ -70,7 +70,17 @@ type t = {
   fence : Fence.profile;
   mutable trap : int; (* -1 = disabled *)
   mutable dead : bool;
+  persist : int -> unit;
+      (* [persist_line t], built once so a fence allocates no closure *)
 }
+
+let persist_line t line =
+  let off = line lsl t.line_shift in
+  Bytes.blit t.vol off t.per off t.line;
+  (* a full-line write-back supersedes whatever the medium held: the
+     sidecar entry is refreshed (lazily) and a degraded cell is healed *)
+  Bytes.unsafe_set t.crc_valid line '\000';
+  Bytes.unsafe_set t.tainted line '\000'
 
 let create ?(line_size = 64) ?(fence = Fence.dram) ~size () =
   if size <= 0 then invalid_arg "Region.create: size must be positive";
@@ -81,19 +91,18 @@ let create ?(line_size = 64) ?(fence = Fence.dram) ~size () =
     let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
     log2 line_size 0
   in
-  { vol = Bytes.make size '\000';
-    per = Bytes.make size '\000';
-    line = line_size;
-    line_shift = shift;
-    lines = Line_set.create ~lines:(size lsr shift);
-    sidecar = Array.make (size lsr shift) 0;
-    crc_valid = Bytes.make (size lsr shift) '\000';
-    tainted = Bytes.make (size lsr shift) '\000';
-    stats = Stats.create ();
-    media_checks = false;
-    fence;
-    trap = -1;
-    dead = false }
+  let vol = Bytes.make size '\000' and per = Bytes.make size '\000' in
+  let lines = Line_set.create ~lines:(size lsr shift) in
+  let sidecar = Array.make (size lsr shift) 0 in
+  let crc_valid = Bytes.make (size lsr shift) '\000' in
+  let tainted = Bytes.make (size lsr shift) '\000' in
+  let rec t =
+    { vol; per; line = line_size; line_shift = shift; lines; sidecar;
+      crc_valid; tainted; stats = Stats.create (); media_checks = false;
+      fence; trap = -1; dead = false;
+      persist = (fun line -> persist_line t line) }
+  in
+  t
 
 let size t = Bytes.length t.vol
 let line_size t = t.line
@@ -288,14 +297,6 @@ let copy t ~src ~dst ~len =
 
 (* ---- persistence primitives ---- *)
 
-let persist_line t line =
-  let off = line lsl t.line_shift in
-  Bytes.blit t.vol off t.per off t.line;
-  (* a full-line write-back supersedes whatever the medium held: the
-     sidecar entry is refreshed (lazily) and a degraded cell is healed *)
-  Bytes.unsafe_set t.crc_valid line '\000';
-  Bytes.unsafe_set t.tainted line '\000'
-
 let pwb_line t line =
   step t;
   t.stats.pwbs <- t.stats.pwbs + 1;
@@ -326,13 +327,13 @@ let pfence t =
   step t;
   t.stats.pfences <- t.stats.pfences + 1;
   t.stats.delay_ns <- t.stats.delay_ns + t.fence.Fence.pfence_ns;
-  Line_set.flush_pending t.lines persist_line t
+  Line_set.flush_pending t.lines t.persist
 
 let psync t =
   step t;
   t.stats.psyncs <- t.stats.psyncs + 1;
   t.stats.delay_ns <- t.stats.delay_ns + t.fence.Fence.psync_ns;
-  Line_set.flush_pending t.lines persist_line t
+  Line_set.flush_pending t.lines t.persist
 
 (* ---- crash simulation ---- *)
 
