@@ -602,6 +602,11 @@ let read_tx t f =
 let load t off = Shared.load t.s off
 let store t off v = Shared.store t.s off v
 let load_bytes t off len = Shared.load_blob t.s off len
+
+(* the STM validates a blob read as one snapshot of its stripes, so the
+   comparison reads through that snapshot rather than in place *)
+let compare_bytes t off len str = String.compare (load_bytes t off len) str
+
 let store_bytes t off str = Shared.store_blob t.s off str
 
 let alloc t n = Alloc.alloc t.arena n

@@ -226,43 +226,66 @@ let abort_tx t =
   t.ctx.Ctx.log_len <- 0;
   Hashtbl.reset t.ctx.Ctx.logged
 
-(* this PTM's own nesting keys *)
+(* this PTM's own nesting state, one record per Domain *)
 let nest = Romulus.Nesting.create ()
+
+(* Both fronts fetch the Domain's nesting record once and release the
+   lock through [match … with exception], re-raising with the original
+   backtrace, so an escaping exception never leaves the lock held and no
+   [Fun.protect] closure is allocated. *)
 
 (* an update inside this Domain's read_tx would wait for its own read
    lock: refuse it before taking the write lock *)
 let update_tx t f =
-  if Romulus.Nesting.in_update nest then f ()
+  let s = Romulus.Nesting.get nest in
+  if s.in_update then f ()
   else begin
-    Romulus.Nesting.check_not_read_only nest;
-    Rwlock_rp.with_write_lock t.lock (fun () ->
-        Romulus.Nesting.enter_update nest;
-        Fun.protect
-          ~finally:(fun () -> Romulus.Nesting.leave_update nest)
-          (fun () ->
-            begin_tx t;
-            match f () with
-            | v ->
-              end_tx t;
-              v
-            | exception e ->
-              let backtrace = Printexc.get_backtrace () in
-              (match e with
-               | Pmem.Region.Crash_point -> () (* machine is dead *)
-               | _ ->
-                 abort_tx t;
-                 let st = Pmem.Region.stats t.ctx.Ctx.r in
-                 st.Pmem.Stats.tx_aborts <- st.Pmem.Stats.tx_aborts + 1);
-              Romulus.Engine.raise_abort e backtrace))
+    Romulus.Nesting.check_not_read_only s;
+    Rwlock_rp.write_lock t.lock;
+    s.in_update <- true;
+    match
+      begin_tx t;
+      match f () with
+      | v ->
+        end_tx t;
+        v
+      | exception e ->
+        let backtrace = Printexc.get_backtrace () in
+        (match e with
+         | Pmem.Region.Crash_point -> () (* machine is dead *)
+         | _ ->
+           abort_tx t;
+           let st = Pmem.Region.stats t.ctx.Ctx.r in
+           st.Pmem.Stats.tx_aborts <- st.Pmem.Stats.tx_aborts + 1);
+        Romulus.Engine.raise_abort e backtrace
+    with
+    | v ->
+      s.in_update <- false;
+      Rwlock_rp.write_unlock t.lock;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      s.in_update <- false;
+      Rwlock_rp.write_unlock t.lock;
+      Printexc.raise_with_backtrace e bt
   end
 
 let read_tx t f =
-  if Romulus.Nesting.nested nest then f ()
+  let s = Romulus.Nesting.get nest in
+  if Romulus.Nesting.nested s then f ()
   else begin
-    Romulus.Nesting.enter_read nest;
-    Fun.protect
-      ~finally:(fun () -> Romulus.Nesting.leave_read nest)
-      (fun () -> Rwlock_rp.with_read_lock t.lock f)
+    s.read_depth <- 1;
+    Rwlock_rp.read_lock t.lock;
+    match f () with
+    | v ->
+      Rwlock_rp.read_unlock t.lock;
+      s.read_depth <- 0;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Rwlock_rp.read_unlock t.lock;
+      s.read_depth <- 0;
+      Printexc.raise_with_backtrace e bt
   end
 
 (* ---- accesses ---- *)
@@ -270,14 +293,17 @@ let read_tx t f =
 let load t off = Pmem.Region.load t.ctx.Ctx.r off
 let load_bytes t off len = Pmem.Region.load_bytes t.ctx.Ctx.r off len
 
+let compare_bytes t off len str =
+  Pmem.Region.compare_bytes t.ctx.Ctx.r off len str
+
 let store t off v =
-  Romulus.Nesting.check_not_read_only nest;
+  Romulus.Nesting.check_not_read_only (Romulus.Nesting.get nest);
   Ctx.store t.ctx off v;
   let s = Pmem.Region.stats t.ctx.Ctx.r in
   s.Pmem.Stats.user_bytes <- s.Pmem.Stats.user_bytes + 8
 
 let store_bytes t off str =
-  Romulus.Nesting.check_not_read_only nest;
+  Romulus.Nesting.check_not_read_only (Romulus.Nesting.get nest);
   let c = t.ctx in
   if not c.Ctx.in_tx then raise Romulus.Engine.Store_outside_transaction;
   (* snapshot the covered words, then store the blob in place *)
@@ -295,13 +321,13 @@ let store_bytes t off str =
   s.Pmem.Stats.user_bytes <- s.Pmem.Stats.user_bytes + len
 
 let alloc t n =
-  Romulus.Nesting.check_not_read_only nest;
+  Romulus.Nesting.check_not_read_only (Romulus.Nesting.get nest);
   if not t.ctx.Ctx.in_tx then
     raise Romulus.Engine.Store_outside_transaction;
   Alloc.alloc t.arena n
 
 let free t p =
-  Romulus.Nesting.check_not_read_only nest;
+  Romulus.Nesting.check_not_read_only (Romulus.Nesting.get nest);
   if not t.ctx.Ctx.in_tx then
     raise Romulus.Engine.Store_outside_transaction;
   Alloc.free t.arena p
@@ -314,7 +340,7 @@ let root_addr i =
 let get_root t i = Pmem.Region.load t.ctx.Ctx.r (root_addr i)
 
 let set_root t i v =
-  Romulus.Nesting.check_not_read_only nest;
+  Romulus.Nesting.check_not_read_only (Romulus.Nesting.get nest);
   Ctx.store t.ctx (root_addr i) v
 
 module Media = Single_copy.Make (struct

@@ -599,6 +599,9 @@ let load_off t delta off = Pmem.Region.load t.r (off + delta)
 let load_bytes_off t delta off len =
   Pmem.Region.load_bytes t.r (off + delta) len
 
+let compare_bytes_off t delta off len s =
+  Pmem.Region.compare_bytes t.r (off + delta) len s
+
 let store t off v =
   if not t.in_tx then raise Store_outside_transaction;
   check_main t off 8 "store";
@@ -607,6 +610,7 @@ let store t off v =
   s.Pmem.Stats.user_bytes <- s.Pmem.Stats.user_bytes + 8
 
 let load_bytes t off len = Pmem.Region.load_bytes t.r off len
+let compare_bytes t off len s = Pmem.Region.compare_bytes t.r off len s
 
 let store_bytes t off str =
   if not t.in_tx then raise Store_outside_transaction;

@@ -168,6 +168,13 @@ val load_off : t -> int -> int -> int
 val load_bytes : t -> int -> int -> string
 val load_bytes_off : t -> int -> int -> int -> string
 
+(** [compare_bytes t off len s] is [String.compare (load_bytes t off len) s],
+    computed in place ({!Pmem.Region.compare_bytes}); [compare_bytes_off]
+    reads through a synthetic pointer, as [load_bytes_off]. *)
+val compare_bytes : t -> int -> int -> string -> int
+
+val compare_bytes_off : t -> int -> int -> int -> string -> int
+
 (** Interposed store: log (in [Logged] mode) + in-place store + deferred
     dirty-line tracking, flushed by [commit_main].  Raises
     {!Store_outside_transaction} outside [begin_tx]/[end_tx]. *)

@@ -26,6 +26,7 @@ module type SYNC = sig
   val exec : lock handle -> (unit -> unit) -> unit
   val load : lock handle -> int -> int
   val load_bytes : lock handle -> int -> int -> string
+  val compare_bytes : lock handle -> int -> int -> string -> int
   val get_root : lock handle -> int -> int
   val reset : lock handle -> unit
 end
@@ -75,6 +76,7 @@ module Crwwp_sync (Config : CONFIG) = struct
 
   let load t off = Engine.load t.e off
   let load_bytes t off len = Engine.load_bytes t.e off len
+  let compare_bytes t off len s = Engine.compare_bytes t.e off len s
   let get_root t i = Engine.get_root t.e i
   let reset _ = ()
 end
@@ -84,7 +86,7 @@ module Make (S : SYNC) = struct
 
   let name = S.name
 
-  (* this PTM module's own nesting keys *)
+  (* this PTM module's own nesting state, one record per Domain *)
   let nest = Nesting.create ()
 
   let open_salvage r =
@@ -95,44 +97,49 @@ module Make (S : SYNC) = struct
 
   let region t = Engine.region t.e
 
-  let leave_read t token =
-    Nesting.leave_read nest;
+  let leave_read t (s : Nesting.state) token =
+    s.read_depth <- 0;
     S.depart t token
 
   (* Inside an update (combiner executing user code) everything runs
-     directly; a nested read_tx arrives on the reader side only once. *)
+     directly; a nested read_tx arrives on the reader side only once.
+     The Domain's nesting record is fetched once for the transaction. *)
   let read_tx t f =
-    if Nesting.nested nest then f ()
+    let s = Nesting.get nest in
+    if Nesting.nested s then f ()
     else begin
       let token = S.arrive t in
-      Nesting.enter_read nest;
+      s.read_depth <- 1;
       match f () with
       | v ->
-        leave_read t token;
+        leave_read t s token;
         v
       | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        leave_read t token;
+        leave_read t s token;
         Printexc.raise_with_backtrace e bt
     end
 
   (* An update inside this Domain's read_tx would wait, as combiner, for
      its own reader arrival to drain: refuse it before publishing. *)
   let update_tx t f =
-    if Nesting.in_update nest then f ()
+    let s = Nesting.get nest in
+    if s.in_update then f ()
     else begin
-      Nesting.check_not_read_only nest;
+      Nesting.check_not_read_only s;
       let result = ref None in
       let request () =
-        (* runs on the combiner's domain *)
-        Nesting.enter_update nest;
+        (* runs on the combiner's Domain, which may not be the caller's:
+           it marks the combiner's own record, fetched here *)
+        let c = Nesting.get nest in
+        c.in_update <- true;
         match f () with
         | v ->
-          Nesting.leave_update nest;
+          c.in_update <- false;
           result := Some v
         | exception e ->
           let bt = Printexc.get_raw_backtrace () in
-          Nesting.leave_update nest;
+          c.in_update <- false;
           Printexc.raise_with_backtrace e bt
       in
       Flat_combining.apply t.fc request ~exec:(S.exec t);
@@ -146,26 +153,27 @@ module Make (S : SYNC) = struct
 
   let load = S.load
   let load_bytes = S.load_bytes
+  let compare_bytes = S.compare_bytes
   let get_root = S.get_root
 
   let store t off v =
-    Nesting.check_not_read_only nest;
+    Nesting.check_not_read_only (Nesting.get nest);
     Engine.store t.e off v
 
   let store_bytes t off s =
-    Nesting.check_not_read_only nest;
+    Nesting.check_not_read_only (Nesting.get nest);
     Engine.store_bytes t.e off s
 
   let alloc t n =
-    Nesting.check_not_read_only nest;
+    Nesting.check_not_read_only (Nesting.get nest);
     Engine.alloc t.e n
 
   let free t p =
-    Nesting.check_not_read_only nest;
+    Nesting.check_not_read_only (Nesting.get nest);
     Engine.free t.e p
 
   let set_root t i v =
-    Nesting.check_not_read_only nest;
+    Nesting.check_not_read_only (Nesting.get nest);
     Engine.set_root t.e i v
 
   (* test hooks *)

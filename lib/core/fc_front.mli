@@ -14,9 +14,11 @@
 
     Nesting is per PTM module and per Domain ({!Nesting}): a transaction
     begun inside an update, or a read-only transaction begun inside a
-    read-only one, flattens into it.  A store inside a read-only
-    transaction raises {!Engine.Store_outside_transaction} unless that
-    read-only transaction is itself nested in an update. *)
+    read-only one, flattens into it.  Each transaction fetches its
+    Domain's nesting record once; a helped update request marks the
+    record of the combiner's Domain, which runs it.  A store inside a
+    read-only transaction raises {!Engine.Store_outside_transaction}
+    unless that read-only transaction is itself nested in an update. *)
 
 (** A PTM handle: the engine, the flat-combining queue and the sync
     module's reader/writer state. *)
@@ -60,6 +62,7 @@ module type SYNC = sig
   val load : lock handle -> int -> int
 
   val load_bytes : lock handle -> int -> int -> string
+  val compare_bytes : lock handle -> int -> int -> string -> int
   val get_root : lock handle -> int -> int
 
   (** Restore the volatile reader/writer state after recovery. *)

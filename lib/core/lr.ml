@@ -101,6 +101,9 @@ module Left_right_sync = struct
   let load_bytes (t : lock Fc_front.handle) off len =
     Engine.load_bytes_off t.e (current_delta ()) off len
 
+  let compare_bytes (t : lock Fc_front.handle) off len s =
+    Engine.compare_bytes_off t.e (current_delta ()) off len s
+
   let get_root (t : lock Fc_front.handle) i =
     Engine.get_root_off t.e (current_delta ()) i
 

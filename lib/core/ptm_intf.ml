@@ -48,6 +48,13 @@ module type S = sig
   val store : t -> int -> int -> unit
 
   val load_bytes : t -> int -> int -> string
+
+  (** [compare_bytes t off len s] is
+      [String.compare (load_bytes t off len) s] without copying the
+      stored bytes: it raises, and counts as a load, exactly as that
+      [load_bytes] would.  Codecs compare stored keys through it. *)
+  val compare_bytes : t -> int -> int -> string -> int
+
   val store_bytes : t -> int -> string -> unit
 
   (** Allocate [n] payload bytes from the persistent allocator; part of the

@@ -47,6 +47,7 @@ let read_tx t f =
 let load t off = Engine.load t.e off
 let store t off v = Engine.store t.e off v
 let load_bytes t off len = Engine.load_bytes t.e off len
+let compare_bytes t off len s = Engine.compare_bytes t.e off len s
 let store_bytes t off s = Engine.store_bytes t.e off s
 let alloc t n = Engine.alloc t.e n
 let free t p = Engine.free t.e p

@@ -73,12 +73,20 @@ module Blob = struct
     let store p slot s = P.store p slot (alloc p s)
     let load p slot = read p (P.load p slot)
 
-    (* the length word settles most mismatches without reading the bytes *)
+    (* Both compare the stored bytes in place (P.compare_bytes), reading
+       the length word once; an empty stored blob costs no byte read, as
+       in [read].  In [equal_at] the length word settles most mismatches
+       without reading the bytes. *)
     let equal_at p slot s =
       let b = P.load p slot in
-      P.load p b = String.length s && read p b = s
+      let len = P.load p b in
+      len = String.length s && (len = 0 || P.compare_bytes p (b + 8) len s = 0)
 
-    let compare_at p slot s = String.compare (load p slot) s
+    let compare_at p slot s =
+      let b = P.load p slot in
+      let len = P.load p b in
+      if len = 0 then String.compare "" s
+      else P.compare_bytes p (b + 8) len s
 
     (* a value of the old blob's length is rewritten in place: the
        allocator stays off the same-length overwrite path *)

@@ -66,24 +66,39 @@ module Of_codec (Cc : Codec.S) (P : Romulus.Ptm_intf.S) = struct
     | 0 -> create ?initial_buckets p ~root
     | _ -> attach p ~root
 
-  (* find the node with [k] in its bucket; returns (pred, node) where node
-     is 0 when absent and pred is the address of the pointer to update *)
-  let find_in_bucket t slot_addr k =
-    let rec walk pred node =
-      if node = 0 then (pred, 0)
-      else if C.equal_at t.p (node + n_key) k then (pred, node)
-      else walk (node + n_next) (P.load t.p (node + n_next))
+  (* The bucket walks are top-level recursions, so a walk allocates
+     neither a closure nor a tuple. *)
+
+  (* the node holding [k] in the chain that starts at [node], or 0 *)
+  let rec find_node t node k =
+    if node = 0 || C.equal_at t.p (node + n_key) k then node
+    else find_node t (P.load t.p (node + n_next)) k
+
+  (* Unlink and release the node holding [k] in the chain from [node],
+     the pointer stored at [pred]; whether one was found.  It unlinks
+     where it finds the node, so no pointer is loaded twice. *)
+  let rec unlink t pred node k =
+    if node = 0 then false
+    else if C.equal_at t.p (node + n_key) k then begin
+      P.store t.p pred (P.load t.p (node + n_next));
+      C.free t.p (node + n_key);
+      C.free t.p (node + n_value);
+      P.free t.p node;
+      true
+    end
+    else unlink t (node + n_next) (P.load t.p (node + n_next)) k
+
+  (* named, so [get_hashed]'s read_tx closure captures only [t], [hash],
+     [k] and it, not every functor-level value the body names *)
+  let lookup t hash k =
+    let slot =
+      bucket_of_hash ~buckets:(buckets t) ~nbuckets:(nbuckets t) hash
     in
-    walk slot_addr (P.load t.p slot_addr)
+    let node = find_node t (P.load t.p slot) k in
+    if node = 0 then None else Some (C.load t.p (node + n_value))
 
   (* [hash] is [C.hash k], computed by a caller that needed it anyway *)
-  let get_hashed t ~hash k =
-    P.read_tx t.p (fun () ->
-        let slot =
-          bucket_of_hash ~buckets:(buckets t) ~nbuckets:(nbuckets t) hash
-        in
-        let _, node = find_in_bucket t slot k in
-        if node = 0 then None else Some (C.load t.p (node + n_value)))
+  let get_hashed t ~hash k = P.read_tx t.p (fun () -> lookup t hash k)
 
   let get t k = get_hashed t ~hash:(C.hash k) k
 
@@ -119,7 +134,7 @@ module Of_codec (Cc : Codec.S) (P : Romulus.Ptm_intf.S) = struct
   let put t k v =
     P.update_tx t.p (fun () ->
         let slot = bucket_addr ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
-        let _, node = find_in_bucket t slot k in
+        let node = find_node t (P.load t.p slot) k in
         if node <> 0 then begin
           C.overwrite t.p (node + n_value) v;
           false
@@ -141,13 +156,8 @@ module Of_codec (Cc : Codec.S) (P : Romulus.Ptm_intf.S) = struct
   let remove t k =
     P.update_tx t.p (fun () ->
         let slot = bucket_addr ~buckets:(buckets t) ~nbuckets:(nbuckets t) k in
-        let pred, node = find_in_bucket t slot k in
-        if node = 0 then false
+        if not (unlink t slot (P.load t.p slot) k) then false
         else begin
-          P.store t.p pred (P.load t.p (node + n_next));
-          C.free t.p (node + n_key);
-          C.free t.p (node + n_value);
-          P.free t.p node;
           if t.resizable then
             P.store t.p (t.map + o_count) (count t - 1);
           true

@@ -81,20 +81,26 @@ module Of_codec (Cc : Codec.S) (P : Romulus.Ptm_intf.S) = struct
     | 0 -> create p ~root
     | tree -> { p; tree }
 
+  (* the node holding [k] in the subtree at [n], or [nil]: a top-level
+     recursion, so a descent allocates no closure *)
+  let rec descend t nil n k =
+    if n = nil then nil
+    else
+      let c = C.compare_at t.p (n + n_key) k in
+      if c = 0 then n
+      else if c > 0 then descend t nil (left t n) k
+      else descend t nil (right t n) k
+
   let find_node t k =
     let nil = nil t in
-    let rec walk n =
-      if n = nil then nil
-      else
-        let c = C.compare_at t.p (n + n_key) k in
-        if c = 0 then n else if c > 0 then walk (left t n) else walk (right t n)
-    in
-    walk (root t)
+    descend t nil (root t) k
 
-  let get t k =
-    P.read_tx t.p (fun () ->
-        let n = find_node t k in
-        if n = nil t then None else Some (value t n))
+  (* named, so [get]'s read_tx closure captures only [t], [k] and it *)
+  let lookup t k =
+    let n = find_node t k in
+    if n = nil t then None else Some (value t n)
+
+  let get t k = P.read_tx t.p (fun () -> lookup t k)
 
   let mem t k = Option.is_some (get t k)
 

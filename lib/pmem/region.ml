@@ -235,6 +235,49 @@ let load_bytes t off len =
     Bytes.unsafe_to_string s
   end
 
+(* [compare_bytes t off len s] is [String.compare (load_bytes t off len) s]
+   without the copy: whole 8-byte words while they match, then the bytes
+   of the first differing word (or of the tail), then the lengths.  Top-
+   level recursions over unboxed words, so it allocates nothing.  It
+   checks and counts exactly as [load_bytes t off len] does. *)
+
+external string_get64u : string -> int -> int64 = "%caml_string_get64u"
+
+let rec compare_tail b off s n i =
+  if i = n then 0
+  else
+    let c =
+      Char.code (Bytes.unsafe_get b (off + i))
+      - Char.code (String.unsafe_get s i)
+    in
+    if c <> 0 then c else compare_tail b off s n (i + 1)
+
+let rec compare_words b off s n i =
+  if i + 8 <= n && (get64u b (off + i) : int64) = string_get64u s i then
+    compare_words b off s n (i + 8)
+  else compare_tail b off s n i
+
+let compare_in_place b off len s =
+  let slen = String.length s in
+  let c = compare_words b off s (if len < slen then len else slen) 0 in
+  if c < 0 then -1 else if c > 0 then 1 else Int.compare len slen
+
+let compare_bytes_slow t off len s =
+  check_alive t;
+  check_range t off len "compare_bytes";
+  media_check t off len;
+  count_load t len;
+  compare_in_place t.vol off len s
+
+let compare_bytes t off len s =
+  if t.dead || t.media_checks || off < 0 || len < 0
+     || off > Bytes.length t.vol - len
+  then compare_bytes_slow t off len s
+  else begin
+    count_load t len;
+    compare_in_place t.vol off len s
+  end
+
 (* ---- stores ----
 
    As for loads: a live region with no armed trap, written in range,

@@ -77,6 +77,15 @@ val load : t -> int -> int
 val store : t -> int -> int -> unit
 
 val load_bytes : t -> int -> int -> string
+
+(** [compare_bytes t off len s] is [String.compare (load_bytes t off len) s]
+    (so -1, 0 or 1), computed in place: nothing is copied or allocated.
+    It raises as that [load_bytes] would — {!Crash_point} on a dead
+    region, [Invalid_argument] on a bad range, {!Media_error} on a rotten
+    clean line, in that order — and counts one load of [len] bytes in
+    {!stats}, as that [load_bytes] does. *)
+val compare_bytes : t -> int -> int -> string -> int
+
 val store_bytes : t -> int -> string -> unit
 
 (** Region-internal volatile copy; destination lines become dirty and must

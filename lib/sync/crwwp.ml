@@ -35,28 +35,3 @@ let try_write_lock t =
   else false
 
 let write_unlock t = Spinlock.unlock t.wlock
-
-(* Both release the lock through [match … with exception] and re-raise
-   with the original backtrace, so an escaping exception never leaves the
-   lock held and allocates no [Fun.protect] closure. *)
-let with_read_lock t tid f =
-  read_lock t tid;
-  match f () with
-  | v ->
-    read_unlock t tid;
-    v
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    read_unlock t tid;
-    Printexc.raise_with_backtrace e bt
-
-let with_write_lock t f =
-  write_lock t;
-  match f () with
-  | v ->
-    write_unlock t;
-    v
-  | exception e ->
-    let bt = Printexc.get_raw_backtrace () in
-    write_unlock t;
-    Printexc.raise_with_backtrace e bt

@@ -17,6 +17,3 @@ val write_lock : t -> unit
 val try_write_lock : t -> bool
 
 val write_unlock : t -> unit
-
-val with_read_lock : t -> int -> (unit -> 'a) -> 'a
-val with_write_lock : t -> (unit -> 'a) -> 'a

@@ -1025,6 +1025,44 @@ module Make (P : VARIANT) = struct
     List.iter Domain.join ds;
     Alcotest.(check bool) "transactional isolation" false (Atomic.get torn)
 
+  (* Nesting is per Domain: while this Domain sits inside a read_tx, a
+     second Domain's update_tx with stores is an ordinary update, not a
+     store inside a read-only transaction.  The reader leaves only after
+     the writer has begun (a lock-based writer then commits once the
+     reader has left); both succeed.  One Domain is spawned, once, even
+     if an STM read_tx re-runs its body. *)
+  let test_nesting_per_domain () =
+    let _, p = open_fresh () in
+    let obj =
+      P.update_tx p (fun () ->
+          let o = P.alloc p 16 in
+          P.store p o 0;
+          P.store p (o + 8) 0;
+          o)
+    in
+    let started = Atomic.make false in
+    let writer () =
+      Sync_prims.Tid.with_slot (fun _ ->
+          Atomic.set started true;
+          P.update_tx p (fun () ->
+              P.store p obj 1;
+              P.store p (obj + 8) 2))
+    in
+    let spawned = ref None in
+    let before =
+      P.read_tx p (fun () ->
+          let v = P.load p obj in
+          if Option.is_none !spawned then spawned := Some (Domain.spawn writer);
+          while not (Atomic.get started) do Domain.cpu_relax () done;
+          (* stay inside while the writer checks and publishes *)
+          for _ = 1 to 200_000 do Domain.cpu_relax () done;
+          v)
+    in
+    Option.iter Domain.join !spawned;
+    Alcotest.(check int) "reader saw the old value" 0 before;
+    Alcotest.(check (pair int int)) "writer committed" (1, 2)
+      (P.read_tx p (fun () -> (P.load p obj, P.load p (obj + 8))))
+
   (* A power failure with several domains mid-flight: every domain dies
      on Crash_point (the region is dead for all of them), the "restart"
      recovers, and the counter must be consistent — every increment that
@@ -1266,7 +1304,8 @@ module Make (P : VARIANT) = struct
            tc "concurrent readers consistent" `Quick
              test_concurrent_readers_consistent;
            tc "crash with domains in flight" `Quick
-             test_concurrent_crash_restart ]
+             test_concurrent_crash_restart;
+           tc "nesting is per Domain" `Quick test_nesting_per_domain ]
        else [])
     @ List.map QCheck_alcotest.to_alcotest
         [ prop_random_crash_atomicity; prop_aborted_tx_allocator_intact ]

@@ -678,6 +678,143 @@ let test_snapshot_carries_media_fault () =
   | exception R.Media_error { line = 4; _ } -> ()
   | v -> Alcotest.failf "rotten line served after reload: %d" v
 
+(* ---- in-place comparison ---- *)
+
+(* [compare_bytes r off len s] raises what [load_bytes r off len] raises,
+   case for case: the range messages (naming the primitive), a dead
+   region first (even out of range), then a rotten clean line. *)
+let test_compare_bytes_errors () =
+  let r = region () in
+  R.store_bytes r 100 "hello";
+  Alcotest.(check int) "equal" 0 (R.compare_bytes r 100 5 "hello");
+  Alcotest.check_raises "compare_bytes past end"
+    (Invalid_argument
+       "Region.compare_bytes: range [4090, 4100) outside region of 4096 bytes")
+    (fun () -> ignore (R.compare_bytes r 4090 10 "x"));
+  Alcotest.check_raises "negative compare_bytes length"
+    (Invalid_argument
+       "Region.compare_bytes: range [8, 7) outside region of 4096 bytes")
+    (fun () -> ignore (R.compare_bytes r 8 (-1) ""));
+  Alcotest.check_raises "negative compare_bytes offset"
+    (Invalid_argument
+       "Region.compare_bytes: range [-1, 7) outside region of 4096 bytes")
+    (fun () -> ignore (R.compare_bytes r (-1) 8 ""));
+  Alcotest.check_raises "negative load_bytes offset"
+    (Invalid_argument
+       "Region.load_bytes: range [-1, 7) outside region of 4096 bytes")
+    (fun () -> ignore (R.load_bytes r (-1) 8));
+  Alcotest.(check int) "empty at the end, empty string" 0
+    (R.compare_bytes r 4096 0 "");
+  Alcotest.(check int) "empty at the end, non-empty string" (-1)
+    (R.compare_bytes r 4096 0 "a");
+  (* a clean line rots: both raise the same Media_error *)
+  R.pwb r 100;
+  R.pfence r;
+  R.corrupt_line r ~line:1;
+  let outcome f =
+    match f () with
+    | () -> "ok"
+    | exception R.Media_error { offset; line } ->
+      Printf.sprintf "Media_error{%d;%d}" offset line
+  in
+  Alcotest.(check string) "rotten line" "Media_error{100;1}"
+    (outcome (fun () -> ignore (R.compare_bytes r 100 5 "hello")));
+  Alcotest.(check string) "rotten line, as load_bytes"
+    (outcome (fun () -> ignore (R.load_bytes r 100 5)))
+    (outcome (fun () -> ignore (R.compare_bytes r 100 5 "hello")));
+  Alcotest.(check string) "a healthy line still compares" "ok"
+    (outcome (fun () -> ignore (R.compare_bytes r 256 8 "")));
+  (* dead: Crash_point before the range is looked at *)
+  R.set_trap r 0;
+  (try R.store r 0 1 with R.Crash_point -> ());
+  Alcotest.check_raises "dead compare_bytes" R.Crash_point
+    (fun () -> ignore (R.compare_bytes r 256 8 ""));
+  Alcotest.check_raises "dead compare_bytes out of range" R.Crash_point
+    (fun () -> ignore (R.compare_bytes r 4090 10 ""));
+  Alcotest.check_raises "dead load_bytes out of range" R.Crash_point
+    (fun () -> ignore (R.load_bytes r 4090 10))
+
+(* It counts in the region's stats exactly as the matching load_bytes:
+   on the fast path, on the media-checked path, and for length 0. *)
+let test_compare_bytes_stats () =
+  let r = region () in
+  R.store_bytes r 64 (String.make 40 'q');
+  let delta f =
+    let past = Pmem.Stats.snapshot (R.stats r) in
+    ignore (f ());
+    Pmem.Stats.since ~now:(R.stats r) ~past
+  in
+  let same what off len s =
+    Alcotest.(check bool) what true
+      (delta (fun () -> R.compare_bytes r off len s)
+       = delta (fun () -> R.load_bytes r off len))
+  in
+  same "fast path" 64 40 "qqq";
+  same "length 0" 64 0 "";
+  same "unaligned" 67 21 (String.make 21 'q');
+  (* armed media checks take the checked path *)
+  R.pwb_range r 64 40;
+  R.pfence r;
+  R.corrupt_line r ~line:20;
+  same "checked path" 64 40 (String.make 40 'q')
+
+(* [compare_bytes r off len s] = [String.compare (load_bytes r off len) s]
+   on random ranges of a region over a small alphabet (with bytes 0 and
+   255, so the comparison must be unsigned), against equal strings,
+   prefixes both ways, one-byte edits, unrelated strings and "". *)
+let prop_compare_bytes_matches_load =
+  let open QCheck in
+  let alphabet = "ab\000\255" in
+  Test.make ~count:500 ~name:"compare_bytes = String.compare of load_bytes"
+    (quad (int_bound 1000) (int_bound 300) (int_bound 70) (int_bound 5))
+    (fun (seed, off, len, mode) ->
+      let rng = Random.State.make [| seed |] in
+      let pick () = alphabet.[Random.State.int rng 4] in
+      let r = region ~size:512 () in
+      R.store_bytes r 0 (String.init 512 (fun _ -> pick ()));
+      let stored = R.load_bytes r off len in
+      let s =
+        match mode with
+        | 0 -> stored
+        | 1 -> String.sub stored 0 (Random.State.int rng (len + 1))
+        | 2 -> stored ^ String.init (1 + Random.State.int rng 9) (fun _ -> pick ())
+        | 3 when len > 0 ->
+          let b = Bytes.of_string stored in
+          Bytes.set b (Random.State.int rng len) (pick ());
+          Bytes.to_string b
+        | 4 -> String.init (Random.State.int rng 80) (fun _ -> pick ())
+        | _ -> ""
+      in
+      R.compare_bytes r off len s = String.compare stored s)
+
+(* A RomulusLR read-only transaction reads the back copy through its
+   synthetic-pointer delta, and so does compare_bytes: with main's bytes
+   overwritten behind the PTM's back, a back reader still compares
+   against the committed bytes, as its load_bytes reads them. *)
+let test_compare_bytes_lr_back_reader () =
+  let module P = Romulus.Lr in
+  let r = R.create ~size:(1 lsl 16) () in
+  let p = P.open_region r in
+  let obj =
+    P.update_tx p (fun () ->
+        let o = P.alloc p 16 in
+        P.store_bytes p o "committed";
+        o)
+  in
+  R.store_bytes r obj "scribbled";
+  Alcotest.(check bool) "main differs" true
+    (R.compare_bytes r obj 9 "committed" <> 0);
+  let seen, cmp, delta =
+    P.read_tx p (fun () ->
+        ( P.load_bytes p obj 9,
+          P.compare_bytes p obj 9 "committed",
+          P.current_delta () ))
+  in
+  Alcotest.(check int) "reader parked on back"
+    (Romulus.Engine.main_size (P.engine p)) delta;
+  Alcotest.(check string) "back reader's load_bytes" "committed" seen;
+  Alcotest.(check int) "back reader's compare_bytes" 0 cmp
+
 let suite =
   let tc = Alcotest.test_case in
   [ tc "store/load round-trip" `Quick test_store_load;
@@ -725,5 +862,10 @@ let suite =
         prop_torn_words_deterministic;
         prop_crc32_incremental;
         prop_crc32_range_matches_bitwise ]
+  @ [ tc "compare_bytes raises as load_bytes" `Quick test_compare_bytes_errors;
+      tc "compare_bytes counts as load_bytes" `Quick test_compare_bytes_stats;
+      tc "compare_bytes on a romLR back reader" `Quick
+        test_compare_bytes_lr_back_reader ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_compare_bytes_matches_load ]
 
 let () = Alcotest.run "pmem" [ ("region", suite) ]

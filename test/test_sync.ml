@@ -115,17 +115,19 @@ let test_crwwp_no_torn_reads () =
   let torn = Atomic.make false in
   let writer () =
     for i = 1 to 2_000 do
-      Crwwp.with_write_lock lock (fun () ->
-          a := i;
-          b := i)
+      Crwwp.write_lock lock;
+      a := i;
+      b := i;
+      Crwwp.write_unlock lock
     done
   in
   let reader () =
     Tid.with_slot (fun tid ->
         for _ = 1 to 2_000 do
-          Crwwp.with_read_lock lock tid (fun () ->
-              let x = !a and y = !b in
-              if x <> y then Atomic.set torn true)
+          Crwwp.read_lock lock tid;
+          let x = !a and y = !b in
+          if x <> y then Atomic.set torn true;
+          Crwwp.read_unlock lock tid
         done)
   in
   join_all (spawn_all [ writer; reader; reader ]);
@@ -136,7 +138,9 @@ let test_crwwp_writer_excludes_writer () =
   let counter = ref 0 in
   let writer () =
     for _ = 1 to 2_000 do
-      Crwwp.with_write_lock lock (fun () -> counter := !counter + 1)
+      Crwwp.write_lock lock;
+      counter := !counter + 1;
+      Crwwp.write_unlock lock
     done
   in
   join_all (spawn_all [ writer; writer; writer ]);

@@ -624,6 +624,23 @@ let test_update_tx_allocation_pin () =
     Alcotest.failf "romL 8-store update_tx: %.1f minor words, at most 69 \
                     expected" words
 
+(* A RomulusLog read-only transaction fetches its Domain's nesting
+   record, arrives on the read indicator and departs: none of it
+   allocates, and a body that captures nothing is a static closure. *)
+let test_read_tx_allocation_pin () =
+  let module P = Romulus.Logged in
+  let p = P.open_region (Pmem.Region.create ~size:(1 lsl 16) ()) in
+  let tx () = P.read_tx p (fun () -> ()) in
+  tx ();
+  let n = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    tx ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  if words > 0. then
+    Alcotest.failf "romL empty read_tx: %.2f minor words, none expected" words
+
 (* ---- Stats ---- *)
 
 let test_stats_write_amplification () =
@@ -683,6 +700,8 @@ let suite =
       test_ptm_survives_file_round_trip;
     tc "stats: write amplification" `Quick test_stats_write_amplification;
     tc "engine: romL 8-store update_tx allocation pin" `Quick
-      test_update_tx_allocation_pin ]
+      test_update_tx_allocation_pin;
+    tc "engine: romL empty read_tx allocates nothing" `Quick
+      test_read_tx_allocation_pin ]
 
 let () = Alcotest.run "units" [ ("units", suite) ]
