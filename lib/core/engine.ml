@@ -235,6 +235,13 @@ let used_span t = t.arena_base + A.used_bytes t.arena - t.main_start
    Untwinned lines — the 64-byte protocol header, and (with line sizes
    above 64) lines straddling a copy boundary — are detection-only.
 
+   The walk visits the header, then main's used span, then back's, and
+   repairs or refuses each bad line in that order.  Main's span is
+   verified a line pair at a time ({!Pmem.Region.verify_pair}): under
+   IDL the twins are byte-identical, so one CRC checks both sidecars.
+   The back verdicts it yields are acted on later, in back's turn, and
+   only while no repair has been entered since they were computed.
+
    The repair itself is an ordinary persisted store (store + pwb + fence),
    so it is covered by crash traps and the [engine.scrub.*] failpoints:
    a crash inside the repair window leaves the line either still-bad
@@ -300,7 +307,9 @@ let scrub_raw ?(salvage = false) r ~main_size ~arena_base =
     | _ -> main_size
     | exception Pmem.Region.Media_error _ -> main_size
   in
+  let repair_entered = ref false in
   let repair ~dst ~src ~state =
+    repair_entered := true;
     Fault.hit fp_scrub_bad_line;
     if bad src then unrepairable ~tolerable dst state
     else begin
@@ -314,28 +323,70 @@ let scrub_raw ?(salvage = false) r ~main_size ~arena_base =
       Fault.hit fp_scrub_repaired
     end
   in
-  let scrub_copy ~base ~span ~twin ~repairable =
-    if span > 0 then begin
-      let first = max (hdr_last + 1) (base lsr shift) in
-      let last = (base + span - 1) lsr shift in
-      for l = first to last do
-        visit ();
-        if bad l then begin
-          let fully_inside =
-            l lsl shift >= base && (l + 1) lsl shift <= base + main_size
-          in
-          if fully_inside && repairable then
-            repair ~dst:l ~src:(l + twin) ~state:sname
-          else unrepairable ~tolerable l sname
-        end
-      done
-    end
+  (* a bad line of the copy at [base]: repaired from [l + twin] when the
+     state trusts that twin and the line lies wholly inside the copy,
+     refused otherwise *)
+  let act ~base ~twin ~repairable l =
+    let fully_inside =
+      l lsl shift >= base && (l + 1) lsl shift <= base + main_size
+    in
+    if fully_inside && repairable then
+      repair ~dst:l ~src:(l + twin) ~state:sname
+    else unrepairable ~tolerable l sname
   in
-  scrub_copy ~base:main_start ~span:(span_of 0) ~twin:twin_d
-    ~repairable:(state = st_idl || state = st_mut);
-  scrub_copy ~base:(main_start + main_size) ~span:(span_of main_size)
-    ~twin:(-twin_d)
-    ~repairable:(state = st_idl || state = st_cpy);
+  let lines_of ~base ~span =
+    if span > 0 then
+      (max (hdr_last + 1) (base lsr shift), (base + span - 1) lsr shift)
+    else (1, 0)
+  in
+  let back_base = main_start + main_size in
+  let main_repairable = state = st_idl || state = st_mut in
+  let back_repairable = state = st_idl || state = st_cpy in
+  (* pass 1, main's span: each line is verified with its back twin in one
+     call, and acted on at once; the back verdicts are kept for pass 2,
+     the bad ones (normally none) in a list, in descending line order.
+     Once a repair is entered pass 2 cannot use them, so the rest of the
+     pass verifies main's lines alone. *)
+  let m_first, m_last = lines_of ~base:main_start ~span:(span_of 0) in
+  let back_bad = ref [] in
+  let act_main l =
+    act ~base:main_start ~twin:twin_d ~repairable:main_repairable l
+  in
+  for l = m_first to m_last do
+    visit ();
+    if !repair_entered then (if bad l then act_main l)
+    else begin
+      let v = Pmem.Region.verify_pair r ~line:l ~twin:(l + twin_d) in
+      if v land 2 <> 0 then back_bad := (l + twin_d) :: !back_bad;
+      if v land 1 <> 0 then act_main l
+    end
+  done;
+  (* pass 2, back's span, in back-line order.  A back line whose twin
+     pass 1 walked takes the verdict pass 1 found while no repair has
+     been entered since (a repair stores, fences and hits failpoints);
+     every other back line is verified here. *)
+  let b_first, b_last = lines_of ~base:back_base ~span:(span_of main_size) in
+  let paired_first = m_first + twin_d and paired_last = m_last + twin_d in
+  (* held lines lie in [paired_first, paired_last], and b_first <=
+     paired_first (main_size is whole lines), so the walk meets each *)
+  let pending = ref (List.rev !back_bad) in
+  for l = b_first to b_last do
+    visit ();
+    let recorded =
+      (not !repair_entered) && l >= paired_first && l <= paired_last
+    in
+    let is_bad =
+      if not recorded then bad l
+      else
+        match !pending with
+        | b :: rest when b = l ->
+          pending := rest;
+          true
+        | _ -> false
+    in
+    if is_bad then
+      act ~base:back_base ~twin:(-twin_d) ~repairable:back_repairable l
+  done;
   { scrubbed = !scrubbed; repaired = !repaired;
     unrepairable = List.rev !lost }
 

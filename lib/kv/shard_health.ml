@@ -133,32 +133,49 @@ module Make (P : SHARD_PTM) = struct
        (fresh stores with all shards healthy stay metadata-free) *)
     if saved <> t.health_arr then persist_health t
 
-  (* Per-shard engine recovery (salvage mode), fanned out across
-     domains, classified into health verdicts instead of raised: shard
-     0 failing is fatal ({!Shard_open_failed} — it anchors the store),
-     any other failing shard is quarantined with its engine detached,
-     and data-loss survivors come back Degraded.  A previously recorded
-     [Evacuated] verdict is authoritative and never reclassified. *)
+  (* Per-shard engine recovery (salvage mode), fanned out across a
+     bounded pool of domains, classified into health verdicts instead of
+     raised: shard 0 failing is fatal ({!Shard_open_failed} — it anchors
+     the store), any other failing shard is quarantined with its engine
+     detached, and data-loss survivors come back Degraded.  A previously
+     recorded [Evacuated] verdict is authoritative and never
+     reclassified. *)
   let recover ~parallel t =
     let n = shards t in
     let verdicts = Array.make n None in
-    let run s = try Ok (P.recover_salvage s.p) with e -> Error e in
-    (* every shard's recovery, to be joined in shard order: all spawned
-       up front when parallel, each run at its join otherwise *)
-    let start s =
-      if parallel && n > 1 then
-        let d = Domain.spawn (fun () -> run s) in
-        fun () -> Domain.join d
-      else fun () -> run s
+    let run i =
+      Option.map
+        (fun s -> try Ok (P.recover_salvage s.p) with e -> Error e)
+        t.shard_arr.(i)
     in
-    Array.iteri
-      (fun i d ->
-        match d with
-        | None -> ()
-        | Some join ->
-          verdicts.(i) <- Some (join ());
-          Fault.hit fp_recover_shard_done)
-      (Array.map (Option.map start) t.shard_arr);
+    (* parallel: at most one worker Domain per core, each pulling the
+       next shard index until none is left, all joined before any verdict
+       is taken; sequential: each shard recovers at its turn.  Either way
+       the verdicts are taken in shard order. *)
+    let results =
+      if parallel && n > 1 then begin
+        let results = Array.make n None in
+        let next = Atomic.make 0 in
+        let rec work () =
+          let i = Atomic.fetch_and_add next 1 in
+          if i < n then begin
+            results.(i) <- run i;
+            work ()
+          end
+        in
+        let workers = min n (Domain.recommended_domain_count ()) in
+        List.iter Domain.join (List.init workers (fun _ -> Domain.spawn work));
+        fun i -> results.(i)
+      end
+      else run
+    in
+    for i = 0 to n - 1 do
+      match results i with
+      | None -> ()
+      | Some v ->
+        verdicts.(i) <- Some v;
+        Fault.hit fp_recover_shard_done
+    done;
     (* a simulated machine crash is the whole store dying, not a shard
        fault; and without shard 0 there is nothing to degrade to *)
     Array.iter

@@ -332,9 +332,10 @@ module Make (P : SHARD_PTM) : sig
       index. *)
   val health : t -> int -> health
 
-  (** Re-run crash recovery on every shard — in parallel (one domain per
-      shard) by default — then run the reconciliation pass over the
-      surviving protocol records.  Idempotent, like the single-engine
+  (** Re-run crash recovery on every shard — in parallel (at most
+      [Domain.recommended_domain_count ()] worker domains, each taking
+      the next shard) by default — then run the reconciliation pass over
+      the surviving protocol records.  Idempotent, like the single-engine
       recovery it fans out.  Per-shard failures are classified instead
       of raised: a shard whose salvage recovery refuses comes back
       [Quarantined] with its engine detached, data-loss survivors come

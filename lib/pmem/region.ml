@@ -154,16 +154,52 @@ let refresh_sidecar t line =
   t.sidecar.(line) <- line_crc t line;
   Bytes.unsafe_set t.crc_valid line '\001'
 
-(* Does line [line]'s persistent content still match its sidecar CRC?  An
-   invalidated entry (a write-back happened since the last audit) is
-   recomputed from the just-persisted bytes and trivially matches. *)
-let media_ok t ~line =
-  if Bytes.unsafe_get t.crc_valid line = '\001' then
-    t.sidecar.(line) = line_crc t line
+(* Does line [line]'s sidecar vouch for persistent bytes whose CRC is
+   [crc]?  An invalidated entry (a write-back happened since the last
+   audit) is refreshed to [crc], the checksum of the just-persisted
+   bytes, and trivially matches. *)
+let sidecar_ok t line crc =
+  if Bytes.unsafe_get t.crc_valid line = '\001' then t.sidecar.(line) = crc
   else begin
-    refresh_sidecar t line;
+    t.sidecar.(line) <- crc;
+    Bytes.unsafe_set t.crc_valid line '\001';
     true
   end
+
+(* Does line [line]'s persistent content still match its sidecar CRC? *)
+let media_ok t ~line = sidecar_ok t line (line_crc t line)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+let rec words_equal b i j n =
+  n = 0
+  || ((get64u b i : int64) = get64u b j && words_equal b (i + 8) (j + 8) (n - 8))
+
+(* The scrub verdicts of a line and its twin in one call: bit 0 is set
+   when [line] is clean and fails {!media_ok}, bit 1 likewise for [twin].
+   A CRC is a function of the bytes, so when both lines are clean and
+   their persistent bytes agree (compared in place, a word at a time) one
+   CRC serves both sidecars; otherwise each line is verified on its own.
+   Either way the verdicts, and the sidecar entries refreshed on the way,
+   are exactly those of two {!media_ok} calls. *)
+let verify_pair t ~line ~twin =
+  let n = line_count t in
+  if line < 0 || line >= n || twin < 0 || twin >= n then
+    invalid_arg
+      (Printf.sprintf "Region.verify_pair: lines %d, %d outside region of %d"
+         line twin n);
+  let clean = Line_set.is_clean t.lines line
+  and twin_clean = Line_set.is_clean t.lines twin in
+  if clean && twin_clean
+     && words_equal t.per (line lsl t.line_shift) (twin lsl t.line_shift) t.line
+  then begin
+    let crc = line_crc t line in
+    (if sidecar_ok t line crc then 0 else 1)
+    lor (if sidecar_ok t twin crc then 0 else 2)
+  end
+  else
+    (if clean && not (media_ok t ~line) then 1 else 0)
+    lor (if twin_clean && not (media_ok t ~line:twin) then 2 else 0)
 
 let line_is_clean t ~line = Line_set.is_clean t.lines line
 
@@ -192,7 +228,6 @@ let media_check t off len =
    then range, then media).  The range tests are written so they cannot
    overflow. *)
 
-external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
 external bswap64 : int64 -> int64 = "%bswap_int64"
 
 let get_int64_le_unsafe b off =

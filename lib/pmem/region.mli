@@ -142,6 +142,15 @@ val media_ok : t -> line:int -> bool
     persistent copy is authoritative and eligible for scrubbing. *)
 val line_is_clean : t -> line:int -> bool
 
+(** [verify_pair t ~line ~twin] is the scrub verdict of two lines at
+    once: bit 0 is set when [line] is clean and fails {!media_ok}, bit 1
+    when [twin] is.  When both lines are clean and their persistent bytes
+    are equal it computes one CRC for the two sidecars, which is exact
+    because a CRC is a function of the bytes; otherwise each line is
+    verified on its own.  Allocates nothing.  Raises [Invalid_argument]
+    for a line outside the region. *)
+val verify_pair : t -> line:int -> twin:int -> int
+
 (** True once any media fault was injected (or restored from a snapshot):
     loads verify sidecar CRCs. *)
 val media_faults_armed : t -> bool

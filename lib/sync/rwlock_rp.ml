@@ -36,11 +36,3 @@ let write_lock t =
   done
 
 let write_unlock t = Atomic.set t.writer false
-
-let with_read_lock t f =
-  read_lock t;
-  Fun.protect ~finally:(fun () -> read_unlock t) f
-
-let with_write_lock t f =
-  write_lock t;
-  Fun.protect ~finally:(fun () -> write_unlock t) f

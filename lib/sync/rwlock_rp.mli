@@ -9,5 +9,3 @@ val read_lock : t -> unit
 val read_unlock : t -> unit
 val write_lock : t -> unit
 val write_unlock : t -> unit
-val with_read_lock : t -> (unit -> 'a) -> 'a
-val with_write_lock : t -> (unit -> 'a) -> 'a

@@ -188,12 +188,16 @@ let test_rwlock_rp_basic () =
   let x = ref 0 in
   let writer () =
     for _ = 1 to 1_000 do
-      Rwlock_rp.with_write_lock l (fun () -> incr x)
+      Rwlock_rp.write_lock l;
+      incr x;
+      Rwlock_rp.write_unlock l
     done
   in
   let reader () =
     for _ = 1 to 1_000 do
-      Rwlock_rp.with_read_lock l (fun () -> ignore !x)
+      Rwlock_rp.read_lock l;
+      ignore !x;
+      Rwlock_rp.read_unlock l
     done
   in
   let ds = List.map Domain.spawn [ writer; writer; reader ] in

@@ -1,5 +1,5 @@
-(* Tests for the extension containers (cell/array/string box, stack,
-   queue) and the blob red-black tree behind Kv.Sorted_db: model-based
+(* Tests for the extension containers (cell/array/string box, queue)
+   and the blob red-black tree behind Kv.Sorted_db: model-based
    behaviour, structural invariants, and crash atomicity.  Run over
    RomulusLog, RomulusLR and the aborting STM baseline (which
    additionally exercises closure re-execution). *)
@@ -16,7 +16,6 @@ let region ?(size = 1 lsl 18) () = R.create ~size ()
 
 module Make (P : PTM) = struct
   module B = Pds.Pbox.Make (P)
-  module S = Pds.Pstack.Make (P)
   module Q = Pds.Pqueue.Make (P)
 
   (* ---- Pbox ---- *)
@@ -74,27 +73,6 @@ module Make (P : PTM) = struct
     P.recover p;
     let s = B.Str.attach p ~root:0 in
     Alcotest.(check string) "survives crash" "final" (B.Str.get s)
-
-  (* ---- stack ---- *)
-
-  let test_stack () =
-    let r = region () in
-    let p = P.open_region r in
-    let s = S.create p ~root:0 in
-    Alcotest.(check bool) "empty" true (S.is_empty s);
-    Alcotest.(check (option int)) "pop empty" None (S.pop s);
-    S.push s 1;
-    S.push s 2;
-    S.push s 3;
-    Alcotest.(check (option int)) "peek" (Some 3) (S.peek s);
-    Alcotest.(check (list int)) "lifo order" [ 3; 2; 1 ] (S.to_list s);
-    Alcotest.(check (option int)) "pop" (Some 3) (S.pop s);
-    Alcotest.(check int) "length" 2 (S.length s);
-    (match S.check s with Ok () -> () | Error e -> Alcotest.fail e);
-    R.crash r R.Drop_all;
-    P.recover p;
-    let s = S.attach p ~root:0 in
-    Alcotest.(check (list int)) "survives crash" [ 2; 1 ] (S.to_list s)
 
   (* ---- queue ---- *)
 
@@ -276,7 +254,6 @@ module Make (P : PTM) = struct
     [ tc "cell" `Quick test_cell;
       tc "array" `Quick test_array;
       tc "string box" `Quick test_str_box;
-      tc "stack" `Quick test_stack;
       tc "queue" `Quick test_queue;
       tc "blob tree frees removed blobs" `Quick test_tree_frees_blobs ]
     @ List.map QCheck_alcotest.to_alcotest

@@ -641,6 +641,353 @@ let test_read_tx_allocation_pin () =
   if words > 0. then
     Alcotest.failf "romL empty read_tx: %.2f minor words, none expected" words
 
+(* ---- Scrub: pair verification against the per-line walk ---- *)
+
+module Sr = Pmem.Region
+module E = Romulus.Engine
+
+(* The header layout and protocol states, as the engine writes them. *)
+let o_state = 8
+let main_start = 64
+let st_idl = 0
+let st_mut = 1
+let st_cpy = 2
+
+(* The scrub as a per-line walk over [Region]'s public primitives, one
+   copy after the other: the reference the engine's pair-verifying scrub
+   must match in every verdict, repair, count and failpoint hit. *)
+let reference_scrub ~salvage r ~main_size =
+  let arena_base = main_start + (8 * Romulus.Ptm_intf.root_slots) in
+  let stats = Sr.stats r in
+  let line = Sr.line_size r in
+  let rec log2 n acc = if n = 1 then acc else log2 (n lsr 1) (acc + 1) in
+  let shift = log2 line 0 in
+  let twin_d = main_size lsr shift in
+  let scrubbed = ref 0 and repaired = ref 0 in
+  let lost = ref [] in
+  let bad l = Sr.line_is_clean r ~line:l && not (Sr.media_ok r ~line:l) in
+  let unrepairable ~tolerable l state =
+    stats.Pmem.Stats.unrepairable_lines <-
+      stats.Pmem.Stats.unrepairable_lines + 1;
+    if salvage && tolerable then lost := (l lsl shift, state) :: !lost
+    else raise (E.Unrepairable { offset = l lsl shift; state })
+  in
+  let visit () =
+    incr scrubbed;
+    stats.Pmem.Stats.scrubbed_lines <- stats.Pmem.Stats.scrubbed_lines + 1
+  in
+  let hdr_last = (main_start - 1) lsr shift in
+  for l = 0 to hdr_last do
+    visit ();
+    if bad l then unrepairable ~tolerable:false l "header"
+  done;
+  let state = Sr.load r o_state in
+  let sname =
+    if state = st_idl then "IDL"
+    else if state = st_mut then "MUT"
+    else if state = st_cpy then "CPY"
+    else string_of_int state
+  in
+  let tolerable = state = st_idl in
+  let span_of copy_base =
+    match Sr.load r (arena_base + copy_base + Palloc.top_offset) with
+    | top
+      when top >= arena_base + Palloc.meta_bytes
+           && top <= main_start + main_size -> top - main_start
+    | _ -> main_size
+    | exception Sr.Media_error _ -> main_size
+  in
+  let repair ~dst ~src ~state =
+    Fault.hit "engine.scrub.bad_line";
+    if bad src then unrepairable ~tolerable dst state
+    else begin
+      let content = Sr.load_bytes r (src lsl shift) line in
+      Sr.store_bytes r (dst lsl shift) content;
+      Sr.pwb_range r (dst lsl shift) line;
+      Sr.pfence r;
+      incr repaired;
+      stats.Pmem.Stats.repaired_lines <- stats.Pmem.Stats.repaired_lines + 1;
+      Fault.hit "engine.scrub.repaired"
+    end
+  in
+  let scrub_copy ~base ~span ~twin ~repairable =
+    if span > 0 then begin
+      let first = max (hdr_last + 1) (base lsr shift) in
+      let last = (base + span - 1) lsr shift in
+      for l = first to last do
+        visit ();
+        if bad l then begin
+          let fully_inside =
+            l lsl shift >= base && (l + 1) lsl shift <= base + main_size
+          in
+          if fully_inside && repairable then
+            repair ~dst:l ~src:(l + twin) ~state:sname
+          else unrepairable ~tolerable l sname
+        end
+      done
+    end
+  in
+  scrub_copy ~base:main_start ~span:(span_of 0) ~twin:twin_d
+    ~repairable:(state = st_idl || state = st_mut);
+  scrub_copy ~base:(main_start + main_size) ~span:(span_of main_size)
+    ~twin:(-twin_d)
+    ~repairable:(state = st_idl || state = st_cpy);
+  { E.scrubbed = !scrubbed; repaired = !repaired;
+    unrepairable = List.rev !lost }
+
+(* Where rot lands.  Lines are counted from the start of main's used
+   span; [Header] garbles a bit of the header line. *)
+type rot =
+  | Main of int
+  | Back of int
+  | Both of int
+  | Apart of int * int  (** main line, a different back line *)
+  | Header
+
+(* Back's allocator frontier relative to main's: equal, a few lines
+   shorter, a few lines longer (main's is moved down instead), or
+   invalid, which walks the whole copy. *)
+type frontier = Equal | Back_short | Main_short | Back_garbage
+
+type case = {
+  line : int;
+  state : int;
+  frontier : frontier;
+  warm : bool;  (** audited before the rot: no invalidated sidecar left *)
+  live : bool;  (** dirty and pending lines in both twins *)
+  rot : rot list;
+}
+
+let pp_case c =
+  Printf.sprintf "line %d, state %d, frontier %s, warm %b, live %b, %d rots"
+    c.line c.state
+    (match c.frontier with
+     | Equal -> "equal"
+     | Back_short -> "back short"
+     | Main_short -> "main short"
+     | Back_garbage -> "back garbage")
+    c.warm c.live (List.length c.rot)
+
+(* Build [c]'s image deterministically: the same case always yields the
+   same region, so the two scrubs can each run on a fresh build. *)
+let build c =
+  let r = Sr.create ~line_size:c.line ~size:(1 lsl 16) () in
+  let e = E.create ~mode:E.Logged r in
+  for i = 0 to 11 do
+    E.begin_tx e;
+    let o = E.alloc e 200 in
+    for w = 0 to 24 do
+      E.store e (o + (8 * w)) ((i * 1000) + w)
+    done;
+    E.end_tx e
+  done;
+  if c.warm then ignore (E.scrub e : E.scrub_report);
+  let main_size = E.main_size e in
+  let arena_base = main_start + (8 * Romulus.Ptm_intf.root_slots) in
+  let top_addr copy = arena_base + copy + Palloc.top_offset in
+  let durable_store off v =
+    Sr.store r off v;
+    Sr.pwb r off;
+    Sr.pfence r
+  in
+  let top = Sr.load r (top_addr 0) in
+  let shift = if c.line = 64 then 6 else 7 in
+  let first = ((main_start lsr shift) + 1) lsl shift in
+  (* a MUT or CPY image: one twin has moved on in a few lines.  The
+     state word is written back either way (a transaction leaves IDL's
+     store unfenced), so the header line is clean and audited. *)
+  if c.state <> st_idl then
+    List.iter
+      (fun k -> durable_store (first + (k * c.line) + 8) (-k))
+      [ 3; 9; 17 ];
+  durable_store o_state c.state;
+  (match c.frontier with
+   | Equal -> ()
+   | Back_short -> durable_store (top_addr main_size) (top - (4 * c.line))
+   | Main_short -> durable_store (top_addr 0) (top - (4 * c.line))
+   | Back_garbage -> durable_store (top_addr main_size) (-1));
+  let main_line k = (first lsr shift) + k in
+  let back_line k = main_line k + (main_size lsr shift) in
+  List.iteri
+    (fun i rot ->
+      let seed = 17 + i in
+      match rot with
+      | Main k -> Sr.corrupt_line ~seed r ~line:(main_line k)
+      | Back k -> Sr.corrupt_line ~seed r ~line:(back_line k)
+      | Both k ->
+        Sr.corrupt_line ~seed r ~line:(main_line k);
+        Sr.corrupt_line ~seed:(seed + 1) r ~line:(back_line k)
+      | Apart (k, j) ->
+        Sr.corrupt_line ~seed r ~line:(main_line k);
+        Sr.corrupt_line ~seed:(seed + 1) r ~line:(back_line j)
+      | Header -> Sr.corrupt_bits r ~seed ~off:16 ~len:8 ~flips:1)
+    c.rot;
+  (* a live engine: lines with a store in flight, some of them rotten *)
+  if c.live then
+    List.iter
+      (fun (k, pending) ->
+        List.iter
+          (fun l ->
+            Sr.store r ((l lsl shift) + 16) 7;
+            if pending then Sr.pwb r (l lsl shift))
+          [ main_line k; back_line (k + 1) ])
+      [ (2, false); (5, true); (11, false); (20, true) ];
+  (r, e)
+
+(* Everything a scrub leaves observable: its report or exception, the
+   counters it moved, the persistent image and each line's cleanliness
+   and sidecar verdict. *)
+let observe c ?failpoint scrub =
+  let r, e = build c in
+  let before = Pmem.Stats.snapshot (Sr.stats r) in
+  (match failpoint with
+   | Some (site, skip) -> Fault.arm ~skip site (fun () -> Sr.kill r)
+   | None -> ());
+  let result =
+    match scrub r e with
+    | rep ->
+      Printf.sprintf "ok scrubbed=%d repaired=%d lost=[%s]" rep.E.scrubbed
+        rep.E.repaired
+        (String.concat "; "
+           (List.map
+              (fun (o, s) -> Printf.sprintf "%d %s" o s)
+              rep.E.unrepairable))
+    | exception E.Unrepairable { offset; state } ->
+      Printf.sprintf "unrepairable %d %s" offset state
+    | exception Sr.Crash_point -> "crash"
+  in
+  Fault.disarm ();
+  let delta =
+    Format.asprintf "%a" Pmem.Stats.pp
+      (Pmem.Stats.since ~now:(Sr.stats r) ~past:before)
+  in
+  let lines = Sr.size r / Sr.line_size r in
+  let verdicts =
+    String.init lines (fun l ->
+        if not (Sr.line_is_clean r ~line:l) then 'd'
+        else if Sr.media_ok r ~line:l then '.'
+        else 'x')
+  in
+  (result, delta, Digest.to_hex (Digest.string (Sr.persistent_snapshot r)),
+   verdicts)
+
+let rot_patterns =
+  [ []; [ Main 4 ]; [ Back 4 ]; [ Both 4 ]; [ Apart (4, 30) ]; [ Header ];
+    [ Main 0; Back 6; Main 3; Back 3 ]; [ Main 9; Main 17 ]; [ Back 9 ];
+    [ Main 30; Back 2; Both 12 ] ]
+
+let test_scrub_matches_per_line_walk () =
+  let cases = ref 0 and repairs = ref 0 and outcomes = ref [] in
+  List.iter
+    (fun line ->
+      List.iter
+        (fun state ->
+          List.iter
+            (fun frontier ->
+              List.iter
+                (fun (warm, live) ->
+                  List.iter
+                    (fun rot ->
+                      let c = { line; state; frontier; warm; live; rot } in
+                      List.iter
+                        (fun salvage ->
+                          let engine _ e =
+                            if salvage then E.scrub_salvage e else E.scrub e
+                          in
+                          let reference r e =
+                            reference_scrub ~salvage r ~main_size:(E.main_size e)
+                          in
+                          let check ?failpoint what =
+                            incr cases;
+                            let ((res, _, _, _) as want) =
+                              observe c ?failpoint reference
+                            in
+                            let got = observe c ?failpoint engine in
+                            if got <> want then begin
+                              let res', delta', img', v' = got
+                              and _, delta, img, v = want in
+                              Alcotest.failf
+                                "%s (%s, salvage %b):\n\
+                                 reference %s\n%s\n%s\n%s\n\
+                                 engine    %s\n%s\n%s\n%s"
+                                what (pp_case c) salvage res delta img v res'
+                                delta' img' v'
+                            end;
+                            res
+                          in
+                          let res = check "scrub" in
+                          if not (String.starts_with ~prefix:"ok" res
+                                  && String.ends_with ~suffix:"lost=[]" res)
+                          then outcomes := res :: !outcomes;
+                          (* crash inside each of the first repairs, in
+                             either window: the same lines are repaired
+                             first and the image dies the same *)
+                          if rot <> [] && not (warm || salvage) then
+                            List.iter
+                              (fun site ->
+                                for skip = 0 to 1 do
+                                  if check ~failpoint:(site, skip) site
+                                     = "crash"
+                                  then incr repairs
+                                done)
+                              [ "engine.scrub.bad_line"; "engine.scrub.repaired" ])
+                        [ false; true ])
+                    rot_patterns)
+                [ (false, false); (true, false); (false, true); (true, true) ])
+            [ Equal; Back_short; Main_short; Back_garbage ])
+        [ st_idl; st_mut; st_cpy ])
+    [ 64; 128 ];
+  (* the cases exercise repairs, losses and every kind of refusal, not
+     only clean walks *)
+  let seen suffix =
+    List.exists
+      (fun res ->
+        String.starts_with ~prefix:"unrepairable" res
+        && String.ends_with ~suffix res)
+      !outcomes
+  in
+  Alcotest.(check bool) "failpoints fired inside repairs" true (!repairs > 300);
+  Alcotest.(check bool) "salvage tolerated losses" true
+    (List.exists (String.starts_with ~prefix:"ok") !outcomes);
+  List.iter
+    (fun state ->
+      Alcotest.(check bool) ("refused under " ^ state) true (seen state))
+    [ "header"; "IDL"; "MUT"; "CPY" ];
+  Alcotest.(check bool) "cases run" true (!cases > 3000)
+
+(* A clean scrub allocates nothing per line: one scrub of a settled heap
+   allocates the same few minor words whatever the heap's line count
+   (70 measured: the walk's closures and refs, and the report). *)
+let test_scrub_allocation_pin () =
+  let words_per_scrub keys =
+    let r = Sr.create ~size:(1 lsl 20) () in
+    let e = E.create ~mode:E.Logged r in
+    for i = 0 to keys - 1 do
+      E.begin_tx e;
+      E.store e (E.alloc e 64) i;
+      E.end_tx e
+    done;
+    Sr.crash r Sr.Drop_all;
+    E.recover e;
+    let report = E.scrub e in
+    let n = 100 in
+    let before = Gc.minor_words () in
+    for _ = 1 to n do
+      ignore (E.scrub e : E.scrub_report)
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int n in
+    (report.E.scrubbed, words)
+  in
+  let small_lines, small = words_per_scrub 16 in
+  let large_lines, large = words_per_scrub 2_000 in
+  Alcotest.(check bool) "the heaps differ in size" true
+    (large_lines > 4 * small_lines);
+  if large <> small || large > 70. then
+    Alcotest.failf
+      "scrub of %d lines: %.2f minor words, of %d lines: %.2f; equal and at \
+       most 70 expected"
+      small_lines small large_lines large
+
 (* ---- Stats ---- *)
 
 let test_stats_write_amplification () =
@@ -702,6 +1049,9 @@ let suite =
     tc "engine: romL 8-store update_tx allocation pin" `Quick
       test_update_tx_allocation_pin;
     tc "engine: romL empty read_tx allocates nothing" `Quick
-      test_read_tx_allocation_pin ]
+      test_read_tx_allocation_pin;
+    tc "scrub: pair walk matches the per-line walk" `Quick
+      test_scrub_matches_per_line_walk;
+    tc "scrub: clean scrub allocation pin" `Quick test_scrub_allocation_pin ]
 
 let () = Alcotest.run "units" [ ("units", suite) ]
