@@ -139,9 +139,12 @@ let ns v =
 
 (* A record value as tables: an array of rows headed by their field
    names, an object of containers member by member.  Times (fields with
-   an "ns" part) print as times, throughputs in SI. *)
+   an "ns" part, unless an "over" part makes them a ratio) print as
+   times, throughputs in SI. *)
 let rec json_cell k = function
-  | Json.Num f when List.mem "ns" (String.split_on_char '_' k) -> ns f
+  | Json.Num f
+    when let parts = String.split_on_char '_' k in
+         List.mem "ns" parts && not (List.mem "over" parts) -> ns f
   | Num f when String.starts_with ~prefix:"updates_per_sec" k -> si f
   | Num f -> json_num f
   | Str s -> s

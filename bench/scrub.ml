@@ -1,12 +1,19 @@
 (* Scrub-overhead datapoints: what a media-audit pass costs on a live
-   RomulusLog heap.  Three numbers per heap size, emitted to
+   RomulusLog heap.  Four numbers per heap size, emitted to
    BENCH_scrub.json:
 
    - the cost of one clean scrub pass (CRC verification of every clean
      line in both twins' used spans — the steady-state background cost);
    - the per-line cost of that pass;
+   - a same-run calibration: the per-line cost of [Crc32.bytes] over the
+     lines the pass visits, and the pass's per-line cost over it, a ratio
+     that compares across machines and days where absolute times do not;
    - the cost of a pass that additionally repairs rotten lines from the
      twin (detection + copy + write-back + fence).
+
+   Every pass is checked as well as timed: a clean pass must repair
+   nothing and a repairing pass exactly the lines it rotted, so a scrub
+   that waves rot through fails the run instead of reading fast.
 
    Commit-path overhead of the sidecar itself is not measured separately:
    maintenance is O(1) per line write-back (a 4-byte blit and two flag
@@ -27,6 +34,14 @@ let timed name ~region ~runs f =
       (name ^ "_min_ns", jfix 1 (List.hd samples));
       (name ^ "_max_ns", jfix 1 (List.nth samples (runs - 1))) ] )
 
+(* one scrub pass, which must repair exactly [repaired] lines *)
+let scrub_expecting p ~what ~repaired =
+  let report = P.scrub p in
+  if report.Romulus.Engine.repaired <> repaired then
+    failwith
+      (Printf.sprintf "scrub: %s repaired %d lines, %d expected" what
+         report.Romulus.Engine.repaired repaired)
+
 (* one record row *)
 let measure ~keys ~runs =
   let r = Pmem.Region.create ~size:(1 lsl 21) () in
@@ -46,11 +61,36 @@ let measure ~keys ~runs =
   in
   let clean_ns, clean =
     timed "clean_pass" ~region:r ~runs (fun () ->
-        ignore (P.scrub p : Romulus.Engine.scrub_report))
+        scrub_expecting p ~what:"clean pass" ~repaired:0)
   in
-  (* rot a spread of main-copy lines, then time the repairing pass *)
   let mbase, mspan = List.hd (P.media_spans p) in
   let line_size = Pmem.Region.line_size r in
+  (* the same lines through the bare CRC: the header's, then each
+     span's *)
+  let image = Bytes.of_string (Pmem.Region.persistent_snapshot r) in
+  let ranges =
+    (0, (mbase / line_size) - 1)
+    :: List.map
+         (fun (base, span) -> (base / line_size, (base + span - 1) / line_size))
+         (P.media_spans p)
+  in
+  let crc_lines =
+    List.fold_left (fun n (a, b) -> n + b - a + 1) 0 ranges
+  in
+  if crc_lines <> lines then
+    failwith
+      (Printf.sprintf "scrub: calibration covers %d lines, the pass %d"
+         crc_lines lines);
+  let crc_ns, _ =
+    timed "crc" ~region:r ~runs (fun () ->
+        List.iter
+          (fun (a, b) ->
+            for l = a to b do
+              ignore (Pmem.Crc32.bytes image (l * line_size) line_size : int)
+            done)
+          ranges)
+  in
+  (* rot a spread of main-copy lines, then time the repairing pass *)
   let first = (mbase + line_size - 1) / line_size in
   let last = (mbase + mspan - 1) / line_size in
   let rotten = min 32 (last - first + 1) in
@@ -60,16 +100,18 @@ let measure ~keys ~runs =
           Pmem.Region.corrupt_line r
             ~line:(first + (i * (last - first) / max 1 rotten))
         done;
-        ignore (P.scrub p : Romulus.Engine.scrub_report))
+        scrub_expecting p ~what:"repair pass" ~repaired:rotten)
   in
-  let ns_per_line =
-    if lines = 0 then nan else clean_ns /. float_of_int lines
-  in
+  let per_line ns = if lines = 0 then nan else ns /. float_of_int lines in
+  let ns_per_line = per_line clean_ns and crc_ns_per_line = per_line crc_ns in
   Common.Json.Obj
     ([ ("keys", jint keys); ("span_bytes", jint span_bytes);
        ("lines_scrubbed", jint lines); ("runs", jint runs) ]
     @ clean
-    @ [ ("ns_per_line", jfix 2 ns_per_line); ("rotten_lines", jint rotten) ]
+    @ [ ("ns_per_line", jfix 2 ns_per_line);
+        ("crc_ns_per_line", jfix 2 crc_ns_per_line);
+        ("ns_per_line_over_crc", jfix 3 (ns_per_line /. crc_ns_per_line));
+        ("rotten_lines", jint rotten) ]
     @ repair)
 
 let run_rows ~scale ~key_axis ~runs ~path =

@@ -22,20 +22,28 @@ end) : Romulus.Recoverable.MEDIA with type t := P.t = struct
     let line = Pmem.Region.line_size r in
     let last = (P.frontier t - 1) / line in
     let lost = ref [] in
-    for l = 0 to last do
-      stats.Pmem.Stats.scrubbed_lines <- stats.Pmem.Stats.scrubbed_lines + 1;
-      if Pmem.Region.line_is_clean r ~line:l
-         && not (Pmem.Region.media_ok r ~line:l)
-      then begin
+    (* the scrub kernel over the one span (a twin offset of 0), stopping
+       at each bad line, or past [last]; the lines it passed are counted
+       in bulk *)
+    let l = ref 0 in
+    while !l <= last do
+      let first = !l in
+      let found = Pmem.Region.scan_pairs r ~first ~last ~twin:0 in
+      let bad = found lsr 2 in
+      stats.Pmem.Stats.scrubbed_lines <-
+        stats.Pmem.Stats.scrubbed_lines + min bad last - first + 1;
+      if found land 3 <> 0 then begin
         stats.Pmem.Stats.unrepairable_lines <-
           stats.Pmem.Stats.unrepairable_lines + 1;
         (* salvage mode records the loss and keeps walking; nothing is
            silently blessed, as a later read still raises [Media_error] *)
-        if salvage then lost := (l * line, "none") :: !lost
+        if salvage then lost := (bad * line, "none") :: !lost
         else
           raise
-            (Romulus.Engine.Unrepairable { offset = l * line; state = "none" })
-      end
+            (Romulus.Engine.Unrepairable
+               { offset = bad * line; state = "none" })
+      end;
+      l := bad + 1
     done;
     { Romulus.Engine.scrubbed = last + 1; repaired = 0;
       unrepairable = List.rev !lost }

@@ -237,10 +237,11 @@ let used_span t = t.arena_base + A.used_bytes t.arena - t.main_start
 
    The walk visits the header, then main's used span, then back's, and
    repairs or refuses each bad line in that order.  Main's span is
-   verified a line pair at a time ({!Pmem.Region.verify_pair}): under
-   IDL the twins are byte-identical, so one CRC checks both sidecars.
-   The back verdicts it yields are acted on later, in back's turn, and
-   only while no repair has been entered since they were computed.
+   verified with its back twins by one kernel call per run of sound
+   pairs ({!Pmem.Region.scan_pairs}): under IDL the twins are
+   byte-identical, so one CRC checks both sidecars.  The back verdicts
+   it yields are acted on later, in back's turn, and only while no
+   repair has been entered since they were computed.
 
    The repair itself is an ordinary persisted store (store + pwb + fence),
    so it is covered by crash traps and the [engine.scrub.*] failpoints:
@@ -281,15 +282,15 @@ let scrub_raw ?(salvage = false) r ~main_size ~arena_base =
       lost := (l lsl shift, state) :: !lost
     else raise (Unrepairable { offset = l lsl shift; state })
   in
-  let visit () =
-    incr scrubbed;
-    stats.Pmem.Stats.scrubbed_lines <- stats.Pmem.Stats.scrubbed_lines + 1
+  let visit n =
+    scrubbed := !scrubbed + n;
+    stats.Pmem.Stats.scrubbed_lines <- stats.Pmem.Stats.scrubbed_lines + n
   in
   (* header lines first: they hold the state word the trust relation
      depends on, and have no twin *)
   let hdr_last = (main_start - 1) lsr shift in
   for l = 0 to hdr_last do
-    visit ();
+    visit 1;
     if bad l then unrepairable ~tolerable:false l "header"
   done;
   let state = Pmem.Region.load r o_state in
@@ -342,50 +343,72 @@ let scrub_raw ?(salvage = false) r ~main_size ~arena_base =
   let back_base = main_start + main_size in
   let main_repairable = state = st_idl || state = st_mut in
   let back_repairable = state = st_idl || state = st_cpy in
-  (* pass 1, main's span: each line is verified with its back twin in one
-     call, and acted on at once; the back verdicts are kept for pass 2,
-     the bad ones (normally none) in a list, in descending line order.
-     Once a repair is entered pass 2 cannot use them, so the rest of the
-     pass verifies main's lines alone. *)
+  (* pass 1, main's span: {!Pmem.Region.scan_pairs} verifies main's
+     lines with their back twins up to the next pair holding a bad line,
+     and the lines it passed are counted in bulk.  A bad main line is
+     acted on at once; a bad back line is held for pass 2, in a list in
+     descending line order (normally empty).  Once a repair is entered
+     pass 2 cannot use held verdicts, so the rest of the pass verifies
+     main's lines alone. *)
   let m_first, m_last = lines_of ~base:main_start ~span:(span_of 0) in
   let back_bad = ref [] in
-  let act_main l =
-    act ~base:main_start ~twin:twin_d ~repairable:main_repairable l
-  in
-  for l = m_first to m_last do
-    visit ();
-    if !repair_entered then (if bad l then act_main l)
+  let l = ref m_first in
+  while !l <= m_last do
+    let first = !l in
+    if !repair_entered then begin
+      visit 1;
+      if bad first then
+        act ~base:main_start ~twin:twin_d ~repairable:main_repairable first;
+      l := first + 1
+    end
     else begin
-      let v = Pmem.Region.verify_pair r ~line:l ~twin:(l + twin_d) in
-      if v land 2 <> 0 then back_bad := (l + twin_d) :: !back_bad;
-      if v land 1 <> 0 then act_main l
+      let found =
+        Pmem.Region.scan_pairs r ~first ~last:m_last ~twin:twin_d
+      in
+      (* [hit] is the bad pair, or [m_last + 1] when all were sound *)
+      let hit = found lsr 2 and v = found land 3 in
+      visit (min hit m_last - first + 1);
+      if v land 2 <> 0 then back_bad := (hit + twin_d) :: !back_bad;
+      if v land 1 <> 0 then
+        act ~base:main_start ~twin:twin_d ~repairable:main_repairable hit;
+      l := hit + 1
     end
   done;
   (* pass 2, back's span, in back-line order.  A back line whose twin
      pass 1 walked takes the verdict pass 1 found while no repair has
      been entered since (a repair stores, fences and hits failpoints);
-     every other back line is verified here. *)
+     every other back line is verified here.  With nothing held and no
+     repair entered, the walked twins are all sound and counted in bulk. *)
   let b_first, b_last = lines_of ~base:back_base ~span:(span_of main_size) in
   let paired_first = m_first + twin_d and paired_last = m_last + twin_d in
   (* held lines lie in [paired_first, paired_last], and b_first <=
      paired_first (main_size is whole lines), so the walk meets each *)
   let pending = ref (List.rev !back_bad) in
-  for l = b_first to b_last do
-    visit ();
+  let l = ref b_first in
+  while !l <= b_last do
+    let cur = !l in
     let recorded =
-      (not !repair_entered) && l >= paired_first && l <= paired_last
+      (not !repair_entered) && cur >= paired_first && cur <= paired_last
     in
-    let is_bad =
-      if not recorded then bad l
-      else
-        match !pending with
-        | b :: rest when b = l ->
-          pending := rest;
-          true
-        | _ -> false
-    in
-    if is_bad then
-      act ~base:back_base ~twin:(-twin_d) ~repairable:back_repairable l
+    match !pending with
+    | [] when recorded ->
+      let stop = min b_last paired_last in
+      visit (stop - cur + 1);
+      l := stop + 1
+    | held ->
+      visit 1;
+      let is_bad =
+        if not recorded then bad cur
+        else
+          match held with
+          | b :: rest when b = cur ->
+            pending := rest;
+            true
+          | _ -> false
+      in
+      if is_bad then
+        act ~base:back_base ~twin:(-twin_d) ~repairable:back_repairable cur;
+      l := cur + 1
   done;
   { scrubbed = !scrubbed; repaired = !repaired;
     unrepairable = List.rev !lost }

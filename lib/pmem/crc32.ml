@@ -69,3 +69,45 @@ let bytes ?(crc = 0) buf off len =
   !c lxor 0xFFFFFFFF
 
 let string ?crc s = bytes ?crc (Bytes.unsafe_of_string s) 0 (String.length s)
+
+(* The scrub's twin kernel: the two adjacent [len]-byte lines at [off]
+   and [off + len] are each compared with the line [twin] bytes on, a
+   word at a time, and checksummed in the same pass.  The two CRC chains
+   advance in lockstep, so the table lookups of one line overlap the
+   other's instead of waiting on a single serial chain.  The pass stops
+   at the first unequal word of either pair. *)
+let twins buf ~off ~twin ~len crcs =
+  if off < 0 || off + twin < 0 || len < 0 || len land 7 <> 0
+     || off + (2 * len) > Bytes.length buf
+     || off + twin + (2 * len) > Bytes.length buf
+     || Array.length crcs < 2
+  then invalid_arg "Crc32.twins: range outside buffer";
+  let c0 = ref 0xFFFFFFFF and c1 = ref 0xFFFFFFFF in
+  let i = ref off and stop = off + len in
+  while !i < stop do
+    let a = !i and b = !i + len in
+    let w0 = word64 buf a and w1 = word64 buf b in
+    if (w0 : int64) <> word64 buf (a + twin) || w1 <> word64 buf (b + twin)
+    then i := max_int
+    else begin
+      let lo0 = !c0 lxor (Int64.to_int w0 land 0xFFFFFFFF)
+      and hi0 = Int64.to_int (Int64.shift_right_logical w0 32)
+      and lo1 = !c1 lxor (Int64.to_int w1 land 0xFFFFFFFF)
+      and hi1 = Int64.to_int (Int64.shift_right_logical w1 32) in
+      c0 :=
+        tab 7 lo0 lxor tab 6 (lo0 lsr 8) lxor tab 5 (lo0 lsr 16)
+        lxor tab 4 (lo0 lsr 24) lxor tab 3 hi0 lxor tab 2 (hi0 lsr 8)
+        lxor tab 1 (hi0 lsr 16) lxor tab 0 (hi0 lsr 24);
+      c1 :=
+        tab 7 lo1 lxor tab 6 (lo1 lsr 8) lxor tab 5 (lo1 lsr 16)
+        lxor tab 4 (lo1 lsr 24) lxor tab 3 hi1 lxor tab 2 (hi1 lsr 8)
+        lxor tab 1 (hi1 lsr 16) lxor tab 0 (hi1 lsr 24);
+      i := a + 8
+    end
+  done;
+  if !i = max_int then -1
+  else begin
+    Array.unsafe_set crcs 0 (!c0 lxor 0xFFFFFFFF);
+    Array.unsafe_set crcs 1 (!c1 lxor 0xFFFFFFFF);
+    0
+  end

@@ -60,6 +60,16 @@ let set_clean t line = Bytes.unsafe_set t.marks line clean
 
 let is_clean t line = mark t line = Clean
 
+let rec clean_run t line last =
+  if line > last || Bytes.unsafe_get t.marks line <> clean then line
+  else clean_run t (line + 1) last
+
+(* The first non-clean line of [first, last], or [last + 1]. *)
+let first_non_clean t ~first ~last =
+  if first <= last && (first < 0 || last >= Bytes.length t.marks) then
+    invalid_arg "Line_set.first_non_clean: lines outside the set";
+  clean_run t first last
+
 (* Call [f line] for every pending line and mark it clean; dirty lines are
    kept.  Compacts the member stack in place. *)
 let flush_pending t f =

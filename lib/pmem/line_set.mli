@@ -21,6 +21,10 @@ val set_clean : t -> int -> unit
     persistent copies agree (modulo media faults). *)
 val is_clean : t -> int -> bool
 
+(** [first_non_clean t ~first ~last] is the first line of [first, last]
+    that is not clean, or [last + 1] when every one is. *)
+val first_non_clean : t -> first:int -> last:int -> int
+
 (** [flush_pending t f] calls [f line] for every pending line, marking it
     clean; dirty lines are kept for later. *)
 val flush_pending : t -> (int -> unit) -> unit

@@ -72,6 +72,7 @@ type t = {
   mutable dead : bool;
   persist : int -> unit;
       (* [persist_line t], built once so a fence allocates no closure *)
+  crcs : int array;  (* the scrub kernel's two CRC slots *)
 }
 
 let persist_line t line =
@@ -100,7 +101,7 @@ let create ?(line_size = 64) ?(fence = Fence.dram) ~size () =
     { vol; per; line = line_size; line_shift = shift; lines; sidecar;
       crc_valid; tainted; stats = Stats.create (); media_checks = false;
       fence; trap = -1; dead = false;
-      persist = (fun line -> persist_line t line) }
+      persist = (fun line -> persist_line t line); crcs = Array.make 2 0 }
   in
   t
 
@@ -175,19 +176,14 @@ let rec words_equal b i j n =
   n = 0
   || ((get64u b i : int64) = get64u b j && words_equal b (i + 8) (j + 8) (n - 8))
 
-(* The scrub verdicts of a line and its twin in one call: bit 0 is set
-   when [line] is clean and fails {!media_ok}, bit 1 likewise for [twin].
-   A CRC is a function of the bytes, so when both lines are clean and
-   their persistent bytes agree (compared in place, a word at a time) one
-   CRC serves both sidecars; otherwise each line is verified on its own.
-   Either way the verdicts, and the sidecar entries refreshed on the way,
-   are exactly those of two {!media_ok} calls. *)
-let verify_pair t ~line ~twin =
-  let n = line_count t in
-  if line < 0 || line >= n || twin < 0 || twin >= n then
-    invalid_arg
-      (Printf.sprintf "Region.verify_pair: lines %d, %d outside region of %d"
-         line twin n);
+(* The scrub verdicts of one line pair: bit 0 is set when [line] is clean
+   and fails {!media_ok}, bit 1 likewise for [twin].  A CRC is a function
+   of the bytes, so when both lines are clean and their persistent bytes
+   agree (compared in place, a word at a time) one CRC serves both
+   sidecars; otherwise each line is verified on its own.  Either way the
+   verdicts, and the sidecar entries refreshed on the way, are exactly
+   those of two {!media_ok} calls. *)
+let verify_pair t line twin =
   let clean = Line_set.is_clean t.lines line
   and twin_clean = Line_set.is_clean t.lines twin in
   if clean && twin_clean
@@ -200,6 +196,54 @@ let verify_pair t ~line ~twin =
   else
     (if clean && not (media_ok t ~line) then 1 else 0)
     lor (if twin_clean && not (media_ok t ~line:twin) then 2 else 0)
+
+(* The span kernel of the scrub.  A step takes the pairs [l] and [l + 1]
+   at once when all four lines are clean: {!Crc32.twins} compares each
+   line with its twin and checksums both pairs in one lockstep pass, and
+   the four sidecars are checked against the two CRCs.  A step that fails
+   any of that (a non-clean line, unequal bytes, a sidecar miss, or no
+   partner for the last pair) verifies [l] alone with {!verify_pair} and
+   moves on by one pair, so every verdict and refreshed sidecar is the
+   single-pair path's: the lockstep checks [l]'s sidecars before
+   [l + 1]'s, and a CRC refreshes an invalidated entry to the value the
+   single-pair path would store.  [main_dirty] and [twin_dirty] are the
+   first non-clean lines at or after [l] and [l + twin], rescanned only
+   once the walk passes them. *)
+let rec scan t l last twin main_dirty twin_dirty =
+  if l > last then (last + 1) lsl 2
+  else
+    let main_dirty =
+      if main_dirty < l then Line_set.first_non_clean t.lines ~first:l ~last
+      else main_dirty
+    and twin_dirty =
+      if twin_dirty < l + twin then
+        Line_set.first_non_clean t.lines ~first:(l + twin) ~last:(last + twin)
+      else twin_dirty
+    in
+    if l < last && l + 1 < main_dirty && l + 1 + twin < twin_dirty
+       && Crc32.twins t.per ~off:(l lsl t.line_shift)
+            ~twin:(twin lsl t.line_shift) ~len:t.line t.crcs
+          = 0
+       && sidecar_ok t l (Array.unsafe_get t.crcs 0)
+       && sidecar_ok t (l + twin) (Array.unsafe_get t.crcs 0)
+       && sidecar_ok t (l + 1) (Array.unsafe_get t.crcs 1)
+       && sidecar_ok t (l + 1 + twin) (Array.unsafe_get t.crcs 1)
+    then scan t (l + 2) last twin main_dirty twin_dirty
+    else
+      let v = verify_pair t l (l + twin) in
+      if v <> 0 then (l lsl 2) lor v
+      else scan t (l + 1) last twin main_dirty twin_dirty
+
+let scan_pairs t ~first ~last ~twin =
+  let n = line_count t in
+  if first <= last
+     && (first < 0 || last >= n || first + twin < 0 || last + twin >= n)
+  then
+    invalid_arg
+      (Printf.sprintf
+         "Region.scan_pairs: lines [%d, %d] + %d outside region of %d" first
+         last twin n);
+  scan t first last twin (-1) (-1)
 
 let line_is_clean t ~line = Line_set.is_clean t.lines line
 

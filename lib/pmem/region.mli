@@ -142,14 +142,18 @@ val media_ok : t -> line:int -> bool
     persistent copy is authoritative and eligible for scrubbing. *)
 val line_is_clean : t -> line:int -> bool
 
-(** [verify_pair t ~line ~twin] is the scrub verdict of two lines at
-    once: bit 0 is set when [line] is clean and fails {!media_ok}, bit 1
-    when [twin] is.  When both lines are clean and their persistent bytes
-    are equal it computes one CRC for the two sidecars, which is exact
-    because a CRC is a function of the bytes; otherwise each line is
-    verified on its own.  Allocates nothing.  Raises [Invalid_argument]
-    for a line outside the region. *)
-val verify_pair : t -> line:int -> twin:int -> int
+(** [scan_pairs t ~first ~last ~twin] scrubs the line pairs
+    [(l, l + twin)] for [l] in [[first, last]] and stops at the first
+    pair with a bad line, a clean line that fails {!media_ok}.  It
+    returns [(l lsl 2) lor v] for that pair, where bit 0 of [v] is [l]'s
+    verdict and bit 1 is [l + twin]'s, or [(last + 1) lsl 2] when every
+    pair is sound.  Verdicts, and sidecar entries refreshed on the way,
+    are exactly those of {!media_ok} on each clean line in turn; twin
+    lines whose bytes agree share one CRC, which is exact because a CRC
+    is a function of the bytes.  With [twin = 0] it scrubs the single
+    span [[first, last]], and a bad line reads [v = 3].  Allocates
+    nothing.  Raises [Invalid_argument] for a line outside the region. *)
+val scan_pairs : t -> first:int -> last:int -> twin:int -> int
 
 (** True once any media fault was injected (or restored from a snapshot):
     loads verify sidecar CRCs. *)

@@ -204,6 +204,162 @@ let test_rwlock_rp_basic () =
   List.iter Domain.join ds;
   Alcotest.(check int) "writes exclusive" 2_000 !x
 
+(* ---- single-copy scrub: the kernel walk against the per-line walk ----
+
+   The detection-only scrub of both baselines walks its one span with
+   the twin kernel at a twin offset of 0.  Its report or exception, the
+   [Pmem.Stats] it moves and every line's verdict afterwards must be the
+   per-line walk's: rot at the header, at the last line, in either pair
+   of a lockstep step and in both, beside dirty and pending lines and
+   beside a sidecar invalidated by a write-back, strict and salvage,
+   64- and 128-byte lines. *)
+module type SCRUBBED = sig
+  include Romulus.Ptm_intf.S
+  include Romulus.Recoverable.MEDIA with type t := t
+end
+
+let single_copy_observe (module P : SCRUBBED) ~line ~rot ~live ~rewrite
+    ~salvage ~reference =
+  let r = Pmem.Region.create ~line_size:line ~size:(1 lsl 16) () in
+  let p = P.open_region r in
+  for i = 0 to 9 do
+    P.update_tx p (fun () ->
+        let o = P.alloc p 200 in
+        for w = 0 to 24 do
+          P.store p (o + (8 * w)) ((i * 1000) + w)
+        done)
+  done;
+  ignore (P.scrub p : Romulus.Engine.scrub_report);
+  let frontier = match P.media_spans p with [ (0, f) ] -> f | _ -> -1 in
+  let last = (frontier - 1) / line in
+  let durable_rewrite l =
+    let off = (l * line) + 8 in
+    Pmem.Region.store r off (Pmem.Region.load r off);
+    Pmem.Region.pwb r off;
+    Pmem.Region.pfence r
+  in
+  List.iter durable_rewrite rewrite;
+  List.iteri
+    (fun i l ->
+      let l = if l < 0 then last + 1 + l else l in
+      Pmem.Region.corrupt_line ~seed:(5 + i) r ~line:l)
+    rot;
+  List.iter
+    (fun (l, pending) ->
+      Pmem.Region.store r ((l * line) + 16) 7;
+      if pending then Pmem.Region.pwb r (l * line))
+    live;
+  let stats = Pmem.Region.stats r in
+  let before = Pmem.Stats.snapshot stats in
+  let per_line () =
+    let lost = ref [] in
+    for l = 0 to last do
+      stats.Pmem.Stats.scrubbed_lines <- stats.Pmem.Stats.scrubbed_lines + 1;
+      if Pmem.Region.line_is_clean r ~line:l
+         && not (Pmem.Region.media_ok r ~line:l)
+      then begin
+        stats.Pmem.Stats.unrepairable_lines <-
+          stats.Pmem.Stats.unrepairable_lines + 1;
+        if salvage then lost := (l * line, "none") :: !lost
+        else
+          raise
+            (Romulus.Engine.Unrepairable { offset = l * line; state = "none" })
+      end
+    done;
+    { Romulus.Engine.scrubbed = last + 1; repaired = 0;
+      unrepairable = List.rev !lost }
+  in
+  let result =
+    match
+      if reference then per_line ()
+      else if salvage then P.scrub_salvage p
+      else P.scrub p
+    with
+    | rep ->
+      Printf.sprintf "ok scrubbed=%d repaired=%d lost=[%s]"
+        rep.Romulus.Engine.scrubbed rep.Romulus.Engine.repaired
+        (String.concat "; "
+           (List.map (fun (o, s) -> Printf.sprintf "%d %s" o s)
+              rep.Romulus.Engine.unrepairable))
+    | exception Romulus.Engine.Unrepairable { offset; state } ->
+      Printf.sprintf "unrepairable %d %s" offset state
+  in
+  (* the scrub's own counters and any write it made; the PTM's guard
+     reads a state word the reference does not *)
+  let delta =
+    let d = Pmem.Stats.since ~now:stats ~past:before in
+    Printf.sprintf
+      "scrubbed_lines=%d unrepairable_lines=%d repaired_lines=%d \
+       media_errors=%d stores=%d pwbs=%d pfences=%d"
+      d.Pmem.Stats.scrubbed_lines d.Pmem.Stats.unrepairable_lines
+      d.Pmem.Stats.repaired_lines d.Pmem.Stats.media_errors
+      d.Pmem.Stats.stores d.Pmem.Stats.pwbs d.Pmem.Stats.pfences
+  in
+  let verdicts =
+    String.init (last + 1) (fun l ->
+        if not (Pmem.Region.line_is_clean r ~line:l) then 'd'
+        else if Pmem.Region.media_ok r ~line:l then '.'
+        else 'x')
+  in
+  (result, delta, verdicts)
+
+let test_single_copy_scrub_matches_per_line_walk () =
+  let ptms : (string * (module SCRUBBED)) list =
+    [ ("undolog", (module Baselines.Undolog));
+      ("redolog", (module Baselines.Redolog)) ]
+  in
+  (* negative lines count back from the span's last line; no rot lands
+     on the line of the allocator frontier (byte 584), which the scrub
+     reads before it walks *)
+  let rots =
+    [ []; [ 0 ]; [ -1 ]; [ -2 ]; [ 6 ]; [ 7 ]; [ 6; 7 ]; [ 7; 8 ];
+      [ 3; 12; 13; -1 ]; [ 14; 15; 16 ] ]
+  in
+  let lives = [ []; [ (7, false); (10, true) ]; [ (6, true); (13, false) ] ] in
+  let rewrites = [ []; [ 6 ]; [ 7 ]; [ 12 ] ] in
+  let cases = ref 0 and refused = ref 0 in
+  List.iter
+    (fun (name, ptm) ->
+      List.iter
+        (fun line ->
+          List.iter
+            (fun rot ->
+              List.iter
+                (fun live ->
+                  List.iter
+                    (fun rewrite ->
+                      List.iter
+                        (fun salvage ->
+                          incr cases;
+                          let run reference =
+                            single_copy_observe ptm ~line ~rot ~live ~rewrite
+                              ~salvage ~reference
+                          in
+                          let ((res, delta, v) as want) = run true in
+                          let ((res', delta', v') as got) = run false in
+                          if String.starts_with ~prefix:"unrepairable" res
+                          then incr refused;
+                          if got <> want then
+                            Alcotest.failf
+                              "%s, %d-byte lines, rot [%s], salvage %b:
+                               reference %s
+%s
+%s
+scrub     %s
+%s
+%s"
+                              name line
+                              (String.concat "; " (List.map string_of_int rot))
+                              salvage res delta v res' delta' v')
+                        [ false; true ])
+                    rewrites)
+                lives)
+            rots)
+        [ 64; 128 ])
+    ptms;
+  Alcotest.(check bool) "strict scrubs refused rot" true (!refused > 100);
+  Alcotest.(check bool) "cases run" true (!cases > 900)
+
 let baseline_specific =
   let tc = Alcotest.test_case in
   [ tc "undolog: fences grow with tx size" `Quick test_undolog_fences_grow;
@@ -214,7 +370,9 @@ let baseline_specific =
     tc "redolog: alloc rollback on abort" `Quick test_redolog_alloc_rollback;
     tc "redolog: contention exhaustion is typed" `Quick
       test_redolog_contention_exhausted;
-    tc "rwlock_rp: exclusion" `Quick test_rwlock_rp_basic ]
+    tc "rwlock_rp: exclusion" `Quick test_rwlock_rp_basic;
+    tc "single-copy scrub: kernel walk matches the per-line walk" `Quick
+      test_single_copy_scrub_matches_per_line_walk ]
 
 let () =
   Alcotest.run "baselines"

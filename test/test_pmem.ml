@@ -417,6 +417,60 @@ let prop_crc32_range_matches_bitwise =
           = crc32_ref ~crc (String.sub s off len))
         [ 0; 1; 2; 3; 4; 5; 6; 7 ])
 
+(* The scrub's lockstep twin kernel, exact on every input: two adjacent
+   lines of 64 or 128 bytes at an unaligned start, their twins after or
+   before them.  With equal twins each slot holds its line's CRC, equal
+   to [Crc32.bytes] and to the bitwise reference.  Then one word of one
+   of the four lines is xored with a mask, at every word position of
+   every line of the step: the kernel reports a mismatch exactly when
+   the mask changes the bytes, and leaves the slots alone when it
+   does. *)
+let prop_crc32_twins_exact =
+  let open QCheck in
+  let gen =
+    Gen.(
+      quad (oneofl [ 64; 128 ]) (int_bound 15) bool
+        (pair
+           (string_size ~gen:char (return 256))
+           (array_size (return 64) (frequency [ (1, return 0L); (7, ui64) ]))))
+  in
+  Test.make ~count:200 ~name:"twins kernel = per-line crc, mismatch exact"
+    (make gen) (fun (len, start, twin_after, (lines, masks)) ->
+      let main = start + if twin_after then 0 else 2 * len in
+      let twin = if twin_after then 2 * len else -2 * len in
+      let buf = Bytes.make (start + (4 * len) + 16) '\255' in
+      Bytes.blit_string lines 0 buf main (2 * len);
+      Bytes.blit_string lines 0 buf (main + twin) (2 * len);
+      let crcs = Array.make 2 (-1) in
+      let equal_ok =
+        Pmem.Crc32.twins buf ~off:main ~twin ~len crcs = 0
+        && List.for_all
+             (fun k ->
+               let line = String.sub lines (k * len) len in
+               crcs.(k) = Pmem.Crc32.bytes buf (main + (k * len)) len
+               && crcs.(k) = crc32_ref line)
+             [ 0; 1 ]
+      in
+      let words = len / 8 in
+      let mismatch_exact line w =
+        let off =
+          main + (if line >= 2 then twin else 0) + ((line land 1) * len)
+          + (8 * w)
+        in
+        let mask = masks.((line * words + w) land 63) in
+        let old = Bytes.get_int64_le buf off in
+        Bytes.set_int64_le buf off (Int64.logxor old mask);
+        let before = Array.copy crcs in
+        let r = Pmem.Crc32.twins buf ~off:main ~twin ~len crcs in
+        Bytes.set_int64_le buf off old;
+        crcs = before && r = if mask = 0L then 0 else -1
+      in
+      equal_ok
+      && List.for_all
+           (fun line ->
+             List.for_all (mismatch_exact line) (List.init words Fun.id))
+           [ 0; 1; 2; 3 ])
+
 (* ---- media faults ---- *)
 
 (* A fenced line whose persistent bytes rot afterwards: the next load
@@ -861,7 +915,8 @@ let suite =
         prop_random_subset_deterministic;
         prop_torn_words_deterministic;
         prop_crc32_incremental;
-        prop_crc32_range_matches_bitwise ]
+        prop_crc32_range_matches_bitwise;
+        prop_crc32_twins_exact ]
   @ [ tc "compare_bytes raises as load_bytes" `Quick test_compare_bytes_errors;
       tc "compare_bytes counts as load_bytes" `Quick test_compare_bytes_stats;
       tc "compare_bytes on a romLR back reader" `Quick

@@ -736,18 +736,29 @@ let reference_scrub ~salvage r ~main_size =
     unrepairable = List.rev !lost }
 
 (* Where rot lands.  Lines are counted from the start of main's used
-   span; [Header] garbles a bit of the header line. *)
+   span; [Header] garbles a bit of the header line.  [Rewrite_main k]
+   and [Rewrite_back k] rot nothing: they write one line's own bytes
+   back, which invalidates that line's sidecar alone.  [Agree_main k]
+   rots a bit of main line [k], then writes the rotten bytes into its
+   twin: the twins agree byte for byte while main's sidecar misses
+   ([Agree_back k] likewise with the copies swapped), so equal bytes
+   alone must not vouch for a line. *)
 type rot =
   | Main of int
   | Back of int
   | Both of int
   | Apart of int * int  (** main line, a different back line *)
   | Header
+  | Rewrite_main of int
+  | Rewrite_back of int
+  | Agree_main of int
+  | Agree_back of int
 
 (* Back's allocator frontier relative to main's: equal, a few lines
-   shorter, a few lines longer (main's is moved down instead), or
-   invalid, which walks the whole copy. *)
-type frontier = Equal | Back_short | Main_short | Back_garbage
+   shorter, a few lines longer (main's is moved down instead), main's
+   one line shorter (so main's span has the other pair-count parity),
+   or invalid, which walks the whole copy. *)
+type frontier = Equal | Back_short | Main_short | Main_odd | Back_garbage
 
 type case = {
   line : int;
@@ -765,8 +776,14 @@ let pp_case c =
      | Equal -> "equal"
      | Back_short -> "back short"
      | Main_short -> "main short"
+     | Main_odd -> "main one line short"
      | Back_garbage -> "back garbage")
     c.warm c.live (List.length c.rot)
+
+(* The (line size, pair-count parity) of every main span built, so the
+   test can check that both parities, and hence a last pair without a
+   lockstep partner, were walked. *)
+let span_parities = ref []
 
 (* Build [c]'s image deterministically: the same case always yields the
    same region, so the two scrubs can each run on a fresh build. *)
@@ -805,9 +822,28 @@ let build c =
    | Equal -> ()
    | Back_short -> durable_store (top_addr main_size) (top - (4 * c.line))
    | Main_short -> durable_store (top_addr 0) (top - (4 * c.line))
+   | Main_odd -> durable_store (top_addr 0) (top - c.line)
    | Back_garbage -> durable_store (top_addr main_size) (-1));
+  (* the pair count of main's walked span, as the engine derives it *)
+  let pairs =
+    ((Sr.load r (top_addr 0) - 1) lsr shift)
+    - max ((main_start - 1) lsr shift + 1) (main_start lsr shift) + 1
+  in
+  span_parities := (c.line, pairs land 1) :: !span_parities;
   let main_line k = (first lsr shift) + k in
   let back_line k = main_line k + (main_size lsr shift) in
+  let rewrite l =
+    let off = (l lsl shift) + 24 in
+    durable_store off (Sr.load r off)
+  in
+  let agree ~seed ~rotten ~twin =
+    let off = (rotten lsl shift) + 32 in
+    Sr.corrupt_bits r ~seed ~off ~len:8 ~flips:1;
+    let word = String.sub (Sr.persistent_snapshot r) off 8 in
+    Sr.store_bytes r ((twin lsl shift) + 32) word;
+    Sr.pwb r (twin lsl shift);
+    Sr.pfence r
+  in
   List.iteri
     (fun i rot ->
       let seed = 17 + i in
@@ -820,7 +856,11 @@ let build c =
       | Apart (k, j) ->
         Sr.corrupt_line ~seed r ~line:(main_line k);
         Sr.corrupt_line ~seed:(seed + 1) r ~line:(back_line j)
-      | Header -> Sr.corrupt_bits r ~seed ~off:16 ~len:8 ~flips:1)
+      | Header -> Sr.corrupt_bits r ~seed ~off:16 ~len:8 ~flips:1
+      | Rewrite_main k -> rewrite (main_line k)
+      | Rewrite_back k -> rewrite (back_line k)
+      | Agree_main k -> agree ~seed ~rotten:(main_line k) ~twin:(back_line k)
+      | Agree_back k -> agree ~seed ~rotten:(back_line k) ~twin:(main_line k))
     c.rot;
   (* a live engine: lines with a store in flight, some of them rotten *)
   if c.live then
@@ -871,10 +911,25 @@ let observe c ?failpoint scrub =
   (result, delta, Digest.to_hex (Digest.string (Sr.persistent_snapshot r)),
    verdicts)
 
+(* The kernel takes main's pairs two at a time, from the span's first
+   line, so a main line [k] is the first pair of its step for one line
+   size and the second for the other (main line 0 is the span's second
+   line at 64 bytes, its first at 128).  The patterns after the first
+   row put a bad verdict in either pair of a step or in both, bad pairs
+   beside the live run's dirty and pending lines (main lines 2, 5, 11,
+   20, back lines 3, 6, 12, 21), one invalidated sidecar among a
+   step's four lines, alone or beside rot, and twins that agree byte for
+   byte while one sidecar misses, in either pair of a step. *)
 let rot_patterns =
   [ []; [ Main 4 ]; [ Back 4 ]; [ Both 4 ]; [ Apart (4, 30) ]; [ Header ];
     [ Main 0; Back 6; Main 3; Back 3 ]; [ Main 9; Main 17 ]; [ Back 9 ];
-    [ Main 30; Back 2; Both 12 ] ]
+    [ Main 30; Back 2; Both 12 ];
+    [ Main 5 ]; [ Back 5 ]; [ Main 4; Main 5 ]; [ Main 5; Main 6 ];
+    [ Back 7; Main 8 ]; [ Back 8; Back 9 ]; [ Both 7; Both 8 ];
+    [ Main 6; Back 4 ]; [ Main 1; Back 7 ];
+    [ Rewrite_main 4 ]; [ Rewrite_main 5 ]; [ Rewrite_back 4 ];
+    [ Rewrite_back 5 ]; [ Rewrite_back 5; Main 4 ]; [ Rewrite_main 8; Back 9 ];
+    [ Agree_main 4 ]; [ Agree_main 5 ]; [ Agree_back 4 ]; [ Agree_back 5 ] ]
 
 let test_scrub_matches_per_line_walk () =
   let cases = ref 0 and repairs = ref 0 and outcomes = ref [] in
@@ -934,7 +989,7 @@ let test_scrub_matches_per_line_walk () =
                         [ false; true ])
                     rot_patterns)
                 [ (false, false); (true, false); (false, true); (true, true) ])
-            [ Equal; Back_short; Main_short; Back_garbage ])
+            [ Equal; Back_short; Main_short; Main_odd; Back_garbage ])
         [ st_idl; st_mut; st_cpy ])
     [ 64; 128 ];
   (* the cases exercise repairs, losses and every kind of refusal, not
@@ -953,6 +1008,17 @@ let test_scrub_matches_per_line_walk () =
     (fun state ->
       Alcotest.(check bool) ("refused under " ^ state) true (seen state))
     [ "header"; "IDL"; "MUT"; "CPY" ];
+  List.iter
+    (fun line ->
+      List.iter
+        (fun parity ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%d-byte lines: a span of %s pairs" line
+               (if parity = 0 then "even" else "odd"))
+            true
+            (List.mem (line, parity) !span_parities))
+        [ 0; 1 ])
+    [ 64; 128 ];
   Alcotest.(check bool) "cases run" true (!cases > 3000)
 
 (* A clean scrub allocates nothing per line: one scrub of a settled heap
