@@ -1,7 +1,7 @@
 (* The cross-shard commit protocol (stated in [sharded_db.mli] and
    CORRECTNESS §10) and the only owner of its volatile state: PREPARE,
-   fast and streamed; COMMIT; the lazy-CLEAR queues; admission control;
-   runtime rollback; and recovery's mirror reconciliation. *)
+   one body for every payload; COMMIT; the lazy-CLEAR queues; admission
+   control; runtime rollback; and recovery's mirror reconciliation. *)
 
 open Shard_state
 
@@ -14,8 +14,8 @@ let fp_rollback_undone = Fault.site "sharded.d.rollback_undone"
 let fp_recover_resolved = Fault.site "sharded.recover.mirror_resolved"
 
 (* chunk-chain windows: after each streamed chunk commit, after each
-   spilled undo image, between the last chunk and the seal transaction,
-   and after recovery garbage-collects an unsealed chain *)
+   spilled undo image, between the last streamed chunk and the final
+   transaction, and after recovery garbage-collects an unsealed chain *)
 let fp_chunk_written = Fault.site "sharded.chunk.written"
 let fp_chunk_spilled = Fault.site "sharded.chunk.spilled"
 let fp_seal_window = Fault.site "sharded.chunk.seal_window"
@@ -34,6 +34,10 @@ let with_overload_retry ?(retries = default_overload_retries)
 (* attempts a batch makes to get under the per-shard in-flight budget
    before raising [Overloaded] *)
 let admission_retries = 6
+
+(* times a participant captures its undo images again after one went
+   stale before its PREPARE fails the batch with [Overloaded] *)
+let capture_retries = 3
 
 (* A still-valid undo entry of an in-flight batch, consulted by racing
    single-key writes: [pu_valid] is the absolute offset of the entry's
@@ -139,10 +143,7 @@ module Make (P : SHARD_PTM) = struct
     List.filter_map
       (fun (k, _) ->
         if Hashtbl.mem seen k then None
-        else begin
-          Hashtbl.add seen k ();
-          Some (k, Map_.get s.map k)
-        end)
+        else (Hashtbl.add seen k (); Some (k, Map_.get s.map k)))
       slice
 
   (* ---- the lazy CLEAR ---- *)
@@ -256,104 +257,92 @@ module Make (P : SHARD_PTM) = struct
           undo;
         R.Mirror.reclaim s.p i off)
 
-  (* ---- PREPARE: one mirror per participant, fast or streamed ----
+  (* ---- PREPARE: one mirror per participant (CORRECTNESS §11.1) ----
 
-     Fast path (payload fits one chunk, nothing to spill): one
-     transaction allocates chunk and sealed mirror, hooks it, reclaims
-     stale records and applies the slice — exactly one protocol
-     transaction per participant.
-
-     Streamed path: an *unsealed* mirror shell is hooked first; each
-     spilled undo image and each payload chunk then commits in its own
-     bounded transaction, linked into the shell as it goes; a final seal
-     transaction flips [sealed] and applies the slice.  A crash anywhere
-     before the seal leaves an unsealed chain that recovery collects as
-     presumed abort; a runtime abort collects it inline. *)
-  let prepare_shard t ~chunk_bytes i ~id ~coord ~mask slice =
+     All of the payload but its last piece streams behind an unsealed
+     shell; the final transaction checks the captured images [undo],
+     writes the last piece, seals and applies the slice.  After a crash
+     recovery collects the shell; after an exception it is reclaimed
+     here, and a stale image captures again, [capture_retries] times. *)
+  let prepare_shard t ~chunk_bytes i ~id ~coord ~mask slice undo =
     let s = raw t i in
-    let cfg = t.config in
-    let nshards = shards t in
-    let undo = undo_of s slice in
-    let inline_len = R.mirror_payload_len ~ops:slice ~undo in
-    let needs_spill =
-      List.exists
-        (fun (_, v) ->
-          match v with
-          | Some v -> String.length v > cfg.spill_threshold
-          | None -> false)
-        undo
+    let spills img =
+      Option.fold ~none:0 ~some:String.length img > t.config.spill_threshold
     in
-    if (not needs_spill) && inline_len <= chunk_bytes then begin
-      let payload, rel_offs =
-        R.encode_mirror ~nshards ~ops:slice
-          ~undo:(List.map (fun (k, v) -> (k, R.image_of_opt v)) undo)
+    let stale =
+      Overloaded
+        { shard = i; in_flight = t.commit.in_flight.(i);
+          budget = t.config.admission_budget }
+    in
+    let rec attempt restarts undo =
+      let streamed =
+        List.exists (fun (_, img) -> spills img) undo
+        || R.mirror_payload_len ~ops:slice ~undo > chunk_bytes
       in
-      let plen = String.length payload in
-      let moff, coff =
-        tx_with_drain t i (fun () ->
-            let c = R.Mirror.write_chunk s.p payload in
-            let o =
-              R.Mirror.push s.p ~id ~coord ~mask ~sealed:1 ~plen ~chunks:c
-            in
-            List.iter (apply_op s) slice;
-            (o, c))
-      in
-      tick t Chunks_written 1;
-      ( moff,
-        List.map (fun (k, rel) -> (k, coff, R.Mirror.byte coff rel)) rel_offs
-      )
-    end
-    else begin
-      (* unsealed shell first: from here the chain is crash-visible and
-         recovery (or the inline abort path) can always collect it *)
       let moff =
-        tx_with_drain t i (fun () ->
-            R.Mirror.push s.p ~id ~coord ~mask ~sealed:0 ~plen:0 ~chunks:0)
+        if not streamed then 0
+        else
+          tx_with_drain t i (fun () ->
+              R.Mirror.push s.p ~id ~coord ~mask ~sealed:0 ~plen:0 ~chunks:0)
       in
       try
-        (* oversized undo images leave the payload: one record each,
-           linked into the shell's spill list *)
-        let images =
-          List.map
-            (fun (k, v) ->
-              match v with
-              | Some v when String.length v > cfg.spill_threshold ->
-                let len = String.length v in
-                let soff =
-                  P.update_tx s.p (fun () -> R.Mirror.add_spill s.p moff v)
-                in
-                tick t Chunks_spilled 1;
-                Fault.hit fp_chunk_spilled;
-                (k, R.U_spilled { off = soff; len })
-              | v -> (k, R.image_of_opt v))
-            undo
+        let spill (k, img) =
+          match img with
+          | Some v when spills img ->
+            let off =
+              P.update_tx s.p (fun () -> R.Mirror.add_spill s.p moff v)
+            in
+            tick t Chunks_spilled 1;
+            Fault.hit fp_chunk_spilled;
+            (k, R.U_spilled { off; len = String.length v })
+          | img -> (k, R.image_of_opt img)
         in
         let payload, rel_offs =
-          R.encode_mirror ~nshards ~ops:slice ~undo:images
+          R.encode_mirror ~nshards:(shards t) ~ops:slice
+            ~undo:(List.map spill undo)
         in
-        (* stream the chain; every piece but the last holds exactly
-           [chunk_bytes], so payload byte [rel] lies in chunk
-           [rel / chunk_bytes] *)
-        let chunks = ref [] in
-        List.iter
-          (fun piece ->
-            let prev = match !chunks with c :: _ -> c | [] -> 0 in
-            let c =
-              P.update_tx s.p (fun () ->
-                  let c = R.Mirror.write_chunk s.p piece in
-                  R.Mirror.link_chunk s.p moff ~prev c;
-                  c)
-            in
-            chunks := c :: !chunks;
-            tick t Chunks_written 1;
-            Fault.hit fp_chunk_written)
-          (Shard_records.Chunk.split ~chunk_bytes payload);
-        let chunks = Array.of_list (List.rev !chunks) in
-        Fault.hit fp_seal_window;
-        (* the seal: sealed <=> slice applied, atomically *)
-        P.update_tx s.p (fun () ->
-            R.Mirror.seal s.p moff ~plen:(String.length payload);
-            List.iter (apply_op s) slice);
+        (* every piece but the last holds exactly [chunk_bytes] and
+           commits in its own transaction *)
+        let pieces =
+          Array.of_list (Shard_records.Chunk.split ~chunk_bytes payload)
+        in
+        let last = Array.length pieces - 1 in
+        let chunks = Array.make (last + 1) 0 in
+        let chunk j =
+          let c = R.Mirror.write_chunk s.p pieces.(j) in
+          if streamed then
+            R.Mirror.link_chunk s.p moff
+              ~prev:(if j = 0 then 0 else chunks.(j - 1))
+              c;
+          c
+        in
+        for j = 0 to last - 1 do
+          chunks.(j) <- P.update_tx s.p (fun () -> chunk j);
+          tick t Chunks_written 1;
+          Fault.hit fp_chunk_written
+        done;
+        if streamed then Fault.hit fp_seal_window;
+        let plen = String.length payload in
+        let final () =
+          List.iter
+            (fun (k, img) ->
+              if not (Option.equal String.equal (Map_.get s.map k) img) then
+                raise stale)
+            undo;
+          chunks.(last) <- chunk last;
+          let o =
+            if streamed then (R.Mirror.seal s.p moff ~plen; moff)
+            else
+              R.Mirror.push s.p ~id ~coord ~mask ~sealed:1 ~plen
+                ~chunks:chunks.(last)
+          in
+          List.iter (apply_op s) slice;
+          o
+        in
+        let moff =
+          if streamed then P.update_tx s.p final else tx_with_drain t i final
+        in
+        tick t Chunks_written 1;
         ( moff,
           List.map
             (fun (k, rel) ->
@@ -361,22 +350,25 @@ module Make (P : SHARD_PTM) = struct
               (k, c, R.Mirror.byte c (rel mod chunk_bytes)))
             rel_offs )
       with
-      | Pmem.Region.Crash_point ->
-        (* dead machine: recovery collects the unsealed chain *)
-        raise Pmem.Region.Crash_point
-      | e ->
-        (* runtime abort mid-stream: collect our own unsealed chain
-           before re-raising to the batch-level abort handler *)
-        P.update_tx s.p (fun () -> R.Mirror.reclaim s.p i moff);
-        raise e
-    end
+      | Pmem.Region.Crash_point -> raise Pmem.Region.Crash_point
+      | e -> (
+        if streamed then
+          P.update_tx s.p (fun () -> R.Mirror.reclaim s.p i moff);
+        match e with
+        | Romulus.Engine.Tx_aborted { cause; _ }
+          when cause == stale && restarts < capture_retries ->
+          tick t Prepare_restarts 1;
+          attempt (restarts + 1) (undo_of s slice)
+        | e -> raise e)
+    in
+    attempt 0 undo
 
   let cross_shard_batch t ~chunk_bytes groups =
     let c = t.commit in
     let id = c.next_batch_id in
     c.next_batch_id <- id + 1;
-    let coord = fst (List.hd groups) in
-    let mask = List.fold_left (fun m (i, _) -> m lor (1 lsl i)) 0 groups in
+    let coord, _, _ = List.hd groups in
+    let mask = List.fold_left (fun m (i, _, _) -> m lor (1 lsl i)) 0 groups in
     let applied = ref [] in
     (* keys whose pending-undo entries this batch registered *)
     let registered = ref [] in
@@ -389,9 +381,9 @@ module Make (P : SHARD_PTM) = struct
          Stale records of earlier committed batches are reclaimed inside
          the protocol transactions (the lazy CLEAR). *)
       List.iter
-        (fun (i, slice) ->
+        (fun (i, slice, undo) ->
           let moff, valids =
-            prepare_shard t ~chunk_bytes i ~id ~coord ~mask slice
+            prepare_shard t ~chunk_bytes i ~id ~coord ~mask slice undo
           in
           applied := (i, moff) :: !applied;
           tick t Intent_prepares 1;
@@ -492,10 +484,13 @@ module Make (P : SHARD_PTM) = struct
        is made durable: a batch never partially lands on the healthy
        subset of its shards *)
     List.iter (fun (i, _) -> ignore (rw t i : shard)) groups;
+    (* the one capture: it sizes admission, each final PREPARE checks it *)
+    let groups =
+      List.map (fun (i, slice) -> (i, slice, undo_of (raw t i) slice)) groups
+    in
     let charges =
       List.map
-        (fun (i, slice) ->
-          (i, R.mirror_payload_len ~ops:slice ~undo:(undo_of (raw t i) slice)))
+        (fun (i, slice, undo) -> (i, R.mirror_payload_len ~ops:slice ~undo))
         groups
     in
     admit t charges;
@@ -504,11 +499,10 @@ module Make (P : SHARD_PTM) = struct
       (fun () ->
         (* A redo-log overflow inside PREPARE aborts cleanly (the
            batch-level handler already rolled every applied mirror back),
-           so re-enter the chunked path with smaller chunks — bounding
-           each protocol transaction — instead of surfacing the overflow.
-           When even [min_chunk_bytes] overflows (the slice itself is too
-           wide for the redo log) the typed [Tx_aborted] carries the
-           cause. *)
+           so retry with smaller chunks, bounding each protocol
+           transaction.  When even [min_chunk_bytes] overflows (the slice
+           itself is too wide for the redo log) the typed [Tx_aborted]
+           carries the cause. *)
         let rec attempt chunk_bytes =
           try cross_shard_batch t ~chunk_bytes groups
           with

@@ -315,7 +315,7 @@ struct
 
   (* Exact length of the payload [encode_mirror] would produce with every
      undo image inline — the admission-control charge of a mirror, and
-     the chunked-vs-fast-path decision, without building the string. *)
+     the streaming decision, without building the string. *)
   let opt_len = function None -> 1 | Some v -> 1 + 8 + String.length v
 
   let mirror_payload_len ~ops ~undo =
@@ -488,8 +488,8 @@ struct
      sealed | payload length | chunk-chain head | spill-list head
 
      One per participant of a cross-shard batch, on the mirror list of
-     its shard.  The payload always lives in the chunk chain (a single
-     chunk on the fast path); [sealed] is 0 while the chain is streaming
+     its shard.  The payload always lives in the chunk chain (one
+     chunk when nothing streams); [sealed] is 0 while the chain is streaming
      and flipped to 1 in the transaction that applies the slice, so
      sealed <=> slice applied and an unsealed chain is garbage for
      recovery to collect.  Chunks and spilled undo images are

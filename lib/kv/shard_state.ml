@@ -99,6 +99,7 @@ type counter =
   | Chunks_written
   | Chunks_spilled
   | Overload_rejections
+  | Prepare_restarts
   | Clear_flushes
   | Migrations_started
   | Migrations_resumed
@@ -130,6 +131,9 @@ module Counters = Counter_set.Make (struct
         "undo images spilled out of the payload" );
       ( Overload_rejections, "overload_rejections",
         "batches refused by admission control" );
+      ( Prepare_restarts, "prepare_restarts",
+        "participant PREPAREs streamed again after a captured image went \
+         stale" );
       ( Clear_flushes, "clear_flushes",
         "dedicated lazy-CLEAR flush transactions" );
       ( Migrations_started, "migrations_started",

@@ -23,12 +23,11 @@
       its batch is gone, so the steady-state extra cost per cross-shard
       batch is the single coordinator flip.
 
-    Mirror payloads are {e chunked}: a payload that fits one
-    [chunk_bytes] allocation rides the single PREPARE transaction as
-    before, while a larger one streams as a linked chain of bounded,
-    CRC-32-protected chunk records — one engine transaction each — made
-    valid only by a final {e seal} transaction that flips the mirror's
-    seal word and applies the slice in the same transaction.  Unsealed
+    Mirror payloads are {e chunked}: all of a payload but its last piece
+    streams as a linked chain of bounded, CRC-32-protected chunk records
+    — one engine transaction each — behind an unsealed mirror, and one
+    final transaction writes the last piece, seals the mirror, checks
+    the batch's captured undo images and applies the slice.  Unsealed
     chains are presumed-abort garbage that recovery (or the inline abort
     path) collects without decoding a byte.  Undo images larger than
     [spill_threshold] are spilled into their own CRC-protected records
@@ -61,8 +60,8 @@
     batch half-applied across shards (there is no cross-shard snapshot
     isolation).  A concurrent single-key write racing a batch on the same
     key is {e not} lost on abort: the write durably invalidates the
-    batch's undo image for that key, so neither a runtime rollback nor
-    crash recovery overwrites it. *)
+    batch's undo image for that key, or, before the key's participant
+    applied, makes it capture the image again. *)
 
 (** Raised by [open_db], [open_from_files] and [split_shard] when the
     shard count would fall outside [1, 63]: every cross-shard protocol
@@ -73,9 +72,10 @@ exception Invalid_shards of int
 (** Raised by a cross-shard batch refused by admission control: shard
     [shard] already has [in_flight] payload bytes inside the commit
     protocol and the batch's charge would exceed [budget].  Raised
-    before any persistent effect (never wrapped in [Tx_aborted]), after
+    before any persistent effect (not wrapped in [Tx_aborted]), after
     a bounded backoff — immediately when the batch alone exceeds the
-    budget. *)
+    budget.  Also the cause of the [Tx_aborted] of a rolled-back batch
+    whose shard [shard] kept finding its captured undo images stale. *)
 exception Overloaded of { shard : int; in_flight : int; budget : int }
 
 (** Raised by [open_from_files] when [shards] disagrees with the snapshot
@@ -171,6 +171,7 @@ type counter =
   | Chunks_written
   | Chunks_spilled
   | Overload_rejections
+  | Prepare_restarts
   | Clear_flushes
   | Migrations_started
   | Migrations_resumed
@@ -198,7 +199,7 @@ module Make (P : SHARD_PTM) : sig
       reconciled.
 
       [chunk_bytes] (default 16 KiB) bounds each mirror payload chunk —
-      and therefore each streamed PREPARE transaction; [spill_threshold]
+      and therefore each PREPARE transaction; [spill_threshold]
       (default 4 KiB) is the undo-image size above which the pre-image
       is spilled into its own record; [admission_budget] (default 4 MiB)
       caps each shard's in-flight cross-shard payload bytes (see

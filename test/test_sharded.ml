@@ -709,19 +709,22 @@ let test_preflip_reopen_counts () =
   Alcotest.(check string) "reopen access counts"
     "loads=392 stores=186 pwbs=97 pfences=9" counts
 
-(* A cross-shard batch over a seeded store reads each key's pre-batch
-   image twice: once to size its admission charge, and again for its
-   mirror just before that participant's PREPARE, so a write made after
-   admission is the image a rollback restores.  Pinned: the access
-   counts of [run_batch], summed over the shards (loads 307 -> 297 when
-   the blob codec's [equal_at] stopped reloading the length word). *)
+(* A cross-shard batch over a seeded store captures each key's
+   pre-batch image once, to size its admission charge and fill its
+   mirror, and each participant's final PREPARE transaction reads the key
+   again to check the image is still its value; no race, so no
+   participant captures again.  Pinned: the access counts of
+   [run_batch], summed over the shards (loads 307 -> 297 when the blob
+   codec's [equal_at] stopped reloading the length word). *)
 let test_batch_counts () =
   let rs, db = open_sharded () in
   seed db 12;
   let counts, () = access_counts rs (fun () -> run_batch db) in
   Alcotest.(check bool) "applied" true (assert_all_or_nothing "batch" db);
   Alcotest.(check string) "batch access counts"
-    "loads=297 stores=192 pwbs=111 pfences=12" counts
+    "loads=297 stores=192 pwbs=111 pfences=12" counts;
+  Alcotest.(check int) "no capture restarted" 0
+    (counted db Prepare_restarts)
 
 (* ---- §10 regression: a single-key write racing an aborting batch ----
 
@@ -730,10 +733,10 @@ let test_batch_counts () =
    abort) nor recovery (crash) may overwrite it with the stale
    pre-image. *)
 
-let assert_raced_rollback ?(raced = key 1) what db =
+let assert_raced_rollback ?(raced = key 1) ?(won = "raced") what db =
   check_ok what db;
   Alcotest.(check (option string)) (what ^ ": racing write survives")
-    (Some "raced") (Sd.get db raced);
+    (Some won) (Sd.get db raced);
   List.iter
     (fun (k, _) ->
       if k <> raced then begin
@@ -786,22 +789,36 @@ let test_d_lost_update_crash_recovery () =
   Alcotest.(check int) "mirrors reclaimed" 0 (Sd.pending_intents db)
 
 (* The same race, one step earlier: the put lands on a later
-   participant's key right after the first mirror is hooked, before that
-   participant captures its undo images, so it is not yet pending.  The
-   later mirror must record the raced value as the key's pre-image;
-   then the batch fails at the last participant, by a runtime abort or a
-   crash, and the rollback must restore the raced value. *)
-let early_race db ~fail =
+   participant's key right after the first mirror is hooked, after the
+   batch captured that key's undo image and before the participant
+   applies, so it is not yet pending.  The participant's final PREPARE
+   transaction finds its captured image stale and captures again, so its
+   mirror records the raced value as the key's pre-image; then the batch
+   fails at the last participant, by a runtime abort or a crash, and the
+   rollback must restore the raced value.  With [~site] the put lands at
+   that failpoint instead, before any mirror is hooked: on
+   [sharded.chunk.written], inside the stream of the participant that
+   owns [raced]. *)
+let early_race ?(site = "sharded.d.mirror_applied") ?raced db ~fail =
   let parts = d_participants db in
   let nparts = List.length parts in
   let last = List.nth parts (nparts - 1) in
-  let raced, _ =
-    List.find (fun (k, _) -> Sd.shard_of_key db k = last) batch_ops
+  let raced =
+    match raced with
+    | Some k -> k
+    | None ->
+      fst (List.find (fun (k, _) -> Sd.shard_of_key db k = last) batch_ops)
   in
-  Fault.arm "sharded.d.mirror_applied" (fun () ->
+  (* mirrors already hooked when the put lands *)
+  let hooked = if site = "sharded.d.mirror_applied" then 1 else 0 in
+  Fault.arm site (fun () ->
       Sd.put db raced "raced";
-      Fault.arm ~skip:(nparts - 2) "sharded.d.mirror_applied" fail);
+      Fault.arm ~skip:(nparts - 1 - hooked) "sharded.d.mirror_applied" fail);
   raced
+
+let assert_restarted what db =
+  if counted db Prepare_restarts = 0 then
+    Alcotest.failf "%s: no participant captured its images again" what
 
 let test_d_early_race_runtime_abort () =
   with_disarm @@ fun () ->
@@ -814,6 +831,7 @@ let test_d_early_race_runtime_abort () =
    | () -> Alcotest.fail "injected fault did not surface"
    | exception Romulus.Engine.Tx_aborted { cause = Fault.Injected _; _ } -> ());
   assert_raced_rollback ~raced "early race (runtime abort)" db;
+  assert_restarted "early race (runtime abort)" db;
   Alcotest.(check int) "no record left hooked" 0 (Sd.pending_intents db)
 
 let test_d_early_race_crash_recovery () =
@@ -826,9 +844,86 @@ let test_d_early_race_crash_recovery () =
    | () -> Alcotest.fail "kill did not fire"
    | exception R.Crash_point -> ());
   crash_all rs R.Drop_all;
-  let db = Sd.open_db ~initial_buckets:8 rs in
-  assert_raced_rollback ~raced "early race (crash recovery)" db;
-  Alcotest.(check int) "mirrors reclaimed" 0 (Sd.pending_intents db)
+  let reopened = Sd.open_db ~initial_buckets:8 rs in
+  assert_raced_rollback ~raced "early race (crash recovery)" reopened;
+  assert_restarted "early race (crash recovery)" db;
+  Alcotest.(check int) "mirrors reclaimed" 0 (Sd.pending_intents reopened)
+
+(* The early race inside a stream: with 128-byte chunks and an 8-byte
+   spill threshold, the first participant (the one owning key 1) streams
+   its mirror, and the put to key 1 lands after its first chunk, before
+   its final transaction. *)
+let streamed_db () =
+  let rs, db = open_sharded ~chunk_bytes:128 ~spill_threshold:8 () in
+  seed db 12;
+  if Sd.shard_of_key db (key 1) <> List.hd (d_participants db) then
+    Alcotest.fail "streamed race: key 1 is not on the first participant";
+  (rs, db)
+
+let test_d_streamed_race_runtime_abort () =
+  with_disarm @@ fun () ->
+  let _, db = streamed_db () in
+  let raced =
+    early_race ~site:"sharded.chunk.written" ~raced:(key 1) db
+      ~fail:(fun () -> raise (Fault.Injected "raced"))
+  in
+  (match run_batch db with
+   | () -> Alcotest.fail "injected fault did not surface"
+   | exception Romulus.Engine.Tx_aborted { cause = Fault.Injected _; _ } -> ());
+  assert_raced_rollback ~raced "streamed race" db;
+  assert_restarted "streamed race" db;
+  Alcotest.(check int) "no record left hooked" 0 (Sd.pending_intents db)
+
+let test_d_streamed_race_crash_recovery () =
+  with_disarm @@ fun () ->
+  let rs, db = streamed_db () in
+  let raced =
+    early_race ~site:"sharded.chunk.written" ~raced:(key 1) db
+      ~fail:(fun () -> R.kill rs.(0))
+  in
+  (match run_batch db with
+   | () -> Alcotest.fail "kill did not fire"
+   | exception R.Crash_point -> ());
+  crash_all rs R.Drop_all;
+  let reopened = Sd.open_db ~initial_buckets:8 rs in
+  assert_raced_rollback ~raced "streamed race" reopened;
+  assert_restarted "streamed race" db;
+  Alcotest.(check int) "mirrors reclaimed" 0 (Sd.pending_intents reopened)
+
+(* A put that lands in every attempt's window keeps the last
+   participant's captured image stale: its PREPARE captures and streams
+   again a bounded number of times, then the batch fails with
+   [Overloaded] naming that shard, every applied participant is rolled
+   back, and the last put is the key's value.  The first put lands in
+   the first participant's seal window; each fresh value is over the
+   spill threshold, so every later attempt of the last participant
+   streams and crosses a seal window of its own. *)
+let test_d_capture_retries_bound () =
+  with_disarm @@ fun () ->
+  let _, db = streamed_db () in
+  let parts = d_participants db in
+  let last = List.nth parts (List.length parts - 1) in
+  let raced, _ =
+    List.find (fun (k, _) -> Sd.shard_of_key db k = last) batch_ops
+  in
+  let puts = ref 0 in
+  let fresh () = Printf.sprintf "fresh-%04d" !puts in
+  let rec race () =
+    incr puts;
+    Sd.put db raced (fresh ());
+    Fault.arm "sharded.chunk.seal_window" race
+  in
+  Fault.arm "sharded.chunk.seal_window" race;
+  (match run_batch db with
+   | () -> Alcotest.fail "bound: batch committed over stale images"
+   | exception
+       Romulus.Engine.Tx_aborted
+         { cause = Kv.Sharded_db.Overloaded { shard; _ }; _ } ->
+     Alcotest.(check int) "Overloaded names the stale shard" last shard);
+  Fault.disarm ();
+  assert_raced_rollback ~raced ~won:(fresh ()) "bound" db;
+  assert_restarted "bound" db;
+  Alcotest.(check int) "no record left hooked" 0 (Sd.pending_intents db)
 
 (* ---- recovery: parallel fan-out, idempotence, crashes within ---- *)
 
@@ -2753,6 +2848,12 @@ let prop_one_hash_per_get =
 let suite =
   suite
   @ [ Alcotest.test_case "get hit allocation pin" `Quick test_get_allocation;
-      QCheck_alcotest.to_alcotest prop_one_hash_per_get ]
+      QCheck_alcotest.to_alcotest prop_one_hash_per_get;
+      Alcotest.test_case "decentralized: streamed race vs runtime abort"
+        `Quick test_d_streamed_race_runtime_abort;
+      Alcotest.test_case "decentralized: streamed race vs crash recovery"
+        `Quick test_d_streamed_race_crash_recovery;
+      Alcotest.test_case "decentralized: stale captures end in Overloaded"
+        `Quick test_d_capture_retries_bound ]
 
 let () = Alcotest.run "sharded" [ ("sharded", suite) ]
